@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import mmap
 import os
 import signal
 import sys
@@ -40,47 +39,23 @@ def _probe_step(i: int) -> int:
     return (i * i) % 7
 
 
-_ARRAY_PROBE_BUFFER: list = []
-#: resident size of the array probe's buffer, left out of the pass's peak
-ARRAY_PROBE_BYTES = 16 * 1024 * 1024
-
-
-def speed_probe(kind: str) -> float:
-    """Seconds taken by a fixed piece of work of one kind.
+def speed_probe() -> float:
+    """Seconds taken by a fixed piece of interpreter work.
 
     The host's speed drifts by up to a factor of two over tens of seconds
     (other tenants share its cores, caches and memory), and a pass slows
     in step.  The probe runs around and during each operation, with its
     own time kept out of the operation's, so each operation can be scaled
-    back to a nominal machine speed.  Interpreter
-    work and array work slow by different amounts, so a workload names the
-    kind that dominates it.  ``interpreter`` runs a Python loop.  ``array``
-    drops the pages of a 16 MB buffer and streams it through memory again,
-    so it pays for fresh zeroed pages as large temporaries do; the buffer
-    is mapped once and its resident size never exceeds 16 MB.  ``mixed``
-    runs both.  None of them touches package code.
+    back to a nominal machine speed.  It runs a Python loop and touches no
+    package code.
     """
-    import numpy as np
-
-    if kind == "mixed":
-        return speed_probe("interpreter") + speed_probe("array")
-    if kind == "array" and not _ARRAY_PROBE_BUFFER:
-        _ARRAY_PROBE_BUFFER.append(mmap.mmap(-1, ARRAY_PROBE_BYTES))
     times = []
     # The median of three short rounds ignores one that an interrupt hit.
     for _ in range(3):
         t = time.perf_counter()
-        if kind == "array":
-            region = _ARRAY_PROBE_BUFFER[0]
-            region.madvise(mmap.MADV_DONTNEED)
-            buf = np.frombuffer(region, dtype=float)
-            np.add(buf, 1.0, out=buf)
-            np.sqrt(buf, out=buf)
-            del buf
-        else:
-            acc = 0
-            for i in range(40_000):
-                acc += _probe_step(i)
+        acc = 0
+        for i in range(40_000):
+            acc += _probe_step(i)
         times.append(time.perf_counter() - t)
     return sorted(times)[1]
 
@@ -95,8 +70,8 @@ class ProbeSampler:
     take it out of its spans.
     """
 
-    def __init__(self, kind: str, period: float):
-        self.kind, self.period = kind, period
+    def __init__(self, period: float):
+        self.period = period
         self.samples: list[float] = []
         self.intervals: list[tuple[float, float]] = []
         self.spent = 0.0
@@ -104,7 +79,7 @@ class ProbeSampler:
 
     def _handler(self, signum, frame):
         t = time.perf_counter()
-        self.samples.append(speed_probe(self.kind))
+        self.samples.append(speed_probe())
         end = time.perf_counter()
         self.intervals.append((t, end))
         self.spent += end - t
@@ -125,16 +100,6 @@ class ProbeSampler:
             yield
         finally:
             signal.setitimer(signal.ITIMER_REAL, self.period, self.period)
-
-
-def _compare(ref_values, recorded, workload, checks, Check):
-    for key, (op, value) in ref_values.items():
-        if key not in recorded:
-            checks.append(Check(op, f"reference:{key}", False, "no recorded value"))
-            continue
-        want = recorded[key]
-        ok = abs(value - want) <= workload.ref_rtol * abs(want) + workload.ref_atol
-        checks.append(Check(op, f"reference:{key}", ok, f"got={value!r} want={want!r}"))
 
 
 def main() -> int:
@@ -158,13 +123,13 @@ def main() -> int:
         tracer.install()
     if req["setup_only"]:
         t_ready = time.perf_counter()
-        print(json.dumps({"t_ready": t_ready, "probe": workload.probe, "setup_probe_s": speed_probe(workload.probe)}))
+        print(json.dumps({"t_ready": t_ready, "setup_probe_s": speed_probe()}))
         return 0
 
     outs, errors, op_s, op_probes = [], {}, [], []
-    sampler = ProbeSampler(workload.probe, SAMPLE_PERIOD_S)
+    sampler = ProbeSampler(SAMPLE_PERIOD_S)
     t_ready = time.perf_counter()
-    before = speed_probe(workload.probe)
+    before = speed_probe()
     with sampler:
         for i, (_, op) in enumerate(ops):
             if tracer is not None:
@@ -178,18 +143,15 @@ def main() -> int:
                 errors[i] = "".join(traceback.format_exception_only(type(exc), exc)).strip()
             op_s.append(time.perf_counter() - t_op - (sampler.spent - spent))
             with sampler.paused():
-                after = speed_probe(workload.probe)
+                after = speed_probe()
             op_probes.append([before, *sampler.samples[first:], after])
             before = after
-    rss = _peak_rss_mb() - len(_ARRAY_PROBE_BUFFER) * ARRAY_PROBE_BYTES / 2**20
-
     report = {
         "t_ready": t_ready,
         "op_s": op_s,
-        "probe": workload.probe,
         "setup_probe_s": op_probes[0][0],
         "op_probes": op_probes,
-        "peak_rss_mb": rss,
+        "peak_rss_mb": _peak_rss_mb(),
         "ops": [name for name, _ in ops],
         "digests": [None if o is None else hashlib.sha256(o.blob).hexdigest() for o in outs],
         "errors": errors,
@@ -209,7 +171,6 @@ def main() -> int:
 
     if req["check"] and not errors:
         t_check = time.perf_counter()
-        Check = workloads.Check
         checks = workload.checks(inputs, outs)
         recorded = {}
         if os.path.exists(req["reference_path"]):
@@ -218,10 +179,10 @@ def main() -> int:
         fixed, seeded = {}, {}
         if workload.fixed_reference is not None:
             fixed = workload.fixed_reference(outs)
-            _compare(fixed, recorded.get("any_seed", {}), workload, checks, Check)
+            checks += workloads.compare_reference(fixed, recorded.get("any_seed", {}), workload.ref_atol)
         if workload.seed_reference is not None and req["seed"] == workloads.DEFAULT_SEED:
             seeded = workload.seed_reference(inputs, outs)
-            _compare(seeded, recorded.get("default_seed", {}), workload, checks, Check)
+            checks += workloads.compare_reference(seeded, recorded.get("default_seed", {}), workload.ref_atol)
         report["checks"] = [c.__dict__ for c in checks]
         report["reference"] = {
             "any_seed": {k: v for k, (_, v) in fixed.items()},

@@ -49,9 +49,8 @@ MIN_SETUPS = 5
 MAX_PASSES = 200
 #: a run must end within 180 s; no child may outlive this budget
 RUN_BUDGET_S = 170.0
-#: speed-probe times of the machine the baseline was measured on
-PROBE_NOMINAL_S = {"interpreter": 0.0035, "array": 0.0042}
-PROBE_NOMINAL_S["mixed"] = PROBE_NOMINAL_S["interpreter"] + PROBE_NOMINAL_S["array"]
+#: speed-probe time of the machine the baseline was measured on
+PROBE_NOMINAL_S = 0.0035
 
 
 class BenchError(RuntimeError):
@@ -59,26 +58,13 @@ class BenchError(RuntimeError):
 
 
 def _git_sha() -> str | None:
-    head = os.path.join(".git", "HEAD")
-    if not os.path.isfile(head):
+    # The ceiling keeps git from taking a parent directory's repository.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(os.getcwd()))
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, env=env, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
         return None
-    with open(head, encoding="utf-8") as fh:
-        ref = fh.read().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = os.path.join(".git", name)
-    if os.path.isfile(loose):
-        with open(loose, encoding="utf-8") as fh:
-            return fh.read().strip()
-    packed = os.path.join(".git", "packed-refs")
-    if os.path.isfile(packed):
-        with open(packed, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2 and parts[1] == name:
-                    return parts[0]
-    return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 class Runner:
@@ -136,13 +122,12 @@ def _scale_to_nominal(report, t_spawn) -> None:
     follows it.  The unscaled times stay in the record as
     ``raw_wall_s``/``raw_setup_s``.
     """
-    nominal = PROBE_NOMINAL_S[report["probe"]]
     report["raw_setup_s"] = report["t_ready"] - t_spawn
-    report["setup_s"] = report["raw_setup_s"] * nominal / report["setup_probe_s"]
+    report["setup_s"] = report["raw_setup_s"] * PROBE_NOMINAL_S / report["setup_probe_s"]
     if "op_s" in report:
         report["raw_wall_s"] = sum(report["op_s"])
         report["wall_s"] = sum(
-            t * nominal / statistics.fmean(probes) for t, probes in zip(report["op_s"], report["op_probes"])
+            t * PROBE_NOMINAL_S / statistics.fmean(probes) for t, probes in zip(report["op_s"], report["op_probes"])
         )
         report["speed"] = report["raw_wall_s"] and report["wall_s"] / report["raw_wall_s"]
         del report["op_probes"]

@@ -32,6 +32,8 @@ from horolab.smoothfns import bump6
 
 #: Seed of the repository's scripts and tests; seeded references hold here.
 DEFAULT_SEED = 20240817
+#: relative drift allowed against every recorded reference
+REF_RTOL = 1e-9
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,20 +63,30 @@ class Check:
 class Workload:
     """One named workload.
 
-    ``probe`` names the kind of work that dominates it, which picks the
-    speed probe its times are scaled by; ``ref_rtol``/``ref_atol`` bound
-    the drift allowed against recorded references.
+    ``ref_atol`` is the absolute drift allowed against recorded
+    references, on top of ``REF_RTOL``.
     """
 
     name: str
-    probe: str
     inputs: object
     operations: object
     checks: object
     fixed_reference: object = None
     seed_reference: object = None
-    ref_rtol: float = 1e-9
     ref_atol: float = 0.0
+
+
+def compare_reference(values, recorded, atol) -> list[Check]:
+    """Checks of ``{key: (op, value)}`` against the recorded ``{key: value}``."""
+    checks = []
+    for key, (op, value) in values.items():
+        if key not in recorded:
+            checks.append(Check(op, f"reference:{key}", False, "no recorded value"))
+            continue
+        want = recorded[key]
+        ok = abs(value - want) <= REF_RTOL * abs(want) + atol
+        checks.append(Check(op, f"reference:{key}", ok, f"got={value!r} want={want!r}"))
+    return checks
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -576,14 +588,14 @@ def _horocycle_seed_reference(inp, outs):
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("orbit_bound", "interpreter", _orbit_inputs, _orbit_operations, _orbit_checks,
+        Workload("orbit_bound", _orbit_inputs, _orbit_operations, _orbit_checks,
                  seed_reference=_orbit_seed_reference),
-        Workload("coset_cancellation", "interpreter", _coset_inputs, _coset_operations, _coset_checks,
+        Workload("coset_cancellation", _coset_inputs, _coset_operations, _coset_checks,
                  fixed_reference=_coset_fixed_reference, seed_reference=_coset_seed_reference,
                  ref_atol=1e-6),
-        Workload("majorant_batch", "array", _majorant_inputs, _majorant_operations, _majorant_checks,
+        Workload("majorant_batch", _majorant_inputs, _majorant_operations, _majorant_checks,
                  fixed_reference=_majorant_fixed_reference, seed_reference=_majorant_seed_reference),
-        Workload("horocycle_routes", "mixed", _horocycle_inputs, _horocycle_operations, _horocycle_checks,
+        Workload("horocycle_routes", _horocycle_inputs, _horocycle_operations, _horocycle_checks,
                  seed_reference=_horocycle_seed_reference, ref_atol=1e-12),
     )
 }
