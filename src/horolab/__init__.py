@@ -8,7 +8,7 @@ The package is organized around a handful of small modules:
 - :mod:`horolab.majorant`   Diophantine majorant series with certified tails
 - :mod:`horolab.expsum`     weighted sums over coset balls of integer matrices
 - :mod:`horolab.autofns`    periodic test functions and their Fourier data
-- :mod:`horolab.orbitlab`   orbit integrals, splitting, decay-rate fits
+- :mod:`horolab.orbitlab`   orbit integrals and splitting
 - :mod:`horolab.cli`        the `horolab` command line front end
 """
 

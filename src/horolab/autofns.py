@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -247,41 +247,6 @@ def fourier_coefficient(
     if weights.size == 0:
         return 0.0 + 0.0j
     return _grid_coefficient(weights, phase_rows, target, 2 * fn.k, panels, points)
-
-
-def twist_evaluate(
-    fn: PoincareTestFn, r: Sl2Matrix, matrix: Sl2Matrix, torus_point: np.ndarray
-) -> complex:
-    """Value at ``(matrix, v)`` of the twist of ``fn`` by right translation.
-
-    The twisted function sends an element to the value of ``fn`` at the
-    same element with its matrix part premultiplied by ``r^{-1}``; in the
-    (matrix, torus block) coordinates the block picks up a right factor.
-    """
-    xi = _torus_block(fn, torus_point)
-    return evaluate_f(fn, r.inverse() @ matrix, xi @ r.as_array())
-
-
-def twist_coefficient(
-    fn: PoincareTestFn,
-    r: Sl2Matrix,
-    matrix: Sl2Matrix,
-    m: np.ndarray,
-    panels: int = 4,
-    points: int = 8,
-) -> complex:
-    """Fourier coefficient of the twist of ``fn`` by an integer matrix."""
-    if not r.is_integral():
-        raise DomainError("twist coefficients need an integer twisting matrix")
-    target = _check_freq_like(fn, m).ravel().astype(float)
-    if panels < 4:
-        raise DomainError("coefficient quadrature needs at least 4 panels per dimension")
-    weights, phase_rows = _series_data(fn, r.inverse() @ matrix)
-    if weights.size == 0:
-        return 0.0 + 0.0j
-    r_t = r.as_array().T
-    twisted = (phase_rows.reshape(-1, fn.k, 2) @ r_t).reshape(-1, 2 * fn.k)
-    return _grid_coefficient(weights, twisted, target, 2 * fn.k, panels, points)
 
 
 def _prime_factors(n: int) -> list[int]:

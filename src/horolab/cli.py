@@ -7,14 +7,16 @@ are pure functions of the run configuration, so identical invocations
 produce byte-identical files; sweeps may fan rows out across threads and
 still write them in schedule order.
 
-Exit codes: 0 success, 2 validation failure (including unknown flags),
-3 numerical non-convergence, 4 resource guard tripped.
+Exit codes: 0 success, 2 validation failure (including unknown flags and
+NaN/inf in any numeric flag), 3 numerical non-convergence, 4 resource
+guard tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,9 +112,15 @@ _HELP = {
 }
 
 
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"expected finite numbers, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in str(text).split(","))
+        return tuple(_finite(float(p), text) for p in str(text).split(","))
     except ValueError as exc:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -133,7 +141,7 @@ def _int(text: str) -> int:
 
 def _float(text: str) -> float:
     try:
-        return float(str(text))
+        return _finite(float(str(text)), text)
     except ValueError as exc:
         raise DomainError(f"expected a number, got {text!r}") from exc
 

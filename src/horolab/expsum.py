@@ -18,14 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import adaptive_quad
-from .sl2core import Sl2Matrix, UvsCoords, uvs_compose
-from .smoothfns import bump6, plateau
+from .smoothfns import bump6
 
 SQRT2 = math.sqrt(2.0)
 
@@ -230,49 +228,3 @@ def cancellation_report(
         rows.append(CancellationRow(X, lhs, rhs))
     return tuple(rows)
 
-
-def window_transform(
-    phi: Callable[[Sl2Matrix], float],
-    h: Callable[[np.ndarray], np.ndarray],
-    x: Sequence[float],
-    y: float,
-    h_support: tuple[float, float] = (-1.0, 1.0),
-    omega: Callable[[np.ndarray], np.ndarray] = plateau,
-    rel_tol: float = 1e-8,
-) -> float:
-    """Line integral sweeping the shear coordinate of a plane point.
-
-    For a 4-vector x = (x1, x2, x3, x4) with (x1, x3) != 0 this evaluates
-
-        y * omega(x1 x4 - x2 x3) * integral phi([x1, x3, s])
-                                    h(y s - (x1 x2 + x3 x4) / (x1^2 + x3^2)) ds,
-
-    where [u, v, s] is the shear chart matrix with first column (u, v).
-    Points with vanishing (x1, x3) contribute nothing.
-    """
-    x1, x2, x3, x4 = (float(v) for v in x)
-    if not y > 0.0:
-        raise DomainError("scale y must be positive")
-    lo, hi = h_support
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError("h_support must be a finite interval")
-    r2 = x1 * x1 + x3 * x3
-    if r2 == 0.0:
-        return 0.0
-    det = x1 * x4 - x2 * x3
-    wfac = float(omega(det))
-    if wfac == 0.0:
-        return 0.0
-    shift = (x1 * x2 + x3 * x4) / r2
-    s_lo = (shift + lo) / y
-    s_hi = (shift + hi) / y
-
-    def integrand(ss: np.ndarray) -> np.ndarray:
-        ss = np.atleast_1d(ss)
-        vals = np.array(
-            [phi(uvs_compose(UvsCoords(x1, x3, float(s)))) for s in ss], dtype=float
-        )
-        return vals * np.asarray(h(y * ss - shift), dtype=float)
-
-    integral = adaptive_quad(integrand, s_lo, s_hi, rel_tol=rel_tol)
-    return y * wfac * float(integral)

@@ -12,9 +12,14 @@ Truncation is always reported honestly: every evaluation returns the
 partial sum together with a certified bound on everything discarded, so
 the true value is bracketed by [value, value + tail].
 
-Summation is deterministic.  Vectors q are ordered by increasing norm and
-then lexicographically, d ascending, and blocks are combined by compensated
-summation, so repeated runs produce identical floats.
+One evaluator serves planar blocks, single columns and batches of columns.
+The distance is even in q, so each q is summed together with -q: the
+evaluator runs over the vectors whose first nonzero entry is positive
+(ordered by increasing norm, then lexicographically) with doubled weights,
+and the -q term it stands for is the same float.  Each row's terms are cut
+into d-blocks whose size depends only on the number of q vectors; numpy sums
+each block and ``math.fsum`` combines a row's block sums.  A row's value is
+therefore the same float alone or inside any batch, and on every run.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +38,8 @@ from .errors import DomainError
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
 ZETA_THREE_HALVES = 2.612375348685488
 
-_D_CHUNK = 4096
+#: Terms (rows x q x d) evaluated per numpy block; fixes the d- and row-block sizes.
+_BLOCK_TERMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -89,13 +95,9 @@ def _q_vectors(k: int, q_max: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _d_weights(d_max: int) -> np.ndarray:
-    ds = np.arange(1, d_max + 1, dtype=np.int64)
-    taus = np.array([divisor_count(int(d)) for d in ds], dtype=float)
-    w = taus * ds.astype(float) ** -1.5
-    w.setflags(write=False)
-    return w
+def _half_set(qs: np.ndarray) -> np.ndarray:
+    """Mask of the q whose first nonzero entry is positive: one of each pair q, -q."""
+    return qs[np.arange(len(qs)), np.argmax(qs != 0, axis=1)] > 0
 
 
 def q_tail_bound(k: int, m: float, q_max: int) -> float:
@@ -108,37 +110,70 @@ def d_tail_bound(d_max: int) -> float:
     return 8.0 * d_max ** -0.5 * (math.log(d_max) + 2.0)
 
 
-def _truncation_tail(params: MajorantParams, d_max: int, kept_q_weight: float) -> float:
+class _Weights(NamedTuple):
+    qs: np.ndarray  # the full q set, norm-then-lex ordered
+    coef_q: np.ndarray  # |q|^{-m}
+    coef_d: np.ndarray  # tau(d) d^{-3/2} for d = 1..d_max
+    tail: float  # certified bound on the discarded (q, d) terms
+
+
+@lru_cache(maxsize=64)
+def _weights(params: MajorantParams, d_max: int) -> _Weights:
+    """The q-weights, the d-weights and the truncation tail of the series."""
+    qs = _q_vectors(params.k, params.q_max)
+    coef_q = np.sqrt((qs * qs).sum(axis=1).astype(float)) ** -params.m
+    ds = np.arange(1, d_max + 1, dtype=np.int64)
+    coef_d = np.array([divisor_count(int(d)) for d in ds], dtype=float) * ds.astype(float) ** -1.5
+    coef_q.setflags(write=False)
+    coef_d.setflags(write=False)
     # Each closeness factor is at most 1, so the discarded mass is bounded by
     # the full d-series times the q-tail plus the kept q-weights times the
     # d-tail.
     zz = ZETA_THREE_HALVES * ZETA_THREE_HALVES
-    return zz * q_tail_bound(params.k, params.m, params.q_max) + kept_q_weight * d_tail_bound(
+    tail = zz * q_tail_bound(params.k, params.m, params.q_max) + float(coef_q.sum()) * d_tail_bound(
         d_max
     )
+    return _Weights(qs, coef_q, coef_d, tail)
 
 
-def _check_y(y: float) -> float:
+def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{name} must be finite")
+    return values
+
+
+def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarray, float]:
+    """Truncated values for a batch of blocks ``xis`` of shape (n, k, c), and the tail.
+
+    The lattice distance of d q xi is sqrt(sum frac^2) over the c columns:
+    the planar distance for c = 2, and exactly |frac| for c = 1.
+    """
     if not (0.0 < y <= 1.0):
         raise DomainError(f"scale parameter y={y} must lie in (0, 1]")
-    return float(y)
-
-
-def _series_sum(coef_q: np.ndarray, dist_fn, d_max: int, sqrt_y: float) -> float:
-    """Blockwise accumulation over d of the weighted closeness factors.
-
-    ``dist_fn(ds)`` must return the matrix of lattice distances with q along
-    the first axis and the supplied d-block along the second.
-    """
-    d_all = _d_weights(d_max)
-    blocks = []
-    for start in range(0, d_max, _D_CHUNK):
-        ds = np.arange(start + 1, min(start + _D_CHUNK, d_max) + 1, dtype=np.int64)
-        dist = dist_fn(ds)
-        denom = 1.0 + dist / (ds.astype(float) * sqrt_y)[None, :]
-        terms = (coef_q[:, None] * d_all[start : start + len(ds)][None, :]) / denom
-        blocks.append(float(terms.sum()))
-    return math.fsum(blocks)
+    _check_finite(xis, "torus coordinates")
+    d_max = params.effective_d_max(y)
+    weights = _weights(params, d_max)
+    half = _half_set(weights.qs)
+    qs = weights.qs[half].astype(float)
+    coef_q = 2.0 * weights.coef_q[half]
+    ds = np.arange(1, d_max + 1, dtype=float)
+    scale = ds * math.sqrt(y)
+    d_step = max(1, min(d_max, _BLOCK_TERMS // len(qs)))
+    row_step = max(1, _BLOCK_TERMS // (len(qs) * d_step))
+    blocks = np.empty((len(xis), -(-d_max // d_step)))
+    for j, d0 in enumerate(range(0, d_max, d_step)):
+        d_block = slice(d0, d0 + d_step)
+        coef = coef_q[:, None] * weights.coef_d[d_block]
+        for r0 in range(0, len(xis), row_step):
+            frac = (qs @ xis[r0 : r0 + row_step])[..., None] * ds[d_block]
+            frac -= np.round(frac)
+            frac *= frac
+            denom = np.sqrt(frac.sum(axis=2))
+            denom /= scale[d_block]
+            denom += 1.0
+            terms = coef / denom
+            blocks[r0 : r0 + row_step, j] = terms.reshape(len(terms), -1).sum(axis=1)
+    return np.array([math.fsum(row) for row in blocks]), weights.tail
 
 
 def majorant_full(params: MajorantParams, xi: np.ndarray, y: float) -> MajorantValue:
@@ -147,24 +182,11 @@ def majorant_full(params: MajorantParams, xi: np.ndarray, y: float) -> MajorantV
     The lattice distance is the planar one: each term measures how far
     d q xi falls from the nearest point of the integer plane lattice.
     """
-    y = _check_y(y)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (params.k, 2):
         raise DomainError(f"xi must have shape ({params.k}, 2), got {xi.shape}")
-    qs = _q_vectors(params.k, params.q_max)
-    norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
-    coef_q = norms ** -params.m
-    proj = qs.astype(float) @ xi
-    d_max = params.effective_d_max(y)
-    sqrt_y = math.sqrt(y)
-
-    def dist_fn(ds: np.ndarray) -> np.ndarray:
-        prod = proj[:, None, :] * ds.astype(float)[None, :, None]
-        frac = prod - np.round(prod)
-        return np.sqrt((frac * frac).sum(axis=2))
-
-    value = _series_sum(coef_q, dist_fn, d_max, sqrt_y)
-    return MajorantValue(value, _truncation_tail(params, d_max, float(coef_q.sum())))
+    values, tail = _series(params, xi[None], y)
+    return MajorantValue(float(values[0]), tail)
 
 
 def majorant_column(params: MajorantParams, psi: Sequence[float], y: float) -> MajorantValue:
@@ -174,58 +196,24 @@ def majorant_column(params: MajorantParams, psi: Sequence[float], y: float) -> M
     planar lattice distance collapses to the scalar distance |d q . psi|
     from the nearest integer.
     """
-    y = _check_y(y)
     psi_arr = np.asarray(psi, dtype=float)
     if psi_arr.shape != (params.k,):
         raise DomainError(f"psi must have shape ({params.k},), got {psi_arr.shape}")
-    qs = _q_vectors(params.k, params.q_max)
-    norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
-    coef_q = norms ** -params.m
-    proj = qs.astype(float) @ psi_arr
-    d_max = params.effective_d_max(y)
-    sqrt_y = math.sqrt(y)
-
-    def dist_fn(ds: np.ndarray) -> np.ndarray:
-        prod = proj[:, None] * ds.astype(float)[None, :]
-        return np.abs(prod - np.round(prod))
-
-    value = _series_sum(coef_q, dist_fn, d_max, sqrt_y)
-    return MajorantValue(value, _truncation_tail(params, d_max, float(coef_q.sum())))
+    values, tail = _series(params, psi_arr[None, :, None], y)
+    return MajorantValue(float(values[0]), tail)
 
 
-def majorant_column_many(
-    params: MajorantParams, psis: np.ndarray, y: float, chunk: int = 256
-) -> np.ndarray:
+def majorant_column_many(params: MajorantParams, psis: np.ndarray, y: float) -> np.ndarray:
     """Truncated column values for a whole batch of psi rows at once.
 
-    Returns one float per row of ``psis`` (shape n x k).  Only the partial
-    sums are produced; the tail bound is the same for every row and can be
-    obtained from :func:`majorant_column` when needed.  Intended for
-    Monte Carlo averaging, where per-row compensated summation would
-    dominate the runtime.
+    Returns one float per row of ``psis`` (shape n x k), equal to the
+    ``value`` that :func:`majorant_column` gives for that row.  The tail
+    bound is the same for every row and is not returned.
     """
-    y = _check_y(y)
     psis = np.atleast_2d(np.asarray(psis, dtype=float))
-    if psis.shape[1] != params.k:
+    if psis.ndim != 2 or psis.shape[1] != params.k:
         raise DomainError(f"psi batch must have {params.k} columns")
-    qs = _q_vectors(params.k, params.q_max).astype(float)
-    norms = np.sqrt((qs * qs).sum(axis=1))
-    coef_q = norms ** -params.m
-    d_max = params.effective_d_max(y)
-    d_w = _d_weights(d_max)
-    ds = np.arange(1, d_max + 1, dtype=float)
-    inv_scale = 1.0 / (ds * math.sqrt(y))
-    weights = coef_q[:, None] * d_w[None, :]
-
-    out = np.empty(len(psis))
-    for start in range(0, len(psis), chunk):
-        block = psis[start : start + chunk]
-        proj = block @ qs.T
-        prod = proj[:, :, None] * ds[None, None, :]
-        dist = np.abs(prod - np.round(prod))
-        terms = weights[None, :, :] / (1.0 + dist * inv_scale[None, None, :])
-        out[start : start + chunk] = terms.sum(axis=(1, 2))
-    return out
+    return _series(params, psis[:, :, None], y)[0]
 
 
 @dataclass(frozen=True)
@@ -280,11 +268,10 @@ def lfd_test(
     """
     if c <= 0.0:
         raise DomainError("lower-bound constant c must be positive")
-    psi_arr = np.asarray(psi, dtype=float)
+    psi_arr = _check_finite(np.asarray(psi, dtype=float), "psi")
     k = psi_arr.shape[0]
     qs = _q_vectors(k, q_max)
-    lead = qs[np.arange(len(qs)), np.argmax(qs != 0, axis=1)]
-    qs = qs[lead > 0]
+    qs = qs[_half_set(qs)]
     norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
     proj = qs.astype(float) @ psi_arr
     for d in range(1, d_max + 1):
@@ -337,19 +324,15 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
     s0 = grid_gap(element, zero, T).value
     term0 = log_gauge(s0 ** -0.5, 3)
 
-    qs = _q_vectors(params.k, params.q_max)
-    norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
-    coef_q = norms ** -params.m
-    d_w = _d_weights(params.d_max)
+    qs, coef_q, coef_d, tail = _weights(params, params.d_max)
     contributions = []
     for i, q in enumerate(qs):
         for d in range(1, params.d_max + 1):
             s = grid_gap(element, list(d * q), T).value
             gauge = log_gauge(1.0 / (1.0 + s / d), 1)
-            contributions.append(coef_q[i] * d_w[d - 1] * gauge)
+            contributions.append(coef_q[i] * coef_d[d - 1] * gauge)
     series = math.fsum(contributions)
-    tail = math.log(3.0) * _truncation_tail(params, params.d_max, float(coef_q.sum()))
-    return OrbitGapBound(term0, series, tail)
+    return OrbitGapBound(term0, series, math.log(3.0) * tail)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Horocycle averages, orbit splitting, and decay measurements.
+"""Horocycle averages and orbit splitting.
 
 The functions here push a periodized bump (an ``autofns`` test function)
 along horocycle pieces and compare the observed averages with the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .affine import GroupElement
 from .autofns import PoincareTestFn, evaluate_f, kernel_profile, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .expsum import _xgcd
-from .majorant import MajorantParams, OrbitGapBound, majorant_full, orbit_gap_bound
+from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
 from .sl2core import Sl2Matrix, cuspidal_height, reduce_fundamental
 from .smoothfns import bump6_normalized
@@ -681,50 +681,3 @@ def horocycle_main_term(experiment: OrbitExperiment) -> list[MainTermRow]:
         rows.append(MainTermRow(y, float(avg.real), limit, abs(avg - limit)))
     return rows
 
-
-@dataclass(frozen=True)
-class OrbitDecayRow:
-    T: float
-    term0: float
-    series: float
-    tail: float
-
-    @property
-    def total(self) -> float:
-        return self.term0 + self.series
-
-
-def orbit_decay_table(
-    element: GroupElement, schedule: Sequence[float], params: MajorantParams
-) -> list[OrbitDecayRow]:
-    """Long-orbit comparison bound evaluated along a schedule of times."""
-    rows = []
-    for T in schedule:
-        bound: OrbitGapBound = orbit_gap_bound(element, float(T), params)
-        rows.append(OrbitDecayRow(float(T), bound.term0, bound.series, bound.tail_bound))
-    return rows
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    slope: float
-    intercept: float
-    residual: float
-
-
-def decay_fit(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
-    """Least-squares power-law fit through (xs, ys) on log-log axes.
-
-    ``residual`` is the root mean square distance of the log values from
-    the fitted line, so exact power data fits with residual zero.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
-        raise DomainError("need at least three matching sample pairs")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("power-law fitting needs positive samples")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return DecayFit(float(slope), float(intercept), float(np.sqrt(np.mean(resid * resid))))

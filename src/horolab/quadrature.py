@@ -137,22 +137,3 @@ def box_grid(
     wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
     return pts, wts
 
-
-def box_quad(
-    f: Callable[[np.ndarray], complex],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    panels: int = 4,
-    points: int = 8,
-):
-    """Tensor-product composite Gauss-Legendre rule over an axis box.
-
-    The integrand receives one coordinate vector per call.  Intended for
-    smooth periodic integrands where a modest fixed rule already converges
-    geometrically; nothing adaptive happens here.
-    """
-    pts, wts = box_grid(lows, highs, panels, points)
-    total = 0.0
-    for point, w in zip(pts, wts):
-        total = total + w * f(point)
-    return total

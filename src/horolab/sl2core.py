@@ -2,11 +2,9 @@
 
 Everything downstream (grids, majorant sums, orbit integrals) leans on a
 small set of exact-as-possible primitives collected here: the Iwasawa chart
-(horizontal translation, height, rotation angle), the [u, v, s] chart used
-by the window transform, Frobenius norms, the Moebius action on the upper
-half plane, reduction into the classical fundamental domain, the cuspidal
-height, and finite-difference derivatives along the standard generators of
-the Lie algebra.
+(horizontal translation, height, rotation angle), the [u, v, s] shear
+chart, Frobenius norms, the Moebius action on the upper half plane,
+reduction into the classical fundamental domain, and the cuspidal height.
 
 Conventions: matrices act on row vectors from the right, and on the upper
 half plane by fractional linear maps.  The rotation angle is kept in
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -296,82 +294,3 @@ def cuspidal_height(m: Sl2Matrix) -> float:
     _, reduced = reduce_fundamental(m)
     return reduced.mobius(1j).imag
 
-
-# -- Lie derivatives --------------------------------------------------
-
-#: Standard generators: X1 is upper nilpotent, X2 lower nilpotent, X3 diagonal.
-LIE_GENERATORS = {
-    "X1": np.array([[0.0, 1.0], [0.0, 0.0]]),
-    "X2": np.array([[0.0, 0.0], [1.0, 0.0]]),
-    "X3": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-
-DEFAULT_FD_STEP = 1e-4
-
-
-def _exp_generator(name: str, t: float) -> Sl2Matrix:
-    """Closed-form one-parameter subgroups for the three generators."""
-    if name == "X1":
-        return Sl2Matrix.translation(t)
-    if name == "X2":
-        return Sl2Matrix(1.0, 0.0, t, 1.0)
-    if name == "X3":
-        e = math.exp(t)
-        return Sl2Matrix(e, 0.0, 0.0, 1.0 / e)
-    raise DomainError(f"unknown generator {name!r}")
-
-
-def lie_derivative(
-    phi: Callable[[Sl2Matrix], float],
-    word: Sequence[str],
-    m: Sl2Matrix,
-    step: float = DEFAULT_FD_STEP,
-) -> float:
-    """Iterated directional derivative of phi along right translations.
-
-    ``word`` lists generator names, outermost first; each letter contributes
-    one central difference of the remaining derivative along t -> M exp(t X).
-    An empty word returns phi(M).  Words longer than three letters lose too
-    much precision to double rounding and are rejected.
-    """
-    if len(word) > 3:
-        raise DomainError("finite differences beyond third order are not supported")
-    if not (0.0 < step <= 1e-3):
-        raise DomainError("step must lie in (0, 1e-3]")
-    if not word:
-        return phi(m)
-    head, rest = word[0], word[1:]
-    plus = lie_derivative(phi, rest, m @ _exp_generator(head, step), step)
-    minus = lie_derivative(phi, rest, m @ _exp_generator(head, -step), step)
-    return (plus - minus) / (2.0 * step)
-
-
-def lie_derivative_iwasawa(
-    phi_coords: Callable[[float, float, float], float],
-    generator: str,
-    coords: IwasawaCoords,
-    step: float = DEFAULT_FD_STEP,
-) -> float:
-    """First-order derivative expressed through the Iwasawa chart.
-
-    Used as the independent route when validating :func:`lie_derivative`:
-    the three generators act on (u, v, theta) as explicit vector fields,
-
-        X1 = cos(2t) v d/du - sin(2t) v d/dv - sin(t)^2 d/dt,
-        X2 = cos(2t) v d/du - sin(2t) v d/dv + cos(t)^2 d/dt,
-        X3 = 2 sin(2t) v d/du + 2 cos(2t) v d/dv + sin(2t) d/dt,
-
-    writing t for theta.  The partial derivatives of phi are taken by
-    central differences in each coordinate.
-    """
-    u, v, t = coords.u, coords.v, coords.theta
-    du = (phi_coords(u + step, v, t) - phi_coords(u - step, v, t)) / (2.0 * step)
-    dv = (phi_coords(u, v + step, t) - phi_coords(u, v - step, t)) / (2.0 * step)
-    dt = (phi_coords(u, v, t + step) - phi_coords(u, v, t - step)) / (2.0 * step)
-    if generator == "X1":
-        return math.cos(2 * t) * v * du - math.sin(2 * t) * v * dv - math.sin(t) ** 2 * dt
-    if generator == "X2":
-        return math.cos(2 * t) * v * du - math.sin(2 * t) * v * dv + math.cos(t) ** 2 * dt
-    if generator == "X3":
-        return 2 * math.sin(2 * t) * v * du + 2 * math.cos(2 * t) * v * dv + math.sin(2 * t) * dt
-    raise DomainError(f"unknown generator {generator!r}")

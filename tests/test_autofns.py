@@ -22,8 +22,6 @@ from horolab.autofns import (
     kernel_value,
     mean_value,
     sl2_count_mod,
-    twist_coefficient,
-    twist_evaluate,
 )
 from horolab.affine import GroupElement
 from horolab.errors import DomainError, ResourceGuardError
@@ -261,35 +259,6 @@ class TestFourier:
         want = fourier_coefficient_exact(fn, m, freq)
         got = fourier_coefficient(fn, m, freq, panels=4, points=4)
         assert abs(got - want) < 1e-5
-
-
-class TestTwist:
-    def test_matches_left_composed_element(self, rng):
-        fn = PoincareTestFn(level=1, freq=((1, 2),))
-        r = Sl2Matrix(2.0, 1.0, 1.0, 1.0)
-        m = random_sl2(rng, scale=0.6)
-        xi = rng.uniform(0, 1, (1, 2))
-        g = GroupElement.from_torus_point(m, xi)
-        moved = GroupElement(r.inverse() @ m, np.array(g.translation))
-        assert twist_evaluate(fn, r, m, xi) == pytest.approx(evaluate_at(fn, moved), rel=1e-12)
-
-    def test_coefficient_transport(self, rng):
-        fn = PoincareTestFn(level=1, freq=((1, 1),))
-        r = Sl2Matrix(1.0, 1.0, 1.0, 2.0)
-        m = random_sl2(rng, scale=0.5)
-        r_inv_t = r.inverse().as_array().T
-        for freq in coefficient_support(fn, r.inverse() @ m)[:3]:
-            target = freq @ np.linalg.inv(r_inv_t)
-            if not np.all(np.abs(target) <= 6):
-                continue
-            lhs = twist_coefficient(fn, r, m, np.round(target), panels=8, points=12)
-            rhs = fourier_coefficient(fn, r.inverse() @ m, freq, panels=8, points=12)
-            assert abs(lhs - rhs) < 1e-6
-
-    def test_rejects_non_integer_twist(self):
-        fn = PoincareTestFn(level=1, freq=((1, 0),))
-        with pytest.raises(DomainError):
-            twist_coefficient(fn, Sl2Matrix.dilation(2.0), Sl2Matrix.identity(), np.array([[1, 0]]))
 
 
 class TestMeanValue:

@@ -170,6 +170,23 @@ class TestExitCodes:
         assert run(["delta", "--format", "xml"]) == 2
         assert run(["sgq", "--matrix", "1,0,0", "--xi", "0,0"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("delta", "--m"), ("delta", "--xi"), ("delta", "--y"),
+            ("lfd", "--psi"), ("lfd", "--kappa"), ("lfd", "--alpha"), ("lfd", "--c"),
+            ("sgq", "--matrix"), ("sgq", "--xi"), ("sgq", "--T"),
+            ("expsum", "--B"), ("expsum", "--alpha"), ("expsum", "--X"),
+            ("orbit", "--matrix"), ("orbit", "--xi"), ("orbit", "--T"),
+            ("horocycle", "--matrix"), ("horocycle", "--xi"), ("horocycle", "--y"),
+            ("theorem4", "--matrix"), ("theorem4", "--xi"), ("theorem4", "--m"),
+            ("theorem4", "--T"),
+        ],
+    )
+    def test_non_finite_number_maps_to_two(self, capsys, command, flag, bad):
+        assert run([command, flag, bad]) == 2
+
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4
 

@@ -12,13 +12,8 @@ from horolab.expsum import (
     enumerate_coset_ball,
     expsum_rhs,
     weighted_expsum_lhs,
-    window_transform,
 )
-from horolab.quadrature import adaptive_quad
-from horolab.sl2core import Sl2Matrix
 from horolab.smoothfns import bump6
-
-from conftest import random_sl2
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,45 +176,3 @@ class TestCancellationReport:
         for r in rows:
             assert r.ratio == abs(r.lhs) / r.rhs
 
-
-class TestWindowTransform:
-    @staticmethod
-    def _phi(m):
-        n2 = m.a ** 2 + m.b ** 2 + m.c ** 2 + m.d ** 2
-        return math.exp(-0.5 * n2) * (1.0 + 0.3 * m.a)
-
-    def test_vanishing_first_column(self):
-        assert window_transform(self._phi, bump6, (0.0, 1.0, 0.0, 2.0), 0.5) == 0.0
-
-    def test_outside_determinant_window(self):
-        # The determinant gate kills points whose 2x2 determinant is far
-        # outside [0, 1].
-        x = (3.0, 0.0, 0.0, 3.0)  # determinant 9
-        assert window_transform(self._phi, bump6, x, 0.5) == 0.0
-
-    def test_recovers_translate_integral(self, rng):
-        for _ in range(5):
-            m = random_sl2(rng)
-            y = float(rng.random() * 0.8 + 0.1)
-            x = tuple(math.sqrt(y) * v for v in (m.a, m.b, m.c, m.d))
-            via_transform = window_transform(self._phi, bump6, x, y)
-            direct = adaptive_quad(
-                lambda xs: np.array(
-                    [
-                        self._phi(
-                            m @ Sl2Matrix.translation(float(t)) @ Sl2Matrix.dilation(y)
-                        )
-                        * bump6(float(t))
-                        for t in np.atleast_1d(xs)
-                    ]
-                ),
-                -1.0,
-                1.0,
-            )
-            assert via_transform == pytest.approx(direct, rel=1e-6, abs=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            window_transform(self._phi, bump6, (1.0, 0, 0, 1.0), 0.0)
-        with pytest.raises(DomainError):
-            window_transform(self._phi, bump6, (1.0, 0, 0, 1.0), 0.5, h_support=(0.0, math.inf))

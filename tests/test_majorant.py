@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,30 @@ from horolab.majorant import (
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def term_by_term(params, xi, y):
+    """The series summed one (q, d) term at a time over the full q set.
+
+    ``xi`` is a k x c block; c = 1 is a column, c = 2 a planar block.  Both
+    signs of q are visited, tau(d) is counted by trial division, and the
+    terms are combined by math.fsum.
+    """
+    xi = np.asarray(xi, dtype=float)
+    k, c = xi.shape
+    d_max = params.effective_d_max(y)
+    terms = []
+    for q in itertools.product(range(-params.q_max, params.q_max + 1), repeat=k):
+        norm2 = sum(v * v for v in q)
+        if not 0 < norm2 <= params.q_max**2:
+            continue
+        for d in range(1, d_max + 1):
+            tau = sum(1 for t in range(1, d + 1) if d % t == 0)
+            coords = [d * sum(q[i] * float(xi[i, j]) for i in range(k)) for j in range(c)]
+            dist = math.sqrt(sum((x - round(x)) ** 2 for x in coords))
+            weight = tau * math.sqrt(norm2) ** -params.m * d**-1.5
+            terms.append(weight / (1.0 + dist / (d * math.sqrt(y))))
+    return math.fsum(terms)
 
 
 class TestParams:
@@ -84,6 +109,18 @@ class TestMajorantValues:
         with pytest.raises(DomainError):
             majorant_column(p, [0.0], 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_block_rejected(self, bad):
+        p = MajorantParams(k=1, m=3)
+        with pytest.raises(DomainError):
+            majorant_full(p, [[bad, 0.0]], 0.5)
+        with pytest.raises(DomainError):
+            majorant_column(p, [bad], 0.5)
+        with pytest.raises(DomainError):
+            majorant_column_many(p, [[0.5], [bad]], 0.5)
+        with pytest.raises(DomainError):
+            lfd_test([bad], 1.0, 1.0, 0.1, q_max=3, d_max=3)
+
     def test_column_equals_full_with_zero_right_column(self, rng):
         p = MajorantParams(k=2, m=3, d_max=30)
         for _ in range(5):
@@ -134,7 +171,7 @@ class TestMajorantValues:
         batch = majorant_column_many(p, psis, 0.01)
         for row, expect in zip(psis, batch):
             got = majorant_column(p, row, 0.01).value
-            assert got == pytest.approx(expect, rel=1e-9)
+            assert got == pytest.approx(expect, rel=1e-13)
 
     def test_zero_point_hits_coefficient_sum(self):
         # At psi = 0 every closeness factor is 1, so the value is the plain
@@ -147,6 +184,30 @@ class TestMajorantValues:
             for d in range(1, 11)
         )
         assert mv.value == pytest.approx(coef_q * coef_d, rel=1e-12)
+
+
+class TestTermByTermOracle:
+    @pytest.mark.parametrize(
+        "k, m, q_max, d_max, y",
+        [
+            (1, 3.0, 4, 12, 0.05),
+            (1, 1.5, 3, None, 0.01),
+            (2, 3.0, 4, 9, 0.2),
+            (2, 2.5, 3, None, 0.03),
+        ],
+    )
+    def test_every_evaluator_matches(self, rng, k, m, q_max, d_max, y):
+        p = MajorantParams(k=k, m=m, q_max=q_max, d_max=d_max)
+        for _ in range(3):
+            xi = rng.uniform(-1.0, 2.0, (k, 2))
+            expect = term_by_term(p, xi, y)
+            assert majorant_full(p, xi, y).value == pytest.approx(expect, rel=1e-13, abs=0.0)
+        psis = rng.uniform(-1.0, 2.0, (5, k))
+        batch = majorant_column_many(p, psis, y)
+        for psi, row in zip(psis, batch):
+            expect = term_by_term(p, psi[:, None], y)
+            assert majorant_column(p, psi, y).value == pytest.approx(expect, rel=1e-13, abs=0.0)
+            assert row == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestLowerEnvelope:

@@ -15,12 +15,10 @@ from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.orbitlab import (
     OrbitExperiment,
     _h_mass,
-    decay_fit,
     equidist_error,
     horocycle_main_term,
     lattice_window_average,
     long_orbit_average,
-    orbit_decay_table,
     orbit_height,
     orbit_split,
     partition_identity,
@@ -482,45 +480,6 @@ class TestOrbitHeight:
                 s0 = grid_gap(el, [0], T).value
                 prod = orbit_height(m, T) * s0 * s0
                 assert 1.0 / 16.0 <= prod <= 16.0
-
-
-class TestDecay:
-    def test_table_matches_bound_values(self, rng):
-        el = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0, 1, (1, 2)))
-        params = MajorantParams(k=1, m=3.0, q_max=6, d_max=6)
-        schedule = [10.0, 100.0, 1000.0]
-        rows = orbit_decay_table(el, schedule, params)
-        for row, T in zip(rows, schedule):
-            direct = orbit_gap_bound(el, T, params)
-            assert row.term0 == direct.term0
-            assert row.series == direct.series
-            assert row.tail == direct.tail_bound
-            assert row.total == direct.total
-
-    @settings(max_examples=30, deadline=None)
-    @given(power=st.floats(0.1, 2.0), scale=st.floats(0.1, 10.0))
-    def test_fit_recovers_exact_power(self, power, scale):
-        xs = np.geomspace(1.0, 1e4, 9)
-        fit = decay_fit(xs, scale * xs**power)
-        assert fit.slope == pytest.approx(power, abs=1e-9)
-        assert fit.residual < 1e-9
-
-    def test_linear_anchor(self):
-        xs = np.array([1.0, 2.0, 4.0, 8.0])
-        fit = decay_fit(xs, 3.0 * xs)
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-
-    def test_noisy_quarter_power(self, rng):
-        xs = np.geomspace(1.0, 1e4, 12)
-        ys = xs**0.25 * np.exp(rng.normal(0.0, 0.1, size=12))
-        fit = decay_fit(xs, ys)
-        assert 0.2 <= fit.slope <= 0.3
-
-    def test_rejects_bad_samples(self):
-        with pytest.raises(DomainError):
-            decay_fit([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(DomainError):
-            decay_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
 
 class TestExperimentConfig:

@@ -14,8 +14,6 @@ from horolab.sl2core import (
     iwasawa_compose,
     iwasawa_decompose,
     iwasawa_frobenius_norm,
-    lie_derivative,
-    lie_derivative_iwasawa,
     reduce_fundamental,
     uvs_compose,
     uvs_decompose,
@@ -210,68 +208,3 @@ class TestCuspidalHeight:
     def test_dilation_heights(self):
         assert cuspidal_height(Sl2Matrix.dilation(4.0)) == pytest.approx(4.0)
         assert cuspidal_height(Sl2Matrix.dilation(0.25)) == pytest.approx(4.0)
-
-
-class TestLieDerivative:
-    def test_empty_word_is_evaluation(self, rng):
-        m = random_sl2(rng)
-        assert lie_derivative(lambda x: x.a + x.d, [], m) == m.a + m.d
-
-    def test_word_length_limit(self):
-        with pytest.raises(DomainError):
-            lie_derivative(lambda x: x.a, ["X1"] * 4, Sl2Matrix.identity())
-
-    def test_step_validation(self):
-        with pytest.raises(DomainError):
-            lie_derivative(lambda x: x.a, ["X1"], Sl2Matrix.identity(), step=0.0)
-        with pytest.raises(DomainError):
-            lie_derivative(lambda x: x.a, ["X1"], Sl2Matrix.identity(), step=5e-3)
-
-    def test_linear_entries_have_exact_derivatives(self, rng):
-        # M exp(t X1) has top-right entry a t + b, so the derivative is a.
-        for _ in range(20):
-            m = random_sl2(rng)
-            d = lie_derivative(lambda x: x.b, ["X1"], m)
-            assert d == pytest.approx(m.a, abs=1e-9, rel=1e-9)
-            d2 = lie_derivative(lambda x: x.b, ["X1", "X1"], m)
-            assert d2 == pytest.approx(0.0, abs=1e-6)
-
-    def test_diagonal_flow_is_exponential(self, rng):
-        for _ in range(20):
-            m = random_sl2(rng)
-            d = lie_derivative(lambda x: x.a, ["X3"], m)
-            assert d == pytest.approx(m.a, rel=1e-6, abs=1e-8)
-            d2 = lie_derivative(lambda x: x.a, ["X3", "X3"], m)
-            assert d2 == pytest.approx(m.a, rel=1e-4, abs=1e-6)
-
-    @staticmethod
-    def _smooth_chart_fn(u, v, theta):
-        return math.exp(-(u * u + (v - 1.0) ** 2)) * (
-            1.0 + 0.5 * math.sin(theta) + 0.3 * math.cos(2 * theta)
-        )
-
-    def test_matches_chart_vector_fields(self, rng):
-        def phi(m):
-            co = iwasawa_decompose(m)
-            return self._smooth_chart_fn(co.u, co.v, co.theta)
-
-        for _ in range(25):
-            m = random_sl2(rng)
-            co = iwasawa_decompose(m)
-            for gen in ("X1", "X2", "X3"):
-                via_group = lie_derivative(phi, [gen], m)
-                via_chart = lie_derivative_iwasawa(self._smooth_chart_fn, gen, co)
-                assert via_group == pytest.approx(via_chart, abs=1e-5)
-
-    def test_left_invariance(self, rng):
-        def phi(m):
-            co = iwasawa_decompose(m)
-            return self._smooth_chart_fn(co.u, co.v, co.theta)
-
-        for _ in range(20):
-            g = random_sl2(rng)
-            m = random_sl2(rng)
-            gen = ["X1", "X2", "X3"][int(rng.integers(3))]
-            translated = lie_derivative(lambda x: phi(g @ x), [gen], m)
-            direct = lie_derivative(phi, [gen], g @ m)
-            assert translated == pytest.approx(direct, abs=1e-5)
