@@ -35,18 +35,24 @@ BRUTE_FORCE_LIMIT = 100_000_000
 _sieve_table: np.ndarray | None = None
 
 
-def _ensure_sieve(limit: int) -> np.ndarray:
+def divisor_counts(n: int) -> np.ndarray:
+    """Read-only view of tau(1), ..., tau(n) in one shared sieve table."""
     global _sieve_table
-    if _sieve_table is None or len(_sieve_table) <= limit:
+    if n > SIEVE_CAP:
+        raise ResourceGuardError(f"divisor counts up to {n} exceed the sieve cap {SIEVE_CAP}")
+    if _sieve_table is None or len(_sieve_table) <= n:
         size = 1024
-        while size <= limit:
+        while size <= n:
             size *= 4
         size = min(size, SIEVE_CAP + 1)
+        # Divisor pairs d < n / d count 2 at n = d (d + 1), d (d + 2), ...; a square root 1.
         table = np.zeros(size, dtype=np.int32)
-        for d in range(1, size):
-            table[d::d] += 1
+        for d in range(1, math.isqrt(size - 1) + 1):
+            table[d * d] += 1
+            table[d * (d + 1) :: d] += 2
+        table.setflags(write=False)
         _sieve_table = table
-    return _sieve_table
+    return _sieve_table[1 : n + 1]
 
 
 def divisor_count(n: int) -> int:
@@ -59,7 +65,7 @@ def divisor_count(n: int) -> int:
         raise DomainError("divisor count requires a positive integer")
     n = int(n)
     if n <= SIEVE_CAP:
-        return int(_ensure_sieve(n)[n])
+        return int(divisor_counts(n)[n - 1])
     count = 1
     rest = n
     p = 2
@@ -74,6 +80,34 @@ def divisor_count(n: int) -> int:
     if rest > 1:
         count *= 2
     return count
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: (g, s, t) with s a + t b = g, g = +-gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+        old_t, t = t, old_t - quot * t
+    return old_r, old_s, old_t
+
+
+def xgcd_array(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`xgcd` of each pair (a[i], b[i]), signs included: the same steps
+    on int64 arrays, taken only by pairs whose remainder is still nonzero."""
+    old_r, r = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    old_s, s = np.ones_like(old_r), np.zeros_like(old_r)
+    old_t, t = np.zeros_like(old_r), np.ones_like(old_r)
+    live = np.flatnonzero(r)
+    while live.size:
+        quot = old_r[live] // r[live]
+        for old, new in ((old_r, r), (old_s, s), (old_t, t)):
+            old[live], new[live] = new[live], old[live] - quot * new[live]
+        live = live[r[live] != 0]
+    return old_r, old_s, old_t
 
 
 def dist_to_z(x) -> float:

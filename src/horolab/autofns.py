@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .affine import GroupElement
+from .arith import xgcd
 from .errors import DomainError, ResourceGuardError
-from .expsum import CosetSpec, _xgcd, enumerate_coset_ball
+from .expsum import CosetSpec, enumerate_coset_ball
 from .quadrature import adaptive_quad, box_grid
 from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompose, reduce_fundamental
 from .smoothfns import bump6
@@ -389,7 +390,7 @@ def classify_orbit(m: np.ndarray) -> OrbitClass:
         a, b = rows[i0]
         g0 = math.gcd(abs(a), abs(b))
         p, q = a // g0, b // g0
-        g, x, y = _xgcd(p, q)
+        g, x, y = xgcd(p, q)
         if g < 0:
             g, x, y = -g, -x, -y
         gamma = [[x, -q], [y, p]]
@@ -401,7 +402,7 @@ def classify_orbit(m: np.ndarray) -> OrbitClass:
         return OrbitClass(1, np.asarray(reduced), np.asarray(gamma))
     i0 = next(i for i, row in enumerate(rows) if row != [0, 0])
     a, b = rows[i0]
-    g, x, y = _xgcd(a, b)
+    g, x, y = xgcd(a, b)
     if g < 0:
         g, x, y = -g, -x, -y
     gamma1 = [[x, -(b // g)], [y, a // g]]

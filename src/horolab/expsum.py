@@ -1,10 +1,12 @@
 """Weighted exponential sums over balls in determinant-one integer cosets.
 
-Enumeration walks primitive first rows (a, b) inside the disk; for each,
-the solutions of a d - b c = 1 form the line (c, d) = (c0, d0) + t (a, b),
-and the admissible t make up an explicit interval.  Congruence classes mod
-N are filtered along the way, so the whole ball of matrices A = R mod N
-with Frobenius norm at most rho comes out in one deterministic pass.
+Enumeration is array code over blocks of primitive first rows (a, b) in the
+disk, completed by one array extended gcd: the solutions of a d - b c = 1
+form the line (c, d) = (c0, d0) + t (a, b), and the admissible t make up an
+explicit interval.  Congruence classes mod N are filtered along the way, so
+the ball of matrices A = R mod N with Frobenius norm at most rho comes out
+in one deterministic pass, ordered by a, b, then t.  Radii above
+``BALL_RADIUS_CAP`` are refused; balls are cached in an LRU bounded by bytes.
 
 On top of the enumeration sit the linear-twist sums
 
@@ -16,16 +18,24 @@ and the divisor-weighted comparison expression they are measured against.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .arith import divisor_counts, xgcd_array
+from .errors import DomainError, ResourceGuardError
 from .smoothfns import bump6
 
-SQRT2 = math.sqrt(2.0)
+#: Largest ball radius enumerated (6.3 million matrices); the scripts go up to 800.
+BALL_RADIUS_CAP = 1024.0
+#: Bytes of balls kept; a cancellation report up to X = 200 reuses its four (41 MB).
+BALL_CACHE_BYTES = 64 << 20
+#: Candidate first rows per enumeration block; bounds the temporary arrays.
+_BLOCK_ROWS = 1 << 16
+CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 
 
 @dataclass(frozen=True)
@@ -75,77 +85,87 @@ class WeightFn:
             raise DomainError("weight expects 4-component points")
         return np.prod(bump6(pts / self.B), axis=-1)
 
-    @property
-    def sup(self) -> float:
-        return 1.0
+
+class _BallCache:
+    """LRU cache of coset balls bounded by total bytes; a ball larger than the
+    bound is not kept.  ``cache_info`` counts hits and misses like ``lru_cache``."""
+
+    def __init__(self, build, max_bytes: int):
+        self._build, self._max_bytes = build, max_bytes
+        self._balls: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def __call__(self, spec: CosetSpec, rho: float) -> np.ndarray:
+        key = (spec, rho)
+        with self._lock:
+            if key in self._balls:
+                self._hits += 1
+                self._balls.move_to_end(key)
+                return self._balls[key]
+            self._misses += 1
+        ball = self._build(spec, rho)
+        with self._lock:
+            if ball.nbytes <= self._max_bytes:
+                self._balls[key] = ball
+            while sum(b.nbytes for b in self._balls.values()) > self._max_bytes:
+                self._balls.popitem(last=False)
+        return ball
+
+    def cache_info(self) -> CacheInfo:
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, sum(b.nbytes for b in self._balls.values()))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_r, old_s, old_t
-
-
-@lru_cache(maxsize=32)
-def _coset_ball_cached(spec: CosetSpec, rho: float) -> np.ndarray:
-    if rho < SQRT2:
-        return np.zeros((0, 2, 2), dtype=np.int64)
+def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     r2 = rho * rho
     amax = int(math.floor(rho))
     N = spec.N
     r11, r12, r21, r22 = spec.rep
-    chunks = []
-    for a in range(-amax, amax + 1):
-        for b in range(-amax, amax + 1):
-            r1sq = a * a + b * b
-            # The second row has norm at least 1/|row1| (unit area), so
-            # overly long first rows cannot be completed inside the ball.
-            if r1sq == 0 or r1sq + 1.0 / r1sq > r2:
-                continue
-            if math.gcd(a, b) != 1:
-                continue
-            if N > 1 and ((a - r11) % N or (b - r12) % N):
-                continue
-            g, x_co, y_co = _xgcd(a, b)
-            if g < 0:
-                x_co, y_co = -x_co, -y_co
-            d0, c0 = x_co, -y_co
-            # Solve |(c0 + t a, d0 + t b)|^2 <= r2 - r1sq for integer t.
-            budget = r2 - r1sq
-            bb = a * c0 + b * d0
-            cc = c0 * c0 + d0 * d0 - budget
-            disc = bb * bb - r1sq * cc
-            if disc < 0:
-                continue
-            root = math.sqrt(disc)
-            t_lo = int(math.floor((-bb - root) / r1sq)) - 1
-            t_hi = int(math.ceil((-bb + root) / r1sq)) + 1
-            ts = np.arange(t_lo, t_hi + 1, dtype=np.int64)
-            cs = c0 + ts * a
-            ds = d0 + ts * b
-            keep = (cs * cs + ds * ds) <= budget
-            if N > 1:
-                keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
-            if not np.any(keep):
-                continue
-            cs, ds = cs[keep], ds[keep]
-            block = np.empty((len(cs), 2, 2), dtype=np.int64)
-            block[:, 0, 0] = a
-            block[:, 0, 1] = b
-            block[:, 1, 0] = cs
-            block[:, 1, 1] = ds
-            chunks.append(block)
-    if not chunks:
-        return np.zeros((0, 2, 2), dtype=np.int64)
-    out = np.concatenate(chunks, axis=0)
+    axis = np.arange(-amax, amax + 1, dtype=np.int64)
+    a_step = max(1, _BLOCK_ROWS // len(axis))
+    chunks = [np.zeros((0, 4), dtype=np.int64)]
+    for a0 in range(0, len(axis), a_step):
+        # Candidate first rows of this block, a ascending, then b ascending.
+        a = np.repeat(axis[a0 : a0 + a_step], len(axis))
+        b = np.tile(axis, len(a) // len(axis))
+        r1sq = a * a + b * b
+        # The second row has norm at least 1/|row1| (unit area), so
+        # overly long first rows cannot be completed inside the ball.
+        keep = np.gcd(a, b) == 1
+        keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
+        if N > 1:
+            keep &= ((a - r11) % N == 0) & ((b - r12) % N == 0)
+        a, b, r1sq = a[keep], b[keep], r1sq[keep]
+        g, x_co, y_co = xgcd_array(a, b)  # g = +-1 on primitive rows
+        d0, c0 = g * x_co, -g * y_co
+        # Solve |(c0 + t a, d0 + t b)|^2 <= r2 - r1sq for integer t.
+        budget = r2 - r1sq
+        bb = a * c0 + b * d0
+        cc = c0 * c0 + d0 * d0 - budget
+        disc = bb * bb - r1sq * cc
+        rows = disc >= 0
+        a, b, c0, d0, r1sq, budget, bb = (v[rows] for v in (a, b, c0, d0, r1sq, budget, bb))
+        root = np.sqrt(disc[rows])
+        t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
+        t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
+        # Every row's t interval, expanded in place: rows in order, t ascending.
+        counts = t_hi - t_lo + 1
+        row = np.repeat(np.arange(len(counts)), counts)
+        ts = t_lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = a[row], b[row]
+        cs = c0[row] + ts * a
+        ds = d0[row] + ts * b
+        keep = (cs * cs + ds * ds) <= budget[row]
+        if N > 1:
+            keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
+        chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1))
+    out = np.concatenate(chunks, axis=0).reshape(-1, 2, 2)
     out.setflags(write=False)
     return out
+
+
+_coset_ball_cached = _BallCache(_coset_ball, BALL_CACHE_BYTES)
 
 
 def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
@@ -153,6 +173,8 @@ def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     integer array in (first row, then completion parameter) order."""
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
+    if rho > BALL_RADIUS_CAP:
+        raise ResourceGuardError(f"coset ball radius {rho:.6g} exceeds the cap {BALL_RADIUS_CAP:g}")
     return _coset_ball_cached(spec, float(rho))
 
 
@@ -190,15 +212,13 @@ def expsum_rhs(X: float, alpha: Sequence[float]) -> float:
 
         X^2 sum_q tau(q) q^{-3/2} / (1 + X dist(q alpha) / q).
     """
-    from .arith import divisor_count
-
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
     alpha_arr = np.asarray(alpha, dtype=float)
     if alpha_arr.shape != (4,):
         raise DomainError("twist alpha must be a 4-vector")
     qs = np.arange(1, int(math.floor(X)) + 1, dtype=float)
-    taus = np.array([divisor_count(int(q)) for q in qs])
+    taus = divisor_counts(len(qs))
     qa = qs[:, None] * alpha_arr[None, :]
     frac = qa - np.round(qa)
     dist = np.sqrt((frac * frac).sum(axis=1))

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .affine import GroupElement, grid_gap, log_gauge
-from .arith import divisor_count
+from .arith import divisor_counts
 from .errors import DomainError
 
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
@@ -120,10 +120,10 @@ class _Weights(NamedTuple):
 @lru_cache(maxsize=64)
 def _weights(params: MajorantParams, d_max: int) -> _Weights:
     """The q-weights, the d-weights and the truncation tail of the series."""
+    taus = divisor_counts(d_max)  # refuses d_max above the sieve cap first
     qs = _q_vectors(params.k, params.q_max)
     coef_q = np.sqrt((qs * qs).sum(axis=1).astype(float)) ** -params.m
-    ds = np.arange(1, d_max + 1, dtype=np.int64)
-    coef_d = np.array([divisor_count(int(d)) for d in ds], dtype=float) * ds.astype(float) ** -1.5
+    coef_d = taus * np.arange(1, d_max + 1, dtype=float) ** -1.5
     coef_q.setflags(write=False)
     coef_d.setflags(write=False)
     # Each closeness factor is at most 1, so the discarded mass is bounded by

@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .affine import GroupElement
+from .arith import xgcd
 from .autofns import PoincareTestFn, evaluate_f, kernel_profile, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .expsum import _xgcd
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
 from .sl2core import Sl2Matrix, cuspidal_height, reduce_fundamental
@@ -286,7 +286,7 @@ def lattice_window_average(
     alpha0 = np.empty(n1.size, dtype=np.int64)
     beta0 = np.empty(n1.size, dtype=np.int64)
     for i in range(n1.size):
-        g, x_co, y_co = _xgcd(int(n2[i]), int(n1[i]))
+        g, x_co, y_co = xgcd(int(n2[i]), int(n1[i]))
         if g < 0:
             x_co, y_co = -x_co, -y_co
         alpha0[i] = x_co

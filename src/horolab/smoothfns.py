@@ -2,25 +2,17 @@
 
 The workhorse is the polynomial bump (1 - t^2)^6 on [-1, 1].  Extended by
 zero it is C^5 on the line (six-fold zeros at the endpoints), its moments
-are rational, and it evaluates fast on arrays.  Everything else here is
-built from it: the normalized kernel with unit mass, a C^5 plateau that
-equals one on [0, 1] inside support [-2, 2], and a rapidly decaying
-non-compact window for integrals over the whole line.
+are rational, and it evaluates fast on arrays.  Beside it sit the
+normalized kernel with unit mass and a rapidly decaying non-compact window
+for integrals over the whole line.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 #: Exact mass of the bump: integral of (1 - t^2)^6 over [-1, 1] is 2048/3003.
 BUMP6_MASS = 2048.0 / 3003.0
-
-# Antiderivative coefficients of (1 - t^2)^6: sum_j binom(6, j) (-1)^j t^{2j+1} / (2j + 1).
-_ANTIDERIV = [
-    (math.comb(6, j) * (-1) ** j, 2 * j + 1) for j in range(7)
-]
 
 
 def bump6(t):
@@ -37,34 +29,6 @@ def bump6_normalized(t):
     """The bump rescaled to unit mass."""
     t = np.asarray(t, dtype=float)
     out = bump6(t) / BUMP6_MASS
-    return out
-
-
-def _bump6_cdf(t):
-    """Integral of the normalized bump from -1 to t, clamped to [0, 1]."""
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    acc = np.zeros_like(t)
-    base = 0.0
-    for coef, power in _ANTIDERIV:
-        acc = acc + coef * t ** power / power
-        base += coef * (-1.0) ** power / power
-    return (acc - base) / BUMP6_MASS
-
-
-def plateau(t):
-    """A C^5 plateau: exactly 1 on [0, 1], supported in [-2, 2].
-
-    The shoulders are integrated bumps, so the function inherits one more
-    derivative than the bump itself and glues to the flat top with five
-    matching derivatives.
-    """
-    t = np.asarray(t, dtype=float)
-    rising = _bump6_cdf(t + 1.0)
-    falling = _bump6_cdf(3.0 - 2.0 * t)
-    out = np.where(t < 0.0, rising, np.where(t <= 1.0, 1.0, falling))
-    out = np.where((t <= -2.0) | (t >= 2.0), 0.0, out)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

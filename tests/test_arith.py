@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab.arith import (
+    SIEVE_CAP,
     CongruenceData,
     divisor_count,
+    divisor_counts,
     dist_to_z,
     kloosterman,
     kloosterman_weil_bound,
@@ -16,6 +18,8 @@ from horolab.arith import (
     quad_expsum_bruteforce,
     quad_expsum_closed,
     quadsum_weil_bound,
+    xgcd,
+    xgcd_array,
 )
 from horolab.errors import DomainError, ResourceGuardError
 
@@ -52,10 +56,45 @@ class TestDivisorCount:
         for n in rng.integers(1, 10 ** 6, size=100):
             assert divisor_count(int(n)) == sympy.divisor_count(int(n))
 
+    def test_table_matches_trial_division(self):
+        def by_trial_division(n):
+            return sum(1 if j * j == n else 2 for j in range(1, math.isqrt(n) + 1) if n % j == 0)
+
+        expected = [by_trial_division(n) for n in range(1, 10_001)]
+        assert divisor_counts(10_000).tolist() == expected
+        table = divisor_counts(SIEVE_CAP)
+        # 720720 = 2^4 3^2 5 7 11 13; 999999 = 3^3 7 11 13 37; 1000000 = 2^6 5^6.
+        for n in (720_720, 999_983, 999_999, SIEVE_CAP):
+            assert table[n - 1] == divisor_count(n) == sympy.divisor_count(n)
+
+    def test_table_guards(self):
+        assert divisor_counts(0).size == 0
+        assert not divisor_counts(10).flags.writeable
+        with pytest.raises(ResourceGuardError):
+            divisor_counts(SIEVE_CAP + 1)
+
     @pytest.mark.parametrize("x", [100, 1000, 10000])
     def test_partial_sum_window(self, x):
         total = sum(divisor_count(n) for n in range(1, x + 1))
         assert x * math.log(x) - x <= total <= x * math.log(x) + 2 * x
+
+
+class TestXgcd:
+    def test_bezout_identity(self):
+        for a, b in [(240, 46), (-7, 3), (5, -15), (0, 4), (4, 0), (0, 0), (-1, 0)]:
+            g, s, t = xgcd(a, b)
+            assert s * a + t * b == g
+            assert abs(g) == math.gcd(a, b)
+
+    def test_array_matches_scalar(self, rng):
+        a = rng.integers(-10**6, 10**6, size=2000)
+        b = rng.integers(-10**6, 10**6, size=2000)
+        a[:50], b[50:100] = 0, 0
+        a[100:150], b[100:150] = rng.integers(-3, 4, size=50), rng.integers(-3, 4, size=50)
+        got = np.stack(xgcd_array(a, b), axis=1)
+        expected = [xgcd(int(x), int(y)) for x, y in zip(a, b)]
+        assert got.tolist() == [list(e) for e in expected]
+        assert xgcd_array(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))[0].size == 0
 
 
 class TestDistToZ:

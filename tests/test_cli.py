@@ -6,6 +6,7 @@ output bytes are observable without spawning subprocesses.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -189,6 +190,20 @@ class TestExitCodes:
 
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("expsum", "--X", "1e6"), ("delta", "--y", "1e-14")],
+        ids=["ball-radius", "sieve-cap"],
+    )
+    def test_oversized_request_is_refused_promptly(self, capsys, argv):
+        start = time.perf_counter()
+        code = run(list(argv))
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 1.0
+        assert err.startswith("horolab: ") and "Traceback" not in err
 
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2

@@ -1,14 +1,20 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from horolab.errors import DomainError
+from horolab.arith import xgcd
+from horolab.errors import DomainError, ResourceGuardError
 from horolab.expsum import (
+    BALL_RADIUS_CAP,
     CosetSpec,
     WeightFn,
     cancellation_report,
+    _BallCache,
+    _coset_ball_cached,
     enumerate_coset_ball,
     expsum_rhs,
     weighted_expsum_lhs,
@@ -33,6 +39,56 @@ def brute_ball(spec, rho):
             continue
         hits.add((a, b, c, d))
     return hits
+
+
+def scalar_ball(spec, rho):
+    """The coset ball by a double loop over first rows, one row at a time.
+
+    Reference for the array enumeration: same masks, same completion, same
+    t interval, and the same output order.
+    """
+    if rho < math.sqrt(2.0):
+        return np.zeros((0, 2, 2), dtype=np.int64)
+    r2 = rho * rho
+    amax = int(math.floor(rho))
+    N = spec.N
+    r11, r12, r21, r22 = spec.rep
+    chunks = [np.zeros((0, 2, 2), dtype=np.int64)]
+    for a in range(-amax, amax + 1):
+        for b in range(-amax, amax + 1):
+            r1sq = a * a + b * b
+            if r1sq == 0 or r1sq + 1.0 / r1sq > r2:
+                continue
+            if math.gcd(a, b) != 1:
+                continue
+            if N > 1 and ((a - r11) % N or (b - r12) % N):
+                continue
+            g, x_co, y_co = xgcd(a, b)
+            if g < 0:
+                x_co, y_co = -x_co, -y_co
+            d0, c0 = x_co, -y_co
+            budget = r2 - r1sq
+            bb = a * c0 + b * d0
+            cc = c0 * c0 + d0 * d0 - budget
+            disc = bb * bb - r1sq * cc
+            if disc < 0:
+                continue
+            root = math.sqrt(disc)
+            t_lo = int(math.floor((-bb - root) / r1sq)) - 1
+            t_hi = int(math.ceil((-bb + root) / r1sq)) + 1
+            ts = np.arange(t_lo, t_hi + 1, dtype=np.int64)
+            cs = c0 + ts * a
+            ds = d0 + ts * b
+            keep = (cs * cs + ds * ds) <= budget
+            if N > 1:
+                keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
+            block = np.empty((int(keep.sum()), 2, 2), dtype=np.int64)
+            block[:, 0, 0] = a
+            block[:, 0, 1] = b
+            block[:, 1, 0] = cs[keep]
+            block[:, 1, 1] = ds[keep]
+            chunks.append(block)
+    return np.concatenate(chunks, axis=0)
 
 
 class TestCosetSpec:
@@ -108,6 +164,23 @@ class TestEnumeration:
         norms2 = (flat * flat).sum(axis=1)
         assert np.all(norms2 <= 400)
 
+    @pytest.mark.parametrize(
+        "spec,rho",
+        [(CosetSpec.principal(1), r) for r in (1.5, 5.0, 37.25, 100.0)]
+        + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)],
+    )
+    def test_matches_scalar_loop_in_order(self, spec, rho):
+        got = enumerate_coset_ball(spec, rho)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scalar_ball(spec, rho))
+
+    def test_radius_guard(self):
+        spec = CosetSpec.principal(1)
+        with pytest.raises(ResourceGuardError):
+            enumerate_coset_ball(spec, BALL_RADIUS_CAP * 1.001)
+        # The largest ball the scripts use (X = 400, B = 1) stays allowed.
+        assert BALL_RADIUS_CAP >= 800.0
+
     def test_count_grows_quadratically(self):
         counts = [
             len(enumerate_coset_ball(CosetSpec.principal(1), float(Y)))
@@ -116,6 +189,72 @@ class TestEnumeration:
         for small, big in zip(counts, counts[1:]):
             expo = math.log2(big / small)
             assert 1.9 <= expo <= 2.1
+
+
+class TestBallCache:
+    def test_bounded_by_bytes_least_recent_first(self):
+        built = []
+
+        def build(spec, rho):
+            built.append(rho)
+            return np.zeros((int(rho), 2, 2), dtype=np.int64)
+
+        cache = _BallCache(build, max_bytes=3 * 32 * 10)
+        spec = CosetSpec.principal(1)
+        for rho in (10.0, 10.0, 20.0):
+            cache(spec, rho)
+        assert cache.cache_info()[:2] == (1, 2)
+        assert cache.cache_info().nbytes == 32 * 30
+        cache(spec, 10.0)  # refresh 10, so 20 is the least recent
+        cache(spec, 5.0)  # 35 rows > bound: evicts 20
+        cache(spec, 10.0)
+        cache(spec, 20.0)
+        assert built == [10.0, 20.0, 5.0, 20.0]
+        cache(spec, 40.0)  # larger than the bound: returned, not kept
+        assert len(cache(spec, 40.0)) == 40
+        assert built[-2:] == [40.0, 40.0]
+        assert cache.cache_info() == (3, 6, 32 * 30)
+
+    def test_threads_lose_no_update(self):
+        # More threads than cores and a short switch interval, so a race in
+        # the bookkeeping would show as a lost count or an eviction error.
+        cache = _BallCache(lambda spec, rho: np.zeros((int(rho), 2, 2), dtype=np.int64), 32 * 50)
+        spec, calls, errors = CosetSpec.principal(1), 400, []
+
+        def worker(seed):
+            try:
+                for i in range(calls):
+                    cache(spec, float(1 + (seed * 7 + i) % 12))
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        info = cache.cache_info()
+        assert info.hits + info.misses == 8 * calls
+        assert info.nbytes <= 32 * 50
+
+    def test_report_balls_stay_cached(self):
+        # A cancellation report up to X = 200 needs the balls of radius
+        # 50..400; all four must stay so the report's second pass reuses them.
+        spec, radii = CosetSpec.principal(1), (50.0, 100.0, 200.0, 400.0)
+        for rho in radii:
+            enumerate_coset_ball(spec, rho)
+        before = _coset_ball_cached.cache_info()
+        for rho in radii:
+            enumerate_coset_ball(spec, rho)
+        after = _coset_ball_cached.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
 
 class TestWeightedSum:

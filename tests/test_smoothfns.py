@@ -9,7 +9,6 @@ from horolab.smoothfns import (
     bump6,
     bump6_normalized,
     inverse_power_window,
-    plateau,
 )
 
 
@@ -44,35 +43,6 @@ class TestBump:
             inside = bump6(1.0 - eps)
             assert inside == pytest.approx((eps * (2 - eps)) ** 6, rel=1e-12)
             assert inside <= (2 * eps) ** 6
-
-
-class TestPlateau:
-    def test_flat_top_is_exact(self):
-        for t in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert plateau(t) == 1.0
-
-    def test_support(self):
-        for t in (-2.0, -2.5, 2.0, 3.0):
-            assert plateau(t) == 0.0
-        assert 0.0 < plateau(-1.0) < 1.0
-        assert 0.0 < plateau(1.5) < 1.0
-
-    def test_midpoint_symmetry_values(self):
-        assert plateau(-1.0) == pytest.approx(0.5, abs=1e-12)
-        assert plateau(1.5) == pytest.approx(0.5, abs=1e-12)
-
-    def test_monotone_shoulders(self):
-        rise = plateau(np.linspace(-2, 0, 40))
-        fall = plateau(np.linspace(1, 2, 40))
-        assert np.all(np.diff(rise) >= 0)
-        assert np.all(np.diff(fall) <= 0)
-
-    def test_rise_derivative_matches_bump(self):
-        # On the rising shoulder the derivative is the unit-mass bump.
-        h = 1e-6
-        for t in (-1.7, -1.2, -0.6, -0.2):
-            fd = (plateau(t + h) - plateau(t - h)) / (2 * h)
-            assert fd == pytest.approx(bump6_normalized(t + 1.0), rel=1e-5)
 
 
 class TestInversePowerWindow:
