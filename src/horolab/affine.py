@@ -13,6 +13,12 @@ rectangle anchored at the origin: the rectangle [-1/T, 1/T] x [-1, 1] is
 inflated until it first touches the lattice, and the critical inflation
 factor is returned.  A lattice that already contains the origin (only
 possible for a nonzero q) gives zero.
+
+All projected grids of one element share the basis rows M, so
+:func:`grid_gap_many` reduces it once per (element, T) and scores every
+offset q v as array code; :func:`grid_gap` is its one-row case.  Where the
+minimum is attained twice (always for q = 0, by p and -p) the witness is the
+first minimizer in candidate order: c1, then breakpoint, then c0.
 """
 
 from __future__ import annotations
@@ -29,10 +35,16 @@ from .sl2core import Sl2Matrix
 #: Inflation factors beyond this are reported as the cap itself.
 GAP_CAP = 1e30
 
+#: Largest T * max|M| accepted: the lattice reduction squares entries of that size.
+SCALED_CAP = 2.0**511
+
 #: Lattice membership is decided in coefficient space at this tolerance.
 MEMBERSHIP_TOL = 1e-9
 
 _MAX_REDUCTION_SWEEPS = 200
+
+#: Offsets scored per array block in grid_gap_many; bounds its temporaries.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,8 @@ class GroupElement:
         block = np.asarray(self.translation, dtype=float)
         if block.ndim != 2 or block.shape[1] != 2 or block.shape[0] < 1:
             raise DomainError(f"translation block must be k x 2, got shape {block.shape}")
+        if not np.all(np.isfinite(block)):
+            raise DomainError("translation block must be finite")
         block = np.array(block, copy=True)
         block.setflags(write=False)
         object.__setattr__(self, "translation", block)
@@ -118,29 +132,18 @@ class PlanarGrid:
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "offset", o)
 
-    def coefficients(self, point: Sequence[float]) -> np.ndarray:
-        """Real lattice coordinates of a plane point."""
-        p = np.asarray(point, dtype=float) - self.offset
-        return np.linalg.solve(self.basis.T, p)
-
     def contains(self, point: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        c = self.coefficients(point)
+        c = np.linalg.solve(self.basis.T, np.asarray(point, dtype=float) - self.offset)
         return bool(np.max(np.abs(c - np.round(c))) <= tol)
 
 
-def grid_of(element: GroupElement, q: Sequence[int] | None = None) -> PlanarGrid:
+def grid_of(element: GroupElement, q: Sequence[int]) -> PlanarGrid:
     """The planar grid swept out by integer translates of a projected element.
 
     For an element (M, v) and integer vector q this is the lattice with
-    basis rows M shifted by q v.  Passing q=None requires k = 1 and uses
-    the element's own row.
+    basis rows M shifted by q v.
     """
-    if q is None:
-        if element.k != 1:
-            raise DomainError("q may only be omitted for k = 1 elements")
-        proj = element
-    else:
-        proj = element.project(q)
+    proj = element.project(q)
     return PlanarGrid(proj.matrix.as_array(), proj.translation[0])
 
 
@@ -197,12 +200,84 @@ def _gauss_reduce(rows: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     return r, u
 
 
-def _point_value(n0: int, n1: int, basis: np.ndarray, offset: np.ndarray, T: float):
+def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: float):
     # Shared evaluation formula; the brute-force cross-check in the test
     # suite mirrors it term for term so the two routes agree bitwise.
-    x1 = n0 * basis[0, 0] + n1 * basis[1, 0] + offset[0]
-    x2 = n0 * basis[0, 1] + n1 * basis[1, 1] + offset[1]
-    return max(T * abs(x1), abs(x2)), x1, x2
+    x1 = n0 * basis[0, 0] + n1 * basis[1, 0] + offset[..., 0]
+    x2 = n0 * basis[0, 1] + n1 * basis[1, 1] + offset[..., 1]
+    return np.maximum(T * np.abs(x1), np.abs(x2)), x1, x2
+
+
+def _gap_block(basis, reduced, u, offsets, exempt, T):
+    """Gap values and witnesses; candidate arrays are laid out (offset, c1, break, c0)."""
+    n = len(offsets)
+    # Origin membership, one 2 x 2 solve per row as in PlanarGrid.contains.
+    coef = np.linalg.solve(np.broadcast_to(basis.T, (n, 2, 2)), (0.0 - offsets)[:, :, None])
+    in_grid = ~exempt & (np.max(np.abs(coef - np.round(coef)), axis=(1, 2)) <= MEMBERSHIP_TOL)
+
+    # Work in coordinates rescaled so the target becomes the sup-norm ball.
+    # After Euclidean reduction the coefficient of the longer basis vector
+    # at any sup-norm minimizer sits within 2 of the rounded real solution,
+    # so it is enumerated directly.  Along the shorter vector the minimizer
+    # can drift arbitrarily far, but there the objective is convex piecewise
+    # linear in one variable, so its breakpoints pin down the candidates.
+    shifted = offsets * np.array([T, 1.0])
+    target = np.linalg.solve(np.broadcast_to(reduced.T, (n, 2, 2)), -shifted[:, :, None])[:, :, 0]
+    c1 = np.rint(target[:, 1])[:, None] + np.arange(-2.0, 3.0)
+    base = c1[:, :, None] * reduced[1] + shifted[:, None, :]
+    breaks = [np.broadcast_to(target[:, :1], c1.shape)]
+    for i in (0, 1):
+        if reduced[0, i] != 0.0:
+            breaks.append(-base[:, :, i] / reduced[0, i])
+    for sgn in (1.0, -1.0):
+        denom = reduced[0, 0] - sgn * reduced[0, 1]
+        if denom != 0.0:
+            breaks.append((sgn * base[:, :, 1] - base[:, :, 0]) / denom)
+    x = np.stack(breaks, axis=2)[:, :, :, None]
+    c0 = np.floor(x) + np.arange(-1.0, 3.0)
+    c1 = c1[:, :, None, None]
+    # Integer-valued floats, equal to the exact lattice indices below 2^53.
+    n0 = c0 * u[0][0] + c1 * u[1][0]
+    n1 = c0 * u[0][1] + c1 * u[1][1]
+    # Far candidates at huge T or offsets may overflow to inf or nan; fmin
+    # sends nan to inf, so neither ever wins.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, x1, x2 = _point_value(n0, n1, basis, offsets[:, None, None, None, :], T)
+    skip = ~np.isfinite(x) | (exempt[:, None, None, None] & (n0 == 0.0) & (n1 == 0.0))
+    vals = np.where(skip, np.inf, np.fmin(vals, np.inf)).reshape(n, -1)
+    rows = np.arange(n)
+    best = np.argmin(vals, axis=1)
+    value = vals[rows, best]
+    witness = np.stack([x1.reshape(n, -1)[rows, best], x2.reshape(n, -1)[rows, best]], axis=1)
+    witness[np.isinf(value) | in_grid] = 0.0
+    value = np.where(in_grid, 0.0, np.minimum(value, GAP_CAP))
+    return value, witness
+
+
+def grid_gap_many(element: GroupElement, ns: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gap values (n,) and witnesses (n, 2) for the rows of the (n, k) integer
+    array ``ns``; row i is exactly ``grid_gap(element, ns[i], T)`` in any batch."""
+    T = RectangleRT(float(T)).T
+    ns = np.asarray(ns)
+    if ns.ndim != 2 or ns.shape[1] != element.k:
+        raise DomainError(f"projection vectors must form an (n, {element.k}) array: {ns.shape}")
+    if not np.array_equal(ns, np.round(ns)):
+        raise DomainError("projection vectors must be integral")
+    # One small product per row, as in GroupElement.project, so a row's
+    # offset does not depend on the batch around it.
+    offsets = np.matmul(ns.astype(float)[:, None, :], element.translation)[:, 0, :]
+    basis = element.matrix.as_array()
+    if not T * float(np.abs(basis).max()) <= SCALED_CAP:
+        raise DomainError(f"T={T:g}: T * max|M| above 2^511 overflows the lattice reduction")
+    if not math.isfinite(T * float(np.abs(offsets[:, 0]).max(initial=0.0))):
+        raise DomainError(f"T={T:g} times the grid offset overflows")
+    reduced, u = _gauss_reduce(basis * np.array([T, 1.0]))
+    exempt = ~ns.any(axis=1)
+    values, witnesses = np.empty(len(ns)), np.empty((len(ns), 2))
+    for lo in range(0, len(ns), _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        values[blk], witnesses[blk] = _gap_block(basis, reduced, u, offsets[blk], exempt[blk], T)
+    return values, witnesses
 
 
 def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:
@@ -213,60 +288,8 @@ def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:
     lies in the lattice); for nonzero q a grid that contains the origin
     forces the answer 0.  Values are capped at ``GAP_CAP``.
     """
-    rect = RectangleRT(float(T))
-    q_arr = np.asarray(q, dtype=int)
-    zero_q = not np.any(q_arr)
-    grid = grid_of(element, list(q_arr))
-    basis, offset = grid.basis, grid.offset
-
-    if not zero_q and grid.contains((0.0, 0.0)):
-        return GapResult(0.0, np.zeros(2))
-
-    # Work in coordinates rescaled so the target becomes the sup-norm ball.
-    # After Euclidean reduction the coefficient of the longer basis vector
-    # at any sup-norm minimizer sits within 2 of the rounded real solution,
-    # so it is enumerated directly.  Along the shorter vector the minimizer
-    # can drift arbitrarily far, but there the objective is convex piecewise
-    # linear in one variable, so its breakpoints pin down the candidates.
-    scale = np.array([rect.T, 1.0])
-    reduced, u = _gauss_reduce(basis * scale)
-    shifted = offset * scale
-    target = np.linalg.solve(reduced.T, -shifted)
-
-    candidates: set[tuple[int, int]] = set()
-    c1_base = int(round(target[1]))
-    for dc1 in range(-2, 3):
-        c1 = c1_base + dc1
-        base = c1 * reduced[1] + shifted
-        breaks = [target[0]]
-        for i in (0, 1):
-            if reduced[0, i] != 0.0:
-                breaks.append(-base[i] / reduced[0, i])
-        for sgn in (1.0, -1.0):
-            denom = reduced[0, 0] - sgn * reduced[0, 1]
-            if denom != 0.0:
-                breaks.append((sgn * base[1] - base[0]) / denom)
-        for x in breaks:
-            if not math.isfinite(x):
-                continue
-            lo = math.floor(x)
-            for c0 in (lo - 1, lo, lo + 1, lo + 2):
-                candidates.add((c0, c1))
-
-    best_val = math.inf
-    best_point = np.zeros(2)
-    for c0, c1 in candidates:
-        n0 = c0 * u[0][0] + c1 * u[1][0]
-        n1 = c0 * u[0][1] + c1 * u[1][1]
-        if zero_q and n0 == 0 and n1 == 0:
-            continue
-        val, x1, x2 = _point_value(n0, n1, basis, offset, rect.T)
-        if val < best_val:
-            best_val = val
-            best_point = np.array([x1, x2])
-    if best_val > GAP_CAP:
-        return GapResult(GAP_CAP, best_point)
-    return GapResult(best_val, best_point)
+    values, witnesses = grid_gap_many(element, np.asarray(q, dtype=int)[None, :], T)
+    return GapResult(values[0], witnesses[0])
 
 
 def log_gauge(x: float, j: int) -> float:

@@ -157,11 +157,6 @@ _CONVERT: dict[str, Callable[[str], object]] = {
     "B": _float, "X": _floats, "n": _int, "v": _ints, "level": _int,
     "freq": _ints, "route": str, "seed": _int, "format": str,
 }
-# flags whose schedule spans the rows of the emitted table
-_SCHEDULE_KEY = {
-    "delta": "y", "sgq": "T", "expsum": "X", "kloosterman": "q", "quadsum": "q",
-    "orbit": "T", "horocycle": "y", "theorem4": "T",
-}
 # per-flag conversion quirks: kloosterman's m is an integer twist, and its
 # q flag is a schedule of moduli rather than a projection vector
 _CONVERT_BY_COMMAND = {

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import GroupElement, grid_gap, log_gauge
+from .affine import GroupElement, grid_gap_many, log_gauge
 from .arith import divisor_counts
 from .errors import DomainError
 
@@ -320,16 +320,17 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
         raise DomainError("orbit gap bound needs an explicit d_max")
     if element.k != params.k:
         raise DomainError(f"element has k={element.k}, params expect {params.k}")
-    zero = [0] * params.k
-    s0 = grid_gap(element, zero, T).value
-    term0 = log_gauge(s0 ** -0.5, 3)
-
     qs, coef_q, coef_d, tail = _weights(params, params.d_max)
+    # One batch per T: the q = 0 row, then d q for each q and d = 1..d_max.
+    dq = qs[:, None, :] * np.arange(1, params.d_max + 1)[:, None]
+    ns = np.concatenate([np.zeros((1, params.k), dtype=int), dq.reshape(-1, params.k)])
+    gaps = iter(grid_gap_many(element, ns, T)[0].tolist())
+    term0 = log_gauge(next(gaps) ** -0.5, 3)
+
     contributions = []
-    for i, q in enumerate(qs):
+    for i in range(len(qs)):
         for d in range(1, params.d_max + 1):
-            s = grid_gap(element, list(d * q), T).value
-            gauge = log_gauge(1.0 / (1.0 + s / d), 1)
+            gauge = log_gauge(1.0 / (1.0 + next(gaps) / d), 1)
             contributions.append(coef_q[i] * coef_d[d - 1] * gauge)
     series = math.fsum(contributions)
     return OrbitGapBound(term0, series, math.log(3.0) * tail)

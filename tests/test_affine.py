@@ -11,6 +11,7 @@ from horolab.affine import (
     PlanarGrid,
     RectangleRT,
     grid_gap,
+    grid_gap_many,
     grid_of,
     log_gauge,
 )
@@ -54,6 +55,13 @@ class TestGroupElement:
                 p = g * g.inverse()
                 assert np.allclose(p.matrix.as_array(), np.eye(2), atol=1e-10)
                 assert np.allclose(p.translation, 0.0, atol=1e-10)
+
+    def test_non_finite_translation_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                GroupElement(Sl2Matrix.identity(), [[bad, 0.0]])
+            with pytest.raises(DomainError):
+                GroupElement(Sl2Matrix.identity(), [[0.0, 1.0], [0.0, bad]])
 
     def test_mismatched_k_rejected(self, rng):
         with pytest.raises(DomainError):
@@ -174,6 +182,73 @@ class TestGridGap:
                 y = cuspidal_height(g.matrix @ Sl2Matrix.dilation(T)) / T
                 ratio = (s ** -2) / y
                 assert 1 / 16 <= ratio <= 16, (T, ratio)
+
+
+class TestGridGapMany:
+    def test_matches_big_scan(self, rng):
+        for k in (1, 2):
+            for _ in range(15):
+                g = random_element(rng, k=k)
+                ns = rng.integers(-3, 4, size=(10, k))
+                ns[0] = 0
+                T = float(np.exp(rng.random() * math.log(64)))
+                values, _ = grid_gap_many(g, ns, T)
+                for n, value in zip(ns, values):
+                    grid = grid_of(g, list(n))
+                    assert value == scan_gap(grid.basis, grid.offset, T, exclude_origin=not n.any())
+
+    def test_origin_row_gives_zero(self, rng):
+        g = GroupElement.from_torus_point(random_sl2(rng), np.array([[0.5, 0.5]]))
+        values, witnesses = grid_gap_many(g, np.array([[0], [1], [2], [-2], [3]]), 7.0)
+        assert values[2] == values[3] == 0.0
+        assert np.all(witnesses[2:4] == 0.0)
+        for i, n in ((0, 0), (1, 1), (4, 3)):
+            grid = grid_of(g, [n])
+            assert values[i] == scan_gap(grid.basis, grid.offset, 7.0, exclude_origin=n == 0) > 0
+
+    def test_row_is_the_same_alone_and_in_any_batch(self, rng):
+        # 2,500 rows span three array blocks.
+        for k in (1, 2):
+            g = random_element(rng, k=k)
+            ns = rng.integers(-40, 41, size=(2500, k))
+            ns[::97] = 0
+            values, witnesses = grid_gap_many(g, ns, 300.0)
+            for lo in range(0, len(ns), 700):
+                v, w = grid_gap_many(g, ns[lo:lo + 700][::-1], 300.0)
+                assert np.array_equal(v[::-1], values[lo:lo + 700])
+                assert np.array_equal(w[::-1], witnesses[lo:lo + 700])
+            for i in rng.integers(0, len(ns), 25):
+                res = grid_gap(g, list(ns[i]), 300.0)
+                assert res.value == values[i]
+                assert np.array_equal(res.witness, witnesses[i])
+
+    def test_tie_rule_is_pinned(self):
+        # q = 0 always ties p with -p; the first minimizer in candidate order
+        # is the one below the axis here.
+        g = GroupElement.identity()
+        assert list(grid_gap(g, [0], 2.0).witness) == [0.0, -1.0]
+        # The integer lattice shifted by (1.3, 1.0): every point with
+        # x1 = 0.3 and |x2| <= 3 attains 10 * 0.3.
+        g = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), [[0.3, 0.7]])
+        res = grid_gap(g, [1], 10.0)
+        assert res.value == pytest.approx(3.0, rel=1e-15)
+        assert res.witness[0] == pytest.approx(0.3, rel=1e-15)
+        assert res.witness[1] == 1.0
+
+    def test_validation(self, rng):
+        g = random_element(rng, k=2)
+        with pytest.raises(DomainError):
+            grid_gap_many(g, np.array([1, 2]), 10.0)
+        with pytest.raises(DomainError):
+            grid_gap_many(g, np.array([[1, 2, 3]]), 10.0)
+        with pytest.raises(DomainError):
+            grid_gap_many(g, np.array([[0.5, 1.0]]), 10.0)
+        with pytest.raises(DomainError):
+            grid_gap_many(g, np.array([[1, 0]]), 0.5)
+        with pytest.raises(DomainError):
+            grid_gap_many(g, np.array([[1, 0]]), 1e160)
+        values, witnesses = grid_gap_many(g, np.zeros((0, 2), dtype=int), 10.0)
+        assert values.shape == (0,) and witnesses.shape == (0, 2)
 
 
 class TestLogGauge:

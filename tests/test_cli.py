@@ -7,6 +7,7 @@ output bytes are observable without spawning subprocesses.
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -204,6 +205,29 @@ class TestExitCodes:
         assert code == 4
         assert elapsed < 1.0
         assert err.startswith("horolab: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("theorem4", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--m", "3", "--qmax", "3",
+             "--dmax", "3"),
+            ("sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "0"),
+            ("sgq", "--matrix", "0.8,0.3,-0.2,1.175", "--xi", "0.3,0.7", "--q", "2"),
+        ],
+        ids=["theorem4", "sgq-q0", "sgq-q2"],
+    )
+    def test_huge_time_is_refused_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--T", "1e160,1e300"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("horolab: ") and err.count("\n") == 1
+            # Below the cap the same flags give a finite table.
+            code, out = invoke(capsys, *argv, "--T", "1e150")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert all(math.isfinite(float(x)) for x in rows[0])
 
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2

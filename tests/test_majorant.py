@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from horolab.affine import GroupElement
+from horolab.affine import GroupElement, grid_gap, log_gauge
 from horolab.errors import DomainError
 from horolab.majorant import (
     LfdWitness,
@@ -12,6 +12,7 @@ from horolab.majorant import (
     MajorantValue,
     ZETA_THREE_HALVES,
     _q_vectors,
+    _weights,
     d_tail_bound,
     delta_lower_check,
     lfd_test,
@@ -282,6 +283,29 @@ class TestOrbitGapBound:
         res = orbit_gap_bound(g, 50.0, p)
         assert res.tail_bound > 0
         assert res.term0 >= 0 and res.series >= 0
+
+    @pytest.mark.parametrize("k, q_max, d_max", [(1, 6, 7), (2, 3, 5)])
+    def test_matches_one_gap_per_term(self, rng, k, q_max, d_max):
+        # The reference evaluates one scalar grid_gap per (q, d) in the
+        # documented order and sums like orbit_gap_bound.
+        from conftest import random_sl2
+
+        p = MajorantParams(k=k, m=k + 2.0, q_max=q_max, d_max=d_max)
+        qs, coef_q, coef_d, tail = _weights(p, d_max)
+        for _ in range(4):
+            g = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0.0, 1.0, (k, 2)))
+            for T in (2.0, 90.0, 4e4):
+                s0 = grid_gap(g, [0] * k, T).value
+                terms = [
+                    coef_q[i] * coef_d[d - 1]
+                    * log_gauge(1.0 / (1.0 + grid_gap(g, list(d * q), T).value / d), 1)
+                    for i, q in enumerate(qs)
+                    for d in range(1, d_max + 1)
+                ]
+                res = orbit_gap_bound(g, T, p)
+                assert res.term0 == log_gauge(s0**-0.5, 3)
+                assert res.series == math.fsum(terms)
+                assert res.tail_bound == math.log(3.0) * tail
 
 
 class TestShiftedLineSum:
