@@ -33,7 +33,7 @@ from .smoothfns import bump6
 BALL_RADIUS_CAP = 1024.0
 #: Bytes of balls kept; a cancellation report up to X = 200 reuses its four (41 MB).
 BALL_CACHE_BYTES = 64 << 20
-#: Candidate first rows per enumeration block; bounds the temporary arrays.
+#: Candidate first rows per enumeration block, and rows per weight block; bounds temporaries.
 _BLOCK_ROWS = 1 << 16
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 
@@ -192,13 +192,13 @@ def weighted_expsum_lhs(
     alpha_arr = np.asarray(alpha, dtype=float)
     if alpha_arr.shape != (4,):
         raise DomainError("twist alpha must be a 4-vector")
-    mats = enumerate_coset_ball(spec, 2.0 * weight.B * X)
-    flat = mats.reshape(-1, 4).astype(float)
-    keep = np.max(np.abs(flat), axis=1) <= weight.B * X
-    flat = flat[keep]
+    mats = enumerate_coset_ball(spec, 2.0 * weight.B * X).reshape(-1, 4)
+    flat = mats[np.max(np.abs(mats), axis=1) <= weight.B * X].astype(float)
     if len(flat) == 0:
         return 0j
-    w = weight(flat / X)
+    # The weight acts row by row: row blocks give the same floats, with small temporaries.
+    blocks = range(0, len(flat), _BLOCK_ROWS)
+    w = np.concatenate([weight(flat[i : i + _BLOCK_ROWS] / X) for i in blocks])
     phase = flat @ alpha_arr
     vals = w * np.exp(2j * np.pi * phase)
     return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))

@@ -13,6 +13,7 @@ from horolab.expsum import (
     CosetSpec,
     WeightFn,
     cancellation_report,
+    _BLOCK_ROWS,
     _BallCache,
     _coset_ball_cached,
     enumerate_coset_ball,
@@ -288,6 +289,19 @@ class TestWeightedSum:
         a = weighted_expsum_lhs(spec, w, 25.0, alpha)
         b = weighted_expsum_lhs(spec, w, 25.0, alpha)
         assert a == b
+
+
+    def test_weight_blocks_match_one_pass(self):
+        # The box at X = 100 keeps more rows than one weight block; the
+        # reference weighs them all at once, as a single pass would.
+        spec, w = CosetSpec.principal(1), WeightFn(1.0)
+        alpha = np.array([GOLDEN, -0.3, 0.25, 0.07])
+        flat = enumerate_coset_ball(spec, 200.0).reshape(-1, 4).astype(float)
+        flat = flat[np.max(np.abs(flat), axis=1) <= 100.0]
+        assert len(flat) > _BLOCK_ROWS
+        vals = w(flat / 100.0) * np.exp(2j * np.pi * (flat @ alpha))
+        expect = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        assert weighted_expsum_lhs(spec, w, 100.0, alpha) == expect
 
 
 class TestRhs:
