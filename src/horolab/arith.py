@@ -1,4 +1,4 @@
-"""Elementary arithmetic kernels: divisor counts, distances to lattices,
+"""Elementary arithmetic kernels: divisor counts, extended gcds,
 Kloosterman sums, and complete exponential sums over determinant-one
 congruence classes.
 
@@ -108,17 +108,6 @@ def xgcd_array(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             old[live], new[live] = new[live], old[live] - quot * new[live]
         live = live[r[live] != 0]
     return old_r, old_s, old_t
-
-
-def dist_to_z(x) -> float:
-    """Euclidean distance from a point to the nearest integer vector.
-
-    Scalars are treated as 1-vectors, so the scalar case is the usual
-    distance to the nearest integer.
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    frac = arr - np.round(arr)
-    return float(np.sqrt(np.sum(frac * frac)))
 
 
 def mod_inverse(a: int, q: int) -> int:

@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .affine import GroupElement
-from .arith import xgcd
 from .errors import DomainError, ResourceGuardError
 from .expsum import CosetSpec, enumerate_coset_ball
 from .quadrature import adaptive_quad, box_grid
@@ -25,8 +23,10 @@ from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompos
 from .smoothfns import bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
-# Ball enumeration is quadratic in the radius; past this budget an
-# evaluation would allocate tens of millions of candidate matrices.
+# Ball enumeration is quadratic in the radius, and ``_series_data`` peaks near
+# 106 bytes per ball matrix (traced at radii 300 and 400).  This radius (about
+# 632, 2.4 million matrices) bounds the peak near 250 MiB; expsum's cap of
+# 1024 would allow about 640 MiB.
 BALL_RADIUS_SQ_GUARD = 4.0e5
 _GRID_CHUNK = 4096
 SIEGEL_V_FLOOR = math.sqrt(3.0) / 2.0
@@ -57,15 +57,15 @@ class PoincareTestFn:
         arr = np.asarray(self.freq)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise DomainError(f"freq must be a k x 2 integer array, got shape {arr.shape}")
-        if not np.all(arr == np.round(arr)):
+        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
             raise DomainError("freq entries must be integers")
         object.__setattr__(
             self, "freq", tuple(tuple(int(x) for x in row) for row in arr)
         )
-        if not (self.support_radius > MIN_SUPPORT_RADIUS):
+        if not (MIN_SUPPORT_RADIUS < self.support_radius < math.inf):
             raise DomainError(
-                "support_radius must exceed sqrt(2), the smallest Frobenius norm "
-                "on the determinant-one surface"
+                "support_radius must be finite and exceed sqrt(2), the smallest "
+                "Frobenius norm on the determinant-one surface"
             )
 
     @property
@@ -169,12 +169,6 @@ def evaluate_f(fn: PoincareTestFn, matrix: Sl2Matrix, torus_point: np.ndarray) -
         return 0.0 + 0.0j
     phases = phase_rows @ xi.ravel()
     return complex(np.dot(weights, np.exp(2j * np.pi * phases)))
-
-
-def evaluate_at(fn: PoincareTestFn, element: GroupElement) -> complex:
-    if element.k != fn.k:
-        raise DomainError(f"element has k={element.k} but the function expects k={fn.k}")
-    return evaluate_f(fn, element.matrix, element.torus_point())
 
 
 def coefficient_support(fn: PoincareTestFn, matrix: Sl2Matrix) -> np.ndarray:
@@ -324,95 +318,6 @@ def mean_value(fn: PoincareTestFn) -> float:
     if np.any(fn.freq_array != 0):
         return 0.0
     return kernel_haar_mass(fn) / covolume(fn.level)
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Orbit of an integer frequency under right determinant-one moves.
-
-    ``rank`` is the rank of the frequency matrix (it is invariant), and
-    ``canonical`` is the unique orbit representative in reduced column
-    form, reached from the input by ``transform`` (an integer matrix of
-    determinant one acting on the right).
-    """
-
-    rank: int
-    canonical: np.ndarray
-    transform: np.ndarray
-
-    def __post_init__(self) -> None:
-        canon = np.asarray(self.canonical, dtype=np.int64)
-        canon.setflags(write=False)
-        object.__setattr__(self, "canonical", canon)
-        tr = np.asarray(self.transform, dtype=np.int64)
-        tr.setflags(write=False)
-        object.__setattr__(self, "transform", tr)
-
-
-def _as_int_rows(m: np.ndarray) -> list[list[int]]:
-    arr = np.atleast_2d(np.asarray(m))
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise DomainError(f"frequency must be a k x 2 integer array, got shape {arr.shape}")
-    if not np.all(arr == np.round(arr)):
-        raise DomainError("frequency entries must be integers")
-    return [[int(x) for x in row] for row in np.round(arr).astype(np.int64)]
-
-
-def _mat_cols(rows: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    return [
-        [r[0] * g[0][0] + r[1] * g[1][0], r[0] * g[0][1] + r[1] * g[1][1]]
-        for r in rows
-    ]
-
-
-def classify_orbit(m: np.ndarray) -> OrbitClass:
-    """Canonical representative of a frequency under right unimodular moves.
-
-    Rank zero is the zero matrix.  Rank one reduces to a single nonzero
-    column whose leading entry is positive.  Rank two reduces to the
-    column echelon shape: the first column leads strictly earlier than
-    the second, with a positive leading entry, and its entry on the second
-    column's leading row lies in ``[0, |pivot|)``.  The representative is
-    unique, so equal outputs certify equal orbits.
-    """
-    rows = _as_int_rows(m)
-    k = len(rows)
-    ident = [[1, 0], [0, 1]]
-    if all(x == 0 for row in rows for x in row):
-        return OrbitClass(0, np.zeros((k, 2), dtype=np.int64), np.asarray(ident))
-    full_rank = any(
-        rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0] != 0
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    if not full_rank:
-        i0 = next(i for i, row in enumerate(rows) if row != [0, 0])
-        a, b = rows[i0]
-        g0 = math.gcd(abs(a), abs(b))
-        p, q = a // g0, b // g0
-        g, x, y = xgcd(p, q)
-        if g < 0:
-            g, x, y = -g, -x, -y
-        gamma = [[x, -q], [y, p]]
-        reduced = _mat_cols(rows, gamma)
-        lead = next(row[0] for row in reduced if row[0] != 0)
-        if lead < 0:
-            gamma = [[-x, q], [-y, -p]]
-            reduced = _mat_cols(rows, gamma)
-        return OrbitClass(1, np.asarray(reduced), np.asarray(gamma))
-    i0 = next(i for i, row in enumerate(rows) if row != [0, 0])
-    a, b = rows[i0]
-    g, x, y = xgcd(a, b)
-    if g < 0:
-        g, x, y = -g, -x, -y
-    gamma1 = [[x, -(b // g)], [y, a // g]]
-    stage = _mat_cols(rows, gamma1)
-    l2 = next(i for i, row in enumerate(stage) if row[1] != 0)
-    pivot = stage[l2][1]
-    rem = stage[l2][0] % abs(pivot)
-    t = (rem - stage[l2][0]) // pivot
-    gamma = _mat_cols(gamma1, [[1, 0], [t, 1]])
-    return OrbitClass(2, np.asarray(_mat_cols(stage, [[1, 0], [t, 1]])), np.asarray(gamma))
 
 
 def haar_sample_level_one(rng: np.random.Generator, count: int) -> list[Sl2Matrix]:

@@ -18,6 +18,7 @@ and the divisor-weighted comparison expression they are measured against.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -51,12 +52,16 @@ class CosetSpec:
     rep: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if self.N < 1:
+        try:
+            N, rep = operator.index(self.N), tuple(operator.index(x) for x in self.rep)
+        except TypeError as exc:
+            raise DomainError("level N and the coset representative must be integers") from exc
+        if N < 1:
             raise DomainError("level N must be a positive integer")
-        if len(self.rep) != 4:
+        if len(rep) != 4:
             raise DomainError("coset representative needs four entries")
-        r = tuple(int(x) % self.N for x in self.rep)
-        if (r[0] * r[3] - r[1] * r[2]) % self.N != 1 % self.N:
+        r = tuple(x % N for x in rep)
+        if (r[0] * r[3] - r[1] * r[2]) % N != 1 % N:
             raise DomainError("representative determinant is not 1 mod N")
         object.__setattr__(self, "rep", r)
 
@@ -76,8 +81,8 @@ class WeightFn:
     B: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.B >= 1.0:
-            raise DomainError("weight half-width B must be at least 1")
+        if not 1.0 <= self.B < math.inf:
+            raise DomainError("weight half-width B must be finite and at least 1")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .affine import GroupElement
-from .arith import xgcd
+from .arith import xgcd_array
 from .autofns import PoincareTestFn, evaluate_f, kernel_profile, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .majorant import MajorantParams, majorant_full
@@ -128,13 +128,6 @@ def partition_identity(
     return float(adaptive_quad(scaled, s - w2, s + w2, rel_tol=1e-10, abs_tol=1e-13))
 
 
-def orbit_height(matrix: Sl2Matrix, T: float) -> float:
-    """Cusp height of the time-T orbit point, rescaled by the time."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError("orbit time must be positive and finite")
-    return cuspidal_height(matrix @ Sl2Matrix.dilation(T)) / T
-
-
 def _h_mass(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     return float(adaptive_quad(lambda x: np.asarray(h(x), dtype=float), lo, hi, rel_tol=1e-10))
 
@@ -145,12 +138,11 @@ def translate_integral(
     y: float,
     h: Callable[[np.ndarray], np.ndarray],
     h_support: tuple[float, float] | None = (-1.0, 1.0),
-    rel_tol: float = 1e-7,
-    max_depth: int = 24,
 ) -> complex:
     """Reference route: pointwise adaptive quadrature of the translated value.
 
-    With no support given, ``h`` must decay at least like the inverse cube
+    The quadrature asks for relative tolerance 1e-7 at depth up to 24.  With
+    no support given, ``h`` must decay at least like the inverse cube
     of the position; the integration window then doubles until the value
     stops moving.  This route evaluates the function matrix by matrix, so
     it is the slow but independent benchmark for the lattice route.
@@ -177,11 +169,11 @@ def translate_integral(
         lo, hi = h_support
         if not lo < hi:
             raise DomainError("support interval must be increasing")
-        return complex(adaptive_quad(integrand, lo, hi, rel_tol=rel_tol, max_depth=max_depth))
+        return complex(adaptive_quad(integrand, lo, hi, rel_tol=1e-7, max_depth=24))
     half, prev = 2.0, None
     for _ in range(8):
-        val = complex(adaptive_quad(integrand, -half, half, rel_tol=rel_tol, max_depth=max_depth))
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
+        val = complex(adaptive_quad(integrand, -half, half, rel_tol=1e-7, max_depth=24))
+        if prev is not None and abs(val - prev) <= 1e-7 * max(1.0, abs(val)):
             return val
         prev, half = val, half * 2.0
     raise ConvergenceError("translated integral did not stabilize under window doubling")
@@ -193,7 +185,6 @@ def lattice_window_average(
     y: float,
     window: Callable[[np.ndarray], np.ndarray],
     support: tuple[float, float],
-    gl_points: int = 24,
     max_panel: float | None = None,
 ) -> complex:
     """Fast route: swap the translate series with the window integral.
@@ -204,9 +195,9 @@ def lattice_window_average(
     enumerated through their bottom rows (integer combinations of the base
     rows confined to a thin slab), each completed to the compatible top
     rows; per translate the window integral runs on its exact support
-    interval with a fixed Gauss-Legendre rule.  Windows with features much
-    shorter than those intervals need ``max_panel`` to cap the length each
-    rule is asked to cover.
+    interval with one 24-point Gauss-Legendre panel.  Windows with features
+    much shorter than those intervals need ``max_panel`` to cap the length
+    each rule is asked to cover.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -283,14 +274,8 @@ def lattice_window_average(
     if n1.size == 0:
         return 0.0 + 0.0j
 
-    alpha0 = np.empty(n1.size, dtype=np.int64)
-    beta0 = np.empty(n1.size, dtype=np.int64)
-    for i in range(n1.size):
-        g, x_co, y_co = xgcd(int(n2[i]), int(n1[i]))
-        if g < 0:
-            x_co, y_co = -x_co, -y_co
-        alpha0[i] = x_co
-        beta0[i] = -y_co
+    g, x_co, y_co = xgcd_array(n2, n1)  # g = +-1 on primitive rows
+    alpha0, beta0 = g * x_co, -g * y_co
     t_anchor = (-beta0) % level
     p0 = alpha0 * m_arr[0, 0] + beta0 * m_arr[1, 0]
     r0 = alpha0 * m_arr[0, 1] + beta0 * m_arr[1, 1]
@@ -377,7 +362,7 @@ def lattice_window_average(
     c_gamma = float(np.dot(m0[:, 0], xi[:, 1]))
     c_alpha = float(np.dot(m0[:, 1], xi[:, 1]))
 
-    nodes, wts = _rule(gl_points)
+    nodes, wts = _rule(24)
     acc = 0.0 + 0.0j
     for start in range(0, p.size, _CHUNK):
         sl = slice(start, start + _CHUNK)
@@ -406,31 +391,24 @@ def smeared_average(
     T: float,
     eta: Callable[[np.ndarray], np.ndarray],
     h: Callable[[np.ndarray], np.ndarray],
-    h_support: tuple[float, float] = (-1.0, 1.0),
-    gl_points: int = 24,
-    max_panel: float = 1.0,
 ) -> complex:
     """Length-T window average along the height-y horocycle.
 
     Computes the translate integral against the long window
-    ``eta(x) h(x/T) / T``, whose support is the T-fold stretch of the
-    support of ``h``.  Uniformity of the distance to the limit over T is
-    the content of the smeared equidistribution statement.  ``max_panel``
-    should not exceed the feature scale of ``eta``.
+    ``eta(x) h(x/T) / T`` on [-T, T], the T-fold stretch of the support
+    [-1, 1] of ``h``.  Uniformity of the distance to the limit over T is
+    the content of the smeared equidistribution statement.  Each 24-point
+    rule covers at most length 1, so the features of ``eta`` must be no
+    shorter than 1.
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("window length must be at least one")
-    lo, hi = h_support
-    if not lo < hi:
-        raise DomainError("support interval must be increasing")
 
     def long_window(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return np.asarray(eta(xs), dtype=float) * np.asarray(h(xs / T), dtype=float) / T
 
-    return lattice_window_average(
-        fn, element, y, long_window, (T * lo, T * hi), gl_points=gl_points, max_panel=max_panel
-    )
+    return lattice_window_average(fn, element, y, long_window, (-T, T), max_panel=1.0)
 
 
 def long_orbit_average(
@@ -438,26 +416,21 @@ def long_orbit_average(
     element: GroupElement,
     T: float,
     h: Callable[[np.ndarray], np.ndarray],
-    h_support: tuple[float, float] = (-1.0, 1.0),
     route: str = "lattice",
-    panels: int | None = None,
-    points: int = 24,
 ) -> complex:
     """Time-averaged value of f over the orbit piece of length 2T through g.
 
     The value is (1/T) times the integral of f(g u_t) h(t/T) over real t,
-    so the window h weighs the scaled time.  The lattice route rewrites the
-    orbit as a height-(1/T) translate integral of the reduced time-T matrix
-    and sums contributing translates; the pointwise route samples the orbit
-    on a composite rule and exists as a slow independent check.
+    so the window h, supported on [-1, 1], weighs the scaled time.  The
+    lattice route rewrites the orbit as a height-(1/T) translate integral of
+    the reduced time-T matrix and sums contributing translates; the
+    pointwise route samples the orbit on max(48, ceil(6 T)) panels of 24
+    Gauss-Legendre nodes and exists as a slow independent check.
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least one")
     if element.k != fn.k:
         raise DomainError("element and test function carry different block counts")
-    lo, hi = h_support
-    if not lo < hi:
-        raise DomainError("support interval must be increasing")
     xi = element.torus_point()
     if route == "lattice":
         if fn.level != 1:
@@ -466,14 +439,12 @@ def long_orbit_average(
             )
         gamma, reduced = reduce_fundamental(element.matrix @ Sl2Matrix.dilation(T))
         shifted = GroupElement.from_torus_point(reduced, xi @ gamma.as_array())
-        return lattice_window_average(fn, shifted, 1.0 / T, h, (lo, hi), gl_points=points)
+        return lattice_window_average(fn, shifted, 1.0 / T, h, (-1.0, 1.0))
     if route != "pointwise":
         raise DomainError(f"unknown orbit average route {route!r}")
-    if panels is None:
-        panels = max(48, int(math.ceil(6.0 * T)))
     base = element.matrix
-    nodes, wts = _rule(points)
-    edges = np.linspace(lo, hi, panels + 1)
+    nodes, wts = _rule(24)
+    edges = np.linspace(-1.0, 1.0, max(48, int(math.ceil(6.0 * T))) + 1)
     acc = 0.0 + 0.0j
     for left, right in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
@@ -491,9 +462,6 @@ def split_orbit_average(
     element: GroupElement,
     T: float,
     h: Callable[[np.ndarray], np.ndarray],
-    z_panels: int | None = None,
-    z_points: int = 16,
-    gl_points: int = 24,
 ) -> complex:
     """Orbit average recomputed through the bounded-window splitting.
 
@@ -502,8 +470,10 @@ def split_orbit_average(
     square of the reduced bottom row; at each z the orbit factors through
     :func:`orbit_split` into a bounded core times a dilation, and the
     inner integral becomes a short translate integral at height scale/T
-    evaluated by the lattice route.  Positions whose whole window sits
-    above the kernel support contribute exactly zero and are skipped.
+    evaluated by the lattice route.  The z grid has max(128, ceil(0.35 T
+    rho^2)) panels of 16 Gauss-Legendre nodes, rho the support radius.
+    Positions whose whole window sits above the kernel support contribute
+    exactly zero and are skipped.
     """
     if not (T >= 2.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least two")
@@ -522,8 +492,6 @@ def split_orbit_average(
     c, d = reduced.c, reduced.d
     xi_gamma = element.torus_point() @ gamma.as_array()
     reach = 2.0 / height
-    if z_panels is None:
-        z_panels = max(128, int(math.ceil(0.35 * T * rho_sq)))
 
     def weighted(z: float, split: SplitData) -> complex:
         t = split.scale
@@ -548,18 +516,13 @@ def split_orbit_average(
         shifted = xi_gamma @ Sl2Matrix.translation(float(split.shift)).as_array()
         inner_element = GroupElement.from_torus_point(split.core, shifted)
         inner = lattice_window_average(
-            fn,
-            inner_element,
-            t / T,
-            inner_window,
-            (t * (s_lo - z), t * (s_hi - z)),
-            gl_points=gl_points,
+            fn, inner_element, t / T, inner_window, (t * (s_lo - z), t * (s_hi - z))
         )
         return inner / t
 
-    nodes, wts = _rule(z_points)
+    nodes, wts = _rule(16)
     span = 1.0 + 1.0 / 50.0
-    edges = np.linspace(-span, span, z_panels + 1)
+    edges = np.linspace(-span, span, max(128, int(math.ceil(0.35 * T * rho_sq))) + 1)
     acc = 0.0 + 0.0j
     for left, right in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
@@ -591,29 +554,24 @@ def equidist_error(
     y: float,
     h: Callable[[np.ndarray], np.ndarray],
     params: MajorantParams,
-    h_support: tuple[float, float] = (-1.0, 1.0),
-    route: str = "auto",
 ) -> EquidistResult:
     """Compare a translated window average against the diophantine bound.
 
-    The limit is the product of the mean value with the window mass; the
-    bound multiplies the thirteenth power of the base norm by the lattice
-    majorant at the element's torus block.  The average uses the lattice
-    route below height 0.05, where pointwise quadrature would need
-    millions of samples; the routes agree on their common range.
+    The window ``h`` is supported on [-1, 1].  The limit is the product of
+    the mean value with the window mass; the bound multiplies the
+    thirteenth power of the base norm by the lattice majorant at the
+    element's torus block.  The average uses the lattice route below height
+    0.05, where pointwise quadrature would need millions of samples; the
+    routes agree on their common range.
     """
     if params.k != fn.k:
         raise DomainError("majorant parameters carry a different block count")
-    if route == "auto":
-        route = "lattice" if y < 0.05 else "pointwise"
-    if route == "lattice":
-        average = lattice_window_average(fn, element, y, h, h_support)
-    elif route == "pointwise":
-        average = translate_integral(fn, element, y, h, h_support=h_support)
+    if y < 0.05:
+        average = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
     else:
-        raise DomainError(f"unknown averaging route {route!r}")
+        average = translate_integral(fn, element, y, h)
     mean = mean_value(fn)
-    limit = mean * _h_mass(h, *h_support) if mean != 0.0 else 0.0
+    limit = mean * _h_mass(h, -1.0, 1.0) if mean != 0.0 else 0.0
     error = abs(average - limit)
     xi = element.torus_point()
     xi = xi - np.floor(xi)
@@ -624,15 +582,13 @@ def equidist_error(
 
 @dataclass(frozen=True)
 class OrbitExperiment:
-    """A base point, a window, and the schedule of scales to visit."""
+    """A base point, a window supported on [-1, 1], and the schedule of
+    scales to visit."""
 
     fn: PoincareTestFn
     element: GroupElement
     schedule: tuple[float, ...]
     h: Callable[[np.ndarray], np.ndarray]
-    h_support: tuple[float, float] = (-1.0, 1.0)
-    panels: int = 64
-    points: int = 24
 
     def __post_init__(self) -> None:
         if self.element.k != self.fn.k:
@@ -645,9 +601,6 @@ class OrbitExperiment:
         diffs = [b - a for a, b in zip(sched[:-1], sched[1:])]
         if diffs and not (all(d > 0.0 for d in diffs) or all(d < 0.0 for d in diffs)):
             raise DomainError("schedule must be strictly monotone")
-        lo, hi = self.h_support
-        if not lo < hi:
-            raise DomainError("support interval must be increasing")
         object.__setattr__(self, "schedule", sched)
 
 
@@ -667,17 +620,11 @@ def horocycle_main_term(experiment: OrbitExperiment) -> list[MainTermRow]:
     """
     if np.any(experiment.fn.freq_array != 0):
         raise DomainError("main-term tables need an untwisted function")
-    limit = mean_value(experiment.fn) * _h_mass(experiment.h, *experiment.h_support)
+    fn, element, h = experiment.fn, experiment.element, experiment.h
+    limit = mean_value(fn) * _h_mass(h, -1.0, 1.0)
     rows = []
     for y in experiment.schedule:
-        avg = lattice_window_average(
-            experiment.fn,
-            experiment.element,
-            y,
-            experiment.h,
-            experiment.h_support,
-            gl_points=experiment.points,
-        )
+        avg = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
         rows.append(MainTermRow(y, float(avg.real), limit, abs(avg - limit)))
     return rows
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-DEFAULT_POINTS = 15
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_DEPTH = 20
 
@@ -32,9 +31,9 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def fixed_quad(f: Callable, a: float, b: float, points: int = DEFAULT_POINTS):
-    """One Gauss-Legendre panel over [a, b]."""
-    nodes, weights = _rule(points)
+def fixed_quad(f: Callable, a: float, b: float):
+    """One 15-point Gauss-Legendre panel over [a, b]."""
+    nodes, weights = _rule(15)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = np.asarray(f(mid + half * nodes))
     return half * np.dot(weights, vals)
@@ -47,9 +46,8 @@ def adaptive_quad(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = 0.0,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    points: int = DEFAULT_POINTS,
 ):
-    """Integrate f over [a, b] by bisecting panels until they agree.
+    """Integrate f over [a, b] by bisecting 15-point panels until they agree.
 
     A panel is accepted when refining it changes the estimate by less than
     the tolerance (relative to the refined panel, or to the whole-interval
@@ -62,8 +60,8 @@ def adaptive_quad(
     if a == b:
         return 0.0
     if a > b:
-        return -adaptive_quad(f, b, a, rel_tol, abs_tol, max_depth, points)
-    whole = fixed_quad(f, a, b, points)
+        return -adaptive_quad(f, b, a, rel_tol, abs_tol, max_depth)
+    whole = fixed_quad(f, a, b)
     global_scale = abs(whole)
     width = b - a
     total = 0.0
@@ -73,8 +71,8 @@ def adaptive_quad(
     while stack:
         a0, b0, est, depth = stack.pop()
         mid = 0.5 * (a0 + b0)
-        left = fixed_quad(f, a0, mid, points)
-        right = fixed_quad(f, mid, b0, points)
+        left = fixed_quad(f, a0, mid)
+        right = fixed_quad(f, mid, b0)
         refined = left + right
         err = abs(refined - est)
         tol = max(

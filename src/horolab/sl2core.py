@@ -27,8 +27,6 @@ from .errors import DomainError
 DET_RENORM_TOL = 1e-12
 # After construction or multiplication the determinant must sit this close to 1.
 DET_TOL = 1e-10
-# Chart round-trips are expected to reproduce entries to this accuracy.
-ROUNDTRIP_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -111,9 +109,6 @@ class Sl2Matrix:
 
     def inverse(self) -> "Sl2Matrix":
         return Sl2Matrix(self.d, -self.b, -self.c, self.a)
-
-    def transpose(self) -> "Sl2Matrix":
-        return Sl2Matrix(self.a, self.c, self.b, self.d)
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
         return Sl2Matrix(
@@ -201,15 +196,6 @@ def iwasawa_compose(coords: IwasawaCoords) -> Sl2Matrix:
     )
 
 
-def iwasawa_frobenius_norm(coords: IwasawaCoords) -> float:
-    """Frobenius norm in the (u, v, theta) chart: sqrt((u^2 + v^2 + 1)/v).
-
-    Independent of theta, which makes it a useful cross-check on the
-    decomposition routines.
-    """
-    return math.sqrt((coords.u * coords.u + coords.v * coords.v + 1.0) / coords.v)
-
-
 def uvs_decompose(m: Sl2Matrix) -> UvsCoords:
     """Read off the (u, v, s) chart: u = a, v = c, s = (ab + cd)/(a^2 + c^2)."""
     denom = m.a * m.a + m.c * m.c
@@ -222,12 +208,6 @@ def uvs_compose(coords: UvsCoords) -> Sl2Matrix:
     u, v, s = coords.u, coords.v, coords.s
     denom = u * u + v * v
     return Sl2Matrix(u, u * s - v / denom, v, v * s + u / denom)
-
-
-def uvs_frobenius_norm(coords: UvsCoords) -> float:
-    """Norm in the (u, v, s) chart: sqrt((u^2+v^2)(1+s^2) + 1/(u^2+v^2))."""
-    r2 = coords.u * coords.u + coords.v * coords.v
-    return math.sqrt(r2 * (1.0 + coords.s * coords.s) + 1.0 / r2)
 
 
 # -- fundamental domain -----------------------------------------------

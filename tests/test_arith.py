@@ -11,7 +11,6 @@ from horolab.arith import (
     CongruenceData,
     divisor_count,
     divisor_counts,
-    dist_to_z,
     kloosterman,
     kloosterman_weil_bound,
     mod_inverse,
@@ -95,22 +94,6 @@ class TestXgcd:
         expected = [xgcd(int(x), int(y)) for x, y in zip(a, b)]
         assert got.tolist() == [list(e) for e in expected]
         assert xgcd_array(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))[0].size == 0
-
-
-class TestDistToZ:
-    def test_scalar(self):
-        assert dist_to_z(2.3) == pytest.approx(0.3)
-        assert dist_to_z(-0.5) == pytest.approx(0.5)
-        assert dist_to_z(7.0) == 0.0
-
-    def test_vector_is_euclidean(self):
-        assert dist_to_z([1.25, 3.75]) == pytest.approx(math.sqrt(2 * 0.25 ** 2))
-        assert dist_to_z([0.5, 0.5, 0.5, 0.5]) == pytest.approx(1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-1e6, 1e6), st.integers(-1000, 1000))
-    def test_periodicity(self, x, n):
-        assert dist_to_z(x + n) == pytest.approx(dist_to_z(x), abs=1e-7)
 
 
 class TestModInverse:

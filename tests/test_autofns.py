@@ -1,6 +1,7 @@
 """Periodized bump functions: values, spectra, orbits, averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ import scipy.integrate
 
 from conftest import random_integer_gamma, random_sl2
 from horolab.autofns import (
-    OrbitClass,
     PoincareTestFn,
-    classify_orbit,
     coefficient_support,
     covolume,
-    evaluate_at,
     evaluate_f,
     fourier_coefficient,
     fourier_coefficient_exact,
@@ -80,8 +78,9 @@ def random_congruence_gamma(rng, level, size=5):
 
 class TestConstruction:
     def test_rejects_tight_support(self):
-        with pytest.raises(DomainError):
-            PoincareTestFn(level=1, freq=((1, 0),), support_radius=math.sqrt(2.0))
+        for radius in (math.sqrt(2.0), math.inf, math.nan):
+            with pytest.raises(DomainError):
+                PoincareTestFn(level=1, freq=((1, 0),), support_radius=radius)
 
     def test_rejects_bad_level_and_freq(self):
         with pytest.raises(DomainError):
@@ -90,6 +89,8 @@ class TestConstruction:
             PoincareTestFn(level=1, freq=((1.5, 0),))
         with pytest.raises(DomainError):
             PoincareTestFn(level=1, freq=(1, 0))
+        with pytest.raises(DomainError):
+            PoincareTestFn(level=1, freq=((math.inf, 0),))
 
     def test_freq_is_coerced_and_k_derived(self):
         fn = PoincareTestFn(level=2, freq=np.array([[1, 2], [3, 4]]))
@@ -148,22 +149,24 @@ class TestEvaluate:
     def test_left_invariance_level_one(self, rng):
         fn = PoincareTestFn(level=1, freq=((1, 2),))
         g = GroupElement.from_torus_point(random_sl2(rng, scale=0.7), rng.uniform(0, 1, (1, 2)))
-        base = evaluate_at(fn, g)
+        base = evaluate_f(fn, g.matrix, g.torus_point())
         for _ in range(100):
             gamma = random_integer_gamma(rng, size=4)
             shift = rng.integers(-3, 4, size=(1, 2)).astype(float)
             moved = GroupElement(gamma, shift) * g
-            assert evaluate_at(fn, moved) == pytest.approx(base, abs=1e-9)
+            moved_value = evaluate_f(fn, moved.matrix, moved.torus_point())
+            assert moved_value == pytest.approx(base, abs=1e-9)
 
     def test_left_invariance_level_three(self, rng):
         fn = PoincareTestFn(level=3, freq=((0, 1),), support_radius=4.0)
         g = GroupElement.from_torus_point(random_sl2(rng, scale=0.7), rng.uniform(0, 1, (1, 2)))
-        base = evaluate_at(fn, g)
+        base = evaluate_f(fn, g.matrix, g.torus_point())
         for _ in range(30):
             gamma = random_congruence_gamma(rng, level=3)
             shift = rng.integers(-2, 3, size=(1, 2)).astype(float)
             moved = GroupElement(gamma, shift) * g
-            assert evaluate_at(fn, moved) == pytest.approx(base, abs=1e-9)
+            moved_value = evaluate_f(fn, moved.matrix, moved.torus_point())
+            assert moved_value == pytest.approx(base, abs=1e-9)
 
     def test_torus_shift_bit_identical(self, rng):
         fn = PoincareTestFn(level=1, freq=((3, 1),))
@@ -182,9 +185,19 @@ class TestEvaluate:
         )
 
     def test_huge_radius_trips_guard(self):
-        fn = PoincareTestFn(level=1, freq=((1, 0),), support_radius=1000.0)
-        with pytest.raises(ResourceGuardError):
-            evaluate_f(fn, Sl2Matrix.identity(), np.zeros((1, 2)))
+        # Radius 700 gives a ball of radius 990 at the identity, under the
+        # coset-ball cap of 1024: the guard here must refuse it before any
+        # enumeration allocates.
+        for radius in (700.0, 1000.0):
+            fn = PoincareTestFn(level=1, freq=((1, 0),), support_radius=radius)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceGuardError):
+                    evaluate_f(fn, Sl2Matrix.identity(), np.zeros((1, 2)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestFourier:
@@ -331,79 +344,3 @@ class TestHaarSampling:
             np.std(vals.imag) / math.sqrt(len(vals))
         )
         assert abs(np.mean(vals)) < 3.0 * se + 1e-12
-
-
-class TestOrbitClassification:
-    def test_zero_matrix(self):
-        out = classify_orbit(np.zeros((2, 2)))
-        assert out.rank == 0
-        assert np.array_equal(out.canonical, np.zeros((2, 2), dtype=np.int64))
-        assert np.array_equal(out.transform, np.eye(2, dtype=np.int64))
-
-    def test_single_row_collapses_left(self):
-        out = classify_orbit(np.array([[3, 6]]))
-        assert out.rank == 1
-        assert np.array_equal(out.canonical, np.array([[3, 0]]))
-
-    def test_negated_row_lands_on_same_representative(self):
-        assert np.array_equal(
-            classify_orbit(np.array([[-3, -6]])).canonical,
-            classify_orbit(np.array([[3, 6]])).canonical,
-        )
-
-    def test_identity_block_is_fixed(self):
-        out = classify_orbit(np.eye(2))
-        assert out.rank == 2
-        assert np.array_equal(out.canonical, np.eye(2, dtype=np.int64))
-        assert np.array_equal(out.transform, np.eye(2, dtype=np.int64))
-
-    def test_diagonal_block_is_fixed(self):
-        out = classify_orbit(np.array([[2, 0], [0, 3]]))
-        assert np.array_equal(out.canonical, np.array([[2, 0], [0, 3]]))
-
-    def test_transform_certifies_the_orbit(self, rng):
-        for _ in range(25):
-            k = int(rng.integers(1, 4))
-            m = rng.integers(-9, 10, size=(k, 2))
-            out = classify_orbit(m)
-            assert np.array_equal(m @ out.transform, out.canonical)
-            t = out.transform
-            assert t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0] == 1
-
-    def test_representative_is_orbit_invariant(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(1, 4))
-            m = rng.integers(-6, 7, size=(k, 2))
-            base = classify_orbit(m)
-            gamma = random_integer_gamma(rng, size=4)
-            moved = np.round(m @ gamma.as_array()).astype(np.int64)
-            out = classify_orbit(moved)
-            assert out.rank == base.rank
-            assert np.array_equal(out.canonical, base.canonical)
-
-    def test_echelon_shape_of_full_rank_output(self, rng):
-        seen = 0
-        while seen < 20:
-            m = rng.integers(-8, 9, size=(3, 2))
-            out = classify_orbit(m)
-            if out.rank != 2:
-                continue
-            seen += 1
-            left, right = out.canonical[:, 0], out.canonical[:, 1]
-            l1 = int(np.argmax(left != 0))
-            l2 = int(np.argmax(right != 0))
-            assert np.all(left[:l1] == 0) and left[l1] > 0
-            assert np.all(right[:l2] == 0) and l1 < l2
-            assert 0 <= left[l2] < abs(right[l2])
-
-    def test_idempotent_on_canonical_forms(self, rng):
-        for _ in range(20):
-            m = rng.integers(-9, 10, size=(2, 2))
-            canon = classify_orbit(m).canonical
-            again = classify_orbit(canon)
-            assert np.array_equal(again.canonical, canon)
-            assert np.array_equal(again.transform, np.eye(2, dtype=np.int64))
-
-    def test_rejects_non_integer_input(self):
-        with pytest.raises(DomainError):
-            classify_orbit(np.array([[0.5, 1.0]]))

@@ -101,12 +101,19 @@ class TestCosetSpec:
         with pytest.raises(DomainError):
             CosetSpec(0, (1, 0, 0, 1))
         assert CosetSpec.principal(5).rep == (1, 0, 0, 1)
+        for N in (2.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                CosetSpec(N, (1, 0, 0, 1))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                CosetSpec(2, (bad, 0, 0, 1))
 
 
 class TestWeightFn:
     def test_halfwidth_floor(self):
-        with pytest.raises(DomainError):
-            WeightFn(0.5)
+        for B in (0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                WeightFn(B)
 
     def test_product_structure(self):
         w = WeightFn(2.0)

@@ -19,7 +19,6 @@ from horolab.orbitlab import (
     horocycle_main_term,
     lattice_window_average,
     long_orbit_average,
-    orbit_height,
     orbit_split,
     partition_identity,
     smeared_average,
@@ -230,12 +229,14 @@ class TestLatticeRoute:
             assert abs(slow - fast) < 1e-6 * max(1.0, abs(slow))
 
     def test_agrees_at_level_two(self, rng):
-        fn = PoincareTestFn(level=2, freq=((1, 1),))
-        m = random_sl2(rng, scale=0.7)
-        el = GroupElement.from_torus_point(m, np.array([[0.25, 0.125]]))
-        slow = translate_integral(fn, el, 0.2, window)
-        fast = lattice_window_average(fn, el, 0.2, window, (-1.0, 1.0))
-        assert abs(slow - fast) < 1e-6
+        # Levels 3 and 4 also check the completion anchor, as -1 is not 1 mod the level.
+        for level, radius in ((2, 3.0), (3, 4.0), (4, 4.0)):
+            fn = PoincareTestFn(level=level, freq=((1, 1),), support_radius=radius)
+            m = random_sl2(rng, scale=0.7)
+            el = GroupElement.from_torus_point(m, np.array([[0.25, 0.125]]))
+            slow = translate_integral(fn, el, 0.2, window)
+            fast = lattice_window_average(fn, el, 0.2, window, (-1.0, 1.0))
+            assert abs(slow - fast) < 1e-6
 
     def test_agrees_with_two_blocks(self, rng):
         fn = PoincareTestFn(level=1, freq=((1, 0), (0, 2)))
@@ -400,23 +401,20 @@ class TestEquidistError:
         params = MajorantParams(k=1, m=3.0, q_max=10)
         m = random_sl2(rng, scale=0.6)
         el = GroupElement.from_torus_point(m, rng.uniform(0, 1, (1, 2)))
-        slow = equidist_error(fn, el, 0.2, window, params, route="pointwise")
-        fast = equidist_error(fn, el, 0.2, window, params, route="lattice")
-        assert abs(slow.average - fast.average) < 1e-6
-        assert slow.bound == fast.bound
+        slow = equidist_error(fn, el, 0.2, window, params)
+        fast = lattice_window_average(fn, el, 0.2, window, (-1.0, 1.0))
+        assert abs(slow.average - fast) < 1e-6
         assert 0.0 < slow.ratio < math.inf
 
     def test_auto_route_switches_by_height(self):
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         params = MajorantParams(k=1, m=3.0, q_max=10)
         el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        assert (
-            equidist_error(fn, el, 0.2, window, params, route="auto").average
-            == equidist_error(fn, el, 0.2, window, params, route="pointwise").average
+        assert equidist_error(fn, el, 0.2, window, params).average == translate_integral(
+            fn, el, 0.2, window
         )
-        assert (
-            equidist_error(fn, el, 0.02, window, params, route="auto").average
-            == equidist_error(fn, el, 0.02, window, params, route="lattice").average
+        assert equidist_error(fn, el, 0.02, window, params).average == lattice_window_average(
+            fn, el, 0.02, window, (-1.0, 1.0)
         )
 
     def test_resonant_torus_point_keeps_finite_ratio(self):
@@ -464,13 +462,14 @@ class TestMainTerm:
 class TestOrbitHeight:
     def test_pure_dilation_orbit(self):
         for T in (1.0, 5.0, 400.0):
-            assert orbit_height(Sl2Matrix.identity(), T) == pytest.approx(1.0)
+            assert cuspidal_height(Sl2Matrix.dilation(T)) / T == pytest.approx(1.0)
 
     def test_floor_bound(self, rng):
         for _ in range(50):
             m = random_sl2(rng, scale=1.5)
             T = float(rng.uniform(1.0, 200.0))
-            assert orbit_height(m, T) >= math.sqrt(3.0) / (2.0 * T) * (1.0 - 1e-12)
+            height = cuspidal_height(m @ Sl2Matrix.dilation(T)) / T
+            assert height >= math.sqrt(3.0) / (2.0 * T) * (1.0 - 1e-12)
 
     def test_comparable_to_inverse_gap_square(self, rng):
         for _ in range(20):
@@ -478,7 +477,7 @@ class TestOrbitHeight:
             el = GroupElement.from_torus_point(m, rng.uniform(0, 1, (1, 2)))
             for T in (2.0, 10.0, 100.0):
                 s0 = grid_gap(el, [0], T).value
-                prod = orbit_height(m, T) * s0 * s0
+                prod = cuspidal_height(m @ Sl2Matrix.dilation(T)) / T * s0 * s0
                 assert 1.0 / 16.0 <= prod <= 16.0
 
 

@@ -13,11 +13,9 @@ from horolab.sl2core import (
     cuspidal_height,
     iwasawa_compose,
     iwasawa_decompose,
-    iwasawa_frobenius_norm,
     reduce_fundamental,
     uvs_compose,
     uvs_decompose,
-    uvs_frobenius_norm,
 )
 
 from conftest import random_integer_gamma, random_sl2
@@ -83,11 +81,15 @@ class TestIwasawaChart:
         assert co.v == pytest.approx(0.25, abs=1e-12)
         assert co.theta == pytest.approx(2.0, abs=1e-12)
 
-    def test_norm_formula(self):
+    def test_norm_formula(self, rng):
+        # |M|_F = sqrt((u^2 + v^2 + 1) / v), whatever the angle.
         co = IwasawaCoords(1.0, 2.0, 0.7)
-        assert iwasawa_frobenius_norm(co) == pytest.approx(math.sqrt(3.0))
-        m = iwasawa_compose(co)
-        assert m.frobenius_norm() == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert iwasawa_compose(co).frobenius_norm() == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        for _ in range(50):
+            m = random_sl2(rng)
+            co = iwasawa_decompose(m)
+            closed = math.sqrt((co.u * co.u + co.v * co.v + 1.0) / co.v)
+            assert closed == pytest.approx(m.frobenius_norm(), rel=1e-12)
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(DomainError):
@@ -145,11 +147,13 @@ class TestUvsChart:
         assert co.s == pytest.approx(s, abs=1e-12, rel=1e-12)
 
     def test_norm_formula(self, rng):
+        # |M|_F = sqrt((u^2 + v^2)(1 + s^2) + 1 / (u^2 + v^2)).
         for _ in range(50):
             m = random_sl2(rng)
-            assert uvs_frobenius_norm(uvs_decompose(m)) == pytest.approx(
-                m.frobenius_norm(), rel=1e-12
-            )
+            co = uvs_decompose(m)
+            r2 = co.u * co.u + co.v * co.v
+            closed = math.sqrt(r2 * (1.0 + co.s * co.s) + 1.0 / r2)
+            assert closed == pytest.approx(m.frobenius_norm(), rel=1e-12)
 
 
 class TestReduction:
