@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from horolab.arith import (
     SIEVE_CAP,
