@@ -157,13 +157,11 @@ _CONVERT: dict[str, Callable[[str], object]] = {
     "B": _float, "X": _floats, "n": _int, "v": _ints, "level": _int,
     "freq": _ints, "route": str, "seed": _int, "format": str,
 }
-# per-flag conversion quirks: kloosterman's m is an integer twist, and its
-# q flag is a schedule of moduli rather than a projection vector
+# per-flag conversion quirks: kloosterman's m is an integer twist, and lfd's
+# alpha is a single number
 _CONVERT_BY_COMMAND = {
     ("kloosterman", "m"): _int,
-    ("kloosterman", "q"): _ints,
     ("lfd", "alpha"): _float,
-    ("expsum", "N"): _int,
 }
 
 

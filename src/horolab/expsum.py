@@ -22,6 +22,7 @@ import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +33,11 @@ from .smoothfns import bump6
 
 #: Largest ball radius enumerated (6.3 million matrices); the scripts go up to 800.
 BALL_RADIUS_CAP = 1024.0
-#: Bytes of balls kept; a cancellation report up to X = 200 reuses its four (41 MB).
+#: Bytes of balls kept; a cancellation report up to X = 200 reuses its four (20 MB).
 BALL_CACHE_BYTES = 64 << 20
-#: Candidate first rows per enumeration block, and rows per weight block; bounds temporaries.
-_BLOCK_ROWS = 1 << 16
+#: Candidate first rows per enumeration block, and ball rows per weight block; at 1 << 16
+#: the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
+_BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 
 
@@ -129,7 +131,8 @@ def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     r11, r12, r21, r22 = spec.rep
     axis = np.arange(-amax, amax + 1, dtype=np.int64)
     a_step = max(1, _BLOCK_ROWS // len(axis))
-    chunks = [np.zeros((0, 4), dtype=np.int64)]
+    # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
+    chunks = [np.zeros((0, 4), dtype=np.int32)]
     for a0 in range(0, len(axis), a_step):
         # Candidate first rows of this block, a ascending, then b ascending.
         a = np.repeat(axis[a0 : a0 + a_step], len(axis))
@@ -164,7 +167,7 @@ def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
         keep = (cs * cs + ds * ds) <= budget[row]
         if N > 1:
             keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
-        chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1))
+        chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1).astype(np.int32))
     out = np.concatenate(chunks, axis=0).reshape(-1, 2, 2)
     out.setflags(write=False)
     return out
@@ -175,7 +178,7 @@ _coset_ball_cached = _BallCache(_coset_ball, BALL_CACHE_BYTES)
 
 def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     """All coset matrices with Frobenius norm at most rho, as an (n, 2, 2)
-    integer array in (first row, then completion parameter) order."""
+    int32 array in (first row, then completion parameter) order."""
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
     if rho > BALL_RADIUS_CAP:
@@ -198,15 +201,15 @@ def weighted_expsum_lhs(
     if alpha_arr.shape != (4,):
         raise DomainError("twist alpha must be a 4-vector")
     mats = enumerate_coset_ball(spec, 2.0 * weight.B * X).reshape(-1, 4)
-    flat = mats[np.max(np.abs(mats), axis=1) <= weight.B * X].astype(float)
-    if len(flat) == 0:
-        return 0j
-    # The weight acts row by row: row blocks give the same floats, with small temporaries.
-    blocks = range(0, len(flat), _BLOCK_ROWS)
-    w = np.concatenate([weight(flat[i : i + _BLOCK_ROWS] / X) for i in blocks])
-    phase = flat @ alpha_arr
-    vals = w * np.exp(2j * np.pi * phase)
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    # Terms are computed row by row, so ball blocks give the floats of one pass.
+    parts = []
+    for i in range(0, len(mats), _BLOCK_ROWS):
+        block = mats[i : i + _BLOCK_ROWS]
+        flat = block[np.max(np.abs(block), axis=1) <= weight.B * X].astype(float)
+        parts.append(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
+    re = math.fsum(chain.from_iterable(v.real.tolist() for v in parts))
+    im = math.fsum(chain.from_iterable(v.imag.tolist() for v in parts))
+    return complex(re, im)
 
 
 def expsum_rhs(X: float, alpha: Sequence[float]) -> float:

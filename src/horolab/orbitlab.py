@@ -8,7 +8,10 @@ swap that enumerates the finitely many contributing translates, and for
 long expanding orbits a partition-of-unity split into bounded windows.
 Mutual agreement of the routes is the main correctness check.
 
-Window callables are evaluated on arrays of nodes and must vectorize.
+Every lattice average goes through one kernel over a stack of windows.  A
+window's value is the ``math.fsum`` of its own translate terms, so it is the
+same float alone, in any batch and at any block size.  Window callables take
+arrays of nodes (the kernel's also the owning window of each node row).
 """
 
 from __future__ import annotations
@@ -25,13 +28,18 @@ from .autofns import PoincareTestFn, evaluate_f, kernel_profile, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
-from .sl2core import Sl2Matrix, cuspidal_height, reduce_fundamental
+from .sl2core import Sl2Matrix, reduce_fundamental
 from .smoothfns import bump6_normalized
 
 # Above this many translate candidates a single average would stall or
 # exhaust memory; callers see the guard instead of a silent truncation.
 CANDIDATE_CAP = 3_000_000
-_CHUNK = 65536
+#: Panels of the pointwise orbit route: ~3.3 ms each on 2 cores, so ~20 s at the cap.
+POINTWISE_PANEL_CAP = 6_000
+#: Translate rows integrated at a time; bounds the (rows, 24) node temporaries.
+_BLOCK_ROWS = 8192
+#: Bottom-row columns enumerated at a time across a batch of windows.
+_GROUP_COLUMNS = 1 << 15
 _CEILING_SLACK = 1e-9
 _PAD = 1.0 + 1e-12
 
@@ -73,6 +81,21 @@ def _positive_row(m: Sl2Matrix) -> Sl2Matrix:
     return m
 
 
+def _split_nodes(reduced: Sl2Matrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`orbit_split` of a reduced positive-row matrix at an array of positions:
+    the scales, the integer shifts (as floats) and the (n, 2, 2) cores."""
+    a, b, c, d = reduced.a, reduced.b, reduced.c, reduced.d
+    denom = c * z + d
+    if np.any(np.abs(denom) < 1e-12 * (abs(c) * np.abs(z) + abs(d) + 1.0)):
+        raise DomainError("horocycle position sits at the pole of the reduced row")
+    ratio = (a * z + b) / denom
+    shift = np.floor(ratio)
+    shift += ratio - shift > 1.0 - _CEILING_SLACK
+    mag = np.abs(denom)
+    core = [(a - shift * c) * mag, (a * z + b - shift * denom) / mag, c * mag, np.sign(denom)]
+    return 1.0 / (denom * denom), shift, np.stack(core, axis=-1).reshape(-1, 2, 2)
+
+
 def orbit_split(matrix: Sl2Matrix, T: float, z: float) -> SplitData:
     """Split the time-T orbit of ``matrix`` at horocycle position z.
 
@@ -85,25 +108,9 @@ def orbit_split(matrix: Sl2Matrix, T: float, z: float) -> SplitData:
         raise DomainError("orbit time must be positive and finite")
     if not math.isfinite(z):
         raise DomainError("horocycle position must be finite")
-    _, reduced = reduce_fundamental(matrix @ Sl2Matrix.dilation(T))
-    reduced = _positive_row(reduced)
-    a, b, c, d = reduced.a, reduced.b, reduced.c, reduced.d
-    denom = c * z + d
-    if abs(denom) < 1e-12 * (abs(c) * abs(z) + abs(d) + 1.0):
-        raise DomainError("horocycle position sits at the pole of the reduced row")
-    scale = 1.0 / (denom * denom)
-    ratio = (a * z + b) / denom
-    shift = math.floor(ratio)
-    if ratio - shift > 1.0 - _CEILING_SLACK:
-        shift += 1
-    mag, sign = abs(denom), math.copysign(1.0, denom)
-    core = Sl2Matrix(
-        (a - shift * c) * mag,
-        (a * z + b - shift * denom) / mag,
-        c * mag,
-        sign,
-    )
-    return SplitData(scale, int(shift), core, reduced)
+    reduced = _positive_row(reduce_fundamental(matrix @ Sl2Matrix.dilation(T))[1])
+    scale, shift, core = _split_nodes(reduced, np.array([float(z)]))
+    return SplitData(float(scale[0]), int(shift[0]), Sl2Matrix(*core[0].ravel().tolist()), reduced)
 
 
 def partition_identity(
@@ -179,6 +186,169 @@ def translate_integral(
     raise ConvergenceError("translated integral did not stabilize under window doubling")
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and offset of each row when row i expands into counts[i] rows."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _guard(win: np.ndarray, counts: np.ndarray, n_win: int, what: str) -> None:
+    # Per window, so a window trips the guard in a batch exactly when it does alone.
+    per_window = np.bincount(win, weights=counts, minlength=n_win)
+    if np.any(per_window > CANDIDATE_CAP):
+        raise ResourceGuardError(f"{per_window.max():.0f} {what} exceed the enumeration budget")
+
+
+def _lattice_batch(
+    fn: PoincareTestFn,
+    mats: np.ndarray,
+    xis: np.ndarray,
+    ys: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    window: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    max_panel: float | None = None,
+) -> np.ndarray:
+    """Lattice route for W windows: base matrices (W, 2, 2), torus points
+    (W, k, 2), heights and support ends (W,), checked by the callers.  Each
+    translate row carries its window index ``win``; the integration calls
+    ``window(xs, win)`` on node rows.  Returns the (W,) window values."""
+    n_win, level = ys.size, fn.level
+    rho_sq = fn.support_radius * fn.support_radius
+    root_y = np.sqrt(ys)
+    p_max = fn.support_radius / root_y
+    slab = fn.support_radius * root_y
+    s_cap = slab + p_max * np.maximum(np.abs(los), np.abs(his))
+    w_max = np.hypot(p_max, s_cap)
+    m00, m01, m10, m11 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    # Rows of the inverse bound the integer coordinates; compared as floats,
+    # since an int64 cast of an astronomical bound wraps without an error.
+    bound1 = np.floor(w_max * np.hypot(m11, m10)) + 1.0
+    bound2 = np.floor(w_max * np.hypot(m01, m00)) + 1.0
+    if not np.all(2.0 * bound2 + 1.0 <= CANDIDATE_CAP):
+        raise ResourceGuardError(f"{2 * bound2.max() + 1:.6g} bottom-row columns exceed the budget")
+    # Windows whose scans start in one block of columns form a group, to bound memory.
+    cols = 2.0 * bound2 + 1.0
+    group = (np.cumsum(cols) - cols) // _GROUP_COLUMNS
+    if np.any(group):
+        cut = np.flatnonzero(np.diff(group, prepend=-1.0)).tolist() + [n_win]
+        return np.concatenate([
+            _lattice_batch(fn, mats[i:j], xis[i:j], ys[i:j], los[i:j], his[i:j],
+                           lambda xs, win, i=i: window(xs, win + i), max_panel)
+            for i, j in zip(cut, cut[1:])
+        ])
+    win, offset = _ragged(cols.astype(np.int64))
+    n2 = offset - bound2.astype(np.int64)[win]
+    keep = n2 % level == 1 % level
+    win, n2 = win[keep], n2[keep]
+
+    # Per-column interval for the first integer coordinate, taken from the
+    # better conditioned of the two linear forms; the other form is applied
+    # as an exact filter afterwards.
+    use_q = np.abs(m00) >= np.abs(m01)
+    a_star = np.where(use_q, m00, m01)[win]
+    b_star = np.where(use_q, m10, m11)[win]
+    cap_star = (np.where(use_q, p_max, s_cap) * _PAD)[win]
+    edges = ([[-1.0], [1.0]] * cap_star - n2 * b_star) / a_star
+    n1_lo = np.maximum(edges.min(axis=0), -bound1[win] - 0.5)
+    n1_hi = np.minimum(edges.max(axis=0), bound1[win] + 0.5)
+    k_lo = np.ceil(n1_lo / level)
+    counts = np.maximum(0.0, np.floor(n1_hi / level) - k_lo + 1.0)
+    _guard(win, counts, n_win, "bottom-row candidates")
+    own, offset = _ragged(counts.astype(np.int64))
+    n1 = level * (k_lo[own].astype(np.int64) + offset)
+    n2, win = n2[own], win[own]
+
+    keep = np.gcd(np.abs(n1), np.abs(n2)) == 1
+    n1, n2, win = n1[keep], n2[keep], win[keep]
+    q = n1 * m00[win] + n2 * m10[win]
+    s = n1 * m01[win] + n2 * m11[win]
+    left_val, right_val = q * los[win] + s, q * his[win] + s
+    min_abs = np.where(
+        left_val * right_val <= 0.0, 0.0, np.minimum(np.abs(left_val), np.abs(right_val))
+    )
+    keep = (np.abs(q) <= p_max[win] * _PAD) & (min_abs <= slab[win] * _PAD)
+    n1, n2, q, s, win = n1[keep], n2[keep], q[keep], s[keep], win[keep]
+
+    g, x_co, y_co = xgcd_array(n2, n1)  # g = +-1 on primitive rows
+    alpha0, beta0 = g * x_co, -g * y_co
+    t_anchor = (-beta0) % level
+    p0 = alpha0 * m00[win] + beta0 * m10[win]
+    r0 = alpha0 * m01[win] + beta0 * m11[win]
+
+    row_eps = (1e-9 * (1.0 + np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)))[win]
+    p_pad, s_pad, big = (p_max * _PAD)[win], (s_cap * _PAD)[win], 1e18
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_q = np.where(np.abs(q) > row_eps, [(-p_pad - p0) / q, (p_pad - p0) / q], [[-big], [big]])
+        t_s = np.where(np.abs(s) > row_eps, [(-s_pad - r0) / s, (s_pad - r0) / s], [[-big], [big]])
+    t_lo = np.maximum(t_q.min(axis=0), t_s.min(axis=0))
+    t_hi = np.minimum(t_q.max(axis=0), t_s.max(axis=0))
+    if np.any((t_lo <= -big) & (t_hi >= big)):
+        raise ResourceGuardError("degenerate base rows leave the completion range unbounded")
+    t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
+    counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
+    counts[t_hi < t_lo] = 0.0
+    _guard(win, counts, n_win, "translate candidates")
+
+    own, offset = _ragged(counts.astype(np.int64))
+    t = t_start[own].astype(np.int64) + level * offset
+    n1, n2, q, s, win = n1[own], n2[own], q[own], s[own], win[own]
+    alpha = alpha0[own] + t * n1
+    beta = beta0[own] + t * n2
+    p = p0[own] + t * q
+    r = r0[own] + t * s
+
+    # c[w, i, j] pairs column i of the reduced torus point with frequency column j.
+    c = np.swapaxes(xis - np.floor(xis), 1, 2) @ fn.freq_array.astype(float)
+    phase = c[win, 0, 0] * n2 - c[win, 0, 1] * beta - c[win, 1, 0] * n1 + c[win, 1, 1] * alpha
+
+    # Exact interval on which this translate's kernel term can be nonzero.
+    y = ys[win]
+    a2 = p * p + q * q
+    budget = y * (rho_sq - y * a2)
+    bb = p * r + q * s
+    cc = r * r + s * s - budget
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = bb * bb - a2 * cc
+        ok = (budget > 0.0) & (disc > 0.0)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        x_lo = np.maximum((-bb - root) / a2, los[win])
+        x_hi = np.minimum((-bb + root) / a2, his[win])
+    ok &= x_hi > x_lo
+    phase, p, r, q, s, a2, x_lo, x_hi, win = (
+        v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
+    )
+
+    if max_panel is not None:
+        spans = x_hi - x_lo
+        pieces = np.maximum(1.0, np.ceil(spans / max_panel))
+        _guard(win, pieces, n_win, "quadrature panels")
+        own, frac = _ragged(pieces.astype(np.int64))
+        widths = (spans / pieces)[own]
+        phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
+        x_lo = x_lo[own] + frac * widths
+        x_hi = x_lo + widths
+
+    nodes, wts = _rule(24)
+    terms = np.empty(p.size, dtype=complex)
+    for start in range(0, p.size, _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
+        mid = 0.5 * (x_lo[sl] + x_hi[sl])[:, None]
+        half = 0.5 * (x_hi[sl] - x_lo[sl])[:, None]
+        xs = mid + half * nodes[None, :]
+        y = ys[win[sl]][:, None]
+        top = p[sl][:, None] * xs + r[sl][:, None]
+        bot = q[sl][:, None] * xs + s[sl][:, None]
+        norm_sq = y * a2[sl][:, None] + (top * top + bot * bot) / y
+        vals = kernel_profile(fn, norm_sq) * window(xs, win[sl])
+        ints = half[:, 0] * np.sum(vals * wts, axis=1)
+        terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
+    # Rows come out grouped by window, in window order.
+    cut = np.searchsorted(win, np.arange(n_win + 1)).tolist()
+    re, im = terms.real.tolist(), terms.imag.tolist()
+    return np.array([complex(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in zip(cut, cut[1:])])
+
+
 def lattice_window_average(
     fn: PoincareTestFn,
     element: GroupElement,
@@ -198,6 +368,10 @@ def lattice_window_average(
     interval with one 24-point Gauss-Legendre panel.  Windows with features
     much shorter than those intervals need ``max_panel`` to cap the length
     each rule is asked to cover.
+
+    Each translate's term is computed on its own row and the terms are added
+    by ``math.fsum`` (real and imaginary parts apart), so the value does not
+    depend on the integration block size or on the other windows of a batch.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -206,182 +380,12 @@ def lattice_window_average(
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise DomainError("support interval must be increasing")
-    level = fn.level
-    rho_sq = fn.support_radius * fn.support_radius
-    root_y = math.sqrt(y)
-    p_max = fn.support_radius / root_y
-    slab = fn.support_radius * root_y
-    b_max = max(abs(lo), abs(hi))
-    s_cap = slab + p_max * b_max
-    w_max = math.hypot(p_max, s_cap)
-    m_arr = element.matrix.as_array()
-    m_inv = element.matrix.inverse().as_array()
-    xi = element.torus_point()
-    xi = xi - np.floor(xi)
-
-    bound1 = int(w_max * math.hypot(m_inv[0, 0], m_inv[1, 0])) + 1
-    bound2 = int(w_max * math.hypot(m_inv[0, 1], m_inv[1, 1])) + 1
-    if 2 * bound2 + 1 > CANDIDATE_CAP:
-        raise ResourceGuardError(
-            f"bottom-row scan over {2 * bound2 + 1} columns exceeds the enumeration budget"
-        )
-    n2s = np.arange(-bound2, bound2 + 1, dtype=np.int64)
-    if level > 1:
-        n2s = n2s[n2s % level == 1 % level]
-    if n2s.size == 0:
-        return 0.0 + 0.0j
-
-    # Per-column interval for the first integer coordinate, taken from the
-    # better conditioned of the two linear forms; the other form is applied
-    # as an exact filter afterwards.
-    use_q = abs(m_arr[0, 0]) >= abs(m_arr[0, 1])
-    a_star = m_arr[0, 0] if use_q else m_arr[0, 1]
-    b_star = m_arr[1, 0] if use_q else m_arr[1, 1]
-    cap_star = (p_max if use_q else s_cap) * _PAD
-    edge1 = (-cap_star - n2s * b_star) / a_star
-    edge2 = (cap_star - n2s * b_star) / a_star
-    n1_lo = np.maximum(np.minimum(edge1, edge2), -bound1 - 0.5)
-    n1_hi = np.minimum(np.maximum(edge1, edge2), bound1 + 0.5)
-    k_lo = np.ceil(n1_lo / level).astype(np.int64)
-    k_hi = np.floor(n1_hi / level).astype(np.int64)
-    counts = np.maximum(0, k_hi - k_lo + 1)
-    total = int(np.sum(counts))
-    if total > CANDIDATE_CAP:
-        raise ResourceGuardError(f"{total} bottom-row candidates exceed the enumeration budget")
-    if total == 0:
-        return 0.0 + 0.0j
-    keep_cols = counts > 0
-    n2s, k_lo, counts = n2s[keep_cols], k_lo[keep_cols], counts[keep_cols]
-    col_idx = np.repeat(np.arange(n2s.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    n1 = level * (k_lo[col_idx] + offsets)
-    n2 = n2s[col_idx]
-
-    keep = (n1 != 0) | (n2 != 0)
-    n1, n2 = n1[keep], n2[keep]
-    keep = np.gcd(np.abs(n1), np.abs(n2)) == 1
-    n1, n2 = n1[keep], n2[keep]
-    if n1.size == 0:
-        return 0.0 + 0.0j
-    q = n1 * m_arr[0, 0] + n2 * m_arr[1, 0]
-    s = n1 * m_arr[0, 1] + n2 * m_arr[1, 1]
-    left_val, right_val = q * lo + s, q * hi + s
-    min_abs = np.where(
-        left_val * right_val <= 0.0, 0.0, np.minimum(np.abs(left_val), np.abs(right_val))
-    )
-    keep = (np.abs(q) <= p_max * _PAD) & (min_abs <= slab * _PAD)
-    n1, n2, q, s = n1[keep], n2[keep], q[keep], s[keep]
-    if n1.size == 0:
-        return 0.0 + 0.0j
-
-    g, x_co, y_co = xgcd_array(n2, n1)  # g = +-1 on primitive rows
-    alpha0, beta0 = g * x_co, -g * y_co
-    t_anchor = (-beta0) % level
-    p0 = alpha0 * m_arr[0, 0] + beta0 * m_arr[1, 0]
-    r0 = alpha0 * m_arr[0, 1] + beta0 * m_arr[1, 1]
-
-    row_eps = 1e-9 * (1.0 + element.matrix.frobenius_norm())
-    big = 1e18
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_q_lo = np.where(np.abs(q) > row_eps, (-p_max * _PAD - p0) / q, -big)
-        t_q_hi = np.where(np.abs(q) > row_eps, (p_max * _PAD - p0) / q, big)
-        q_win_lo = np.minimum(t_q_lo, t_q_hi)
-        q_win_hi = np.maximum(t_q_lo, t_q_hi)
-        t_s_lo = np.where(np.abs(s) > row_eps, (-s_cap * _PAD - r0) / s, -big)
-        t_s_hi = np.where(np.abs(s) > row_eps, (s_cap * _PAD - r0) / s, big)
-        s_win_lo = np.minimum(t_s_lo, t_s_hi)
-        s_win_hi = np.maximum(t_s_lo, t_s_hi)
-    t_lo = np.maximum(q_win_lo, s_win_lo)
-    t_hi = np.minimum(q_win_hi, s_win_hi)
-    if np.any((t_lo <= -big) & (t_hi >= big)):
-        raise ResourceGuardError("degenerate base rows leave the completion range unbounded")
-    t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
-    counts = np.maximum(0, (np.floor((t_hi - t_start) / level) + 1.0).astype(np.int64))
-    counts[t_hi < t_lo] = 0
-    total_rows = int(np.sum(counts))
-    if total_rows > CANDIDATE_CAP:
-        raise ResourceGuardError(f"{total_rows} translate candidates exceed the enumeration budget")
-    if total_rows == 0:
-        return 0.0 + 0.0j
-
-    nz = counts > 0
-    n1, n2, q, s = n1[nz], n2[nz], q[nz], s[nz]
-    alpha0, beta0, p0, r0 = alpha0[nz], beta0[nz], p0[nz], r0[nz]
-    t_start, counts = t_start[nz].astype(np.int64), counts[nz]
-
-    row_idx = np.repeat(np.arange(n1.size), counts)
-    offsets = np.arange(total_rows) - np.repeat(np.cumsum(counts) - counts, counts)
-    t = t_start[row_idx] + level * offsets
-
-    alpha = alpha0[row_idx] + t * n1[row_idx]
-    beta = beta0[row_idx] + t * n2[row_idx]
-    gam = n1[row_idx]
-    delta = n2[row_idx]
-    p = p0[row_idx] + t * q[row_idx]
-    r = r0[row_idx] + t * s[row_idx]
-    qq = q[row_idx]
-    ss = s[row_idx]
-
-    # Exact interval on which this translate's kernel term can be nonzero.
-    a2 = p * p + qq * qq
-    budget = y * (rho_sq - y * a2)
-    bb = p * r + qq * ss
-    cc = r * r + ss * ss - budget
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = bb * bb - a2 * cc
-        ok = (budget > 0.0) & (disc > 0.0)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        x_lo = np.maximum((-bb - root) / a2, lo)
-        x_hi = np.minimum((-bb + root) / a2, hi)
-    ok &= x_hi > x_lo
-    if not np.any(ok):
-        return 0.0 + 0.0j
-    alpha, beta, gam, delta = alpha[ok], beta[ok], gam[ok], delta[ok]
-    p, r, qq, ss, a2 = p[ok], r[ok], qq[ok], ss[ok], a2[ok]
-    x_lo, x_hi = x_lo[ok], x_hi[ok]
-
-    if max_panel is not None:
-        if not (max_panel > 0.0 and math.isfinite(max_panel)):
-            raise DomainError("panel cap must be positive and finite")
-        spans = x_hi - x_lo
-        pieces = np.maximum(1, np.ceil(spans / max_panel)).astype(np.int64)
-        total_p = int(np.sum(pieces))
-        if total_p > CANDIDATE_CAP:
-            raise ResourceGuardError(f"{total_p} quadrature panels exceed the enumeration budget")
-        rep = np.repeat(np.arange(pieces.size), pieces)
-        frac = (np.arange(total_p) - np.repeat(np.cumsum(pieces) - pieces, pieces)).astype(float)
-        widths = (spans / pieces)[rep]
-        alpha, beta, gam, delta = alpha[rep], beta[rep], gam[rep], delta[rep]
-        p, r, qq, ss, a2 = p[rep], r[rep], qq[rep], ss[rep], a2[rep]
-        x_lo = x_lo[rep] + frac * widths
-        x_hi = x_lo + widths
-
-    m0 = fn.freq_array.astype(float)
-    c_delta = float(np.dot(m0[:, 0], xi[:, 0]))
-    c_beta = float(np.dot(m0[:, 1], xi[:, 0]))
-    c_gamma = float(np.dot(m0[:, 0], xi[:, 1]))
-    c_alpha = float(np.dot(m0[:, 1], xi[:, 1]))
-
-    nodes, wts = _rule(24)
-    acc = 0.0 + 0.0j
-    for start in range(0, p.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        mid = 0.5 * (x_lo[sl] + x_hi[sl])[:, None]
-        half = 0.5 * (x_hi[sl] - x_lo[sl])[:, None]
-        xs = mid + half * nodes[None, :]
-        top = p[sl][:, None] * xs + r[sl][:, None]
-        bot = qq[sl][:, None] * xs + ss[sl][:, None]
-        norm_sq = (y * a2[sl])[:, None] + (top * top + bot * bot) / y
-        vals = kernel_profile(fn, norm_sq) * window(xs)
-        ints = half[:, 0] * (vals @ wts)
-        phase = (
-            c_delta * delta[sl]
-            - c_beta * beta[sl]
-            - c_gamma * gam[sl]
-            + c_alpha * alpha[sl]
-        )
-        acc += np.sum(ints * np.exp(2j * np.pi * phase))
-    return complex(acc)
+    if max_panel is not None and not (max_panel > 0.0 and math.isfinite(max_panel)):
+        raise DomainError("panel cap must be positive and finite")
+    mats, xis = element.matrix.as_array()[None], element.torus_point()[None]
+    ys, los, his = np.array([[y], [lo], [hi]], dtype=float)
+    value = _lattice_batch(fn, mats, xis, ys, los, his, lambda xs, _: window(xs), max_panel)
+    return complex(value[0])
 
 
 def smeared_average(
@@ -425,7 +429,8 @@ def long_orbit_average(
     lattice route rewrites the orbit as a height-(1/T) translate integral of
     the reduced time-T matrix and sums contributing translates; the
     pointwise route samples the orbit on max(48, ceil(6 T)) panels of 24
-    Gauss-Legendre nodes and exists as a slow independent check.
+    Gauss-Legendre nodes and exists as a slow independent check, refused
+    above ``POINTWISE_PANEL_CAP`` panels (T = 1000).
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least one")
@@ -442,9 +447,12 @@ def long_orbit_average(
         return lattice_window_average(fn, shifted, 1.0 / T, h, (-1.0, 1.0))
     if route != "pointwise":
         raise DomainError(f"unknown orbit average route {route!r}")
+    panels = max(48, int(math.ceil(6.0 * T)))
+    if panels > POINTWISE_PANEL_CAP:
+        raise ResourceGuardError(f"{panels} pointwise panels exceed the cap {POINTWISE_PANEL_CAP}")
     base = element.matrix
     nodes, wts = _rule(24)
-    edges = np.linspace(-1.0, 1.0, max(48, int(math.ceil(6.0 * T))) + 1)
+    edges = np.linspace(-1.0, 1.0, panels + 1)
     acc = 0.0 + 0.0j
     for left, right in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
@@ -467,13 +475,13 @@ def split_orbit_average(
 
     Valid in the cusp regime (orbit height above 100).  The time average
     is smeared over window positions z by a mass-one bump scaled with the
-    square of the reduced bottom row; at each z the orbit factors through
+    square of the reduced bottom row; at each z the orbit factors as in
     :func:`orbit_split` into a bounded core times a dilation, and the
     inner integral becomes a short translate integral at height scale/T
-    evaluated by the lattice route.  The z grid has max(128, ceil(0.35 T
-    rho^2)) panels of 16 Gauss-Legendre nodes, rho the support radius.
-    Positions whose whole window sits above the kernel support contribute
-    exactly zero and are skipped.
+    evaluated by the lattice route, all positions in one batch.  The z
+    grid has max(128, ceil(0.35 T rho^2)) panels of 16 Gauss-Legendre
+    nodes, rho the support radius.  Positions whose whole window sits above
+    the kernel support contribute exactly zero and are skipped.
     """
     if not (T >= 2.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least two")
@@ -481,56 +489,46 @@ def split_orbit_average(
         raise DomainError("element and test function carry different block counts")
     if fn.level != 1:
         raise DomainError("orbit splitting reduces by the full integer group, so it needs level one")
-    height = cuspidal_height(element.matrix @ Sl2Matrix.dilation(T))
+    gamma, reduced = reduce_fundamental(element.matrix @ Sl2Matrix.dilation(T))
+    height = reduced.mobius(1j).imag
     if not height > 100.0:
         raise DomainError("splitting applies to orbits of cusp height above 100")
-    rho_sq = fn.support_radius * fn.support_radius
-    gamma, reduced = reduce_fundamental(element.matrix @ Sl2Matrix.dilation(T))
     if _positive_row(reduced) is not reduced:
-        reduced = _positive_row(reduced)
-        gamma = Sl2Matrix(-gamma.a, -gamma.b, -gamma.c, -gamma.d)
+        reduced, gamma = _positive_row(reduced), -gamma
+    rho_sq = fn.support_radius * fn.support_radius
     c, d = reduced.c, reduced.d
-    xi_gamma = element.torus_point() @ gamma.as_array()
     reach = 2.0 / height
-
-    def weighted(z: float, split: SplitData) -> complex:
-        t = split.scale
-        s_lo = max(-1.0, z - reach)
-        s_hi = min(1.0, z + reach)
-        if s_hi <= s_lo:
-            return 0.0 + 0.0j
-        # The whole window lies above the kernel support when even its
-        # lowest point has cusp height beyond the support radius.
-        w2_ends = max((c * s_lo + d) ** 2, (c * s_hi + d) ** 2)
-        if (w2_ends + c * c / (T * T)) * T * rho_sq < 1.0:
-            return 0.0 + 0.0j
-
-        def inner_window(xs: np.ndarray) -> np.ndarray:
-            ss = z + np.asarray(xs, dtype=float) / t
-            w2 = (c * ss + d) ** 2
-            safe = w2 > 1e-300
-            w2s = np.where(safe, w2, 1.0)
-            bump = np.where(safe, bump6_normalized((z - ss) / w2s) / w2s, 0.0)
-            return np.asarray(h(ss), dtype=float) * bump
-
-        shifted = xi_gamma @ Sl2Matrix.translation(float(split.shift)).as_array()
-        inner_element = GroupElement.from_torus_point(split.core, shifted)
-        inner = lattice_window_average(
-            fn, inner_element, t / T, inner_window, (t * (s_lo - z), t * (s_hi - z))
-        )
-        return inner / t
 
     nodes, wts = _rule(16)
     span = 1.0 + 1.0 / 50.0
     edges = np.linspace(-span, span, max(128, int(math.ceil(0.35 * T * rho_sq))) + 1)
-    acc = 0.0 + 0.0j
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        for node, wv in zip(nodes, wts):
-            z = float(mid + half * node)
-            split = orbit_split(element.matrix, T, z)
-            acc += half * wv * weighted(z, split)
-    return complex(acc)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    z = (mid[:, None] + half[:, None] * nodes).ravel()
+    weight = (half[:, None] * wts).ravel()
+    scale, shift, core = _split_nodes(reduced, z)
+    s_lo, s_hi = np.maximum(-1.0, z - reach), np.minimum(1.0, z + reach)
+    # A window lies wholly above the kernel support when even its lowest
+    # point has cusp height beyond the support radius.
+    w2_ends = np.maximum((c * s_lo + d) ** 2, (c * s_hi + d) ** 2)
+    live = (s_hi > s_lo) & ((w2_ends + c * c / (T * T)) * T * rho_sq >= 1.0)
+    z, t, shift, core, s_lo, s_hi, weight = (
+        v[live] for v in (z, scale, shift, core, s_lo, s_hi, weight)
+    )
+    xis = np.repeat((element.torus_point() @ gamma.as_array())[None], z.size, axis=0)
+    xis[:, :, 1] += xis[:, :, 0] * shift[:, None]
+
+    def window(xs: np.ndarray, win: np.ndarray) -> np.ndarray:
+        zw = z[win][:, None]
+        ss = zw + xs / t[win][:, None]
+        w2 = (c * ss + d) ** 2
+        safe = w2 > 1e-300
+        w2s = np.where(safe, w2, 1.0)
+        bump = np.where(safe, bump6_normalized((zw - ss) / w2s) / w2s, 0.0)
+        return np.asarray(h(ss), dtype=float) * bump
+
+    inner = _lattice_batch(fn, core, xis, t / T, t * (s_lo - z), t * (s_hi - z), window)
+    terms = weight * (inner / t)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 @dataclass(frozen=True)

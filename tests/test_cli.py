@@ -194,8 +194,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [("expsum", "--X", "1e6"), ("delta", "--y", "1e-14")],
-        ids=["ball-radius", "sieve-cap"],
+        [
+            ("expsum", "--X", "1e6"),
+            ("delta", "--y", "1e-14"),
+            ("horocycle", "--y", "1e300"),
+            ("orbit", "--T", "1e300", "--freq", "1,0"),
+            ("orbit", "--route", "pointwise", "--T", "1e13", "--freq", "1,0"),
+            ("orbit", "--route", "pointwise", "--T", "1e5", "--freq", "1,0"),
+        ],
+        ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
+             "pointwise-long"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()

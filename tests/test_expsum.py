@@ -179,7 +179,7 @@ class TestEnumeration:
     )
     def test_matches_scalar_loop_in_order(self, spec, rho):
         got = enumerate_coset_ball(spec, rho)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, scalar_ball(spec, rho))
 
     def test_radius_guard(self):
@@ -299,8 +299,8 @@ class TestWeightedSum:
 
 
     def test_weight_blocks_match_one_pass(self):
-        # The box at X = 100 keeps more rows than one weight block; the
-        # reference weighs them all at once, as a single pass would.
+        # The box at X = 100 spans several ball blocks; the reference
+        # weighs all its rows at once, as a single pass would.
         spec, w = CosetSpec.principal(1), WeightFn(1.0)
         alpha = np.array([GOLDEN, -0.3, 0.25, 0.07])
         flat = enumerate_coset_ball(spec, 200.0).reshape(-1, 4).astype(float)

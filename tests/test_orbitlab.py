@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_integer_gamma, random_sl2
+from horolab import orbitlab
 from horolab.affine import GroupElement, grid_gap
 from horolab.autofns import PoincareTestFn, evaluate_f, mean_value
-from horolab.errors import DomainError
+from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.orbitlab import (
     OrbitExperiment,
@@ -121,6 +122,19 @@ class TestOrbitSplit:
         pole = -sp.reduced.d / sp.reduced.c
         with pytest.raises(DomainError):
             orbit_split(m, 25.0, pole)
+
+    def test_matches_array_form_at_each_node(self):
+        m, T = cusp_base(110.0, 25.0, -0.1, 1.0), 25.0
+        reduced = orbit_split(m, T, 0.0).reduced
+        zs = np.linspace(-1.02, 1.02, 301)
+        scale, shift, core = orbitlab._split_nodes(reduced, zs)
+        for i, z in enumerate(zs):
+            sp = orbit_split(m, T, float(z))
+            assert (sp.scale, sp.shift) == (scale[i], shift[i])
+            assert sp.core == Sl2Matrix(*core[i].ravel().tolist())
+        pole = -reduced.d / reduced.c
+        with pytest.raises(DomainError):
+            orbitlab._split_nodes(reduced, np.array([0.0, pole]))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -265,6 +279,82 @@ class TestLatticeRoute:
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
         assert lattice_window_average(fn, el, 20.0, window, (-1.0, 1.0)) == 0.0
+
+
+class TestLatticeKernel:
+    """The batched kernel behind every lattice average: a window's value and
+    its guards do not depend on the batch or on the integration block size."""
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        twisted = PoincareTestFn(level=2, freq=((1, 1),), support_radius=3.0)
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), np.array([[0.3, 0.7]]))
+        flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
+
+        def values():
+            return [
+                lattice_window_average(PoincareTestFn(level=1, freq=((0, 0),)), el, 0.01, window,
+                                       (-1.0, 1.0)),
+                lattice_window_average(twisted, el, 0.05, window, (-1.0, 1.0)),
+                smeared_average(PoincareTestFn(level=1, freq=((1, 0),)), el, 0.05, 3.0, flat, window),
+            ]
+
+        whole = values()
+        monkeypatch.setattr(orbitlab, "_BLOCK_ROWS", 7)
+        assert values() == whole
+
+    def test_window_groups_do_not_change_values(self, monkeypatch):
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
+        whole = split_orbit_average(fn, el, 20.0, window)
+        monkeypatch.setattr(orbitlab, "_GROUP_COLUMNS", 256)
+        assert split_orbit_average(fn, el, 20.0, window) == whole
+
+    def test_split_windows_match_alone(self, monkeypatch):
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
+        kernel, calls = orbitlab._lattice_batch, []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kernel(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(orbitlab, "_lattice_batch", recording)
+        monkeypatch.setattr(orbitlab, "_GROUP_COLUMNS", 1 << 40)  # no grouping: one batch
+        split_orbit_average(fn, el, 20.0, window)
+        assert len(calls) == 1
+        (fn_, mats, xis, ys, los, his, win_fn), batched = calls[0]
+        assert batched.size > 1000
+        for w in range(batched.size):
+            alone = kernel(
+                fn_, mats[w : w + 1], xis[w : w + 1], ys[w : w + 1], los[w : w + 1],
+                his[w : w + 1], lambda xs, win, w=w: win_fn(xs, win + w),
+            )
+            assert alone[0] == batched[w]
+
+    def test_guards_count_each_window(self, monkeypatch):
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        m = (Sl2Matrix.translation(0.3) @ Sl2Matrix.dilation(1.7)).as_array()
+
+        def batch(n):
+            tile = lambda v: np.repeat(np.asarray(v, dtype=float)[None], n, axis=0)
+            return orbitlab._lattice_batch(fn, tile(m), tile(XI_GOLD), tile(0.05), tile(-1.0),
+                                           tile(1.0), lambda xs, _: window(xs))
+
+        # Smallest cap under which one window passes alone, by bisection.
+        lo, hi = 1, orbitlab.CANDIDATE_CAP
+        alone = batch(1)
+        while lo < hi:
+            monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", (lo + hi) // 2)
+            try:
+                batch(1)
+                hi = (lo + hi) // 2
+            except ResourceGuardError:
+                lo = (lo + hi) // 2 + 1
+        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo)
+        assert np.all(batch(30) == alone[0])
+        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo - 1)
+        with pytest.raises(ResourceGuardError):
+            batch(30)
 
 
 class TestSmearedAverage:
