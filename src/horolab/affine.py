@@ -38,6 +38,11 @@ GAP_CAP = 1e30
 #: Largest T * max|M| accepted: the lattice reduction squares entries of that size.
 SCALED_CAP = 2.0**511
 
+#: Largest eps * T * |M|^2 answered for a matrix with a non-integer entry: a
+#: grid point's coordinates carry a relative rounding error of about that
+#: size (8e-4 at T = 1e10 for the largest |M|^2 = 361 of A15's ensemble).
+_ROUNDING_CAP = 1e-3
+
 #: Lattice membership is decided in coefficient space at this tolerance.
 MEMBERSHIP_TOL = 1e-9
 
@@ -256,7 +261,9 @@ def _gap_block(basis, reduced, u, offsets, exempt, T):
 
 def grid_gap_many(element: GroupElement, ns: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Gap values (n,) and witnesses (n, 2) for the rows of the (n, k) integer
-    array ``ns``; row i is exactly ``grid_gap(element, ns[i], T)`` in any batch."""
+    array ``ns``; row i is exactly ``grid_gap(element, ns[i], T)`` in any batch.
+    A matrix with a non-integer entry is refused once eps * T * |M|^2, the
+    relative rounding error of its grid coordinates, passes 1e-3."""
     T = RectangleRT(float(T)).T
     ns = np.asarray(ns)
     if ns.ndim != 2 or ns.shape[1] != element.k:
@@ -269,6 +276,12 @@ def grid_gap_many(element: GroupElement, ns: np.ndarray, T: float) -> tuple[np.n
     basis = element.matrix.as_array()
     if not T * float(np.abs(basis).max()) <= SCALED_CAP:
         raise DomainError(f"T={T:g}: T * max|M| above 2^511 overflows the lattice reduction")
+    rounding = 2.0**-52 * T * float(np.sum(basis * basis))
+    if rounding > _ROUNDING_CAP and not np.array_equal(basis, np.round(basis)):
+        raise DomainError(
+            f"T={T:g}: eps * T * |M|^2 = {rounding:.2g} exceeds {_ROUNDING_CAP:g}, so the gap of"
+            " this non-integer matrix would be rounding noise"
+        )
     if not math.isfinite(T * float(np.abs(offsets[:, 0]).max(initial=0.0))):
         raise DomainError(f"T={T:g} times the grid offset overflows")
     reduced, u = _gauss_reduce(basis * np.array([T, 1.0]))

@@ -8,17 +8,22 @@ swap that enumerates the finitely many contributing translates, and for
 long expanding orbits a partition-of-unity split into bounded windows.
 Mutual agreement of the routes is the main correctness check.
 
-Every lattice average goes through one kernel over a stack of windows.  A
-window's value is the ``math.fsum`` of its own translate terms, so it is the
-same float alone, in any batch and at any block size.  Window callables take
-arrays of nodes (the kernel's also the owning window of each node row).
+Every lattice average goes through one kernel over a stack of windows.  It
+runs one block of at most ``_BLOCK_CANDIDATES`` bottom-row candidates at a
+time through enumeration, filters, completion and integration, so its
+arrays stay bounded by the block, not by the window: one y = 1e-4 window
+peaks at about 24 MB traced instead of 129 MB.  A window's value is the
+``math.fsum`` of its own translate terms, so it is the same float alone, in
+any batch and at any block size.  Window callables take arrays of nodes
+(the kernel's also the owning window of each node row).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,10 +41,12 @@ from .smoothfns import bump6_normalized
 CANDIDATE_CAP = 3_000_000
 #: Panels of the pointwise orbit route: ~3.3 ms each on 2 cores, so ~20 s at the cap.
 POINTWISE_PANEL_CAP = 6_000
-#: Translate rows integrated at a time; bounds the (rows, 24) node temporaries.
-_BLOCK_ROWS = 8192
-#: Bottom-row columns enumerated at a time across a batch of windows.
-_GROUP_COLUMNS = 1 << 15
+#: Bottom-row candidates (and columns) enumerated at a time across a batch of windows.
+_BLOCK_CANDIDATES = 1 << 14
+#: Translate rows integrated at a time.  A (512, 24) float temporary is 96 KiB,
+#: below glibc's mmap threshold, so the integration reuses heap memory; at
+#: 8,192 rows every temporary was mmapped and faulted in afresh.
+_BLOCK_ROWS = 512
 _CEILING_SLACK = 1e-9
 _PAD = 1.0 + 1e-12
 
@@ -186,17 +193,68 @@ def translate_integral(
     raise ConvergenceError("translated integral did not stabilize under window doubling")
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and offset of each row when row i expands into counts[i] rows."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+def _edges(counts: np.ndarray) -> np.ndarray:
+    """Flat row edges of an expansion in which row i expands into counts[i] rows."""
+    return np.cumsum(np.r_[0, counts.astype(np.int64)])
 
 
-def _guard(win: np.ndarray, counts: np.ndarray, n_win: int, what: str) -> None:
-    # Per window, so a window trips the guard in a batch exactly when it does alone.
-    per_window = np.bincount(win, weights=counts, minlength=n_win)
-    if np.any(per_window > CANDIDATE_CAP):
-        raise ResourceGuardError(f"{per_window.max():.0f} {what} exceed the enumeration budget")
+def _ragged(edges: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and offset of the flat rows lo..hi-1 (default all) when row i
+    owns the flat rows edges[i]..edges[i+1]-1."""
+    idx = np.arange(lo, edges[-1] if hi is None else hi)
+    owner = np.searchsorted(edges, idx, side="right") - 1
+    return owner, idx - edges[owner]
+
+
+def _guard(tally: np.ndarray, win: np.ndarray, counts: np.ndarray, what: str) -> None:
+    # Per window and summed over blocks, so a window trips the guard in a
+    # batch exactly when it does alone.
+    tally += np.bincount(win, weights=counts, minlength=tally.size)
+    if np.any(tally > CANDIDATE_CAP):
+        raise ResourceGuardError(f"{tally.max():.0f} {what} exceed the enumeration budget")
+
+
+def _candidate_blocks(
+    level: int,
+    bound1: np.ndarray,
+    bound2: np.ndarray,
+    a_star: np.ndarray,
+    b_star: np.ndarray,
+    cap_star: np.ndarray,
+    tally: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Bottom-row candidates (win, n1, n2) of every window in window order,
+    in blocks of at most ``_BLOCK_CANDIDATES`` rows.  Column n2 of window w
+    runs over |n2| <= bound2[w]; its first coordinates n1 are the multiples of
+    the level with |a_star n1 + b_star n2| <= cap_star and |n1| <= bound1.
+    That form is the better conditioned of the two; the caller applies the
+    other as an exact filter."""
+    col_edges = _edges(2.0 * bound2 + 1.0)
+    for start in range(0, int(col_edges[-1]), _BLOCK_CANDIDATES):
+        win, n2 = _ragged(col_edges, start, min(start + _BLOCK_CANDIDATES, col_edges[-1]))
+        n2 -= bound2.astype(np.int64)[win]
+        keep = n2 % level == 1 % level
+        win, n2 = win[keep], n2[keep]
+        edges = ([[-1.0], [1.0]] * cap_star[win] - n2 * b_star[win]) / a_star[win]
+        n1_lo = np.maximum(edges.min(axis=0), -bound1[win] - 0.5)
+        n1_hi = np.minimum(edges.max(axis=0), bound1[win] + 0.5)
+        k_lo = np.ceil(n1_lo / level)
+        counts = np.maximum(0.0, np.floor(n1_hi / level) - k_lo + 1.0)
+        _guard(tally, win, counts, "bottom-row candidates")
+        cand_edges = _edges(counts)
+        for lo in range(0, int(cand_edges[-1]), _BLOCK_CANDIDATES):
+            col, offset = _ragged(cand_edges, lo, min(lo + _BLOCK_CANDIDATES, cand_edges[-1]))
+            yield win[col], level * (k_lo[col].astype(np.int64) + offset), n2[col]
+
+
+def _settle(out: np.ndarray, held: dict, upto: int) -> None:
+    """``math.fsum`` the held term pieces of every window below ``upto`` into ``out``."""
+    for w in [w for w in held if w < upto]:
+        parts = held.pop(w)
+        out[w] = complex(
+            math.fsum(chain.from_iterable(re.tolist() for re, _ in parts)),
+            math.fsum(chain.from_iterable(im.tolist() for _, im in parts)),
+        )
 
 
 def _lattice_batch(
@@ -212,7 +270,12 @@ def _lattice_batch(
     """Lattice route for W windows: base matrices (W, 2, 2), torus points
     (W, k, 2), heights and support ends (W,), checked by the callers.  Each
     translate row carries its window index ``win``; the integration calls
-    ``window(xs, win)`` on node rows.  Returns the (W,) window values."""
+    ``window(xs, win)`` on node rows.  Returns the (W,) window values.
+
+    One block of bottom-row candidates at a time goes through every stage:
+    the slab and gcd filters, completion to translates, support intervals
+    and integration.  Blocks are consecutive in window order, so a window's
+    terms are held only until its last block, then summed by ``math.fsum``."""
     n_win, level = ys.size, fn.level
     rho_sq = fn.support_radius * fn.support_radius
     root_y = np.sqrt(ys)
@@ -227,126 +290,107 @@ def _lattice_batch(
     bound2 = np.floor(w_max * np.hypot(m01, m00)) + 1.0
     if not np.all(2.0 * bound2 + 1.0 <= CANDIDATE_CAP):
         raise ResourceGuardError(f"{2 * bound2.max() + 1:.6g} bottom-row columns exceed the budget")
-    # Windows whose scans start in one block of columns form a group, to bound memory.
-    cols = 2.0 * bound2 + 1.0
-    group = (np.cumsum(cols) - cols) // _GROUP_COLUMNS
-    if np.any(group):
-        cut = np.flatnonzero(np.diff(group, prepend=-1.0)).tolist() + [n_win]
-        return np.concatenate([
-            _lattice_batch(fn, mats[i:j], xis[i:j], ys[i:j], los[i:j], his[i:j],
-                           lambda xs, win, i=i: window(xs, win + i), max_panel)
-            for i, j in zip(cut, cut[1:])
-        ])
-    win, offset = _ragged(cols.astype(np.int64))
-    n2 = offset - bound2.astype(np.int64)[win]
-    keep = n2 % level == 1 % level
-    win, n2 = win[keep], n2[keep]
-
-    # Per-column interval for the first integer coordinate, taken from the
-    # better conditioned of the two linear forms; the other form is applied
-    # as an exact filter afterwards.
+    tally = np.zeros((3, n_win))
     use_q = np.abs(m00) >= np.abs(m01)
-    a_star = np.where(use_q, m00, m01)[win]
-    b_star = np.where(use_q, m10, m11)[win]
-    cap_star = (np.where(use_q, p_max, s_cap) * _PAD)[win]
-    edges = ([[-1.0], [1.0]] * cap_star - n2 * b_star) / a_star
-    n1_lo = np.maximum(edges.min(axis=0), -bound1[win] - 0.5)
-    n1_hi = np.minimum(edges.max(axis=0), bound1[win] + 0.5)
-    k_lo = np.ceil(n1_lo / level)
-    counts = np.maximum(0.0, np.floor(n1_hi / level) - k_lo + 1.0)
-    _guard(win, counts, n_win, "bottom-row candidates")
-    own, offset = _ragged(counts.astype(np.int64))
-    n1 = level * (k_lo[own].astype(np.int64) + offset)
-    n2, win = n2[own], win[own]
-
-    keep = np.gcd(np.abs(n1), np.abs(n2)) == 1
-    n1, n2, win = n1[keep], n2[keep], win[keep]
-    q = n1 * m00[win] + n2 * m10[win]
-    s = n1 * m01[win] + n2 * m11[win]
-    left_val, right_val = q * los[win] + s, q * his[win] + s
-    min_abs = np.where(
-        left_val * right_val <= 0.0, 0.0, np.minimum(np.abs(left_val), np.abs(right_val))
+    blocks = _candidate_blocks(
+        level, bound1, bound2, np.where(use_q, m00, m01), np.where(use_q, m10, m11),
+        np.where(use_q, p_max, s_cap) * _PAD, tally[0],
     )
-    keep = (np.abs(q) <= p_max[win] * _PAD) & (min_abs <= slab[win] * _PAD)
-    n1, n2, q, s, win = n1[keep], n2[keep], q[keep], s[keep], win[keep]
-
-    g, x_co, y_co = xgcd_array(n2, n1)  # g = +-1 on primitive rows
-    alpha0, beta0 = g * x_co, -g * y_co
-    t_anchor = (-beta0) % level
-    p0 = alpha0 * m00[win] + beta0 * m10[win]
-    r0 = alpha0 * m01[win] + beta0 * m11[win]
-
-    row_eps = (1e-9 * (1.0 + np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)))[win]
-    p_pad, s_pad, big = (p_max * _PAD)[win], (s_cap * _PAD)[win], 1e18
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_q = np.where(np.abs(q) > row_eps, [(-p_pad - p0) / q, (p_pad - p0) / q], [[-big], [big]])
-        t_s = np.where(np.abs(s) > row_eps, [(-s_pad - r0) / s, (s_pad - r0) / s], [[-big], [big]])
-    t_lo = np.maximum(t_q.min(axis=0), t_s.min(axis=0))
-    t_hi = np.minimum(t_q.max(axis=0), t_s.max(axis=0))
-    if np.any((t_lo <= -big) & (t_hi >= big)):
-        raise ResourceGuardError("degenerate base rows leave the completion range unbounded")
-    t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
-    counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
-    counts[t_hi < t_lo] = 0.0
-    _guard(win, counts, n_win, "translate candidates")
-
-    own, offset = _ragged(counts.astype(np.int64))
-    t = t_start[own].astype(np.int64) + level * offset
-    n1, n2, q, s, win = n1[own], n2[own], q[own], s[own], win[own]
-    alpha = alpha0[own] + t * n1
-    beta = beta0[own] + t * n2
-    p = p0[own] + t * q
-    r = r0[own] + t * s
-
+    row_eps = 1e-9 * (1.0 + np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11))
+    big = 1e18
     # c[w, i, j] pairs column i of the reduced torus point with frequency column j.
     c = np.swapaxes(xis - np.floor(xis), 1, 2) @ fn.freq_array.astype(float)
-    phase = c[win, 0, 0] * n2 - c[win, 0, 1] * beta - c[win, 1, 0] * n1 + c[win, 1, 1] * alpha
-
-    # Exact interval on which this translate's kernel term can be nonzero.
-    y = ys[win]
-    a2 = p * p + q * q
-    budget = y * (rho_sq - y * a2)
-    bb = p * r + q * s
-    cc = r * r + s * s - budget
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = bb * bb - a2 * cc
-        ok = (budget > 0.0) & (disc > 0.0)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        x_lo = np.maximum((-bb - root) / a2, los[win])
-        x_hi = np.minimum((-bb + root) / a2, his[win])
-    ok &= x_hi > x_lo
-    phase, p, r, q, s, a2, x_lo, x_hi, win = (
-        v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
-    )
-
-    if max_panel is not None:
-        spans = x_hi - x_lo
-        pieces = np.maximum(1.0, np.ceil(spans / max_panel))
-        _guard(win, pieces, n_win, "quadrature panels")
-        own, frac = _ragged(pieces.astype(np.int64))
-        widths = (spans / pieces)[own]
-        phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
-        x_lo = x_lo[own] + frac * widths
-        x_hi = x_lo + widths
-
     nodes, wts = _rule(24)
-    terms = np.empty(p.size, dtype=complex)
-    for start in range(0, p.size, _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
-        mid = 0.5 * (x_lo[sl] + x_hi[sl])[:, None]
-        half = 0.5 * (x_hi[sl] - x_lo[sl])[:, None]
-        xs = mid + half * nodes[None, :]
-        y = ys[win[sl]][:, None]
-        top = p[sl][:, None] * xs + r[sl][:, None]
-        bot = q[sl][:, None] * xs + s[sl][:, None]
-        norm_sq = y * a2[sl][:, None] + (top * top + bot * bot) / y
-        vals = kernel_profile(fn, norm_sq) * window(xs, win[sl])
-        ints = half[:, 0] * np.sum(vals * wts, axis=1)
-        terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
-    # Rows come out grouped by window, in window order.
-    cut = np.searchsorted(win, np.arange(n_win + 1)).tolist()
-    re, im = terms.real.tolist(), terms.imag.tolist()
-    return np.array([complex(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in zip(cut, cut[1:])])
+    out = np.zeros(n_win, dtype=complex)
+    held: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    for win, n1, n2 in blocks:
+        _settle(out, held, int(win[0]))
+        # The slab test before gcd: the filters commute and the slab drops more rows.
+        q = n1 * m00[win] + n2 * m10[win]
+        s = n1 * m01[win] + n2 * m11[win]
+        left_val, right_val = q * los[win] + s, q * his[win] + s
+        min_abs = np.where(
+            left_val * right_val <= 0.0, 0.0, np.minimum(np.abs(left_val), np.abs(right_val))
+        )
+        keep = (np.abs(q) <= p_max[win] * _PAD) & (min_abs <= slab[win] * _PAD)
+        n1, n2, q, s, win = (v[keep] for v in (n1, n2, q, s, win))
+        keep = np.gcd(np.abs(n1), np.abs(n2)) == 1
+        n1, n2, q, s, win = (v[keep] for v in (n1, n2, q, s, win))
+
+        g, x_co, y_co = xgcd_array(n2, n1)  # g = +-1 on primitive rows
+        alpha0, beta0 = g * x_co, -g * y_co
+        t_anchor = (-beta0) % level
+        p0 = alpha0 * m00[win] + beta0 * m10[win]
+        r0 = alpha0 * m01[win] + beta0 * m11[win]
+
+        eps, p_pad, s_pad = row_eps[win], (p_max * _PAD)[win], (s_cap * _PAD)[win]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_q = np.where(np.abs(q) > eps, [(-p_pad - p0) / q, (p_pad - p0) / q], [[-big], [big]])
+            t_s = np.where(np.abs(s) > eps, [(-s_pad - r0) / s, (s_pad - r0) / s], [[-big], [big]])
+        t_lo = np.maximum(t_q.min(axis=0), t_s.min(axis=0))
+        t_hi = np.minimum(t_q.max(axis=0), t_s.max(axis=0))
+        if np.any((t_lo <= -big) & (t_hi >= big)):
+            raise ResourceGuardError("degenerate base rows leave the completion range unbounded")
+        t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
+        counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
+        counts[t_hi < t_lo] = 0.0
+        _guard(tally[1], win, counts, "translate candidates")
+
+        own, offset = _ragged(_edges(counts))
+        t = t_start[own].astype(np.int64) + level * offset
+        n1, n2, q, s, win = n1[own], n2[own], q[own], s[own], win[own]
+        alpha = alpha0[own] + t * n1
+        beta = beta0[own] + t * n2
+        p = p0[own] + t * q
+        r = r0[own] + t * s
+        phase = c[win, 0, 0] * n2 - c[win, 0, 1] * beta - c[win, 1, 0] * n1 + c[win, 1, 1] * alpha
+
+        # Exact interval on which this translate's kernel term can be nonzero.
+        y = ys[win]
+        a2 = p * p + q * q
+        budget = y * (rho_sq - y * a2)
+        bb = p * r + q * s
+        cc = r * r + s * s - budget
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = bb * bb - a2 * cc
+            ok = (budget > 0.0) & (disc > 0.0)
+            root = np.sqrt(np.where(ok, disc, 0.0))
+            x_lo = np.maximum((-bb - root) / a2, los[win])
+            x_hi = np.minimum((-bb + root) / a2, his[win])
+        ok &= x_hi > x_lo
+        phase, p, r, q, s, a2, x_lo, x_hi, win = (
+            v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
+        )
+
+        if max_panel is not None:
+            spans = x_hi - x_lo
+            pieces = np.maximum(1.0, np.ceil(spans / max_panel))
+            _guard(tally[2], win, pieces, "quadrature panels")
+            own, frac = _ragged(_edges(pieces))
+            widths = (spans / pieces)[own]
+            phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
+            x_lo = x_lo[own] + frac * widths
+            x_hi = x_lo + widths
+
+        terms = np.empty(p.size, dtype=complex)
+        for start in range(0, p.size, _BLOCK_ROWS):
+            sl = slice(start, start + _BLOCK_ROWS)
+            mid = 0.5 * (x_lo[sl] + x_hi[sl])[:, None]
+            half = 0.5 * (x_hi[sl] - x_lo[sl])[:, None]
+            xs = mid + half * nodes[None, :]
+            y = ys[win[sl]][:, None]
+            top = p[sl][:, None] * xs + r[sl][:, None]
+            bot = q[sl][:, None] * xs + s[sl][:, None]
+            norm_sq = y * a2[sl][:, None] + (top * top + bot * bot) / y
+            vals = kernel_profile(fn, norm_sq) * window(xs, win[sl])
+            ints = half[:, 0] * np.sum(vals * wts, axis=1)
+            terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
+        first = np.flatnonzero(np.diff(win, prepend=-1)).tolist()
+        for w, i, j in zip(win[first].tolist(), first, first[1:] + [win.size]):
+            held.setdefault(w, []).append((terms.real[i:j], terms.imag[i:j]))
+    _settle(out, held, n_win)
+    return out
 
 
 def lattice_window_average(
@@ -369,9 +413,12 @@ def lattice_window_average(
     much shorter than those intervals need ``max_panel`` to cap the length
     each rule is asked to cover.
 
-    Each translate's term is computed on its own row and the terms are added
-    by ``math.fsum`` (real and imaginary parts apart), so the value does not
-    depend on the integration block size or on the other windows of a batch.
+    Translates are enumerated, completed and integrated one block of at most
+    ``_BLOCK_CANDIDATES`` bottom rows at a time, so memory is bounded by the
+    block; only the window's terms, 16 bytes each, are held until its last
+    block.  Each translate's term is computed on its own row and the terms
+    are added by ``math.fsum`` (real and imaginary parts apart), so the value
+    does not depend on the block sizes or on the other windows of a batch.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -615,14 +662,21 @@ def horocycle_main_term(experiment: OrbitExperiment) -> list[MainTermRow]:
 
     Rows report the measured average, the predicted main term (mean value
     times window mass), and their distance, one row per schedule entry.
+    All heights go to the lattice route in one batch; each row is the value
+    :func:`lattice_window_average` gives at its height alone.
     """
     if np.any(experiment.fn.freq_array != 0):
         raise DomainError("main-term tables need an untwisted function")
     fn, element, h = experiment.fn, experiment.element, experiment.h
     limit = mean_value(fn) * _h_mass(h, -1.0, 1.0)
-    rows = []
-    for y in experiment.schedule:
-        avg = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
-        rows.append(MainTermRow(y, float(avg.real), limit, abs(avg - limit)))
-    return rows
+    ys = np.array(experiment.schedule)
+    tile = lambda a: np.repeat(a[None], ys.size, axis=0)
+    avgs = _lattice_batch(
+        fn, tile(element.matrix.as_array()), tile(element.torus_point()), ys,
+        np.full(ys.size, -1.0), np.full(ys.size, 1.0), lambda xs, _: h(xs),
+    )
+    return [
+        MainTermRow(y, float(avg.real), limit, abs(avg - limit))
+        for y, avg in zip(experiment.schedule, avgs.tolist())
+    ]
 

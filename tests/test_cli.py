@@ -215,16 +215,17 @@ class TestExitCodes:
         assert err.startswith("horolab: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, answered",
         [
-            ("theorem4", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--m", "3", "--qmax", "3",
-             "--dmax", "3"),
-            ("sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "0"),
-            ("sgq", "--matrix", "0.8,0.3,-0.2,1.175", "--xi", "0.3,0.7", "--q", "2"),
+            (("theorem4", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--m", "3", "--qmax", "3",
+              "--dmax", "3"), "1e150"),
+            (("sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "0"), "1e150"),
+            # A non-integer matrix is answered only while eps * T * |M|^2 <= 1e-3.
+            (("sgq", "--matrix", "0.8,0.3,-0.2,1.175", "--xi", "0.3,0.7", "--q", "2"), "1e9"),
         ],
         ids=["theorem4", "sgq-q0", "sgq-q2"],
     )
-    def test_huge_time_is_refused_without_warnings(self, capsys, argv):
+    def test_huge_time_is_refused_without_warnings(self, capsys, argv, answered):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run([*argv, "--T", "1e160,1e300"])
@@ -232,10 +233,19 @@ class TestExitCodes:
             assert code == 2
             assert err.startswith("horolab: ") and err.count("\n") == 1
             # Below the cap the same flags give a finite table.
-            code, out = invoke(capsys, *argv, "--T", "1e150")
+            code, out = invoke(capsys, *argv, "--T", answered)
         assert code == 0
         _, rows = rows_of(out)
         assert all(math.isfinite(float(x)) for x in rows[0])
+
+    def test_noisy_gap_is_refused(self, capsys):
+        argv = ["sgq", "--matrix", "1.3,0.4,0.7,0.9846153846153846", "--xi", "0.3,0.7", "--q", "2"]
+        assert run([*argv, "--T", "1e100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("horolab: ") and "Traceback" not in err
+        # eps * T * |M|^2 is 7.3e-4 at T = 1e12, and integer matrices have no limit.
+        assert run([*argv, "--T", "1e12"]) == 0
+        assert run(["sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "2", "--T", "1e100"]) == 0
 
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2

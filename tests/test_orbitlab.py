@@ -1,6 +1,7 @@
 """Averaging routes along horocycles, the cusp splitting, and decay fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,7 +284,8 @@ class TestLatticeRoute:
 
 class TestLatticeKernel:
     """The batched kernel behind every lattice average: a window's value and
-    its guards do not depend on the batch or on the integration block size."""
+    its guards do not depend on the batch, on the candidate blocks or on the
+    integration block size."""
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         twisted = PoincareTestFn(level=2, freq=((1, 1),), support_radius=3.0)
@@ -301,13 +303,27 @@ class TestLatticeKernel:
         whole = values()
         monkeypatch.setattr(orbitlab, "_BLOCK_ROWS", 7)
         assert values() == whole
+        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 5)
+        assert values() == whole
 
     def test_window_groups_do_not_change_values(self, monkeypatch):
+        # 69 to 93 candidates per window: with blocks of 64 every window
+        # straddles a block boundary and the columns come in many chunks.
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
         whole = split_orbit_average(fn, el, 20.0, window)
-        monkeypatch.setattr(orbitlab, "_GROUP_COLUMNS", 256)
+        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 64)
         assert split_orbit_average(fn, el, 20.0, window) == whole
+
+    def test_main_term_rows_match_single_heights(self):
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        ys = (0.2, 0.05, 0.01)
+        rows = horocycle_main_term(OrbitExperiment(fn, el, ys, window))
+        for y, row in zip(ys, rows):
+            alone = lattice_window_average(fn, el, y, window, (-1.0, 1.0))
+            assert row.average == alone.real
+            assert row.error == abs(alone - row.limit)
 
     def test_split_windows_match_alone(self, monkeypatch):
         fn = PoincareTestFn(level=1, freq=((1, 0),))
@@ -319,7 +335,7 @@ class TestLatticeKernel:
             return calls[-1][1]
 
         monkeypatch.setattr(orbitlab, "_lattice_batch", recording)
-        monkeypatch.setattr(orbitlab, "_GROUP_COLUMNS", 1 << 40)  # no grouping: one batch
+        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 50)  # windows straddle blocks
         split_orbit_average(fn, el, 20.0, window)
         assert len(calls) == 1
         (fn_, mats, xis, ys, los, his, win_fn), batched = calls[0]
@@ -350,11 +366,28 @@ class TestLatticeKernel:
                 hi = (lo + hi) // 2
             except ResourceGuardError:
                 lo = (lo + hi) // 2 + 1
-        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo)
-        assert np.all(batch(30) == alone[0])
-        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo - 1)
-        with pytest.raises(ResourceGuardError):
-            batch(30)
+        # Counts add up over blocks, so tiny blocks trip at the same cap.
+        for block in (orbitlab._BLOCK_CANDIDATES, 5):
+            monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", block)
+            monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo)
+            assert np.all(batch(30) == alone[0])
+            monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo - 1)
+            with pytest.raises(ResourceGuardError):
+                batch(30)
+
+    def test_one_window_memory_is_bounded(self):
+        # A09's y = 1e-3 window: 24.5 MB traced when all its candidates were
+        # expanded at once, about 9 MB in blocks.
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        lattice_window_average(fn, el, 0.1, window, (-1.0, 1.0))  # warm caches and imports
+        tracemalloc.start()
+        try:
+            lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestSmearedAverage:
