@@ -245,7 +245,8 @@ class TestExitCodes:
         assert err.startswith("horolab: ") and "Traceback" not in err
         # eps * T * |M|^2 is 7.3e-4 at T = 1e12, and integer matrices have no limit.
         assert run([*argv, "--T", "1e12"]) == 0
-        assert run(["sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "2", "--T", "1e100"]) == 0
+        integer = ["sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "2", "--T", "1e100"]
+        assert run(integer) == 0
 
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2
