@@ -324,7 +324,10 @@ def _lattice_batch(
         p0 = alpha0 * m00[win] + beta0 * m10[win]
         r0 = alpha0 * m01[win] + beta0 * m11[win]
 
-        eps, p_pad, s_pad = row_eps[win], (p_max * _PAD)[win], (s_cap * _PAD)[win]
+        # A translate outside the disk p^2 + q^2 < p_max^2 has no positive
+        # budget, so |p| is bounded by the rest of that disk.
+        eps, s_pad = row_eps[win], (s_cap * _PAD)[win]
+        p_pad = np.sqrt(np.maximum((p_max * p_max * _PAD)[win] - q * q, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_q = np.where(np.abs(q) > eps, [(-p_pad - p0) / q, (p_pad - p0) / q], [[-big], [big]])
             t_s = np.where(np.abs(s) > eps, [(-s_pad - r0) / s, (s_pad - r0) / s], [[-big], [big]])
