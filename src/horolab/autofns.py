@@ -77,10 +77,9 @@ class PoincareTestFn:
         return np.asarray(self.freq, dtype=np.int64)
 
 
-def kernel_profile(fn: PoincareTestFn, norm_sq: np.ndarray) -> np.ndarray:
-    """Kernel of ``fn`` as a function of the squared Frobenius norm."""
-    rho_sq = fn.support_radius * fn.support_radius
-    t = (np.asarray(norm_sq, dtype=float) - 2.0) / (rho_sq - 2.0)
+def kernel_at(fn: PoincareTestFn, t: np.ndarray) -> np.ndarray:
+    """Kernel of ``fn`` at the profile argument t = (|A|_F^2 - 2) / (rho^2 - 2),
+    rho the support radius: zero beyond t = 1 and at NaN."""
     return np.where(t <= 1.0, fn.profile(np.minimum(t, 1.0)), 0.0)
 
 
@@ -89,7 +88,8 @@ def kernel_value(fn: PoincareTestFn, mats: np.ndarray) -> np.ndarray:
     arr = np.asarray(mats, dtype=float)
     if arr.shape[-2:] != (2, 2):
         raise DomainError("expected trailing 2 x 2 matrix axes")
-    return kernel_profile(fn, np.sum(arr * arr, axis=(-2, -1)))
+    rho_sq = fn.support_radius * fn.support_radius
+    return kernel_at(fn, (np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
 
 
 @lru_cache(maxsize=256)

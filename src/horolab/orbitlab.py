@@ -16,6 +16,12 @@ peaks at about 24 MB traced instead of 129 MB.  A window's value is the
 ``math.fsum`` of its own translate terms, so it is the same float alone, in
 any batch and at any block size.  Window callables take arrays of nodes
 (the kernel's also the owning window of each node row).
+
+Completion bounds each bottom row q's translates by the disk
+p^2 + q^2 < p_max^2 that every integrated translate lies in.  On a
+translate's support interval the kernel argument is a quadratic in the
+Gauss node, built per row about the interval's midpoint, so it costs four
+array operations per node.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .affine import GroupElement
 from .arith import xgcd_array
-from .autofns import PoincareTestFn, evaluate_f, kernel_profile, mean_value
+from .autofns import PoincareTestFn, evaluate_f, kernel_at, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
@@ -376,18 +382,22 @@ def _lattice_batch(
             x_lo = x_lo[own] + frac * widths
             x_hi = x_lo + widths
 
+        # On x = mid + half u the rows top = p x + r and bot = q x + s are
+        # affine in u, so the profile argument is a quadratic per row, taken
+        # about the midpoint: expanding about x = 0 cancels digits at small y.
         terms = np.empty(p.size, dtype=complex)
         for start in range(0, p.size, _BLOCK_ROWS):
             sl = slice(start, start + _BLOCK_ROWS)
-            mid = 0.5 * (x_lo[sl] + x_hi[sl])[:, None]
-            half = 0.5 * (x_hi[sl] - x_lo[sl])[:, None]
-            xs = mid + half * nodes[None, :]
-            y = ys[win[sl]][:, None]
-            top = p[sl][:, None] * xs + r[sl][:, None]
-            bot = q[sl][:, None] * xs + s[sl][:, None]
-            norm_sq = y * a2[sl][:, None] + (top * top + bot * bot) / y
-            vals = kernel_profile(fn, norm_sq) * window(xs, win[sl])
-            ints = half[:, 0] * np.sum(vals * wts, axis=1)
+            mid, half = 0.5 * (x_lo[sl] + x_hi[sl]), 0.5 * (x_hi[sl] - x_lo[sl])
+            y, d_top, d_bot = ys[win[sl]], p[sl] * half, q[sl] * half
+            top, bot, scale = p[sl] * mid + r[sl], q[sl] * mid + s[sl], y * (rho_sq - 2.0)
+            t_a = (d_top * d_top + d_bot * d_bot) / scale
+            t_b = 2.0 * (top * d_top + bot * d_bot) / scale
+            t_c = (y * a2[sl] + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
+            xs = mid[:, None] + half[:, None] * nodes
+            t = (t_a[:, None] * nodes + t_b[:, None]) * nodes + t_c[:, None]
+            vals = kernel_at(fn, t) * window(xs, win[sl])
+            ints = half * np.sum(vals * wts, axis=1)
             terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
         first = np.flatnonzero(np.diff(win, prepend=-1)).tolist()
         for w, i, j in zip(win[first].tolist(), first, first[1:] + [win.size]):
@@ -414,7 +424,17 @@ def lattice_window_average(
     rows; per translate the window integral runs on its exact support
     interval with one 24-point Gauss-Legendre panel.  Windows with features
     much shorter than those intervals need ``max_panel`` to cap the length
-    each rule is asked to cover.
+    each rule is asked to cover.  With a polynomial window of degree at most
+    23, such as ``bump6`` (degree 12), each translate's integrand is a
+    polynomial of degree at most 47 on its interval (the bump6 kernel is
+    degree 24 in x), so the rule is exact up to rounding at every height.
+
+    A bottom row q is completed only to the translates with
+    p^2 + q^2 < p_max^2 (p_max = radius / sqrt(y)); no other translate has a
+    kernel term.  On a support interval x = mid + half u the rows
+    p x + r and q x + s are affine in the node u, so the kernel argument
+    (|A|_F^2 - 2) / (radius^2 - 2) is a per-row quadratic in u whose
+    coefficients come from the rows at the midpoint.
 
     Translates are enumerated, completed and integrated one block of at most
     ``_BLOCK_CANDIDATES`` bottom rows at a time, so memory is bounded by the

@@ -281,6 +281,18 @@ class TestLatticeRoute:
         el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
         assert lattice_window_average(fn, el, 20.0, window, (-1.0, 1.0)) == 0.0
 
+    def test_rule_is_exact_at_small_height(self):
+        # With the bump6 window each translate's integrand is a polynomial of
+        # degree 36 in x, which the 24-point rule integrates exactly, so cutting
+        # the support intervals into panels of 1e-3 (two or more panels for 80%
+        # of the A09 rows at y = 1e-3) changes the value only by rounding.
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        for freq in ((0, 0), (1, 0)):
+            fn = PoincareTestFn(level=1, freq=(freq,))
+            one = lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0))
+            cut = lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0), max_panel=1e-3)
+            assert abs(cut - one) < 1e-13 * abs(one)
+
 
 class TestLatticeKernel:
     """The batched kernel behind every lattice average: a window's value and
@@ -291,18 +303,27 @@ class TestLatticeKernel:
         twisted = PoincareTestFn(level=2, freq=((1, 1),), support_radius=3.0)
         el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), np.array([[0.3, 0.7]]))
         flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        untwisted = PoincareTestFn(level=1, freq=((0, 0),))
+        split_el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
 
         def values():
             return [
-                lattice_window_average(PoincareTestFn(level=1, freq=((0, 0),)), el, 0.01, window,
-                                       (-1.0, 1.0)),
+                lattice_window_average(untwisted, el, 0.01, window, (-1.0, 1.0)),
                 lattice_window_average(twisted, el, 0.05, window, (-1.0, 1.0)),
                 smeared_average(PoincareTestFn(level=1, freq=((1, 0),)), el, 0.05, 3.0, flat, window),
             ]
 
-        whole = values()
+        def batches():
+            # Many windows per integration chunk, and chunks that cut windows.
+            return [
+                split_orbit_average(PoincareTestFn(level=1, freq=((1, 0),)), split_el, 20.0, window),
+                horocycle_main_term(OrbitExperiment(untwisted, el, (0.1, 0.01, 0.001), window)),
+            ]
+
+        whole, whole_batches = values(), batches()
         monkeypatch.setattr(orbitlab, "_BLOCK_ROWS", 7)
         assert values() == whole
+        assert batches() == whole_batches
         monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 5)
         assert values() == whole
 
@@ -374,6 +395,37 @@ class TestLatticeKernel:
             monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", lo - 1)
             with pytest.raises(ResourceGuardError):
                 batch(30)
+
+    # The identity window at y = 0.5 with panels of at most 0.05 counts 17
+    # bottom-row columns, 153 bottom-row candidates, 196 translate candidates
+    # and 2,112 quadrature panels; a cap one below a count trips that guard.
+    @pytest.mark.parametrize("count, what", [
+        (17, "bottom-row columns"),
+        (153, "bottom-row candidates"),
+        (196, "translate candidates"),
+        (2112, "quadrature panels"),
+    ])
+    def test_each_count_guard_trips_at_its_count(self, monkeypatch, count, what):
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
+        run = lambda: lattice_window_average(fn, el, 0.5, window, (-1.0, 1.0), max_panel=0.05)
+        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", count - 1)
+        with pytest.raises(ResourceGuardError, match=f"^{count} {what} exceed the"):
+            run()
+        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", count)
+        try:
+            run()
+        except ResourceGuardError as err:
+            assert what not in str(err)
+
+    def test_degenerate_rows_guard(self):
+        # diag(1e5, 1e-5) sends the primitive bottom row (0, 1) to (0, 1e-5),
+        # within the rounding slack of zero in both entries, so its completion
+        # range is unbounded.
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix.dilation(1e10), XI_GOLD)
+        with pytest.raises(ResourceGuardError, match="degenerate base rows"):
+            lattice_window_average(fn, el, 1.0, window, (-1.0, 1.0))
 
     def test_one_window_memory_is_bounded(self):
         # A09's y = 1e-3 window: 24.5 MB traced when all its candidates were
