@@ -201,9 +201,10 @@ class TestExitCodes:
             ("orbit", "--T", "1e300", "--freq", "1,0"),
             ("orbit", "--route", "pointwise", "--T", "1e13", "--freq", "1,0"),
             ("orbit", "--route", "pointwise", "--T", "1e5", "--freq", "1,0"),
+            ("lfd", "--psi", "0.1,0.2,0.3,0.4,0.5"),
         ],
         ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
-             "pointwise-long"],
+             "pointwise-long", "q-grid"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()

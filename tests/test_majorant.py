@@ -1,15 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from horolab.affine import GroupElement, grid_gap, log_gauge
-from horolab.errors import DomainError
+from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import (
     LfdWitness,
     MajorantParams,
     MajorantValue,
+    Q_GRID_CAP,
     ZETA_THREE_HALVES,
     _q_vectors,
     _weights,
@@ -92,6 +94,30 @@ class TestQVectors:
         )
         assert len(qs) == expected
 
+    @pytest.mark.parametrize("k, q_max", [(1, 30), (2, 12), (3, 6)])
+    def test_order_matches_tuple_sort(self, k, q_max):
+        ball = [
+            q
+            for q in itertools.product(range(-q_max, q_max + 1), repeat=k)
+            if 0 < sum(v * v for v in q) <= q_max * q_max
+        ]
+        ball.sort(key=lambda q: (sum(v * v for v in q), q))
+        assert _q_vectors(k, q_max).tolist() == [list(q) for q in ball]
+
+    def test_oversized_grid_is_refused_before_allocating(self):
+        # 41^5 grid points: several GB if built.
+        assert 41**5 > Q_GRID_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="q-grid points"):
+                _q_vectors(5, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ResourceGuardError):
+            lfd_test([0.1, 0.2, 0.3, 0.4, 0.5], 2.0, 1.5, 0.1, q_max=20, d_max=20)
+
 
 class TestMajorantValues:
     def test_scale_domain(self):
@@ -121,16 +147,39 @@ class TestMajorantValues:
             majorant_column_many(p, [[0.5], [bad]], 0.5)
         with pytest.raises(DomainError):
             lfd_test([bad], 1.0, 1.0, 0.1, q_max=3, d_max=3)
+        # Every dist < bound comparison is False against NaN, so a NaN
+        # exponent or constant would otherwise report "no violation".
+        for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
+            with pytest.raises(DomainError):
+                lfd_test([0.5], *args, q_max=3, d_max=3)
+
+    @pytest.mark.parametrize("y", [1e-2, 1e-4, 1e-6])
+    def test_column_rows_equal_full_block_k1(self, rng, y):
+        # A column takes |frac| where [psi | 0] takes sqrt(frac^2 + 0^2); for
+        # k = 1 both see the same product q * psi, so the values are the same
+        # float, also where frac^2 underflows (the 1e-200 row).
+        p = MajorantParams(k=1, m=3.0)
+        psis = np.concatenate([rng.random((4, 1)) * 3, [[0.0], [1e-200]]])
+        rows = majorant_column_many(p, psis, y)
+        for psi, row in zip(psis, rows):
+            assert row == majorant_full(p, np.column_stack([psi, [0.0]]), y).value
 
     def test_column_equals_full_with_zero_right_column(self, rng):
-        p = MajorantParams(k=2, m=3, d_max=30)
-        for _ in range(5):
-            psi = rng.random(2) * 3
-            xi = np.column_stack([psi, np.zeros(2)])
-            a = majorant_column(p, psi, 0.3)
-            b = majorant_full(p, xi, 0.3)
-            assert a.value == pytest.approx(b.value, rel=1e-12)
-            assert a.tail_bound == b.tail_bound
+        # For k >= 2 the projection q . psi is a matrix product whose last
+        # bit can depend on the block's column count (1 here, 2 in the full
+        # block), so the two values agree to a few ulps, not bit for bit;
+        # the largest gap measured was 1.9 eps relative.
+        cases = [(MajorantParams(k=2, m=3, d_max=30), 0.3)]
+        cases += [(MajorantParams(k=2, m=5.0), y) for y in (1e-2, 1e-5)]
+        for p, y in cases:
+            psis = np.concatenate([rng.random((4, 2)) * 3, [[0.0, 0.0], [1e-200, 1e-200]]])
+            rows = majorant_column_many(p, psis, y)
+            for psi, row in zip(psis, rows):
+                a = majorant_column(p, psi, y)
+                b = majorant_full(p, np.column_stack([psi, np.zeros(2)]), y)
+                assert a.value == row
+                assert abs(a.value - b.value) <= 4 * np.finfo(float).eps * b.value
+                assert a.tail_bound == b.tail_bound
 
     def test_tail_certificate(self, rng):
         # Doubling both truncation cuts must move the value by less than
