@@ -47,7 +47,7 @@ _BLOCK_TERMS = 1 << 15
 #: Points of the (2 q_max + 1)^k grid that the q set is cut from.  Building the set
 #: was measured (2 cores) at about 250 ns and 50-104 bytes of peak memory per grid
 #: point for k = 1..4, the bytes growing like 8 (3k + 1); at 10^6 points that is
-#: about 0.25 s and at most 130 MB up to k = 5.  Defaults use 41^2 points at most.
+#: about 0.25 s and at most 130 MB up to k = 5.  CLI defaults and A06 use <= 41^2.
 Q_GRID_CAP = 1_000_000
 
 
