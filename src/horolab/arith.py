@@ -18,6 +18,7 @@ per call, and is the one production code should use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -31,6 +32,19 @@ SIEVE_CAP = 1_000_000
 
 #: Brute-force quadratic sums are refused beyond this many character evaluations.
 BRUTE_FORCE_LIMIT = 100_000_000
+
+#: Largest Kloosterman modulus.  Building the unit tables costs most at a prime,
+#: where every residue is a unit: measured (2 cores, whole process) 1.65 s and
+#: 154 MB at q = 999983, 6.0 s and 337 MB at q = 2999999, so about 2 us and
+#: 92 bytes per unit.  A 20 s budget would allow about 10^7, which would peak
+#: near 950 MB, so memory binds: this cap keeps one row near 4 s and 250 MB.
+KLOOSTERMAN_Q_CAP = 2_000_000
+
+#: Work of one closed quadratic sum, counted as g^4 (q + 600) with g = gcd(q, N):
+#: each of the g^4 shift classes costs one Kloosterman sum, measured (2 cores,
+#: cached tables, prime q) at about 10 us plus 17 ns per unit of q, and 10 us
+#: is the cost of 600 units.  At 17 ns per unit this cap is about 20 s.
+QUADSUM_WORK_CAP = 1_200_000_000
 
 _sieve_table: np.ndarray | None = None
 
@@ -120,7 +134,7 @@ def mod_inverse(a: int, q: int) -> int:
     return q if inv == 0 else inv
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Units modulo q and their inverses, as parallel integer arrays."""
     units = [a for a in range(1, max(q, 2)) if math.gcd(a, q) == 1]
@@ -130,7 +144,7 @@ def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(units, dtype=np.int64), np.array(inv, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _cos_table(q: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * np.arange(q) / q)
 
@@ -139,14 +153,17 @@ def kloosterman(m: int, n: int, q: int) -> float:
     """The complete sum over units a mod q of e((m a + n a^{-1}) / q).
 
     Pairing a with -a shows the sum is real, so it is accumulated through
-    cosines directly.
+    cosines directly.  The twists are reduced mod q first, so any integers
+    are accepted and the int64 products cannot wrap.
     """
     if q < 1:
         raise DomainError("modulus must be a positive integer")
     if q == 1:
         return 1.0
+    if q > KLOOSTERMAN_Q_CAP:
+        raise ResourceGuardError(f"Kloosterman modulus {q} exceeds the cap {KLOOSTERMAN_Q_CAP}")
     units, inv = _unit_tables(q)
-    phases = (m * units + n * inv) % q
+    phases = (m % q * units + n % q * inv) % q
     return float(_cos_table(q)[phases].sum())
 
 
@@ -157,27 +174,34 @@ def kloosterman_weil_bound(m: int, n: int, q: int) -> float:
 
 
 @dataclass(frozen=True)
-class CongruenceData:
-    """A residue class mod N for 4-tuples, constrained to determinant one.
+class CosetSpec:
+    """Integer matrices of determinant one in a fixed class mod N.
 
-    The residue is stored reduced into [0, N)^4 and must satisfy
-    r1 r4 - r2 r3 = 1 mod N, so the class actually meets the determinant
-    surface.
+    The representative is stored reduced mod N and must have determinant
+    1 mod N, otherwise the coset misses the determinant-one surface
+    entirely.
     """
 
     N: int
-    residue: tuple[int, int, int, int]
+    rep: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.N != int(self.N):
+        try:
+            N, rep = operator.index(self.N), tuple(operator.index(x) for x in self.rep)
+        except TypeError as exc:
+            raise DomainError("level N and the coset representative must be integers") from exc
+        if N < 1:
             raise DomainError("level N must be a positive integer")
-        r = tuple(int(x) % self.N for x in self.residue)
-        if len(self.residue) != 4:
-            raise DomainError("residue must have four entries")
-        det = r[0] * r[3] - r[1] * r[2]
-        if det % self.N != 1 % self.N:
-            raise DomainError(f"residue determinant {det} is not 1 mod {self.N}")
-        object.__setattr__(self, "residue", r)
+        if len(rep) != 4:
+            raise DomainError("coset representative needs four entries")
+        r = tuple(x % N for x in rep)
+        if (r[0] * r[3] - r[1] * r[2]) % N != 1 % N:
+            raise DomainError("representative determinant is not 1 mod N")
+        object.__setattr__(self, "rep", r)
+
+    @classmethod
+    def principal(cls, N: int) -> "CosetSpec":
+        return cls(N, (1, 0, 0, 1))
 
 
 def _check_v(v: Sequence[int]) -> tuple[int, int, int, int]:
@@ -187,7 +211,7 @@ def _check_v(v: Sequence[int]) -> tuple[int, int, int, int]:
     return vv
 
 
-def quad_expsum_bruteforce(q: int, cong: CongruenceData, v: Sequence[int]) -> complex:
+def quad_expsum_bruteforce(q: int, spec: CosetSpec, v: Sequence[int]) -> complex:
     """Direct evaluation of S(q, v) from the definition.
 
     The work grows like (qN)^4 q, so requests beyond ``BRUTE_FORCE_LIMIT``
@@ -196,7 +220,7 @@ def quad_expsum_bruteforce(q: int, cong: CongruenceData, v: Sequence[int]) -> co
     if q < 1:
         raise DomainError("modulus must be a positive integer")
     vv = _check_v(v)
-    N = cong.N
+    N = spec.N
     cost = (q * N) ** 4 * q
     if cost > BRUTE_FORCE_LIMIT:
         raise ResourceGuardError(
@@ -204,7 +228,7 @@ def quad_expsum_bruteforce(q: int, cong: CongruenceData, v: Sequence[int]) -> co
             "use quad_expsum_closed instead"
         )
     qN = q * N
-    axes = [cong.residue[i] + N * np.arange(q, dtype=np.int64) for i in range(4)]
+    axes = [spec.rep[i] + N * np.arange(q, dtype=np.int64) for i in range(4)]
     x1, x2, x3, x4 = np.meshgrid(*axes, indexing="ij", sparse=True)
     quad = x1 * x4 - x2 * x3 - 1
     linear = vv[0] * x1 + vv[1] * x2 + vv[2] * x3 + vv[3] * x4
@@ -217,7 +241,7 @@ def quad_expsum_bruteforce(q: int, cong: CongruenceData, v: Sequence[int]) -> co
     return complex(total)
 
 
-def quad_expsum_closed(q: int, cong: CongruenceData, v: Sequence[int]) -> complex:
+def quad_expsum_closed(q: int, spec: CosetSpec, v: Sequence[int]) -> complex:
     """Kloosterman-sum evaluation of S(q, v).
 
     Completing the square in the unit average turns each admissible shift
@@ -227,13 +251,17 @@ def quad_expsum_closed(q: int, cong: CongruenceData, v: Sequence[int]) -> comple
         S(q, v) = q^2 sum_c e(r . c / N) K(-1, -(w1 w4 - w2 w3); q).
 
     Coordinates with gcd(q, N) not dividing v_i admit no shift class and
-    the whole sum vanishes.
+    the whole sum vanishes.  Sums above ``QUADSUM_WORK_CAP`` are refused.
     """
     if q < 1:
         raise DomainError("modulus must be a positive integer")
     vv = _check_v(v)
-    N = cong.N
+    N = spec.N
     g = math.gcd(q, N)
+    if g ** 4 * (q + 600) > QUADSUM_WORK_CAP:
+        raise ResourceGuardError(
+            f"{g ** 4} shift classes at modulus {q} exceed the work cap {QUADSUM_WORK_CAP}"
+        )
     n_g = N // g
     per_coord: list[list[int]] = []
     for vi in vv:
@@ -250,7 +278,7 @@ def quad_expsum_closed(q: int, cong: CongruenceData, v: Sequence[int]) -> comple
                     w2 = (vv[1] - q * c2) // N
                     w3 = (vv[2] - q * c3) // N
                     w4 = (vv[3] - q * c4) // N
-                    r = cong.residue
+                    r = spec.rep
                     phase = (r[0] * c1 + r[1] * c2 + r[2] * c3 + r[3] * c4) % N
                     kl = kloosterman(-1, -(w1 * w4 - w2 * w3), q)
                     total += np.exp(2j * np.pi * phase / N) * kl

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
+from .arith import CosetSpec
 from .errors import DomainError, ResourceGuardError
-from .expsum import CosetSpec, enumerate_coset_ball
-from .quadrature import adaptive_quad, box_grid
+from .expsum import enumerate_coset_ball
+from .quadrature import box_grid
 from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompose, reduce_fundamental
-from .smoothfns import bump6
+from .smoothfns import BUMP6_MASS, bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
 # Ball enumeration is quadratic in the radius, and ``_series_data`` peaks near
@@ -41,7 +41,7 @@ class PoincareTestFn:
     all level-``level`` integer translates of ``M``, each multiplied by
     the correspondingly transported character of ``xi = v M^{-1}``.
 
-    The kernel is ``profile((|A|_F^2 - 2) / (support_radius^2 - 2))``,
+    The kernel is ``bump6((|A|_F^2 - 2) / (support_radius^2 - 2))``,
     which peaks at rotations (the minimum of the Frobenius norm) and
     vanishes for ``|A|_F >= support_radius``.
     """
@@ -49,7 +49,6 @@ class PoincareTestFn:
     level: int
     freq: tuple[tuple[int, int], ...]
     support_radius: float = 3.0
-    profile: Callable[[np.ndarray], np.ndarray] = bump6
 
     def __post_init__(self) -> None:
         if not isinstance(self.level, int) or self.level < 1:
@@ -77,19 +76,13 @@ class PoincareTestFn:
         return np.asarray(self.freq, dtype=np.int64)
 
 
-def kernel_at(fn: PoincareTestFn, t: np.ndarray) -> np.ndarray:
-    """Kernel of ``fn`` at the profile argument t = (|A|_F^2 - 2) / (rho^2 - 2),
-    rho the support radius: zero beyond t = 1 and at NaN."""
-    return np.where(t <= 1.0, fn.profile(np.minimum(t, 1.0)), 0.0)
-
-
 def kernel_value(fn: PoincareTestFn, mats: np.ndarray) -> np.ndarray:
     """Kernel of ``fn`` on a stacked (..., 2, 2) array of matrices."""
     arr = np.asarray(mats, dtype=float)
     if arr.shape[-2:] != (2, 2):
         raise DomainError("expected trailing 2 x 2 matrix axes")
     rho_sq = fn.support_radius * fn.support_radius
-    return kernel_at(fn, (np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
+    return bump6((np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
 
 
 @lru_cache(maxsize=256)
@@ -276,37 +269,22 @@ def covolume(level: int) -> float:
 
 
 def kernel_haar_mass(fn: PoincareTestFn) -> float:
-    """Integral of the kernel of ``fn`` over the whole group.
+    """Integral of the kernel of ``fn`` over the whole group, in closed form.
 
-    The kernel is rotation invariant, so the angular fibre contributes a
-    flat factor of 2 pi and the rest is a two dimensional integral over
-    the horocycle coordinates against v^{-2} du dv, supported where the
-    hyperbolic point stays within the cutoff.
+    With r the hyperbolic distance from i to A(i), |A|_F^2 = 2 cosh r, and
+    in geodesic polar coordinates about i the area v^{-2} du dv is
+    sinh r dr dphi.  The kernel depends on r alone, so the angular fibre
+    and the polar angle each contribute 2 pi, and
+
+        mass = 4 pi^2 int_0^inf bump6((2 cosh r - 2) / (rho^2 - 2)) sinh r dr.
+
+    Substituting s = (2 cosh r - 2) / (rho^2 - 2), so sinh r dr =
+    (rho^2 - 2) ds / 2, leaves the half mass of the bump on [0, 1]:
+
+        mass = 2 pi^2 (rho^2 - 2) * BUMP6_MASS / 2 = pi^2 (rho^2 - 2) BUMP6_MASS.
     """
     rho_sq = fn.support_radius * fn.support_radius
-    disc = math.sqrt(rho_sq * rho_sq - 4.0)
-    v_lo, v_hi = (rho_sq - disc) / 2.0, (rho_sq + disc) / 2.0
-
-    def slab(v: float) -> float:
-        span_sq = rho_sq * v - v * v - 1.0
-        if span_sq <= 0.0:
-            return 0.0
-        span = math.sqrt(span_sq)
-        inner = adaptive_quad(
-            lambda u: fn.profile((u * u + v * v + 1.0 - 2.0 * v) / (v * (rho_sq - 2.0))),
-            -span,
-            span,
-            rel_tol=1e-10,
-        )
-        return inner / (v * v)
-
-    outer = adaptive_quad(
-        lambda vs: np.array([slab(v) for v in np.atleast_1d(vs)]),
-        v_lo,
-        v_hi,
-        rel_tol=1e-9,
-    )
-    return 2.0 * math.pi * float(outer)
+    return math.pi * math.pi * (rho_sq - 2.0) * BUMP6_MASS
 
 
 def mean_value(fn: PoincareTestFn) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .affine import GroupElement, grid_gap
 from .arith import (
-    CongruenceData,
+    CosetSpec,
     kloosterman,
     kloosterman_weil_bound,
     quad_expsum_bruteforce,
@@ -36,7 +36,7 @@ from .arith import (
 )
 from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .expsum import CosetSpec, WeightFn, expsum_rhs, weighted_expsum_lhs
+from .expsum import WeightFn, expsum_rhs, weighted_expsum_lhs
 from .majorant import MajorantParams, lfd_test, majorant_full, orbit_gap_bound
 from .orbitlab import (
     _h_mass,
@@ -310,12 +310,12 @@ def _plan_kloosterman(p):
 
 
 def _plan_quadsum(p):
-    cong = CongruenceData(p["N"], tuple(p["rep"]))
+    spec = CosetSpec(p["N"], tuple(p["rep"]))
     if len(p["v"]) != 4:
         raise DomainError("twist v needs exactly four entries")
 
     def row(q):
-        value = quad_expsum_closed(q, cong, p["v"])
+        value = quad_expsum_closed(q, spec, p["v"])
         bound = quadsum_weil_bound(q, p["N"])
         return (q, value.real, value.imag, bound, abs(value) / bound)
 
@@ -404,10 +404,10 @@ def _verify_checks(rng):
 
     def quadsum_dual_route():
         for q, N in ((2, 1), (3, 1), (2, 2)):
-            cong = CongruenceData(N, (1, 0, 0, 1))
+            spec = CosetSpec.principal(N)
             v = tuple(int(x) for x in rng.integers(-2, 3, size=4))
-            closed = quad_expsum_closed(q, cong, v)
-            brute = quad_expsum_bruteforce(q, cong, v)
+            closed = quad_expsum_closed(q, spec, v)
+            brute = quad_expsum_bruteforce(q, spec, v)
             assert abs(closed - brute) <= 1e-9 * max(1.0, abs(brute))
 
     def kloosterman_weil():

@@ -18,7 +18,6 @@ and the divisor-weighted comparison expression they are measured against.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import divisor_counts, xgcd_array
+from .arith import CosetSpec, divisor_counts, xgcd_array
 from .errors import DomainError, ResourceGuardError
 from .smoothfns import bump6
 
@@ -39,37 +38,6 @@ BALL_CACHE_BYTES = 64 << 20
 #: the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
 _BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
-
-
-@dataclass(frozen=True)
-class CosetSpec:
-    """Integer matrices of determinant one in a fixed class mod N.
-
-    The representative is stored reduced mod N and must have determinant
-    1 mod N, otherwise the coset misses the determinant-one surface
-    entirely.
-    """
-
-    N: int
-    rep: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        try:
-            N, rep = operator.index(self.N), tuple(operator.index(x) for x in self.rep)
-        except TypeError as exc:
-            raise DomainError("level N and the coset representative must be integers") from exc
-        if N < 1:
-            raise DomainError("level N must be a positive integer")
-        if len(rep) != 4:
-            raise DomainError("coset representative needs four entries")
-        r = tuple(x % N for x in rep)
-        if (r[0] * r[3] - r[1] * r[2]) % N != 1 % N:
-            raise DomainError("representative determinant is not 1 mod N")
-        object.__setattr__(self, "rep", r)
-
-    @classmethod
-    def principal(cls, N: int) -> "CosetSpec":
-        return cls(N, (1, 0, 0, 1))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ _BLOCK_TERMS = 1 << 15
 #: about 0.25 s and at most 130 MB up to k = 5.  CLI defaults and A06 use <= 41^2.
 Q_GRID_CAP = 1_000_000
 
+#: Work of one ``lfd_test`` scan, counted as d_max (n_q + 450) for n_q scanned q
+#: vectors.  Each d step was measured (2 cores) at about 11 us plus 20-30 ns per
+#: q vector (1.16 s at d_max = 10^5 with 20 vectors, 0.76 s at 2 10^4 with 1000),
+#: and 11 us is the cost of about 450 vectors.  At 25 ns per unit this is ~20 s.
+LFD_WORK_CAP = 800_000_000
+
 
 @dataclass(frozen=True)
 class MajorantParams:
@@ -216,7 +222,11 @@ def majorant_column(params: MajorantParams, psi: Sequence[float], y: float) -> M
 
     This is the block whose left column is psi and right column zero, so the
     planar lattice distance collapses to the scalar distance |d q . psi|
-    from the nearest integer.
+    from the nearest integer.  For k = 1 the value equals
+    :func:`majorant_full` on [psi | 0]; for k >= 2 the projections q . psi
+    come from a matrix product of another shape, which rounds differently,
+    so the two agree only to rounding: about 1 eps relative at y = 0.3, but
+    up to about 30 eps at y = 1e-5, where the closeness factor amplifies it.
     """
     psi_arr = np.asarray(psi, dtype=float)
     if psi_arr.shape != (params.k,):
@@ -286,7 +296,7 @@ def lfd_test(
     The distance is even in q, so only vectors whose first nonzero entry is
     positive are scanned.  Returns None when every pair in the window
     satisfies the bound, otherwise the first failing pair in (d ascending,
-    q norm-then-lex) order.
+    q norm-then-lex) order.  Scans above ``LFD_WORK_CAP`` are refused.
     """
     if not all(math.isfinite(v) for v in (kappa, alpha, c)):
         raise DomainError("kappa, alpha and c must be finite")
@@ -296,6 +306,10 @@ def lfd_test(
     k = psi_arr.shape[0]
     qs = _q_vectors(k, q_max)
     qs = qs[_half_set(qs)]
+    if d_max * (len(qs) + 450) > LFD_WORK_CAP:
+        raise ResourceGuardError(
+            f"scanning d_max={d_max} against {len(qs)} q vectors exceeds the work cap {LFD_WORK_CAP}"
+        )
     norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
     proj = qs.astype(float) @ psi_arr
     for d in range(1, d_max + 1):

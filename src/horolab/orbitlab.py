@@ -35,12 +35,12 @@ import numpy as np
 
 from .affine import GroupElement
 from .arith import xgcd_array
-from .autofns import PoincareTestFn, evaluate_f, kernel_at, mean_value
+from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
 from .sl2core import Sl2Matrix, reduce_fundamental
-from .smoothfns import bump6_normalized
+from .smoothfns import bump6, bump6_normalized
 
 # Above this many translate candidates a single average would stall or
 # exhaust memory; callers see the guard instead of a silent truncation.
@@ -131,11 +131,11 @@ def partition_identity(
 ) -> float:
     """Mass in the window position of a source-scaled unit bump.
 
-    For a mass-one profile ``phi``, the bump centred at source point s and
+    For a mass-one bump ``phi``, the copy centred at source point s and
     scaled by ``(cs+d)**2`` keeps unit mass when integrated over the window
     position; this is the fact that lets an orbit integral be smeared over
     window positions without changing its value.  Computed by quadrature as
-    a check of the profile normalization, so the return value is ~1.
+    a check of the normalization of ``phi``, so the return value is ~1.
     """
     width = c * s + d
     if abs(width) < 1e-12 * (abs(c) * abs(s) + abs(d) + 1.0):
@@ -383,7 +383,7 @@ def _lattice_batch(
             x_hi = x_lo + widths
 
         # On x = mid + half u the rows top = p x + r and bot = q x + s are
-        # affine in u, so the profile argument is a quadratic per row, taken
+        # affine in u, so the kernel argument is a quadratic per row, taken
         # about the midpoint: expanding about x = 0 cancels digits at small y.
         terms = np.empty(p.size, dtype=complex)
         for start in range(0, p.size, _BLOCK_ROWS):
@@ -396,7 +396,7 @@ def _lattice_batch(
             t_c = (y * a2[sl] + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
             xs = mid[:, None] + half[:, None] * nodes
             t = (t_a[:, None] * nodes + t_b[:, None]) * nodes + t_c[:, None]
-            vals = kernel_at(fn, t) * window(xs, win[sl])
+            vals = bump6(t) * window(xs, win[sl])
             ints = half * np.sum(vals * wts, axis=1)
             terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
         first = np.flatnonzero(np.diff(win, prepend=-1)).tolist()

@@ -25,8 +25,6 @@ from .errors import DomainError
 
 # Determinant drift larger than this triggers renormalization by det^{-1/2}.
 DET_RENORM_TOL = 1e-12
-# After construction or multiplication the determinant must sit this close to 1.
-DET_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 
@@ -36,7 +34,7 @@ class Sl2Matrix:
     """A real 2x2 matrix of determinant one.
 
     Construction renormalizes mild determinant drift (|det - 1| up to
-    ``DET_TOL``) by dividing through sqrt(det); anything worse, or a
+    1e-6) by dividing through sqrt(det); anything worse, or a
     non-positive determinant, is rejected.  Instances are immutable and
     hashable, so they can be used freely as dictionary keys in caches.
     """
@@ -158,14 +156,6 @@ class UvsCoords:
     def __post_init__(self) -> None:
         if self.u == 0.0 and self.v == 0.0:
             raise DomainError("(u, v) = (0, 0) is outside the chart")
-
-
-def frobenius_norm(m: Sl2Matrix) -> float:
-    return m.frobenius_norm()
-
-
-def mobius(m: Sl2Matrix, tau: complex) -> complex:
-    return m.mobius(tau)
 
 
 def iwasawa_decompose(m: Sl2Matrix) -> IwasawaCoords:

@@ -20,7 +20,7 @@ import numpy as np
 from conftest import random_integer_gamma, random_sl2
 from horolab.affine import GroupElement, grid_gap, grid_of
 from horolab.arith import (
-    CongruenceData,
+    CosetSpec,
     quad_expsum_bruteforce,
     quad_expsum_closed,
     quadsum_weil_bound,
@@ -32,7 +32,7 @@ from horolab.autofns import (
     fourier_coefficient,
 )
 from horolab.errors import DomainError
-from horolab.expsum import CosetSpec, WeightFn, cancellation_report
+from horolab.expsum import WeightFn, cancellation_report
 from horolab.majorant import (
     MajorantParams,
     delta_lower_check,
@@ -81,7 +81,7 @@ def random_congruence(rng, N):
     while True:
         r = rng.integers(0, max(N, 2), size=4)
         if (r[0] * r[3] - r[1] * r[2]) % N == 1 % N:
-            return CongruenceData(N, tuple(int(x) for x in r))
+            return CosetSpec(N, tuple(int(x) for x in r))
 
 
 def loglog_slope(xs, vals):
@@ -101,10 +101,10 @@ def test_a01_quadratic_sum_closed_form_matches_bruteforce(rng):
     for q in range(1, 7):
         for N in (1, 2, 3):
             for _ in range(20):
-                cong = random_congruence(rng, N)
+                spec = random_congruence(rng, N)
                 v = tuple(int(x) for x in rng.integers(-5, 6, size=4))
-                brute = quad_expsum_bruteforce(q, cong, v)
-                closed = quad_expsum_closed(q, cong, v)
+                brute = quad_expsum_bruteforce(q, spec, v)
+                closed = quad_expsum_closed(q, spec, v)
                 worst = max(worst, abs(closed - brute) / max(1.0, abs(brute)))
                 checks += 1
     elapsed = time.time() - start
@@ -116,11 +116,11 @@ def test_a02_square_root_bound_on_closed_sums(rng):
     start = time.time()
     worst = 0.0
     for N in (1, 2, 3):
-        cong = CongruenceData(N, (1, 0, 0, 1))
+        spec = CosetSpec(N, (1, 0, 0, 1))
         for q in range(1, 201):
             bound = quadsum_weil_bound(q, N)
             for v in rng.integers(-50, 51, size=(100, 4)):
-                val = abs(quad_expsum_closed(q, cong, tuple(int(x) for x in v)))
+                val = abs(quad_expsum_closed(q, spec, tuple(int(x) for x in v)))
                 worst = max(worst, val / bound)
     elapsed = time.time() - start
     ok = worst <= 1.0 + 1e-9 and elapsed < 120.0

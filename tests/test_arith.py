@@ -6,7 +6,7 @@ import sympy
 
 from horolab.arith import (
     SIEVE_CAP,
-    CongruenceData,
+    CosetSpec,
     divisor_count,
     divisor_counts,
     kloosterman,
@@ -25,7 +25,7 @@ def random_congruence(rng, N):
     while True:
         r = rng.integers(0, max(N, 2), size=4)
         if (r[0] * r[3] - r[1] * r[2]) % N == 1 % N:
-            return CongruenceData(N, tuple(int(x) for x in r))
+            return CosetSpec(N, tuple(int(x) for x in r))
 
 
 class TestDivisorCount:
@@ -144,73 +144,60 @@ class TestKloosterman:
             n = int(rng.integers(-100, 101))
             assert abs(kloosterman(m, n, q)) <= kloosterman_weil_bound(m, n, q) + 1e-9
 
-
-class TestCongruenceData:
-    def test_residue_reduction(self):
-        cong = CongruenceData(2, (3, 0, 0, 3))
-        assert cong.residue == (1, 0, 0, 1)
-
-    def test_antidiagonal_unit(self):
-        # Determinant -1 is 1 mod 2, so this class is admissible at level 2.
-        assert CongruenceData(2, (0, 1, 1, 0)).residue == (0, 1, 1, 0)
-
-    def test_rejects_singular_residue(self):
-        with pytest.raises(DomainError):
-            CongruenceData(2, (0, 0, 0, 0))
-        with pytest.raises(DomainError):
-            CongruenceData(3, (1, 0, 0, 2))
-
-    def test_level_one_always_admissible(self):
-        assert CongruenceData(1, (5, 7, 11, 13)).residue == (0, 0, 0, 0)
+    def test_twists_beyond_int64_reduce_mod_q(self):
+        # 4611686018427387907 = 2^62 + 3 is 0 mod 7; m * units would wrap int64.
+        assert kloosterman(4611686018427387907, 1, 7) == kloosterman(0, 1, 7)
+        assert kloosterman(1, 10**20, 7) == kloosterman(1, 10**20 % 7, 7)
+        assert kloosterman(-11 * 10**30 - 3, 5, 11) == kloosterman(-3, 5, 11)
 
 
 class TestQuadExpsum:
     def test_modulus_one_is_pure_phase(self, rng):
         for N in (1, 2, 3):
-            cong = random_congruence(rng, N)
+            spec = random_congruence(rng, N)
             v = tuple(int(x) for x in rng.integers(-4, 5, size=4))
-            expected = np.exp(2j * np.pi * (np.dot(v, cong.residue) % N) / N)
-            assert quad_expsum_closed(1, cong, v) == pytest.approx(expected, abs=1e-12)
+            expected = np.exp(2j * np.pi * (np.dot(v, spec.rep) % N) / N)
+            assert quad_expsum_closed(1, spec, v) == pytest.approx(expected, abs=1e-12)
 
     def test_level_one_anchor(self):
-        cong = CongruenceData(1, (0, 0, 0, 0))
-        val = quad_expsum_closed(2, cong, (0, 0, 0, 0))
+        spec = CosetSpec(1, (0, 0, 0, 0))
+        val = quad_expsum_closed(2, spec, (0, 0, 0, 0))
         assert val == pytest.approx(-4.0 + 0j, abs=1e-12)
-        brute = quad_expsum_bruteforce(2, cong, (0, 0, 0, 0))
+        brute = quad_expsum_bruteforce(2, spec, (0, 0, 0, 0))
         assert brute == pytest.approx(val, abs=1e-9)
 
     def test_unsolvable_twist_vanishes(self):
-        cong = CongruenceData(2, (1, 0, 0, 1))
-        assert quad_expsum_closed(2, cong, (1, 0, 0, 0)) == 0j
-        brute = quad_expsum_bruteforce(2, cong, (1, 0, 0, 0))
+        spec = CosetSpec(2, (1, 0, 0, 1))
+        assert quad_expsum_closed(2, spec, (1, 0, 0, 0)) == 0j
+        brute = quad_expsum_bruteforce(2, spec, (1, 0, 0, 0))
         assert abs(brute) < 1e-9
 
     def test_closed_matches_bruteforce(self, rng):
         for q in (1, 2, 3, 4, 5):
             for N in (1, 2, 3):
-                cong = random_congruence(rng, N)
+                spec = random_congruence(rng, N)
                 v = tuple(int(x) for x in rng.integers(-5, 6, size=4))
-                b = quad_expsum_bruteforce(q, cong, v)
-                c = quad_expsum_closed(q, cong, v)
+                b = quad_expsum_bruteforce(q, spec, v)
+                c = quad_expsum_closed(q, spec, v)
                 assert c == pytest.approx(b, abs=1e-6 * max(1.0, abs(b)))
 
     def test_brute_force_guard(self):
-        cong = CongruenceData(10, (1, 0, 0, 1))
+        spec = CosetSpec(10, (1, 0, 0, 1))
         with pytest.raises(ResourceGuardError, match="100000000"):
-            quad_expsum_bruteforce(7, cong, (0, 0, 0, 0))
+            quad_expsum_bruteforce(7, spec, (0, 0, 0, 0))
 
     def test_weil_bound_on_closed_form(self, rng):
         for _ in range(50):
             q = int(rng.integers(1, 60))
             N = int(rng.integers(1, 4))
-            cong = random_congruence(rng, N)
+            spec = random_congruence(rng, N)
             v = tuple(int(x) for x in rng.integers(-10, 11, size=4))
-            val = quad_expsum_closed(q, cong, v)
+            val = quad_expsum_closed(q, spec, v)
             assert abs(val) <= quadsum_weil_bound(q, N) + 1e-6
 
     def test_validates_inputs(self):
-        cong = CongruenceData(1, (0, 0, 0, 0))
+        spec = CosetSpec(1, (0, 0, 0, 0))
         with pytest.raises(DomainError):
-            quad_expsum_closed(0, cong, (0, 0, 0, 0))
+            quad_expsum_closed(0, spec, (0, 0, 0, 0))
         with pytest.raises(DomainError):
-            quad_expsum_closed(2, cong, (0, 0, 0))
+            quad_expsum_closed(2, spec, (0, 0, 0))

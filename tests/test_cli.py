@@ -55,6 +55,15 @@ class TestAnchors:
             assert abs(float(row[1])) <= float(row[2]) + 1e-9
             assert float(row[3]) <= 1.0 + 1e-9
 
+    def test_kloosterman_twist_beyond_int64(self, capsys):
+        # 2^62 + 3 is 0 mod 7, so its row is the m = 0 row; 10^20 does not fit int64.
+        _, zero = invoke(capsys, "kloosterman", "--m", "0", "--q", "7")
+        code, big = invoke(capsys, "kloosterman", "--m", "4611686018427387907", "--q", "7")
+        assert code == 0 and big == zero
+        code, out = invoke(capsys, "kloosterman", "--m", str(10**20), "--q", "7")
+        _, same = invoke(capsys, "kloosterman", "--m", str(10**20 % 7), "--q", "7")
+        assert code == 0 and out == same
+
     def test_lfd_default_finds_no_witness(self, capsys):
         code, out = invoke(capsys, "lfd")
         assert code == 0
@@ -202,9 +211,13 @@ class TestExitCodes:
             ("orbit", "--route", "pointwise", "--T", "1e13", "--freq", "1,0"),
             ("orbit", "--route", "pointwise", "--T", "1e5", "--freq", "1,0"),
             ("lfd", "--psi", "0.1,0.2,0.3,0.4,0.5"),
+            ("kloosterman", "--q", "2000001"),
+            ("quadsum", "--q", "1000", "--N", "1000"),
+            ("lfd", "--dmax", "1000000000"),
         ],
         ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
-             "pointwise-long", "q-grid"],
+             "pointwise-long", "q-grid", "kloosterman-modulus", "quadsum-shift-classes",
+             "lfd-scan"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()

@@ -104,9 +104,25 @@ class TestCosetSpec:
         for N in (2.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 CosetSpec(N, (1, 0, 0, 1))
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (1.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 CosetSpec(2, (bad, 0, 0, 1))
+
+    def test_residue_reduction(self):
+        assert CosetSpec(2, (3, 0, 0, 3)).rep == (1, 0, 0, 1)
+
+    def test_antidiagonal_unit(self):
+        # Determinant -1 is 1 mod 2, so this class is admissible at level 2.
+        assert CosetSpec(2, (0, 1, 1, 0)).rep == (0, 1, 1, 0)
+
+    def test_rejects_singular_residue(self):
+        with pytest.raises(DomainError):
+            CosetSpec(2, (0, 0, 0, 0))
+        with pytest.raises(DomainError):
+            CosetSpec(3, (1, 0, 0, 2))
+
+    def test_level_one_always_admissible(self):
+        assert CosetSpec(1, (5, 7, 11, 13)).rep == (0, 0, 0, 0)
 
 
 class TestWeightFn:
