@@ -1,6 +1,6 @@
-"""Elementary arithmetic kernels: divisor counts, extended gcds,
-Kloosterman sums, and complete exponential sums over determinant-one
-congruence classes.
+"""Elementary arithmetic kernels: exact sums of float arrays, divisor
+counts, extended gcds, Kloosterman sums, and complete exponential sums over
+determinant-one congruence classes.
 
 The quadratic sum evaluated here runs over 4-tuples x in a fixed residue
 class mod N, weighted by additive characters in both the determinant
@@ -34,10 +34,10 @@ SIEVE_CAP = 1_000_000
 BRUTE_FORCE_LIMIT = 100_000_000
 
 #: Largest Kloosterman modulus.  Building the unit tables costs most at a prime,
-#: where every residue is a unit: measured (2 cores, whole process) 1.65 s and
-#: 154 MB at q = 999983, 6.0 s and 337 MB at q = 2999999, so about 2 us and
-#: 92 bytes per unit.  A 20 s budget would allow about 10^7, which would peak
-#: near 950 MB, so memory binds: this cap keeps one row near 4 s and 250 MB.
+#: where every residue is a unit.  The cap was set when the tables were built in
+#: Python (whole process, 2 cores: 1.65 s and 154 MB at q = 999983, so memory
+#: bound a 20 s budget); the array build now takes 0.5 s and 73 MB there, and
+#: 1.0 s and 120 MB at q = 1999993, so the cap is conservative.
 KLOOSTERMAN_Q_CAP = 2_000_000
 
 #: Work of one closed quadratic sum, counted as g^4 (q + 600) with g = gcd(q, N):
@@ -45,6 +45,105 @@ KLOOSTERMAN_Q_CAP = 2_000_000
 #: cached tables, prime q) at about 10 us plus 17 ns per unit of q, and 10 us
 #: is the cost of 600 units.  At 17 ns per unit this cap is about 20 s.
 QUADSUM_WORK_CAP = 1_200_000_000
+
+#: Every finite float64 is M 2^(e - 53) with frexp's integer mantissa |M| < 2^53 and
+#: exponent e >= -1073, so sums are kept as integers in units of 2^-1126.
+_EXACT_SHIFT = 1126
+#: Terms per bincount.  Each mantissa half is below 2^27 in magnitude and a bin takes
+#: the low half of its own exponent and the high half of the exponent 27 below, so
+#: a bin's float64 sum stays an integer below 1.5 * 2^52: exact.
+_EXACT_CHUNK = 1 << 25
+
+
+class ExactSum:
+    """Running sums of float64 or complex128 terms in ``n`` groups, exact
+    until one final rounding.
+
+    Terms arrive block by block through :meth:`add`, each with its group
+    index.  A block costs a few array passes and one ``np.bincount`` per
+    mantissa half, keyed by (group part, binary exponent) over the block's
+    own exponent range; the bins are packed into int64 words and folded
+    into one Python int per group part (real and imaginary parts apart), so
+    states of different blocks add exactly.  :meth:`totals` divides each int by 2^1126 once,
+    which is correctly rounded: every part is the float ``math.fsum``
+    returns for the same terms, whatever their order or cut into blocks.
+    Non-finite terms act as in ``math.fsum``: NaN gives NaN, inf of one sign
+    gives that inf, and both signs raise ``ValueError``; otherwise a sum
+    beyond the float range raises ``OverflowError``.  (``math.fsum`` also
+    raises when a partial sum overflows, depending on the order of terms.)
+    """
+
+    def __init__(self, n: int = 1) -> None:
+        self._ints = [0] * (2 * n)  # part 2g is group g's real part, 2g + 1 its imaginary
+        self._special: dict[int, tuple[float, float]] = {}  # part -> (all, inf) non-finite sums
+
+    def add(self, terms: np.ndarray, groups: np.ndarray | None = None) -> None:
+        """Add the 1-d ``terms`` into ``groups`` (same length; default all group 0)."""
+        terms = np.asarray(terms)
+        groups = np.zeros(terms.size, dtype=np.int64) if groups is None else np.asarray(groups)
+        if np.iscomplexobj(terms):
+            values = np.ascontiguousarray(terms, dtype=complex).view(float)
+            parts = (2 * groups[:, None] + np.arange(2)).ravel()
+        else:
+            values, parts = terms.astype(float, copy=False), 2 * groups
+        if parts.size and not (0 <= parts.min() and parts.max() < len(self._ints)):
+            raise IndexError("group index out of range")
+        for i in range(0, values.size, _EXACT_CHUNK):
+            self._add_chunk(values[i : i + _EXACT_CHUNK], parts[i : i + _EXACT_CHUNK])
+
+    def _add_chunk(self, values: np.ndarray, parts: np.ndarray) -> None:
+        finite = np.isfinite(values)
+        if not finite.all():
+            for part, x in zip(parts[~finite].tolist(), values[~finite].tolist()):
+                every, inf = self._special.get(part, (0.0, 0.0))
+                self._special[part] = (every + x, inf + x if math.isinf(x) else inf)
+            values, parts = values[finite], parts[finite]
+        if not values.size:
+            return
+        # The mantissa M = frac 2^53 splits as hi 2^27 + lo, hi = floor(M / 2^27),
+        # 0 <= lo < 2^27; every step is exact in float64.
+        frac, exp = np.frexp(values)
+        hi = np.floor(frac * 2.0 ** 26)
+        lo = frac * 2.0 ** 53 - hi * 2.0 ** 27
+        e_lo, p_lo = int(exp.min()), int(parts.min())
+        span, n_parts = int(exp.max()) - e_lo + 1, int(parts.max()) - p_lo + 1
+        keys = (parts - p_lo) * span + (exp - e_lo)
+        bins = np.zeros((n_parts, span + 27))
+        bins[:, :span] = np.bincount(keys, weights=lo, minlength=n_parts * span).reshape(n_parts, span)
+        bins[:, 27:] += np.bincount(keys, weights=hi, minlength=n_parts * span).reshape(n_parts, span)
+        # Pack k adjacent exponents of a part into one int64 word: each bin is
+        # below 2^bits, so a word is below 2^(bits + k) = 2^62.
+        k = 62 - int(np.abs(bins).max()).bit_length()
+        n_words = -(-(span + 27) // k)
+        packed = np.zeros((n_parts, n_words * k), dtype=np.int64)
+        packed[:, : span + 27] = bins
+        words = (packed.reshape(n_parts, n_words, k) << np.arange(k)).sum(axis=2).ravel()
+        nz = np.flatnonzero(words)
+        part, word = np.divmod(nz, n_words)
+        ints, base = self._ints, e_lo - 53 + _EXACT_SHIFT
+        for p, shift, w in zip((part + p_lo).tolist(), (word * k + base).tolist(), words[nz].tolist()):
+            ints[p] += w << shift
+
+    def totals(self) -> np.ndarray:
+        """The (n,) complex array of group sums, each part correctly rounded."""
+        parts = []
+        for p, value in enumerate(self._ints):
+            every, inf = self._special.get(p, (0.0, 0.0))
+            if math.isnan(inf):
+                raise ValueError("-inf + inf in exact sum")
+            parts.append(every if every != 0.0 else value / (1 << _EXACT_SHIFT))
+        out = np.empty(len(parts) // 2, dtype=complex)
+        out.real, out.imag = parts[0::2], parts[1::2]
+        return out
+
+
+def exact_sum(terms: np.ndarray) -> complex:
+    """``math.fsum`` of the real and of the imaginary parts of ``terms``:
+    the one-group :class:`ExactSum`."""
+    acc = ExactSum()
+    acc.add(np.ravel(terms))
+    return complex(acc.totals()[0])
+
 
 _sieve_table: np.ndarray | None = None
 
@@ -137,11 +236,21 @@ def mod_inverse(a: int, q: int) -> int:
 @lru_cache(maxsize=8)
 def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Units modulo q and their inverses, as parallel integer arrays."""
-    units = [a for a in range(1, max(q, 2)) if math.gcd(a, q) == 1]
     if q == 1:
-        units = [0]
-    inv = [pow(a, -1, q) if q > 1 else 0 for a in units]
-    return np.array(units, dtype=np.int64), np.array(inv, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    residues = np.arange(1, q, dtype=np.int64)
+    units = residues[np.gcd(residues, q) == 1]
+    # Euler: a^phi(q) = 1 mod q, so a^(phi(q) - 1) is the inverse, by square and
+    # multiply.  Products stay below q^2, inside int64 for q < 3 * 10^9.  At
+    # q = 999983 (2 cores) this takes 0.22 s; xgcd_array's floor divisions took 1.35 s.
+    inv, power, e = np.ones_like(units), units.copy(), units.size - 1
+    while e:
+        if e & 1:
+            inv = inv * power % q
+        e >>= 1
+        if e:
+            power = power * power % q
+    return units, inv
 
 
 @lru_cache(maxsize=8)

@@ -21,12 +21,11 @@ import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .arith import CosetSpec, divisor_counts, xgcd_array
+from .arith import CosetSpec, ExactSum, divisor_counts, exact_sum, xgcd_array
 from .errors import DomainError, ResourceGuardError
 from .smoothfns import bump6
 
@@ -58,7 +57,8 @@ class WeightFn:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != 4:
             raise DomainError("weight expects 4-component points")
-        return np.prod(bump6(pts / self.B), axis=-1)
+        b = bump6(pts / self.B)
+        return b[..., 0] * b[..., 1] * b[..., 2] * b[..., 3]
 
 
 class _BallCache:
@@ -160,24 +160,26 @@ def weighted_expsum_lhs(
     """The twisted, weighted count over the coset box of side 2 B X.
 
     Matrices enter through their flattened rows a = (a1, a2, a3, a4); each
-    contributes e(alpha . a) w(a / X).  Accumulation is compensated and the
-    enumeration order fixed, so results are bit-reproducible.
+    contributes e(alpha . a) w(a / X).  The sum is exact, correctly rounded
+    and the enumeration order fixed, so results are bit-reproducible.
     """
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
     alpha_arr = np.asarray(alpha, dtype=float)
     if alpha_arr.shape != (4,):
         raise DomainError("twist alpha must be a 4-vector")
-    mats = enumerate_coset_ball(spec, 2.0 * weight.B * X).reshape(-1, 4)
+    side = weight.B * X
+    mats = enumerate_coset_ball(spec, 2.0 * side).reshape(-1, 4)
     # Terms are computed row by row, so ball blocks give the floats of one pass.
-    parts = []
+    acc = ExactSum()
     for i in range(0, len(mats), _BLOCK_ROWS):
         block = mats[i : i + _BLOCK_ROWS]
-        flat = block[np.max(np.abs(block), axis=1) <= weight.B * X].astype(float)
-        parts.append(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
-    re = math.fsum(chain.from_iterable(v.real.tolist() for v in parts))
-    im = math.fsum(chain.from_iterable(v.imag.tolist() for v in parts))
-    return complex(re, im)
+        # Column by column: numpy reduces a length-4 axis slowly.
+        a = np.abs(block)
+        box = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3])) <= side
+        flat = block[box].astype(float)
+        acc.add(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
+    return complex(acc.totals()[0])
 
 
 def expsum_rhs(X: float, alpha: Sequence[float]) -> float:
@@ -199,7 +201,7 @@ def expsum_rhs(X: float, alpha: Sequence[float]) -> float:
     frac = qa - np.round(qa)
     dist = np.sqrt((frac * frac).sum(axis=1))
     terms = taus * qs ** -1.5 / (1.0 + X * dist / qs)
-    return X * X * math.fsum(terms.tolist())
+    return X * X * exact_sum(terms).real
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ class MajorantValue:
         return self.value + self.tail_bound
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _q_vectors(k: int, q_max: int) -> np.ndarray:
     """Nonzero integer vectors of norm at most q_max, norm-then-lex ordered."""
     points = (2 * q_max + 1) ** k

@@ -12,10 +12,11 @@ Every lattice average goes through one kernel over a stack of windows.  It
 runs one block of at most ``_BLOCK_CANDIDATES`` bottom-row candidates at a
 time through enumeration, filters, completion and integration, so its
 arrays stay bounded by the block, not by the window: one y = 1e-4 window
-peaks at about 24 MB traced instead of 129 MB.  A window's value is the
-``math.fsum`` of its own translate terms, so it is the same float alone, in
-any batch and at any block size.  Window callables take arrays of nodes
-(the kernel's also the owning window of each node row).
+peaks at about 21 MB traced instead of 129 MB.  A window's value is the
+exact, correctly rounded sum of its own translate terms
+(``arith.ExactSum``), so it is the same float alone, in any batch and at
+any block size.  Window callables take arrays of nodes (the kernel's also
+the owning window of each node row).
 
 Completion bounds each bottom row q's translates by the disk
 p^2 + q^2 < p_max^2 that every integrated translate lies in.  On a
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .affine import GroupElement
-from .arith import xgcd_array
+from .arith import ExactSum, exact_sum, xgcd_array
 from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .majorant import MajorantParams, majorant_full
@@ -253,16 +253,6 @@ def _candidate_blocks(
             yield win[col], level * (k_lo[col].astype(np.int64) + offset), n2[col]
 
 
-def _settle(out: np.ndarray, held: dict, upto: int) -> None:
-    """``math.fsum`` the held term pieces of every window below ``upto`` into ``out``."""
-    for w in [w for w in held if w < upto]:
-        parts = held.pop(w)
-        out[w] = complex(
-            math.fsum(chain.from_iterable(re.tolist() for re, _ in parts)),
-            math.fsum(chain.from_iterable(im.tolist() for _, im in parts)),
-        )
-
-
 def _lattice_batch(
     fn: PoincareTestFn,
     mats: np.ndarray,
@@ -280,8 +270,8 @@ def _lattice_batch(
 
     One block of bottom-row candidates at a time goes through every stage:
     the slab and gcd filters, completion to translates, support intervals
-    and integration.  Blocks are consecutive in window order, so a window's
-    terms are held only until its last block, then summed by ``math.fsum``."""
+    and integration.  Each block's terms go into one exact sum keyed by
+    window, so no term outlives its block."""
     n_win, level = ys.size, fn.level
     rho_sq = fn.support_radius * fn.support_radius
     root_y = np.sqrt(ys)
@@ -307,11 +297,9 @@ def _lattice_batch(
     # c[w, i, j] pairs column i of the reduced torus point with frequency column j.
     c = np.swapaxes(xis - np.floor(xis), 1, 2) @ fn.freq_array.astype(float)
     nodes, wts = _rule(24)
-    out = np.zeros(n_win, dtype=complex)
-    held: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    acc = ExactSum(n_win)
 
     for win, n1, n2 in blocks:
-        _settle(out, held, int(win[0]))
         # The slab test before gcd: the filters commute and the slab drops more rows.
         q = n1 * m00[win] + n2 * m10[win]
         s = n1 * m01[win] + n2 * m11[win]
@@ -399,11 +387,8 @@ def _lattice_batch(
             vals = bump6(t) * window(xs, win[sl])
             ints = half * np.sum(vals * wts, axis=1)
             terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
-        first = np.flatnonzero(np.diff(win, prepend=-1)).tolist()
-        for w, i, j in zip(win[first].tolist(), first, first[1:] + [win.size]):
-            held.setdefault(w, []).append((terms.real[i:j], terms.imag[i:j]))
-    _settle(out, held, n_win)
-    return out
+        acc.add(terms, win)
+    return acc.totals()
 
 
 def lattice_window_average(
@@ -437,11 +422,12 @@ def lattice_window_average(
     coefficients come from the rows at the midpoint.
 
     Translates are enumerated, completed and integrated one block of at most
-    ``_BLOCK_CANDIDATES`` bottom rows at a time, so memory is bounded by the
-    block; only the window's terms, 16 bytes each, are held until its last
-    block.  Each translate's term is computed on its own row and the terms
-    are added by ``math.fsum`` (real and imaginary parts apart), so the value
-    does not depend on the block sizes or on the other windows of a batch.
+    ``_BLOCK_CANDIDATES`` bottom rows at a time, and each block's terms are
+    added into an exact running sum before the next block starts, so memory
+    is bounded by the block, not by the window's row count.  Each
+    translate's term is computed on its own row and the sum is correctly
+    rounded (real and imaginary parts apart), so the value does not depend
+    on the block sizes or on the other windows of a batch.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -597,8 +583,7 @@ def split_orbit_average(
         return np.asarray(h(ss), dtype=float) * bump
 
     inner = _lattice_batch(fn, core, xis, t / T, t * (s_lo - z), t * (s_hi - z), window)
-    terms = weight * (inner / t)
-    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return exact_sum(weight * (inner / t))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horolab import arith
 from horolab.arith import (
     SIEVE_CAP,
     CosetSpec,
+    ExactSum,
     divisor_count,
     divisor_counts,
+    exact_sum,
     kloosterman,
     kloosterman_weil_bound,
     mod_inverse,
@@ -26,6 +31,91 @@ def random_congruence(rng, N):
         r = rng.integers(0, max(N, 2), size=4)
         if (r[0] * r[3] - r[1] * r[2]) % N == 1 % N:
             return CosetSpec(N, tuple(int(x) for x in r))
+
+
+def same_float(a, b):
+    """Bit-for-bit equality, the sign of zero and NaN included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+normal_terms = st.floats(-1e6, 1e6, allow_nan=False)
+# Mantissas spread over 35 decades, 1e-17 to 1e18.
+spread_terms = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-17, 18))
+huge_terms = st.one_of(normal_terms, st.sampled_from([1e300, -1e300, 3e299, -7e299]))
+subnormal_terms = st.floats(-1e-300, 1e-300, allow_nan=False)
+term_lists = st.one_of(*(st.lists(t, max_size=300) for t in (normal_terms, spread_terms, huge_terms, subnormal_terms)))
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=term_lists)
+    def test_equals_fsum(self, terms):
+        assert same_float(exact_sum(np.array(terms, dtype=float)).real, math.fsum(terms))
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=term_lists, data=st.data())
+    def test_pieces_and_groups_equal_fsum_per_group(self, terms, data):
+        n = data.draw(st.integers(1, 4))
+        groups = data.draw(st.lists(st.integers(0, n - 1), min_size=len(terms), max_size=len(terms)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+        values = np.array(terms, dtype=float) * (1.0 - 0.5j)
+        acc = ExactSum(n)
+        for lo, hi in zip([0] + cuts, cuts + [len(terms)]):
+            acc.add(values[lo:hi], np.array(groups[lo:hi], dtype=np.int64))
+        totals = acc.totals()
+        for g in range(n):
+            mine = [v for v, h in zip(values.tolist(), groups) if h == g]
+            assert same_float(totals[g].real, math.fsum(v.real for v in mine))
+            assert same_float(totals[g].imag, math.fsum(v.imag for v in mine))
+
+    def test_full_bins(self):
+        # Equal extreme mantissas fill one bin, or bring the bins of 64 adjacent
+        # exponents to just below 2^43, so packed int64 words come near 2^62.
+        top = 1.0 - 2.0 ** -53
+        for terms in (
+            np.r_[np.full(100_000, top), np.full(30_001, -top * 2.0 ** -1000)],
+            np.repeat(top * 2.0 ** np.arange(64.0), 43_690),
+        ):
+            assert same_float(exact_sum(terms).real, math.fsum(terms.tolist()))
+
+    def test_chunk_cuts(self, monkeypatch, rng):
+        terms = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, 1000)
+        monkeypatch.setattr(arith, "_EXACT_CHUNK", 7)
+        assert same_float(exact_sum(terms).real, math.fsum(terms.tolist()))
+
+    def test_empty_and_zeros_give_positive_zero(self):
+        for terms in ([], [0.0], [-0.0], [-0.0, -0.0, 0.0]):
+            total = exact_sum(np.array(terms, dtype=float))
+            assert same_float(total.real, math.fsum(terms)) and same_float(total.imag, 0.0)
+        assert same_float(math.fsum([-0.0]), 0.0)
+        acc = ExactSum(3)
+        acc.add(np.array([-0.0 - 0.0j]), np.array([1]))
+        assert all(same_float(v, 0.0) for v in acc.totals().view(float))
+
+    def test_non_finite_terms_act_as_in_fsum(self):
+        nan, inf = math.nan, math.inf
+        for terms in ([1.0, nan], [inf, 2.0, inf], [-inf, 5.0], [inf, nan]):
+            assert same_float(exact_sum(np.array(terms)).real, math.fsum(terms))
+        for terms in ([inf, -inf], [1.0, -inf, nan, inf]):
+            with pytest.raises(ValueError):
+                math.fsum(terms)
+            with pytest.raises(ValueError):
+                exact_sum(np.array(terms))
+        for terms in ([1e308, 1e308], [-1e308, -1e308, 1.0]):
+            with pytest.raises(OverflowError):
+                math.fsum(terms)
+            with pytest.raises(OverflowError):
+                exact_sum(np.array(terms))
+        # A non-finite term stays in its own group and part.
+        acc = ExactSum(2)
+        acc.add(np.array([complex(nan, 1.0), 2.0 + 3.0j, complex(4.0, inf)]), np.array([0, 1, 1]))
+        totals = acc.totals()
+        assert math.isnan(totals[0].real) and totals[0].imag == 1.0
+        assert totals[1].real == 6.0 and totals[1].imag == inf
+
+    def test_group_out_of_range(self):
+        with pytest.raises(IndexError):
+            ExactSum(2).add(np.ones(3), np.array([0, 1, 2]))
 
 
 class TestDivisorCount:
@@ -143,6 +233,15 @@ class TestKloosterman:
             m = int(rng.integers(-100, 101))
             n = int(rng.integers(-100, 101))
             assert abs(kloosterman(m, n, q)) <= kloosterman_weil_bound(m, n, q) + 1e-9
+
+    @pytest.mark.parametrize("qs", [range(1, 501), [65536, 99991, 100000]])
+    def test_unit_tables_match_python(self, qs):
+        for q in qs:
+            units = [a for a in range(1, q) if math.gcd(a, q) == 1] if q > 1 else [0]
+            inverses = [pow(a, -1, q) if q > 1 else 0 for a in units]
+            got = arith._unit_tables(q)
+            assert all(v.dtype == np.int64 for v in got)
+            assert got[0].tolist() == units and got[1].tolist() == inverses
 
     def test_twists_beyond_int64_reduce_mod_q(self):
         # 4611686018427387907 = 2^62 + 3 is 0 mod 7; m * units would wrap int64.

@@ -147,6 +147,11 @@ class TestWeightFn:
         pts = np.zeros((10, 4))
         assert w(pts).shape == (10,)
 
+    def test_column_product_equals_axis_product(self, rng):
+        w = WeightFn(1.7)
+        pts = rng.uniform(-1.8, 1.8, (5000, 4))
+        assert np.array_equal(w(pts), np.prod(bump6(pts / 1.7), axis=-1))
+
 
 class TestEnumeration:
     def test_below_norm_floor_is_empty(self):

@@ -118,6 +118,13 @@ class TestQVectors:
         with pytest.raises(ResourceGuardError):
             lfd_test([0.1, 0.2, 0.3, 0.4, 0.5], 2.0, 1.5, 0.1, q_max=20, d_max=20)
 
+    def test_cache_keeps_at_most_eight_grids(self):
+        # A caller sweeping q_max must not keep every grid it built.
+        for q_max in range(10, 20):
+            lfd_test([0.1, 0.2], 2.0, 1.5, 0.1, q_max=q_max, d_max=2)
+            assert _q_vectors.cache_info().currsize <= 8
+        assert _q_vectors.cache_info().currsize == 8
+
 
 class TestMajorantValues:
     def test_scale_domain(self):
