@@ -56,6 +56,13 @@ Q_GRID_CAP = 1_000_000
 #: and 11 us is the cost of about 450 vectors.  At 25 ns per unit this is ~20 s.
 LFD_WORK_CAP = 800_000_000
 
+#: Gap offsets of one ``orbit_gap_bound`` call, counted as n_q d_max for the n_q
+#: vectors of the full q set.  Each offset was measured (2 cores) at 7-9 us of
+#: ``grid_gap_many`` and series work (15.6 s at q_max = 10, d_max = 10^5, that is
+#: 2 10^6 offsets, with 218 MB peak RSS), so at 8 us per offset this is ~20 s.
+#: CLI defaults, A15 and ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
+ORBIT_GAP_WORK_CAP = 2_500_000
+
 
 @dataclass(frozen=True)
 class MajorantParams:
@@ -298,6 +305,8 @@ def lfd_test(
     satisfies the bound, otherwise the first failing pair in (d ascending,
     q norm-then-lex) order.  Scans above ``LFD_WORK_CAP`` are refused.
     """
+    if q_max < 1 or d_max < 1:
+        raise DomainError("q_max and d_max must be at least 1")
     if not all(math.isfinite(v) for v in (kappa, alpha, c)):
         raise DomainError("kappa, alpha and c must be finite")
     if c <= 0.0:
@@ -350,7 +359,8 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
 
     The leading term applies the cubic gauge to the reciprocal square root
     of the q = 0 gap; each series term applies the linear gauge to
-    1 / (1 + gap(d q) / d), weighted like the majorant series.
+    1 / (1 + gap(d q) / d), weighted like the majorant series.  Calls with
+    more than ``ORBIT_GAP_WORK_CAP`` gap offsets (q, d) are refused.
     """
     if not T >= 2.0:
         raise DomainError("time parameter must be at least 2")
@@ -358,6 +368,12 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
         raise DomainError("orbit gap bound needs an explicit d_max")
     if element.k != params.k:
         raise DomainError(f"element has k={element.k}, params expect {params.k}")
+    offsets = len(_q_vectors(params.k, params.q_max)) * params.d_max
+    if offsets > ORBIT_GAP_WORK_CAP:
+        raise ResourceGuardError(
+            f"{offsets} gap offsets (q_max={params.q_max}, d_max={params.d_max}) exceed the cap"
+            f" {ORBIT_GAP_WORK_CAP}"
+        )
     qs, coef_q, coef_d, tail = _weights(params, params.d_max)
     # One batch per T: the q = 0 row, then d q for each q and d = 1..d_max.
     dq = qs[:, None, :] * np.arange(1, params.d_max + 1)[:, None]

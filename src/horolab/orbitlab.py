@@ -613,16 +613,12 @@ def equidist_error(
     The window ``h`` is supported on [-1, 1].  The limit is the product of
     the mean value with the window mass; the bound multiplies the
     thirteenth power of the base norm by the lattice majorant at the
-    element's torus block.  The average uses the lattice route below height
-    0.05, where pointwise quadrature would need millions of samples; the
-    routes agree on their common range.
+    element's torus block.  The average is the lattice route's at every
+    height; ``translate_integral`` is the oracle it is tested against.
     """
     if params.k != fn.k:
         raise DomainError("majorant parameters carry a different block count")
-    if y < 0.05:
-        average = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
-    else:
-        average = translate_integral(fn, element, y, h)
+    average = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
     mean = mean_value(fn)
     limit = mean * _h_mass(h, -1.0, 1.0) if mean != 0.0 else 0.0
     error = abs(average - limit)

@@ -1,16 +1,23 @@
 """End-to-end checks of the command line driver.
 
 Everything runs in-process through ``horolab.cli.run`` so exit codes and
-output bytes are observable without spawning subprocesses.
+output bytes are observable without spawning subprocesses; only the check
+of ``verify`` under ``python -O`` needs a fresh interpreter.
 """
 
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import time
 import warnings
 
 import pytest
 
+import horolab
 from horolab.cli import run
 
 
@@ -81,19 +88,27 @@ class TestAnchors:
 
 class TestTables:
     def test_headers_match_documented_schemas(self, capsys):
-        cheap = {
+        schemas = {
+            "delta": ["y", "value", "tail", "Qmax", "Dmax"],
+            "lfd": ["ok", "d", "q"],
             "sgq": ["T", "value", "witness1", "witness2"],
             "expsum": ["X", "lhs_re", "lhs_im", "rhs", "ratio"],
+            "kloosterman": ["q", "value", "bound", "ratio"],
+            "quadsum": ["q", "value_re", "value_im", "bound", "ratio"],
             "orbit": ["T", "avg_re", "avg_im", "limit", "error"],
             "horocycle": ["y", "average", "limit", "error"],
             "theorem4": ["T", "term0", "series", "tail"],
         }
+        # The usage text lists each table command's columns; they must be its header.
+        _, usage = invoke(capsys, "--help")
+        listed = dict(re.findall(r"^  (\w+) .*; columns (\S+)$", usage, re.MULTILINE))
+        assert listed.keys() == schemas.keys()
         args = {"horocycle": ("--y", "0.3"), "theorem4": ("--T", "50")}
-        for command, expected in cheap.items():
+        for command, expected in schemas.items():
             code, out = invoke(capsys, command, *args.get(command, ()))
             assert code == 0, command
             header, rows = rows_of(out)
-            assert header == expected
+            assert header == expected == listed[command].split(","), command
             assert rows
 
     def test_schedule_spans_rows_in_order(self, capsys):
@@ -180,6 +195,7 @@ class TestExitCodes:
         assert run(["delta", "--y", "abc"]) == 2
         assert run(["delta", "--format", "xml"]) == 2
         assert run(["sgq", "--matrix", "1,0,0", "--xi", "0,0"]) == 2
+        assert run(["lfd", "--dmax", "auto"]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -214,10 +230,11 @@ class TestExitCodes:
             ("kloosterman", "--q", "2000001"),
             ("quadsum", "--q", "1000", "--N", "1000"),
             ("lfd", "--dmax", "1000000000"),
+            ("theorem4", "--dmax", "1000000"),
         ],
         ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
              "pointwise-long", "q-grid", "kloosterman-modulus", "quadsum-shift-classes",
-             "lfd-scan"],
+             "lfd-scan", "theorem4-offsets"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()
@@ -262,6 +279,18 @@ class TestExitCodes:
         integer = ["sgq", "--matrix", "2,1,1,1", "--xi", "0.3,0.7", "--q", "2", "--T", "1e100"]
         assert run(integer) == 0
 
+    def test_unwritable_out_maps_to_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        assert run(["expsum", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"horolab: cannot write {target}: ") and "Traceback" not in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("flags", [("--dmax", "0"), ("--dmax", "-5"), ("--qmax", "0")])
+    def test_empty_lfd_scan_is_refused(self, capsys, flags):
+        assert run(["lfd", *flags]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2
         assert run(["orbit", "--freq", "1,0,0,1"]) == 2
@@ -290,6 +319,22 @@ class TestVerify:
 
     def test_battery_is_seedable(self, capsys):
         assert run(["verify", "--seed", "123"]) == 0
+
+    def test_failure_survives_optimize_and_names_the_value(self):
+        script = (
+            "import sys, horolab.cli as cli\n"
+            "cli.kloosterman = lambda m, n, q: 1e9\n"
+            "sys.exit(cli.run(['verify']))\n"
+        )
+        src = str(pathlib.Path(horolab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 1, proc.stderr
+        last = proc.stdout.strip().split("\n")[-1]
+        assert last.startswith("FAIL kloosterman-weil: |K(") and "= 1000000000 > " in last
 
 
 class TestHorocycleTable:
