@@ -9,12 +9,12 @@ Usage:
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
+from horolab.cli import run_script
 from horolab.expsum import CosetSpec, WeightFn, cancellation_report
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -27,7 +27,10 @@ def main(argv=None):
     parser.add_argument("--B", type=float, default=1.0)
     parser.add_argument("--out", help="CSV destination")
     args = parser.parse_args(argv)
+    return run_script("run_cancellation", args.out, lambda: compare(args))
 
+
+def compare(args):
     Xs = [float(x) for x in args.scales.split(",")]
     spec = CosetSpec.principal(args.N)
     weight = WeightFn(args.B)
@@ -44,15 +47,8 @@ def main(argv=None):
     exp_t = np.polyfit(lx, np.log([abs(r.lhs) for r in twisted]), 1)[0]
     exp_f = np.polyfit(lx, np.log([abs(r.lhs) for r in flat]), 1)[0]
     print(f"growth exponents: twisted {exp_t:.3f}, untwisted {exp_f:.3f}")
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["X", "twisted_abs", "flat_abs", "rhs", "ratio"])
-            for t, f in zip(twisted, flat):
-                writer.writerow([t.X, abs(t.lhs), abs(f.lhs), t.rhs, t.ratio])
-        print(f"wrote {len(twisted)} rows to {args.out}")
-    return 0
+    rows = [[t.X, abs(t.lhs), abs(f.lhs), t.rhs, t.ratio] for t, f in zip(twisted, flat)]
+    return ["X", "twisted_abs", "flat_abs", "rhs", "ratio"], rows
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ Usage:
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
+from horolab.cli import run_script
 from horolab.majorant import MajorantParams, majorant_full
 
 POINTS = {
@@ -35,7 +35,10 @@ def main(argv=None):
     parser.add_argument("--points", type=int, default=11)
     parser.add_argument("--out", help="CSV destination")
     args = parser.parse_args(argv)
+    return run_script("run_delta_sweep", args.out, lambda: sweep(args))
 
+
+def sweep(args):
     ys = np.logspace(-args.min_exp, -args.max_exp, args.points)
     params = MajorantParams(1, args.m, args.qmax, None)
     rows = []
@@ -48,14 +51,7 @@ def main(argv=None):
         slope = np.polyfit(np.log(ys), np.log(vals), 1)[0]
         print(f"{name:10s} delta({ys[0]:.2g})={vals[0]:.5g}  "
               f"delta({ys[-1]:.2g})={vals[-1]:.5g}  slope={slope:+.4f}")
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point", "y", "value", "tail"])
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return ["point", "y", "value", "tail"], rows
 
 
 if __name__ == "__main__":

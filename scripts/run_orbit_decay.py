@@ -11,12 +11,12 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from horolab.affine import GroupElement
+from horolab.cli import run_script
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.sl2core import Sl2Matrix
 
@@ -43,7 +43,10 @@ def main(argv=None):
     parser.add_argument("--dmax", type=int, default=10)
     parser.add_argument("--out", help="CSV destination")
     args = parser.parse_args(argv)
+    return run_script("run_orbit_decay", args.out, lambda: ensemble(args))
 
+
+def ensemble(args):
     rng = np.random.default_rng(np.random.Philox(args.seed))
     Ts = [float(t) for t in args.times.split(",")]
     params = MajorantParams(1, args.m, args.qmax, args.dmax)
@@ -66,14 +69,7 @@ def main(argv=None):
     print(f"slope quartiles: {np.percentile(slopes, 25):+.4f}  "
           f"{np.median(slopes):+.4f}  {np.percentile(slopes, 75):+.4f}")
     print(f"steepest {slopes.min():+.4f}, shallowest {slopes.max():+.4f}")
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "T", "term0", "series", "tail", "slope"])
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return ["index", "T", "term0", "series", "tail", "slope"], rows
 
 
 if __name__ == "__main__":

@@ -16,16 +16,19 @@ header the command writes.
 
 Exit codes: 0 success, 2 validation failure (including unknown flags,
 NaN/inf in any numeric flag and an ``--out`` path that cannot be written),
-3 numerical non-convergence, 4 resource guard tripped.
+3 numerical non-convergence, 4 resource guard tripped.  ``run_script`` gives
+the ``scripts/`` drivers the same exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -512,6 +515,36 @@ def _usage(stream) -> None:
 _EXIT_CODES = {DomainError: 2, ConvergenceError: 3, ResourceGuardError: 4}
 
 
+def _fail(prog: str, exc: Exception) -> int:
+    print(f"{prog}: {exc}", file=sys.stderr)
+    return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
+def run_script(prog: str, out: str | None, table: Callable[[], tuple[list, list]]) -> int:
+    """Run a ``scripts/`` driver under the exit codes of :func:`run`.
+
+    ``table()`` prints the driver's report and returns its CSV header and
+    rows, which are written to ``out`` when it is given.  ``out`` is opened
+    before ``table`` runs, so a path that cannot be written exits 2 before
+    any work is done.
+    """
+    try:
+        fh = open(out, "w", newline="") if out else None
+    except OSError as exc:
+        return _fail(prog, DomainError(f"cannot write {out}: {exc}"))
+    with fh or nullcontext():
+        try:
+            header, rows = table()
+        except tuple(_EXIT_CODES) as exc:
+            return _fail(prog, exc)
+        if fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+            print(f"wrote {len(rows)} rows to {out}")
+    return 0
+
+
 def run(argv: Sequence[str]) -> int:
     """Entry point returning the process exit code."""
     argv = list(argv)
@@ -541,8 +574,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     except tuple(_EXIT_CODES) as exc:
-        print(f"horolab: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        return _fail("horolab", exc)
     return 0
 
 

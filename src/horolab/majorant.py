@@ -13,16 +13,19 @@ partial sum together with a certified bound on everything discarded, so
 the true value is bracketed by [value, value + tail].
 
 One evaluator serves planar blocks, single columns and batches of columns.
-Planar blocks measure the lattice distance as the root of the summed squares
-of the fractional parts; column blocks take the fractional part's absolute
-value directly, which is the same float.  The distance is even in q, so each
-q is summed together with -q: the evaluator runs over the vectors whose first
-nonzero entry is positive (ordered by increasing norm, then
-lexicographically) with doubled weights, and the -q term it stands for is the
-same float.  Each row's terms are cut into d-blocks whose size depends only
-on the number of q vectors; numpy sums each block and ``math.fsum`` combines
-a row's block sums.  A row's value is therefore the same float alone or
-inside any batch, and on every run.
+The distance is even in q, so each q is summed together with -q: the
+evaluator runs over the vectors whose first nonzero entry is positive
+(ordered by increasing norm, then lexicographically) with doubled weights,
+and the -q term it stands for is the same float.  The (q, d) plane is cut
+into tiles whose sizes depend only on the number of q vectors and on d_max.
+Per tile the weights are multiplied by the scale d sqrt(y) once, so each term
+is one division, weight d sqrt(y) / (d sqrt(y) + dist).  Planar blocks
+measure the lattice distance as the root of the summed squares of the two
+columns' fractional parts; column blocks take the fractional part's absolute
+value directly, which gives the same term for every y above about 7e-276
+(see ``_series``).  numpy sums each row's terms per tile and ``math.fsum``
+combines a row's tile sums.  A row's value is therefore the same float alone
+or inside any batch, and on every run.
 """
 
 from __future__ import annotations
@@ -41,8 +44,15 @@ from .errors import DomainError, ResourceGuardError
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
 ZETA_THREE_HALVES = 2.612375348685488
 
-#: Terms (rows x q x d) evaluated per numpy block; fixes the d- and row-block sizes.
+#: Terms (rows x q x d) evaluated per numpy block; fixes the tile and row-block sizes.
 _BLOCK_TERMS = 1 << 15
+
+#: Fewest d values a tile spans when d_max allows.  Every pass of the block loop runs
+#: over d innermost, so a short d axis makes numpy's per-row loop overhead dominate:
+#: planar blocks against 15,708 half-set vectors (k = 2, q_max = 100) were measured
+#: (2 cores) at 20-22 ns per term with 2 values of d per tile, 9 with 8 and 6-7 with
+#: 32 or more.  1 << 15 / 32 = 1024, so up to 1024 half-set vectors keep one q tile.
+_MIN_D_SPAN = 32
 
 #: Points of the (2 q_max + 1)^k grid that the q set is cut from.  Building the set
 #: was measured (2 cores) at about 250 ns and 50-104 bytes of peak memory per grid
@@ -62,6 +72,12 @@ LFD_WORK_CAP = 800_000_000
 #: 2 10^6 offsets, with 218 MB peak RSS), so at 8 us per offset this is ~20 s.
 #: CLI defaults, A15 and ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
 ORBIT_GAP_WORK_CAP = 2_500_000
+
+#: Work of one series evaluation, counted as rows x half-set q vectors x d_max x
+#: columns.  The slowest shape, planar blocks against 15,708 half-set vectors
+#: (k = 2, q_max = 100), was measured (2 cores) at 6-9 ns per unit; at 10 ns this
+#: is ~20 s.  The largest call of A07 and the benchmark is 2 10^8 units, A06 6 10^6.
+SERIES_WORK_CAP = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -173,40 +189,79 @@ def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
 def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarray, float]:
     """Truncated values for a batch of blocks ``xis`` of shape (n, k, c), and the tail.
 
-    The lattice distance of d q xi is sqrt(sum frac^2) over the c columns for
-    planar blocks (c = 2).  Column blocks (c = 1) take |frac| directly: in
-    binary64 sqrt(fl(x^2)) = |x| unless x^2 underflows, which needs
-    |x| < 1e-154, and there 1 + |x| / (d sqrt(y)) is exactly 1 either way.  So
-    every column term is the float the planar formula gives for the same frac.
+    The (q, d) plane is cut into tiles of at most ``_BLOCK_TERMS`` (q, d)
+    pairs that span at least min(d_max, ``_MIN_D_SPAN``) values of d, and
+    each tile into blocks of rows.  Per tile the weight table
+    coef_q (x) (coef_d d sqrt(y)) is built once, so every term costs one
+    division: weight d sqrt(y) / (d sqrt(y) + dist).  The projections q . xi
+    are summed over the k entries of q in a fixed order, so a column's
+    projections do not depend on the block's column count c.
+
+    The lattice distance of d q xi is sqrt(f0^2 + f1^2) over the fractional
+    parts of the two columns for planar blocks (c = 2).  Column blocks
+    (c = 1) take |f0| directly.  In binary64 sqrt(fl(x^2)) = |x| unless x^2
+    underflows, which needs |x| < 2^-511 (about 1.5e-154), and then both
+    distances lie below 2^-511, which is less than half an ulp of the scale
+    d sqrt(y) when d sqrt(y) >= 2^-457 = 2^54 2^-511, that is for every
+    y >= 2^-914 (about 7e-276).  There scale + |x| is the scale either way,
+    so each column term is the float the planar formula gives for [psi | 0].
+
+    Calls above ``SERIES_WORK_CAP`` units of work are refused before the
+    weights are built.
     """
     if not (0.0 < y <= 1.0):
         raise DomainError(f"scale parameter y={y} must lie in (0, 1]")
     _check_finite(xis, "torus coordinates")
+    n_rows, k, c = xis.shape
     d_max = params.effective_d_max(y)
+    # The q set holds each pair q, -q, and the series runs over one of each.
+    n_half = len(_q_vectors(k, params.q_max)) // 2
+    work = n_rows * n_half * d_max * c
+    if work > SERIES_WORK_CAP:
+        raise ResourceGuardError(
+            f"{n_rows} rows x {n_half} q vectors x d_max={d_max} x {c} columns = {work} units"
+            f" exceed the series work cap {SERIES_WORK_CAP}"
+        )
     weights = _weights(params, d_max)
     half = _half_set(weights.qs)
     qs = weights.qs[half].astype(float)
     coef_q = 2.0 * weights.coef_q[half]
     ds = np.arange(1, d_max + 1, dtype=float)
     scale = ds * math.sqrt(y)
-    d_step = max(1, min(d_max, _BLOCK_TERMS // len(qs)))
-    row_step = max(1, _BLOCK_TERMS // (len(qs) * d_step))
-    column = xis.shape[2] == 1
-    blocks = np.empty((len(xis), -(-d_max // d_step)))
-    for j, d0 in enumerate(range(0, d_max, d_step)):
-        d_block = slice(d0, d0 + d_step)
-        coef = coef_q[:, None] * weights.coef_d[d_block]
-        for r0 in range(0, len(xis), row_step):
-            frac = (qs @ xis[r0 : r0 + row_step])[..., None] * ds[d_block]
-            frac -= np.round(frac)
-            if column:
-                denom = np.abs(frac, out=frac)[:, :, 0]
+    coef_d = weights.coef_d * scale
+    d_step = min(d_max, max(_MIN_D_SPAN, _BLOCK_TERMS // n_half))
+    q_step = min(n_half, _BLOCK_TERMS // d_step)
+    row_step = max(1, _BLOCK_TERMS // (q_step * d_step))
+    tiles = [
+        (slice(q0, q0 + q_step), slice(d0, d0 + d_step))
+        for q0 in range(0, n_half, q_step)
+        for d0 in range(0, d_max, d_step)
+    ]
+    # Column-major rows, (c, n, k), so that each column's fractional parts are one
+    # contiguous (rows, q, d) array.
+    cols = xis.transpose(2, 0, 1)
+    blocks = np.empty((n_rows, len(tiles)))
+    for j, (q_tile, d_tile) in enumerate(tiles):
+        table = coef_q[q_tile, None] * coef_d[d_tile]
+        q_cols = qs[q_tile].T
+        for r0 in range(0, n_rows, row_step):
+            rows = cols[:, r0 : r0 + row_step]
+            proj = rows[..., 0, None] * q_cols[0]
+            for i in range(1, k):
+                proj += rows[..., i, None] * q_cols[i]
+            frac = proj[..., None] * ds[d_tile]
+            frac -= np.rint(frac)
+            f0 = frac[0]
+            if c == 1:
+                denom = np.abs(f0, out=f0)
             else:
-                frac *= frac
-                denom = np.sqrt(frac.sum(axis=2))
-            denom /= scale[d_block]
-            denom += 1.0
-            terms = np.divide(coef, denom, out=denom)
+                f1 = frac[1]
+                f0 *= f0
+                f1 *= f1
+                f0 += f1
+                denom = np.sqrt(f0, out=f0)
+            denom += scale[d_tile]
+            terms = np.divide(table, denom, out=denom)
             blocks[r0 : r0 + row_step, j] = terms.reshape(len(terms), -1).sum(axis=1)
     return np.array([math.fsum(row) for row in blocks]), weights.tail
 
@@ -229,11 +284,8 @@ def majorant_column(params: MajorantParams, psi: Sequence[float], y: float) -> M
 
     This is the block whose left column is psi and right column zero, so the
     planar lattice distance collapses to the scalar distance |d q . psi|
-    from the nearest integer.  For k = 1 the value equals
-    :func:`majorant_full` on [psi | 0]; for k >= 2 the projections q . psi
-    come from a matrix product of another shape, which rounds differently,
-    so the two agree only to rounding: about 1 eps relative at y = 0.3, but
-    up to about 30 eps at y = 1e-5, where the closeness factor amplifies it.
+    from the nearest integer, and the value equals :func:`majorant_full` on
+    [psi | 0] for every y above about 7e-276.
     """
     psi_arr = np.asarray(psi, dtype=float)
     if psi_arr.shape != (params.k,):

@@ -231,10 +231,11 @@ class TestExitCodes:
             ("quadsum", "--q", "1000", "--N", "1000"),
             ("lfd", "--dmax", "1000000000"),
             ("theorem4", "--dmax", "1000000"),
+            ("delta", "--k", "2", "--qmax", "100", "--xi", "0.1,0.2,0.3,0.4", "--y", "1e-12"),
         ],
         ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
              "pointwise-long", "q-grid", "kloosterman-modulus", "quadsum-shift-classes",
-             "lfd-scan", "theorem4-offsets"],
+             "lfd-scan", "theorem4-offsets", "series-work"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()

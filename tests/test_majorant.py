@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from horolab import majorant
 from horolab.affine import GroupElement, grid_gap, log_gauge
 from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import (
@@ -12,8 +13,11 @@ from horolab.majorant import (
     MajorantParams,
     MajorantValue,
     Q_GRID_CAP,
+    SERIES_WORK_CAP,
     ZETA_THREE_HALVES,
+    _half_set,
     _q_vectors,
+    _series,
     _weights,
     d_tail_bound,
     delta_lower_check,
@@ -52,6 +56,41 @@ def term_by_term(params, xi, y):
             weight = tau * math.sqrt(norm2) ** -params.m * d**-1.5
             terms.append(weight / (1.0 + dist / (d * math.sqrt(y))))
     return math.fsum(terms)
+
+
+def two_division_series(params, xis, y):
+    """The block loop that preceded the single-division kernel, kept as a reference.
+
+    Each term is coef / (1 + dist / scale), with the projections from one
+    matrix product per block of rows and d-blocks of 1 << 15 // |q| values.
+    """
+    d_max = params.effective_d_max(y)
+    weights = _weights(params, d_max)
+    half = _half_set(weights.qs)
+    qs = weights.qs[half].astype(float)
+    coef_q = 2.0 * weights.coef_q[half]
+    ds = np.arange(1, d_max + 1, dtype=float)
+    scale = ds * math.sqrt(y)
+    d_step = max(1, min(d_max, (1 << 15) // len(qs)))
+    row_step = max(1, (1 << 15) // (len(qs) * d_step))
+    column = xis.shape[2] == 1
+    blocks = np.empty((len(xis), -(-d_max // d_step)))
+    for j, d0 in enumerate(range(0, d_max, d_step)):
+        d_block = slice(d0, d0 + d_step)
+        coef = coef_q[:, None] * weights.coef_d[d_block]
+        for r0 in range(0, len(xis), row_step):
+            frac = (qs @ xis[r0 : r0 + row_step])[..., None] * ds[d_block]
+            frac -= np.round(frac)
+            if column:
+                denom = np.abs(frac, out=frac)[:, :, 0]
+            else:
+                frac *= frac
+                denom = np.sqrt(frac.sum(axis=2))
+            denom /= scale[d_block]
+            denom += 1.0
+            terms = np.divide(coef, denom, out=denom)
+            blocks[r0 : r0 + row_step, j] = terms.reshape(len(terms), -1).sum(axis=1)
+    return np.array([math.fsum(row) for row in blocks])
 
 
 class TestParams:
@@ -172,21 +211,34 @@ class TestMajorantValues:
             assert row == majorant_full(p, np.column_stack([psi, [0.0]]), y).value
 
     def test_column_equals_full_with_zero_right_column(self, rng):
-        # For k >= 2 the projection q . psi is a matrix product whose last
-        # bit can depend on the block's column count (1 here, 2 in the full
-        # block), so the two values agree to a few ulps, not bit for bit;
-        # the largest gap measured was 1.9 eps relative.
+        # The projection q . psi is summed over the entries of q in a fixed
+        # order, so a column and the block [psi | 0] see the same float for
+        # every k, and the two values are the same float.
         cases = [(MajorantParams(k=2, m=3, d_max=30), 0.3)]
         cases += [(MajorantParams(k=2, m=5.0), y) for y in (1e-2, 1e-5)]
+        cases += [(MajorantParams(k=3, m=5.0, q_max=6), y) for y in (1e-2, 1e-4)]
         for p, y in cases:
-            psis = np.concatenate([rng.random((4, 2)) * 3, [[0.0, 0.0], [1e-200, 1e-200]]])
+            k = p.k
+            psis = np.concatenate([rng.random((4, k)) * 3, [[0.0] * k, [1e-200] * k]])
             rows = majorant_column_many(p, psis, y)
             for psi, row in zip(psis, rows):
                 a = majorant_column(p, psi, y)
-                b = majorant_full(p, np.column_stack([psi, np.zeros(2)]), y)
+                b = majorant_full(p, np.column_stack([psi, np.zeros(k)]), y)
                 assert a.value == row
-                assert abs(a.value - b.value) <= 4 * np.finfo(float).eps * b.value
+                assert a.value == b.value
                 assert a.tail_bound == b.tail_bound
+
+    def test_series_work_is_refused_before_the_weights(self):
+        # 15,708 half-set vectors x d_max = 10^6 x 2 columns; the benchmark's
+        # largest batch (10^4 rows x 20 x 1000) and A06 stay below the cap.
+        assert 10**4 * 20 * 1000 <= SERIES_WORK_CAP
+        p = MajorantParams(k=2, m=3.0, q_max=100)
+        misses = _weights.cache_info().misses
+        with pytest.raises(ResourceGuardError, match="series work cap"):
+            majorant_full(p, np.zeros((2, 2)), 1e-12)
+        with pytest.raises(ResourceGuardError, match="series work cap"):
+            majorant_column_many(MajorantParams(k=1, m=3.0), np.zeros((10**6, 1)), 1e-6)
+        assert _weights.cache_info().misses == misses
 
     def test_tail_certificate(self, rng):
         # Doubling both truncation cuts must move the value by less than
@@ -227,8 +279,22 @@ class TestMajorantValues:
         psis = rng.random((20, 2)) * 2
         batch = majorant_column_many(p, psis, 0.01)
         for row, expect in zip(psis, batch):
-            got = majorant_column(p, row, 0.01).value
-            assert got == pytest.approx(expect, rel=1e-13)
+            assert majorant_column(p, row, 0.01).value == expect
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize(
+        "k, q_max, y, block_terms",
+        [(1, 20, 1e-4, 1 << 15), (2, 20, 1e-2, 1 << 15), (2, 4, 5e-4, 256), (1, 12, 5e-4, 256)],
+    )
+    def test_row_alone_equals_row_in_batch(self, rng, monkeypatch, c, k, q_max, y, block_terms):
+        # Blocks of several rows (k = 2, y = 1e-2: five rows of 628 x 10
+        # terms) and tiles over q (256 terms) leave each row's sums alone.
+        monkeypatch.setattr(majorant, "_BLOCK_TERMS", block_terms)
+        p = MajorantParams(k=k, m=k + 2.0, q_max=q_max)
+        xis = rng.uniform(-1.0, 2.0, (12, k, c))
+        batch, _ = _series(p, xis, y)
+        for i, row in enumerate(batch):
+            assert _series(p, xis[i : i + 1], y)[0][0] == row
 
     def test_zero_point_hits_coefficient_sum(self):
         # At psi = 0 every closeness factor is 1, so the value is the plain
@@ -265,6 +331,46 @@ class TestTermByTermOracle:
             expect = term_by_term(p, psi[:, None], y)
             assert majorant_column(p, psi, y).value == pytest.approx(expect, rel=1e-13, abs=0.0)
             assert row == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("k, m, q_max, y", [(1, 3.0, 12, 5e-4), (2, 2.5, 4, 5e-4)])
+    def test_tiles_over_q_match(self, rng, monkeypatch, c, k, m, q_max, y):
+        # With 256 terms per block a tile spans 32 values of d and 8 q
+        # vectors, so the half set (12 vectors at k = 1, 24 at k = 2) is cut
+        # into 2 or 3 q tiles and d_max = 45 into 2 d tiles.
+        monkeypatch.setattr(majorant, "_BLOCK_TERMS", 256)
+        p = MajorantParams(k=k, m=m, q_max=q_max)
+        d_max = p.effective_d_max(y)
+        n_half = len(_q_vectors(k, q_max)) // 2
+        assert n_half > 256 // min(d_max, majorant._MIN_D_SPAN)
+        xis = rng.uniform(-1.0, 2.0, (3, k, c))
+        values, _ = _series(p, xis, y)
+        for xi, value in zip(xis, values):
+            assert value == pytest.approx(term_by_term(p, xi, y), rel=1e-13, abs=0.0)
+
+
+class TestKernelReference:
+    """The single-division kernel against the two-division block loop."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("y", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_values_agree_to_rounding(self, rng, k, y, c):
+        # One division in place of two moves each term by a few ulps, so a
+        # sum of positive terms moves by less than 8 eps relative.  For
+        # k = 2 the reference's projections also round differently (one
+        # matrix product), and the closeness factor amplifies a projection's
+        # last bit: 32 eps allows for that at random points, while at a
+        # rational point and y = 1e-6 it reaches about 34 eps.
+        p = MajorantParams(k=k, m=k + 2.0, q_max=20)
+        xis = rng.uniform(-1.0, 2.0, (40 if k == 1 else 6, k, c))
+        values, _ = _series(p, xis, y)
+        expect = two_division_series(p, xis, y)
+        tol = (8 if k == 1 else 32) * self.EPS
+        np.testing.assert_array_less(np.abs(values - expect), tol * expect)
 
 
 class TestLowerEnvelope:
