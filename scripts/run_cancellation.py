@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from horolab.cli import run_script
+from horolab.cli import _floats, run_script
+from horolab.errors import DomainError
 from horolab.expsum import CosetSpec, WeightFn, cancellation_report
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -31,7 +32,9 @@ def main(argv=None):
 
 
 def compare(args):
-    Xs = [float(x) for x in args.scales.split(",")]
+    Xs = list(_floats(args.scales))
+    if len(set(Xs)) < 2:
+        raise DomainError("--scales needs two distinct values to fit a growth exponent")
     spec = CosetSpec.principal(args.N)
     weight = WeightFn(args.B)
     alpha = np.array([GOLD, GOLD**2, GOLD**3, GOLD**4]) / 4.0

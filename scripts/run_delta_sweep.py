@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from horolab.cli import run_script
+from horolab.errors import DomainError
 from horolab.majorant import MajorantParams, majorant_full
 
 POINTS = {
@@ -39,6 +40,8 @@ def main(argv=None):
 
 
 def sweep(args):
+    if args.points < 2 or args.min_exp == args.max_exp:
+        raise DomainError("a slope needs --points of at least 2 and two distinct exponents")
     ys = np.logspace(-args.min_exp, -args.max_exp, args.points)
     params = MajorantParams(1, args.m, args.qmax, None)
     rows = []

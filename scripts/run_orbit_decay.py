@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from horolab.affine import GroupElement
-from horolab.cli import run_script
+from horolab.cli import _floats, run_script
+from horolab.errors import DomainError
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.sl2core import Sl2Matrix
 
@@ -47,8 +48,12 @@ def main(argv=None):
 
 
 def ensemble(args):
+    if args.count < 1:
+        raise DomainError("--count must be at least 1")
     rng = np.random.default_rng(np.random.Philox(args.seed))
-    Ts = [float(t) for t in args.times.split(",")]
+    Ts = list(_floats(args.times))
+    if len(set(Ts)) < 2:
+        raise DomainError("--times needs two distinct values to fit a slope")
     params = MajorantParams(1, args.m, args.qmax, args.dmax)
     log_t = np.log(Ts)
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, guard
 
 #: Largest modulus for which the divisor-count sieve will allocate a table.
 SIEVE_CAP = 1_000_000
@@ -151,8 +151,7 @@ _sieve_table: np.ndarray | None = None
 def divisor_counts(n: int) -> np.ndarray:
     """Read-only view of tau(1), ..., tau(n) in one shared sieve table."""
     global _sieve_table
-    if n > SIEVE_CAP:
-        raise ResourceGuardError(f"divisor counts up to {n} exceed the sieve cap {SIEVE_CAP}")
+    guard(n, SIEVE_CAP, "sieve entries")
     if _sieve_table is None or len(_sieve_table) <= n:
         size = 1024
         while size <= n:
@@ -269,8 +268,7 @@ def kloosterman(m: int, n: int, q: int) -> float:
         raise DomainError("modulus must be a positive integer")
     if q == 1:
         return 1.0
-    if q > KLOOSTERMAN_Q_CAP:
-        raise ResourceGuardError(f"Kloosterman modulus {q} exceeds the cap {KLOOSTERMAN_Q_CAP}")
+    guard(q, KLOOSTERMAN_Q_CAP, "Kloosterman residues")
     units, inv = _unit_tables(q)
     phases = (m % q * units + n % q * inv) % q
     return float(_cos_table(q)[phases].sum())
@@ -330,12 +328,7 @@ def quad_expsum_bruteforce(q: int, spec: CosetSpec, v: Sequence[int]) -> complex
         raise DomainError("modulus must be a positive integer")
     vv = _check_v(v)
     N = spec.N
-    cost = (q * N) ** 4 * q
-    if cost > BRUTE_FORCE_LIMIT:
-        raise ResourceGuardError(
-            f"brute-force size (qN)^4 q = {cost} exceeds the limit {BRUTE_FORCE_LIMIT}; "
-            "use quad_expsum_closed instead"
-        )
+    guard((q * N) ** 4 * q, BRUTE_FORCE_LIMIT, "brute-force character evaluations")
     qN = q * N
     axes = [spec.rep[i] + N * np.arange(q, dtype=np.int64) for i in range(4)]
     x1, x2, x3, x4 = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -367,10 +360,7 @@ def quad_expsum_closed(q: int, spec: CosetSpec, v: Sequence[int]) -> complex:
     vv = _check_v(v)
     N = spec.N
     g = math.gcd(q, N)
-    if g ** 4 * (q + 600) > QUADSUM_WORK_CAP:
-        raise ResourceGuardError(
-            f"{g ** 4} shift classes at modulus {q} exceed the work cap {QUADSUM_WORK_CAP}"
-        )
+    guard(g**4 * (q + 600), QUADSUM_WORK_CAP, "closed-form work units")
     n_g = N // g
     per_coord: list[list[int]] = []
     for vi in vv:

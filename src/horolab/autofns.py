@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import CosetSpec
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, guard
 from .expsum import enumerate_coset_ball
 from .quadrature import box_grid
 from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompose, reduce_fundamental
@@ -106,10 +106,7 @@ def _series_data(fn: PoincareTestFn, matrix: Sl2Matrix) -> tuple[np.ndarray, np.
     # Quantizing the ball radius upward makes repeated evaluations share
     # cached enumerations; the extra candidates all carry weight zero.
     radius_q = math.ceil(radius * 4.0) / 4.0
-    if radius_q * radius_q > BALL_RADIUS_SQ_GUARD:
-        raise ResourceGuardError(
-            f"translate ball radius {radius_q:.3g} exceeds the enumeration budget"
-        )
+    guard(radius_q * radius_q, BALL_RADIUS_SQ_GUARD, "squared ball-radius units")
     if fn.level == 1:
         spec = CosetSpec.principal(1)
     else:

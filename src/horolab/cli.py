@@ -4,8 +4,7 @@ Each run parses flags (optionally seeded from a ``key = value`` config
 file), validates every parameter by constructing the domain objects up
 front, then evaluates a table of rows and emits it as CSV or JSON.  Rows
 are pure functions of the run configuration, so identical invocations
-produce byte-identical files; sweeps may fan rows out across threads and
-still write them in schedule order.
+produce byte-identical files.
 
 Every subcommand is one entry of ``_COMMANDS``: its one-line description,
 its CSV columns, its flags as ``(default, converter)`` pairs and its
@@ -27,7 +26,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -90,13 +88,10 @@ class RunConfig:
     seed: int
     out: str | None
     fmt: str
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, not {self.fmt!r}")
-        if self.jobs < 1:
-            raise DomainError("jobs must be at least 1")
 
 
 def _as_element(matrix: Sequence[float], xi: Sequence[float]) -> GroupElement:
@@ -236,7 +231,6 @@ class _Command(NamedTuple):
 
 _ELEMENT = {"matrix": ("1,0,0,1", _floats), "xi": ("0,0", _floats)}
 
-# Usage lists the commands, and sweep's argparse error its choices, in this order.
 _COMMANDS = {
     "delta": _Command("majorant series values", "y,value,tail,Qmax,Dmax", _plan_delta, {
         "k": ("1", _int), "m": ("3", _float), "qmax": ("20", _int), "dmax": ("auto", _maybe_int),
@@ -264,7 +258,6 @@ _COMMANDS = {
         **_ELEMENT, "m": ("3", _float), "qmax": ("10", _int), "dmax": ("10", _maybe_int),
         "T": ("100,1000,10000", _floats)}),
     "verify": _Command("run the invariant battery; nonzero exit on first failure", "", None, {}),
-    "sweep": _Command("run another subcommand with --jobs worker threads", "", None, {}),
 }
 
 
@@ -300,7 +293,7 @@ def _read_config(path: str, allowed: set[str]) -> dict[str, str]:
     return out
 
 
-def _parse_command(command: str, argv: Sequence[str], jobs: int) -> RunConfig:
+def _parse_command(command: str, argv: Sequence[str]) -> RunConfig:
     flags = _COMMANDS[command].flags
     provided = vars(_build_parser(command).parse_args(list(argv)))
     merged = {key: default for key, (default, _) in flags.items()}
@@ -312,7 +305,7 @@ def _parse_command(command: str, argv: Sequence[str], jobs: int) -> RunConfig:
     fmt = str(merged.pop("format"))
     seed = _int(merged.pop("seed"))
     params = tuple((key, convert(merged[key])) for key, (_, convert) in flags.items())
-    return RunConfig(command, params, seed, out, fmt, jobs)
+    return RunConfig(command, params, seed, out, fmt)
 
 
 def _require(ok: bool, failure: str) -> None:
@@ -476,7 +469,6 @@ def _render(config: RunConfig, columns: Sequence[str], rows: list[tuple]) -> str
         "params": {k: list(v) if isinstance(v, tuple) else v for k, v in config.params},
         "seed": config.seed,
         "format": config.fmt,
-        "jobs": config.jobs,
         "version": __version__,
     }
     out_rows = [dict(zip(columns, row)) for row in cells]
@@ -486,12 +478,7 @@ def _render(config: RunConfig, columns: Sequence[str], rows: list[tuple]) -> str
 def _execute(config: RunConfig) -> str:
     spec = _COMMANDS[config.command]
     row, values = spec.plan(dict(config.params))
-    if config.jobs > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(row, values))
-    else:
-        rows = [row(v) for v in values]
-    return _render(config, spec.columns.split(","), rows)
+    return _render(config, spec.columns.split(","), [row(v) for v in values])
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -552,22 +539,12 @@ def run(argv: Sequence[str]) -> int:
         _usage(sys.stdout if argv else sys.stderr)
         return 0 if argv else 2
     command, rest = argv[0], argv[1:]
-    jobs = 1
-    if command == "sweep":
-        parser = argparse.ArgumentParser(prog="horolab sweep", description=_COMMANDS["sweep"].help)
-        parser.add_argument("target", choices=[c for c, spec in _COMMANDS.items() if spec.plan])
-        parser.add_argument("--jobs", type=int, default=1)
-        try:
-            ns, rest = parser.parse_known_args(rest)
-        except SystemExit as exc:
-            return 2 if exc.code else 0
-        command, jobs = ns.target, ns.jobs
     if command not in _COMMANDS:
         print(f"horolab: unknown subcommand {command!r}", file=sys.stderr)
         _usage(sys.stderr)
         return 2
     try:
-        config = _parse_command(command, rest, jobs)
+        config = _parse_command(command, rest)
         if command == "verify":
             return _run_verify(config, sys.stdout)
         _emit(config, _execute(config))

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one resource guard.
 
 The command line maps these onto distinct exit codes, so library code
 should raise the most specific one that applies rather than a bare
-ValueError.
+ValueError.  Size limits are enforced by :func:`guard` alone.
 """
+
+import numbers
 
 
 class HorolabError(Exception):
@@ -27,3 +29,22 @@ class ConvergenceError(HorolabError, RuntimeError):
 
 class ResourceGuardError(HorolabError, RuntimeError):
     """A computation was refused because it would exceed a hard size limit."""
+
+
+def guard(work, cap, what: str) -> None:
+    """Refuse a computation of ``work`` units of ``what`` above ``cap``.
+
+    Every resource guard of the package goes through here, so a refusal
+    always reads ``"<work> <what> exceed the cap <cap>"``.  The test is
+    ``not work <= cap``, so NaN and infinite counts are refused too.
+    """
+    if not work <= cap:
+        raise ResourceGuardError(f"{_count(work)} {what} exceed the cap {_count(cap)}")
+
+
+def _count(x) -> str:
+    """Integers (and integral floats below 2^53) as digits, other numbers in %g form."""
+    if isinstance(x, numbers.Integral):
+        return str(x)
+    x = float(x)
+    return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else f"{x:g}"

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import CosetSpec, ExactSum, divisor_counts, exact_sum, xgcd_array
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, guard
 from .smoothfns import bump6
 
 #: Largest ball radius enumerated (6.3 million matrices); the scripts go up to 800.
@@ -149,8 +149,7 @@ def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     int32 array in (first row, then completion parameter) order."""
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
-    if rho > BALL_RADIUS_CAP:
-        raise ResourceGuardError(f"coset ball radius {rho:.6g} exceeds the cap {BALL_RADIUS_CAP:g}")
+    guard(rho, BALL_RADIUS_CAP, "ball-radius units")
     return _coset_ball_cached(spec, float(rho))
 
 

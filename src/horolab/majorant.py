@@ -39,7 +39,7 @@ import numpy as np
 
 from .affine import GroupElement, grid_gap_many, log_gauge
 from .arith import divisor_counts
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, guard
 
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
 ZETA_THREE_HALVES = 2.612375348685488
@@ -122,11 +122,7 @@ class MajorantValue:
 @lru_cache(maxsize=8)
 def _q_vectors(k: int, q_max: int) -> np.ndarray:
     """Nonzero integer vectors of norm at most q_max, norm-then-lex ordered."""
-    points = (2 * q_max + 1) ** k
-    if points > Q_GRID_CAP:
-        raise ResourceGuardError(
-            f"{points} q-grid points (k={k}, q_max={q_max}) exceed the cap {Q_GRID_CAP}"
-        )
+    guard((2 * q_max + 1) ** k, Q_GRID_CAP, "q-grid points")
     grids = np.meshgrid(*[np.arange(-q_max, q_max + 1)] * k, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=1)
     norms2 = (flat * flat).sum(axis=1)
@@ -216,12 +212,7 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
     d_max = params.effective_d_max(y)
     # The q set holds each pair q, -q, and the series runs over one of each.
     n_half = len(_q_vectors(k, params.q_max)) // 2
-    work = n_rows * n_half * d_max * c
-    if work > SERIES_WORK_CAP:
-        raise ResourceGuardError(
-            f"{n_rows} rows x {n_half} q vectors x d_max={d_max} x {c} columns = {work} units"
-            f" exceed the series work cap {SERIES_WORK_CAP}"
-        )
+    guard(n_rows * n_half * d_max * c, SERIES_WORK_CAP, "series work units")
     weights = _weights(params, d_max)
     half = _half_set(weights.qs)
     qs = weights.qs[half].astype(float)
@@ -355,7 +346,8 @@ def lfd_test(
     The distance is even in q, so only vectors whose first nonzero entry is
     positive are scanned.  Returns None when every pair in the window
     satisfies the bound, otherwise the first failing pair in (d ascending,
-    q norm-then-lex) order.  Scans above ``LFD_WORK_CAP`` are refused.
+    q norm-then-lex) order.  Scans above ``LFD_WORK_CAP`` are refused, and so
+    is a psi whose products d q . psi overflow.
     """
     if q_max < 1 or d_max < 1:
         raise DomainError("q_max and d_max must be at least 1")
@@ -367,20 +359,24 @@ def lfd_test(
     k = psi_arr.shape[0]
     qs = _q_vectors(k, q_max)
     qs = qs[_half_set(qs)]
-    if d_max * (len(qs) + 450) > LFD_WORK_CAP:
-        raise ResourceGuardError(
-            f"scanning d_max={d_max} against {len(qs)} q vectors exceeds the work cap {LFD_WORK_CAP}"
-        )
+    guard(d_max * (len(qs) + 450), LFD_WORK_CAP, "Diophantine scan work units")
     norms = np.sqrt((qs * qs).sum(axis=1).astype(float))
-    proj = qs.astype(float) @ psi_arr
-    for d in range(1, d_max + 1):
-        x = d * proj
-        dist = np.abs(x - np.round(x))
-        bound = c * d ** -alpha * norms ** -kappa
-        bad = np.nonzero(dist < bound)[0]
-        if len(bad):
-            i = int(bad[0])
-            return LfdWitness(d, tuple(int(v) for v in qs[i]))
+    # Extreme exponents overflow a power to inf.  A bound inf * 0 = nan flags
+    # nothing, but it only comes after a flagged pair: an infinite d^-alpha
+    # flags the first q (norm one) at that d, an infinite |q|^-kappa its q at d = 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = qs.astype(float) @ psi_arr
+        if not float(np.abs(proj).max()) * d_max < math.inf:
+            raise DomainError("psi is too large: the products d q . psi overflow")
+        norm_factor = norms ** -kappa
+        for d in range(1, d_max + 1):
+            x = d * proj
+            dist = np.abs(x - np.round(x))
+            bound = c * np.float64(d) ** -alpha * norm_factor
+            bad = np.nonzero(dist < bound)[0]
+            if len(bad):
+                i = int(bad[0])
+                return LfdWitness(d, tuple(int(v) for v in qs[i]))
     return None
 
 
@@ -421,11 +417,7 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
     if element.k != params.k:
         raise DomainError(f"element has k={element.k}, params expect {params.k}")
     offsets = len(_q_vectors(params.k, params.q_max)) * params.d_max
-    if offsets > ORBIT_GAP_WORK_CAP:
-        raise ResourceGuardError(
-            f"{offsets} gap offsets (q_max={params.q_max}, d_max={params.d_max}) exceed the cap"
-            f" {ORBIT_GAP_WORK_CAP}"
-        )
+    guard(offsets, ORBIT_GAP_WORK_CAP, "gap offsets")
     qs, coef_q, coef_d, tail = _weights(params, params.d_max)
     # One batch per T: the q = 0 row, then d q for each q and d = 1..d_max.
     dq = qs[:, None, :] * np.arange(1, params.d_max + 1)[:, None]

@@ -36,7 +36,7 @@ import numpy as np
 from .affine import GroupElement
 from .arith import ExactSum, exact_sum, xgcd_array
 from .autofns import PoincareTestFn, evaluate_f, mean_value
-from .errors import ConvergenceError, DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, guard
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
 from .sl2core import Sl2Matrix, reduce_fundamental
@@ -157,15 +157,14 @@ def translate_integral(
     element: GroupElement,
     y: float,
     h: Callable[[np.ndarray], np.ndarray],
-    h_support: tuple[float, float] | None = (-1.0, 1.0),
+    h_support: tuple[float, float] = (-1.0, 1.0),
 ) -> complex:
     """Reference route: pointwise adaptive quadrature of the translated value.
 
-    The quadrature asks for relative tolerance 1e-7 at depth up to 24.  With
-    no support given, ``h`` must decay at least like the inverse cube
-    of the position; the integration window then doubles until the value
-    stops moving.  This route evaluates the function matrix by matrix, so
-    it is the slow but independent benchmark for the lattice route.
+    The quadrature of ``h`` on its support interval asks for relative
+    tolerance 1e-7 at depth up to 24.  This route evaluates the function
+    matrix by matrix, so it is the slow but independent benchmark for the
+    lattice route.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -185,18 +184,10 @@ def translate_integral(
             [0.0 if w == 0.0 else point(x) * w for x, w in zip(flat, weights)]
         )
 
-    if h_support is not None:
-        lo, hi = h_support
-        if not lo < hi:
-            raise DomainError("support interval must be increasing")
-        return complex(adaptive_quad(integrand, lo, hi, rel_tol=1e-7, max_depth=24))
-    half, prev = 2.0, None
-    for _ in range(8):
-        val = complex(adaptive_quad(integrand, -half, half, rel_tol=1e-7, max_depth=24))
-        if prev is not None and abs(val - prev) <= 1e-7 * max(1.0, abs(val)):
-            return val
-        prev, half = val, half * 2.0
-    raise ConvergenceError("translated integral did not stabilize under window doubling")
+    lo, hi = h_support
+    if not lo < hi:
+        raise DomainError("support interval must be increasing")
+    return complex(adaptive_quad(integrand, lo, hi, rel_tol=1e-7, max_depth=24))
 
 
 def _edges(counts: np.ndarray) -> np.ndarray:
@@ -216,8 +207,7 @@ def _guard(tally: np.ndarray, win: np.ndarray, counts: np.ndarray, what: str) ->
     # Per window and summed over blocks, so a window trips the guard in a
     # batch exactly when it does alone.
     tally += np.bincount(win, weights=counts, minlength=tally.size)
-    if np.any(tally > CANDIDATE_CAP):
-        raise ResourceGuardError(f"{tally.max():.0f} {what} exceed the enumeration budget")
+    guard(tally.max(initial=0.0), CANDIDATE_CAP, what)
 
 
 def _candidate_blocks(
@@ -281,16 +271,18 @@ def _lattice_batch(
     w_max = np.hypot(p_max, s_cap)
     m00, m01, m10, m11 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
     # Rows of the inverse bound the integer coordinates; compared as floats,
-    # since an int64 cast of an astronomical bound wraps without an error.
-    bound1 = np.floor(w_max * np.hypot(m11, m10)) + 1.0
-    bound2 = np.floor(w_max * np.hypot(m01, m00)) + 1.0
-    if not np.all(2.0 * bound2 + 1.0 <= CANDIDATE_CAP):
-        raise ResourceGuardError(f"{2 * bound2.max() + 1:.6g} bottom-row columns exceed the budget")
-    tally = np.zeros((3, n_win))
+    # since an int64 cast of an astronomical bound wraps without an error,
+    # and an overflow to inf is refused by the column guard.
+    with np.errstate(over="ignore"):
+        bound1 = np.floor(w_max * np.hypot(m11, m10)) + 1.0
+        bound2 = np.floor(w_max * np.hypot(m01, m00)) + 1.0
+        columns = 2.0 * bound2 + 1.0
+    tally = np.zeros((4, n_win))
+    _guard(tally[0], np.arange(n_win), columns, "bottom-row columns")
     use_q = np.abs(m00) >= np.abs(m01)
     blocks = _candidate_blocks(
         level, bound1, bound2, np.where(use_q, m00, m01), np.where(use_q, m10, m11),
-        np.where(use_q, p_max, s_cap) * _PAD, tally[0],
+        np.where(use_q, p_max, s_cap) * _PAD, tally[1],
     )
     row_eps = 1e-9 * (1.0 + np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11))
     big = 1e18
@@ -332,7 +324,7 @@ def _lattice_batch(
         t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
         counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
         counts[t_hi < t_lo] = 0.0
-        _guard(tally[1], win, counts, "translate candidates")
+        _guard(tally[2], win, counts, "translate candidates")
 
         own, offset = _ragged(_edges(counts))
         t = t_start[own].astype(np.int64) + level * offset
@@ -363,7 +355,7 @@ def _lattice_batch(
         if max_panel is not None:
             spans = x_hi - x_lo
             pieces = np.maximum(1.0, np.ceil(spans / max_panel))
-            _guard(tally[2], win, pieces, "quadrature panels")
+            _guard(tally[3], win, pieces, "quadrature panels")
             own, frac = _ragged(_edges(pieces))
             widths = (spans / pieces)[own]
             phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
@@ -504,8 +496,7 @@ def long_orbit_average(
     if route != "pointwise":
         raise DomainError(f"unknown orbit average route {route!r}")
     panels = max(48, int(math.ceil(6.0 * T)))
-    if panels > POINTWISE_PANEL_CAP:
-        raise ResourceGuardError(f"{panels} pointwise panels exceed the cap {POINTWISE_PANEL_CAP}")
+    guard(panels, POINTWISE_PANEL_CAP, "pointwise panels")
     base = element.matrix
     nodes, wts = _rule(24)
     edges = np.linspace(-1.0, 1.0, panels + 1)

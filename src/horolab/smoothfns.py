@@ -2,9 +2,8 @@
 
 The workhorse is the polynomial bump (1 - t^2)^6 on [-1, 1].  Extended by
 zero it is C^5 on the line (six-fold zeros at the endpoints), its moments
-are rational, and it evaluates fast on arrays.  Beside it sit the
-normalized kernel with unit mass and a rapidly decaying non-compact window
-for integrals over the whole line.
+are rational, and it evaluates fast on arrays.  Beside it sits the
+normalized kernel with unit mass.
 """
 
 from __future__ import annotations
@@ -39,13 +38,4 @@ def bump6_normalized(t):
     """The bump rescaled to unit mass."""
     t = np.asarray(t, dtype=float)
     out = bump6(t) / BUMP6_MASS
-    return out
-
-
-def inverse_power_window(x):
-    """A smooth even window (1 + x^2)^{-22} decaying far faster than cubically."""
-    x = np.asarray(x, dtype=float)
-    out = (1.0 + x * x) ** -22.0
-    if out.ndim == 0:
-        return float(out)
     return out

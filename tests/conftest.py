@@ -8,6 +8,15 @@ def rng():
     return np.random.default_rng(np.random.Philox(20240817))
 
 
+def inverse_power_window(x):
+    """A smooth even window (1 + x^2)^{-22} decaying far faster than cubically."""
+    x = np.asarray(x, dtype=float)
+    out = (1.0 + x * x) ** -22.0
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 def random_sl2(rng, scale=1.0):
     """Draw a well-conditioned unimodular matrix from a Gaussian ensemble."""
     from horolab.sl2core import Sl2Matrix

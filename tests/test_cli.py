@@ -270,6 +270,30 @@ class TestExitCodes:
         _, rows = rows_of(out)
         assert all(math.isfinite(float(x)) for x in rows[0])
 
+    def test_overflowing_orbit_time_is_refused_without_warnings(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            assert run(["orbit", "--T=1e308"]) == 4
+        assert caught == []
+        assert capsys.readouterr().err == "horolab: inf bottom-row columns exceed the cap 3000000\n"
+
+    # alpha and kappa at -1e308 make the bound infinite, at d = 2 and at |q| = 2;
+    # d q psi overflows for psi = +-1e308.
+    @pytest.mark.parametrize(
+        "flag, code, out",
+        [
+            ("--alpha=-1e308", 0, "ok,d,q\n0,2,1\n"),
+            ("--kappa=-1e308", 0, "ok,d,q\n0,1,2\n"),
+            ("--psi=1e308", 2, ""),
+            ("--psi=-1e308", 2, ""),
+        ],
+    )
+    def test_extreme_lfd_flags_end_without_warnings(self, capsys, flag, code, out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            assert invoke(capsys, "lfd", flag) == (code, out)
+        assert caught == []
+
     def test_noisy_gap_is_refused(self, capsys):
         argv = ["sgq", "--matrix", "1.3,0.4,0.7,0.9846153846153846", "--xi", "0.3,0.7", "--q", "2"]
         assert run([*argv, "--T", "1e100"]) == 2
@@ -295,19 +319,6 @@ class TestExitCodes:
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2
         assert run(["orbit", "--freq", "1,0,0,1"]) == 2
-
-
-class TestSweep:
-    def test_sweep_matches_sequential_output(self, capsys):
-        argv = ("theorem4", "--T", "100,200,400,800", "--matrix", "2,1,1,1", "--xi", "0.3,0.7")
-        _, sequential = invoke(capsys, *argv)
-        code, fanned = invoke(capsys, "sweep", argv[0], "--jobs", "3", *argv[1:])
-        assert code == 0
-        assert fanned == sequential
-
-    def test_sweep_rejects_meta_targets(self, capsys):
-        assert run(["sweep", "verify"]) == 2
-        assert run(["sweep", "sweep"]) == 2
 
 
 class TestVerify:

@@ -1,0 +1,93 @@
+"""The one resource guard: every cap of the package is checked by ``errors.guard``."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from horolab import arith, autofns, expsum, majorant, orbitlab
+from horolab.affine import GroupElement
+from horolab.arith import CosetSpec
+from horolab.autofns import PoincareTestFn, evaluate_f
+from horolab.errors import ResourceGuardError, guard
+from horolab.majorant import MajorantParams
+from horolab.sl2core import Sl2Matrix
+from horolab.smoothfns import bump6
+
+XI = np.array([[0.618, 0.382]])
+FN = PoincareTestFn(level=1, freq=((1, 0),))
+ELEMENT = GroupElement.from_torus_point(Sl2Matrix.identity(), XI)
+SMALL = MajorantParams(1, 3.0, 2, 3)  # 4 q vectors, 2 in the half set, d_max = 3
+
+# (module, cap, a small request, its work under that cap, the guard's noun).
+CAPS = [
+    (arith, "SIEVE_CAP", lambda: arith.divisor_counts(100), 100, "sieve entries"),
+    (arith, "KLOOSTERMAN_Q_CAP", lambda: arith.kloosterman(1, 1, 7), 7, "Kloosterman residues"),
+    # (q N)^4 q = 2^4 2
+    (arith, "BRUTE_FORCE_LIMIT",
+     lambda: arith.quad_expsum_bruteforce(2, CosetSpec.principal(1), (0, 0, 0, 0)), 32,
+     "brute-force character evaluations"),
+    # g^4 (q + 600) with g = 1
+    (arith, "QUADSUM_WORK_CAP",
+     lambda: arith.quad_expsum_closed(2, CosetSpec.principal(1), (0, 0, 0, 0)), 602,
+     "closed-form work units"),
+    # the identity's ball radius 3 sqrt(2) rounded up to a quarter (4.25), squared
+    (autofns, "BALL_RADIUS_SQ_GUARD", lambda: evaluate_f(FN, Sl2Matrix.identity(), XI), 18.0625,
+     "squared ball-radius units"),
+    (expsum, "BALL_RADIUS_CAP", lambda: expsum.enumerate_coset_ball(CosetSpec.principal(1), 3.0),
+     3.0, "ball-radius units"),
+    # (2 q_max + 1)^k
+    (majorant, "Q_GRID_CAP", lambda: majorant._q_vectors(1, 2), 5, "q-grid points"),
+    # 1 row x 2 half-set vectors x d_max 3 x 2 columns
+    (majorant, "SERIES_WORK_CAP", lambda: majorant.majorant_full(SMALL, XI, 0.25), 12,
+     "series work units"),
+    # d_max (2 + 450)
+    (majorant, "LFD_WORK_CAP", lambda: majorant.lfd_test([0.3], 2.0, 1.5, 0.1, 2, 3), 1356,
+     "Diophantine scan work units"),
+    # 4 q vectors x d_max 3
+    (majorant, "ORBIT_GAP_WORK_CAP", lambda: majorant.orbit_gap_bound(ELEMENT, 4.0, SMALL), 12,
+     "gap offsets"),
+    # The largest of its stage counts (17 columns, 153 bottom-row candidates).
+    (orbitlab, "CANDIDATE_CAP",
+     lambda: orbitlab.lattice_window_average(FN, ELEMENT, 0.5, bump6, (-1.0, 1.0)), 196,
+     "translate candidates"),
+    (orbitlab, "POINTWISE_PANEL_CAP",
+     lambda: orbitlab.long_orbit_average(FN, ELEMENT, 1.0, bump6, route="pointwise"), 48,
+     "pointwise panels"),
+]
+
+
+def _fresh():
+    # Cached results would answer without reaching the guard.
+    for cached in (majorant._q_vectors, majorant._weights, autofns._series_data):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("module, cap, call, work, what", CAPS, ids=[c[1] for c in CAPS])
+def test_each_cap_trips_one_below_its_work(monkeypatch, module, cap, call, work, what):
+    monkeypatch.setattr(arith, "_sieve_table", None)
+    monkeypatch.setattr(module, cap, work)
+    _fresh()
+    call()
+    monkeypatch.setattr(module, cap, work - 1)
+    _fresh()
+    message = f"{work:g} {what} exceed the cap {work - 1:g}"
+    with pytest.raises(ResourceGuardError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("work", [math.nan, math.inf])
+def test_non_finite_work_is_refused(work):
+    with pytest.raises(ResourceGuardError, match=f"^{work} units exceed the cap 10$"):
+        guard(work, 10, "units")
+
+
+def test_integral_values_print_as_integers():
+    guard(10, 10, "units")
+    with pytest.raises(ResourceGuardError, match="^17 units exceed the cap 16$"):
+        guard(np.float64(17.0), 16.0, "units")
+    with pytest.raises(ResourceGuardError, match=f"^{10**30} units exceed the cap 10$"):
+        guard(10**30, 10, "units")
+    with pytest.raises(ResourceGuardError, match=r"^1\.5e\+300 units exceed the cap 2\.5$"):
+        guard(1.5e300, 2.5, "units")

@@ -234,9 +234,9 @@ class TestMajorantValues:
         assert 10**4 * 20 * 1000 <= SERIES_WORK_CAP
         p = MajorantParams(k=2, m=3.0, q_max=100)
         misses = _weights.cache_info().misses
-        with pytest.raises(ResourceGuardError, match="series work cap"):
+        with pytest.raises(ResourceGuardError, match="series work units exceed the cap"):
             majorant_full(p, np.zeros((2, 2)), 1e-12)
-        with pytest.raises(ResourceGuardError, match="series work cap"):
+        with pytest.raises(ResourceGuardError, match="series work units exceed the cap"):
             majorant_column_many(MajorantParams(k=1, m=3.0), np.zeros((10**6, 1)), 1e-6)
         assert _weights.cache_info().misses == misses
 

@@ -34,6 +34,13 @@ def test_unwritable_out_exits_two_before_any_work(tmp_path, capsys, name):
     [
         ("run_delta_sweep", ["--qmax", "0"], 2),
         ("run_orbit_decay", ["--count", "1", "--dmax", "1000000"], 4),
+        ("run_delta_sweep", ["--points", "0"], 2),
+        ("run_cancellation", ["--scales", "25,abc"], 2),
+        ("run_orbit_decay", ["--count", "0"], 2),
+        # A slope needs two distinct abscissae.
+        ("run_delta_sweep", ["--min-exp", "2", "--max-exp", "2"], 2),
+        ("run_cancellation", ["--scales", "25,25"], 2),
+        ("run_orbit_decay", ["--times", "100"], 2),
     ],
 )
 def test_library_errors_map_to_exit_codes(capsys, name, argv, code):

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from horolab.smoothfns import (
-    BUMP6_MASS,
-    bump6,
-    bump6_normalized,
-    inverse_power_window,
-)
+from conftest import inverse_power_window
+from horolab.smoothfns import BUMP6_MASS, bump6, bump6_normalized
 
 
 class TestBump:
