@@ -19,7 +19,7 @@ from .arith import CosetSpec
 from .errors import DomainError, guard
 from .expsum import enumerate_coset_ball
 from .quadrature import box_grid
-from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompose, reduce_fundamental
+from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, reduce_stack
 from .smoothfns import BUMP6_MASS, bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
@@ -29,6 +29,12 @@ MIN_SUPPORT_RADIUS = math.sqrt(2.0)
 # 1024 would allow about 640 MiB.
 BALL_RADIUS_SQ_GUARD = 4.0e5
 _GRID_CHUNK = 4096
+#: (matrix, ball candidate) pairs kernel-evaluated at a time; a block's
+#: (pairs, 2, 2) float product is 512 KiB.
+_BLOCK_CANDIDATES = 1 << 14
+#: Matrices of a stack reduced and evaluated at a time.
+_BLOCK_POINTS = 1 << 10
+_INT64_LIMIT = 2.0**63
 SIEGEL_V_FLOOR = math.sqrt(3.0) / 2.0
 
 
@@ -85,56 +91,82 @@ def kernel_value(fn: PoincareTestFn, mats: np.ndarray) -> np.ndarray:
     return bump6((np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
 
 
-@lru_cache(maxsize=256)
-def _series_data(fn: PoincareTestFn, matrix: Sl2Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and flattened frequency rows of the translates through ``matrix``.
+def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Weights and flattened frequency rows of the translates through each
+    matrix of an (n, 2, 2) stack.
 
     Enumeration runs at the domain-reduced matrix so the candidate ball
-    stays small no matter how far ``matrix`` sits from the maximal compact;
-    translates are then pulled back through the reducing word.
+    stays small no matter how far a matrix sits from the maximal compact;
+    translates are then pulled back through the reducing word.  Matrices
+    that share a coset and a quantized ball radius share one enumeration,
+    and their kernel values come from one product over at most
+    ``_BLOCK_CANDIDATES`` (matrix, candidate) pairs at a time.  Each
+    matrix keeps its candidates in enumeration order, so its series is the
+    one it has alone.
     """
     rho = fn.support_radius
     rho_sq = rho * rho
-    gamma, reduced = reduce_fundamental(matrix)
-    v_red = iwasawa_decompose(reduced).v
+    gammas, reduced = reduce_stack(mats)
+    n = reduced.shape[0]
+    empty = (np.zeros(0), np.zeros((0, 2 * fn.k)))
+    out = [empty] * n
+    a, b, c, d = reduced.reshape(n, 4).T
     # Every integer translate of a matrix whose reduced height exceeds
     # rho^2 has Frobenius norm above rho, so the sum is empty.
-    if v_red > rho_sq:
-        empty = np.zeros(0)
-        return empty, np.zeros((0, 2 * fn.k))
-    radius = rho * reduced.frobenius_norm() * (1.0 + 1e-12)
+    live = np.flatnonzero(~(1.0 / (c * c + d * d) > rho_sq))
+    if not live.size:
+        return out
+    radius = rho * np.sqrt(a * a + b * b + c * c + d * d) * (1.0 + 1e-12)
     # Quantizing the ball radius upward makes repeated evaluations share
     # cached enumerations; the extra candidates all carry weight zero.
-    radius_q = math.ceil(radius * 4.0) / 4.0
-    guard(radius_q * radius_q, BALL_RADIUS_SQ_GUARD, "squared ball-radius units")
-    if fn.level == 1:
-        spec = CosetSpec.principal(1)
-    else:
-        ga, gb, gc, gd = (int(round(x)) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
-        spec = CosetSpec(fn.level, (ga, gb, gc, gd))
-    cands = enumerate_coset_ball(spec, radius_q)
-    if cands.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 2 * fn.k))
-    weights = kernel_value(fn, cands.astype(float) @ reduced.as_array())
-    keep = weights != 0.0
-    cands, weights = cands[keep], weights[keep]
-    gamma_inv = gamma.inverse()
-    ginv = np.array(
-        [
-            [int(round(gamma_inv.a)), int(round(gamma_inv.b))],
-            [int(round(gamma_inv.c)), int(round(gamma_inv.d))],
-        ],
-        dtype=np.int64,
-    )
-    translates = cands @ ginv
-    inv_t = np.empty_like(translates)
-    inv_t[:, 0, 0] = translates[:, 1, 1]
-    inv_t[:, 0, 1] = -translates[:, 0, 1]
-    inv_t[:, 1, 0] = -translates[:, 1, 0]
-    inv_t[:, 1, 1] = translates[:, 0, 0]
-    freq_rows = np.einsum("kj,nij->nki", fn.freq_array, inv_t)
-    phase_rows = freq_rows.reshape(len(cands), 2 * fn.k).astype(float)
-    weights = np.ascontiguousarray(weights)
+    radius_q = np.ceil(radius[live] * 4.0) / 4.0
+    radius_sq = radius_q * radius_q
+    over = ~(radius_sq <= BALL_RADIUS_SQ_GUARD)
+    if over.any():
+        guard(radius_sq[over][0], BALL_RADIUS_SQ_GUARD, "squared ball-radius units")
+    gamma = gammas[live]
+    if not np.all(np.abs(gamma) < _INT64_LIMIT):
+        raise DomainError("the reducing matrix has entries beyond 64-bit integers")
+    gamma = gamma.astype(np.int64)
+    # Translates are pulled back through gamma^{-1} = (d, -b; -c, a).
+    ginv = np.stack([gamma[:, 1, 1], -gamma[:, 0, 1], -gamma[:, 1, 0], gamma[:, 0, 0]], -1).reshape(-1, 2, 2)
+    # Group by (coset of gamma mod the level, quantized radius).
+    cosets = (gamma.reshape(-1, 4) % fn.level).tolist()
+    groups: dict[tuple, list[int]] = {}
+    for i, (coset, r) in enumerate(zip(cosets, radius_q.tolist())):
+        groups.setdefault((tuple(coset), r), []).append(i)
+    freq = fn.freq_array
+    for (coset, r), members in groups.items():
+        cands = enumerate_coset_ball(CosetSpec(fn.level, coset), r)
+        if cands.shape[0] == 0:
+            continue
+        members = np.array(members)
+        cand_f = cands.astype(float)[None]
+        step = max(1, _BLOCK_CANDIDATES // cands.shape[0])
+        for lo in range(0, members.size, step):
+            pts = members[lo : lo + step]
+            weights = kernel_value(fn, cand_f @ reduced[live[pts]][:, None])
+            keep = weights != 0.0
+            row, col = np.nonzero(keep)
+            translates = cands[col] @ ginv[pts[row]]
+            inv_t = np.empty_like(translates)
+            inv_t[:, 0, 0] = translates[:, 1, 1]
+            inv_t[:, 0, 1] = -translates[:, 0, 1]
+            inv_t[:, 1, 0] = -translates[:, 1, 0]
+            inv_t[:, 1, 1] = translates[:, 0, 0]
+            freq_rows = np.einsum("kj,nij->nki", freq, inv_t)
+            phase_rows = freq_rows.reshape(len(col), 2 * fn.k).astype(float)
+            kept, end = weights[keep], 0
+            for i, count in zip(live[pts].tolist(), keep.sum(axis=1).tolist()):
+                out[i] = kept[end : end + count], phase_rows[end : end + count]
+                end += count
+    return out
+
+
+@lru_cache(maxsize=256)
+def _series_data(fn: PoincareTestFn, matrix: Sl2Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_series_stack` of one matrix, cached and read-only."""
+    weights, phase_rows = _series_stack(fn, matrix.as_array()[None])[0]
     weights.setflags(write=False)
     phase_rows.setflags(write=False)
     return weights, phase_rows
@@ -147,18 +179,39 @@ def _torus_block(fn: PoincareTestFn, torus_point: np.ndarray) -> np.ndarray:
     return xi - np.floor(xi)
 
 
-def evaluate_f(fn: PoincareTestFn, matrix: Sl2Matrix, torus_point: np.ndarray) -> complex:
-    """Value of ``fn`` at the element with the given matrix and torus block.
-
-    The torus block is reduced into [0, 1) entrywise before any phase is
-    formed, so shifting it by exact integers returns bit-identical values.
-    """
-    xi = _torus_block(fn, torus_point)
-    weights, phase_rows = _series_data(fn, matrix)
+def _series_value(weights: np.ndarray, phase_rows: np.ndarray, xi: np.ndarray) -> complex:
     if weights.size == 0:
         return 0.0 + 0.0j
-    phases = phase_rows @ xi.ravel()
-    return complex(np.dot(weights, np.exp(2j * np.pi * phases)))
+    return complex(np.dot(weights, np.exp(2j * np.pi * (phase_rows @ xi.ravel()))))
+
+
+def evaluate_f(
+    fn: PoincareTestFn, matrix: Sl2Matrix | np.ndarray, torus_point: np.ndarray
+) -> complex | np.ndarray:
+    """Value of ``fn`` at the element with the given matrix and torus block.
+
+    ``matrix`` is one :class:`Sl2Matrix`, or an (n, 2, 2) stack of
+    matrices that share the torus block, for which the n values come back
+    as a complex array; each equals the value at that matrix alone.  Stack
+    rows are taken as they stand, like ``Sl2Matrix`` entries, and are
+    handled ``_BLOCK_POINTS`` at a time.  The torus block is reduced into
+    [0, 1) entrywise before any phase is formed, so shifting it by exact
+    integers returns bit-identical values.
+    """
+    xi = _torus_block(fn, torus_point)
+    if isinstance(matrix, Sl2Matrix):
+        return _series_value(*_series_data(fn, matrix), xi)
+    mats = np.asarray(matrix, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (2, 2):
+        raise DomainError(f"expected a matrix or an (n, 2, 2) stack, got shape {mats.shape}")
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    if not np.all(np.abs(det - 1.0) <= 1e-6):
+        raise DomainError("stacked matrices must have determinant one")
+    values = np.zeros(mats.shape[0], dtype=complex)
+    for lo in range(0, mats.shape[0], _BLOCK_POINTS):
+        for i, series in enumerate(_series_stack(fn, mats[lo : lo + _BLOCK_POINTS]), lo):
+            values[i] = _series_value(*series, xi)
+    return values
 
 
 def coefficient_support(fn: PoincareTestFn, matrix: Sl2Matrix) -> np.ndarray:

@@ -364,6 +364,8 @@ def lfd_test(
     # Extreme exponents overflow a power to inf.  A bound inf * 0 = nan flags
     # nothing, but it only comes after a flagged pair: an infinite d^-alpha
     # flags the first q (norm one) at that d, an infinite |q|^-kappa its q at d = 1.
+    # They also underflow it to 0, but c > 0 makes the true bound positive,
+    # so a zero distance is flagged whatever the rounded bound.
     with np.errstate(over="ignore", invalid="ignore"):
         proj = qs.astype(float) @ psi_arr
         if not float(np.abs(proj).max()) * d_max < math.inf:
@@ -373,7 +375,7 @@ def lfd_test(
             x = d * proj
             dist = np.abs(x - np.round(x))
             bound = c * np.float64(d) ** -alpha * norm_factor
-            bad = np.nonzero(dist < bound)[0]
+            bad = np.nonzero((dist < bound) | (dist == 0.0))[0]
             if len(bad):
                 i = int(bad[0])
                 return LfdWitness(d, tuple(int(v) for v in qs[i]))

@@ -39,20 +39,25 @@ from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import DomainError, ResourceGuardError, guard
 from .majorant import MajorantParams, majorant_full
 from .quadrature import _rule, adaptive_quad
-from .sl2core import Sl2Matrix, reduce_fundamental
+from .sl2core import Sl2Matrix, reduce_fundamental, stack_product
 from .smoothfns import bump6, bump6_normalized
 
 # Above this many translate candidates a single average would stall or
 # exhaust memory; callers see the guard instead of a silent truncation.
 CANDIDATE_CAP = 3_000_000
-#: Panels of the pointwise orbit route: ~3.3 ms each on 2 cores, so ~20 s at the cap.
-POINTWISE_PANEL_CAP = 6_000
+#: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.85-1.12 ms
+#: on 2 cores (T = 100 to 3000, three base points), so 18,000 panels (T = 3000)
+#: stay near 20 s at the slowest rate: 18,000 x 1.12 ms = 20.2 s.
+POINTWISE_PANEL_CAP = 18_000
 #: Bottom-row candidates (and columns) enumerated at a time across a batch of windows.
 _BLOCK_CANDIDATES = 1 << 14
 #: Translate rows integrated at a time.  A (512, 24) float temporary is 96 KiB,
 #: below glibc's mmap threshold, so the integration reuses heap memory; at
 #: 8,192 rows every temporary was mmapped and faulted in afresh.
 _BLOCK_ROWS = 512
+#: Pointwise orbit panels evaluated at a time: 1,008 node matrices, within one
+#: block of ``autofns._BLOCK_POINTS``.
+_BLOCK_PANELS = 42
 _CEILING_SLACK = 1e-9
 _PAD = 1.0 + 1e-12
 
@@ -163,31 +168,39 @@ def translate_integral(
 
     The quadrature of ``h`` on its support interval asks for relative
     tolerance 1e-7 at depth up to 24.  This route evaluates the function
-    matrix by matrix, so it is the slow but independent benchmark for the
-    lattice route.
+    at each node's matrix g u_x a_y, by domain reduction and a coset ball,
+    so it is the slow but independent benchmark for the lattice route.
+    Each adaptive panel's nodes with a nonzero window go to the stack form
+    of :func:`evaluate_f` in one call.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
     if element.k != fn.k:
         raise DomainError("element and test function carry different block counts")
     xi = element.torus_point()
-    base = element.matrix
-    scale = Sl2Matrix.dilation(y)
-
-    def point(x: float) -> complex:
-        return evaluate_f(fn, base @ Sl2Matrix.translation(float(x)) @ scale, xi)
+    base = element.matrix.as_array()
+    scale = Sl2Matrix.dilation(y).as_array()
 
     def integrand(xs: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(np.asarray(xs, dtype=float))
         weights = np.asarray(h(flat), dtype=float)
-        return np.array(
-            [0.0 if w == 0.0 else point(x) * w for x, w in zip(flat, weights)]
-        )
+        live = weights != 0.0
+        mats = stack_product(stack_product(base, _unipotents(flat[live])), scale)
+        values = iter(evaluate_f(fn, mats, xi).tolist())
+        return np.array([0.0 if w == 0.0 else next(values) * w for w in weights])
 
     lo, hi = h_support
     if not lo < hi:
         raise DomainError("support interval must be increasing")
     return complex(adaptive_quad(integrand, lo, hi, rel_tol=1e-7, max_depth=24))
+
+
+def _unipotents(ts: np.ndarray) -> np.ndarray:
+    """The stack of translations u_t = (1, t; 0, 1)."""
+    u = np.zeros((ts.size, 2, 2))
+    u[:, 0, 0] = u[:, 1, 1] = 1.0
+    u[:, 0, 1] = ts
+    return u
 
 
 def _edges(counts: np.ndarray) -> np.ndarray:
@@ -478,7 +491,10 @@ def long_orbit_average(
     the reduced time-T matrix and sums contributing translates; the
     pointwise route samples the orbit on max(48, ceil(6 T)) panels of 24
     Gauss-Legendre nodes and exists as a slow independent check, refused
-    above ``POINTWISE_PANEL_CAP`` panels (T = 1000).
+    above ``POINTWISE_PANEL_CAP`` panels (T = 3000).  It builds the node
+    matrices g u_{T x} as arrays, ``_BLOCK_PANELS`` panels at a time, and
+    evaluates each block with the stack form of :func:`evaluate_f`; the
+    terms are still added one by one in node order.
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least one")
@@ -497,18 +513,21 @@ def long_orbit_average(
         raise DomainError(f"unknown orbit average route {route!r}")
     panels = max(48, int(math.ceil(6.0 * T)))
     guard(panels, POINTWISE_PANEL_CAP, "pointwise panels")
-    base = element.matrix
+    base = element.matrix.as_array()
     nodes, wts = _rule(24)
     edges = np.linspace(-1.0, 1.0, panels + 1)
     acc = 0.0 + 0.0j
-    for left, right in zip(edges[:-1], edges[1:]):
+    for lo in range(0, panels, _BLOCK_PANELS):
+        block = edges[lo : lo + _BLOCK_PANELS + 1]
+        left, right = block[:-1], block[1:]
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        xs = mid + half * nodes
+        xs = (mid[:, None] + half[:, None] * nodes).ravel()
         hx = np.asarray(h(xs), dtype=float)
-        for x, hv, wv in zip(xs, hx, wts):
-            if hv == 0.0:
-                continue
-            acc += half * wv * hv * evaluate_f(fn, base @ Sl2Matrix.translation(float(T * x)), xi)
+        factor = (half[:, None] * wts).ravel() * hx
+        live = hx != 0.0
+        values = evaluate_f(fn, stack_product(base, _unipotents(T * xs[live])), xi)
+        for f, v in zip(factor[live], values.tolist()):
+            acc += f * v
     return complex(acc)
 
 

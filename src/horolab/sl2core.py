@@ -208,6 +208,116 @@ FUNDAMENTAL_TOL = 1e-12
 _MAX_REDUCTION_STEPS = 4000
 
 
+def _unimodular(m: np.ndarray) -> np.ndarray:
+    """:class:`Sl2Matrix`'s construction rule on a (4, n) array of entries
+    a, b, c, d, with the same float operations: a determinant drift past
+    ``DET_RENORM_TOL`` is divided out by sqrt(det), and a determinant more
+    than 1e-6 from one, non-positive or not finite is refused."""
+    a, b, c, d = m
+    det = a * d - b * c
+    drift = np.abs(det - 1.0)
+    if np.all(drift <= DET_RENORM_TOL):
+        return m
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        raise DomainError(f"matrix determinant {float(det[bad][0])} is not a positive real")
+    far = drift > 1e-6
+    if far.any():
+        raise DomainError(f"determinant {float(det[far][0])} too far from 1 to renormalize")
+    return m * np.where(drift > DET_RENORM_TOL, 1.0 / np.sqrt(det), 1.0)
+
+
+def stack_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y on broadcast (..., 2, 2) stacks, entry for entry as
+    :class:`Sl2Matrix`'s product and construction, so every matrix of the
+    stack equals its ``Sl2Matrix`` counterpart bit for bit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    entries = np.broadcast_arrays(
+        *(x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j] for i in (0, 1) for j in (0, 1))
+    )
+    return _unimodular(np.stack(entries).reshape(4, -1)).T.reshape(*entries[0].shape, 2, 2)
+
+
+def _tau_at_i(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Real part and modulus of M(i) from arrays of entries, with the float
+    operations of Python's complex division (Smith's method, scaled by the
+    larger of c and d) and ``abs``, so each value equals
+    ``Sl2Matrix.mobius(1j)``'s on float entries.  (On numpy-scalar entries
+    ``mobius`` divides the numpy way, by a reciprocal, up to an ulp apart.)"""
+    big = np.abs(d) >= np.abs(c)
+    num, den = np.where(big, c, d), np.where(big, d, c)
+    ratio = num / den
+    ar, br = a * ratio, b * ratio
+    scale = den + num * ratio
+    re = np.where(big, b + ar, br + a) / scale
+    im = np.where(big, a - br, ar - b) / scale
+    return re, np.hypot(re, im)
+
+
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def reduce_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Domain reduction of an (n, 2, 2) stack of matrices, all in one loop.
+
+    Returns (gamma, reduced), two (n, 2, 2) float stacks with
+    ``reduced[i]`` = gamma_i^{-1} m_i as :func:`reduce_fundamental`
+    describes.  The rows are taken as they stand, like the entries of an
+    :class:`Sl2Matrix`; re-applying its construction rule would move rows
+    whose determinant only rounds to one.  Each pass takes one reduction
+    step on every matrix not yet reduced, with the tie rules and float
+    operations of the step-by-step reduction, and applies the determinant
+    rule of :class:`Sl2Matrix` after every step, so each row equals the
+    reduction of its matrix alone.  The words gamma_i^{-1} are accumulated
+    as exact Python integers.
+    """
+    arr = np.asarray(mats, dtype=float)
+    if arr.ndim != 3 or arr.shape[1:] != (2, 2):
+        raise DomainError(f"expected an (n, 2, 2) stack of matrices, got shape {arr.shape}")
+    n = arr.shape[0]
+    reduced, words = np.empty((4, n)), np.empty((4, n), dtype=object)
+    # Rows a, b, c, d of the matrices not yet reduced, and of their words.
+    cur = arr.reshape(n, 4).T
+    w = np.array([[1], [0], [0], [1]], dtype=object).repeat(n, axis=1)
+    rows = np.arange(n)
+    tol = FUNDAMENTAL_TOL
+    for _ in range(_MAX_REDUCTION_STEPS if n else 0):
+        re, norm = _tau_at_i(*cur)
+        inside = (np.abs(re) <= 0.5 + tol) & (norm >= 1.0 - tol)
+        # Inside the domain the right edge of the strip shifts by one (prefer
+        # Re tau <= 0) and the unit-circle boundary with Re tau > 0 flips
+        # across; outside, shift to the nearest integer, or invert at zero.
+        edge = re > 0.5 - tol
+        shift = np.where(inside, edge, np.floor(re + 0.5))
+        still = shift == 0.0
+        flip = still & (~inside | ((np.abs(norm - 1.0) <= tol) & (re > tol)))
+        done = still & ~flip
+        if done.any():
+            reduced[:, rows[done]] = cur[:, done]
+            words[:, rows[done]] = w[:, done]
+            go = ~done
+            rows = rows[go]
+            if not rows.size:
+                break
+            shift, flip, cur, w = shift[go], flip[go], cur[:, go], w[:, go]
+        # Shift: (a - n c, b - n d, c, d); flip: (-c, -d, a, b).
+        cur = _unimodular(np.where(flip, np.concatenate((-cur[2:], cur[:2])),
+                                   np.concatenate((cur[:2] - shift * cur[2:], cur[2:]))))
+        w = np.where(flip, np.concatenate((-w[2:], w[:2])),
+                     np.concatenate((w[:2] - _to_int(shift) * w[2:], w[2:])))
+    if rows.size:
+        raise RuntimeError("fundamental-domain reduction did not terminate")
+    # gamma = w^{-1} as floats.  Integer floats give an integer determinant,
+    # so an Sl2Matrix of them either has determinant exactly one or, once
+    # products pass 2^53, is refused; the rule then raises its own error.
+    gamma = words[[3, 1, 2, 0]]
+    gamma[1:3] = -gamma[1:3]
+    gamma = gamma.astype(float)
+    if not np.all(gamma[0] * gamma[3] - gamma[1] * gamma[2] == 1.0):
+        _unimodular(gamma)
+    return gamma.T.reshape(n, 2, 2), np.ascontiguousarray(reduced.T).reshape(n, 2, 2)
+
+
 def reduce_fundamental(m: Sl2Matrix) -> tuple[Sl2Matrix, Sl2Matrix]:
     """Return (gamma, m_red) with m_red = gamma^{-1} m in the classical domain.
 
@@ -216,43 +326,10 @@ def reduce_fundamental(m: Sl2Matrix) -> tuple[Sl2Matrix, Sl2Matrix]:
     Ties are broken deterministically: the translation step lands the real
     part in [-1/2, 1/2), and a boundary point with |tau| = 1, Re tau > 0 is
     flipped by the inversion so every platform returns the same gamma.
+    This is :func:`reduce_stack` on a stack of one.
     """
-    # Accumulate w = gamma^{-1} as exact integer entries alongside cur = w m.
-    wa, wb, wc, wd = 1, 0, 0, 1
-
-    def shift(n: int) -> None:
-        nonlocal wa, wb, cur
-        wa, wb = wa - n * wc, wb - n * wd
-        cur = Sl2Matrix(cur.a - n * cur.c, cur.b - n * cur.d, cur.c, cur.d)
-
-    def invert() -> None:
-        nonlocal wa, wb, wc, wd, cur
-        wa, wb, wc, wd = -wc, -wd, wa, wb
-        cur = Sl2Matrix(-cur.c, -cur.d, cur.a, cur.b)
-
-    cur = m
-    for _ in range(_MAX_REDUCTION_STEPS):
-        tau = cur.mobius(1j)
-        re, norm = tau.real, abs(tau)
-        if abs(re) <= 0.5 + FUNDAMENTAL_TOL and norm >= 1.0 - FUNDAMENTAL_TOL:
-            if re > 0.5 - FUNDAMENTAL_TOL:
-                # Right edge of the strip: prefer the copy with Re tau <= 0.
-                shift(1)
-                continue
-            if abs(norm - 1.0) <= FUNDAMENTAL_TOL and re > FUNDAMENTAL_TOL:
-                # Unit-circle boundary with positive real part: flip across.
-                invert()
-                continue
-            break
-        n = math.floor(re + 0.5)
-        if n != 0:
-            shift(n)
-        else:
-            invert()
-    else:
-        raise RuntimeError("fundamental-domain reduction did not terminate")
-    gamma = Sl2Matrix(float(wd), float(-wb), float(-wc), float(wa))
-    return gamma, cur
+    gamma, reduced = reduce_stack(m.as_array()[None])
+    return Sl2Matrix(*gamma[0].ravel().tolist()), Sl2Matrix(*reduced[0].ravel().tolist())
 
 
 def cuspidal_height(m: Sl2Matrix) -> float:

@@ -44,3 +44,65 @@ def random_integer_gamma(rng, size=6):
         if rng.random() < 0.5:
             g = g @ lower
     return g
+
+
+def reduce_fundamental_reference(m):
+    """Step-by-step domain reduction, one Python step at a time.
+
+    The reference for the masked loop of ``sl2core.reduce_stack``: the same
+    tie rules, the same ``FUNDAMENTAL_TOL``, and an ``Sl2Matrix`` (so the
+    determinant rule) after every step.  Returns (gamma, m_red).
+    """
+    import math
+
+    from horolab.sl2core import FUNDAMENTAL_TOL, Sl2Matrix
+
+    # Accumulate w = gamma^{-1} as exact integer entries alongside cur = w m.
+    wa, wb, wc, wd = 1, 0, 0, 1
+    cur = m
+    for _ in range(4000):
+        tau = cur.mobius(1j)
+        re, norm = tau.real, abs(tau)
+        if abs(re) <= 0.5 + FUNDAMENTAL_TOL and norm >= 1.0 - FUNDAMENTAL_TOL:
+            if re > 0.5 - FUNDAMENTAL_TOL:
+                n = 1  # right edge of the strip: prefer Re tau <= 0
+            elif abs(norm - 1.0) <= FUNDAMENTAL_TOL and re > FUNDAMENTAL_TOL:
+                n = 0  # unit-circle boundary with Re tau > 0: flip across
+            else:
+                break
+        else:
+            n = math.floor(re + 0.5)
+        if n != 0:
+            wa, wb = wa - n * wc, wb - n * wd
+            cur = Sl2Matrix(cur.a - n * cur.c, cur.b - n * cur.d, cur.c, cur.d)
+        else:
+            wa, wb, wc, wd = -wc, -wd, wa, wb
+            cur = Sl2Matrix(-cur.c, -cur.d, cur.a, cur.b)
+    else:
+        raise RuntimeError("fundamental-domain reduction did not terminate")
+    return Sl2Matrix(float(wd), float(-wb), float(-wc), float(wa)), cur
+
+
+def reduction_corpus(rng, count=24):
+    """Matrices that exercise every branch of domain reduction.
+
+    Haar samples from the level-one domain and their integer translates,
+    points on the tie lines (Re tau = +-1/2, and |tau| = 1 with Re tau > 0)
+    under a rotation, and orbit matrices m a_T out to T = 1e10.
+    """
+    import math
+
+    from horolab.autofns import haar_sample_level_one
+    from horolab.sl2core import Sl2Matrix
+
+    haar = haar_sample_level_one(rng, count)
+    out = list(haar)
+    out += [random_integer_gamma(rng) @ m for m in haar[:8]]
+    for theta in (0.0, 1.1, 4.0):
+        rot = Sl2Matrix.rotation(theta)
+        for v in (0.9, 1.5, 3.0):
+            out += [Sl2Matrix.translation(x) @ Sl2Matrix.dilation(v) @ rot for x in (0.5, -0.5)]
+        for phi in (5 * math.pi / 12, 0.45 * math.pi, math.pi / 3):
+            out.append(Sl2Matrix.translation(math.cos(phi)) @ Sl2Matrix.dilation(math.sin(phi)) @ rot)
+    out += [m @ Sl2Matrix.dilation(T) for m in haar[:8] for T in (4.0, 1e3, 1e6, 1e10)]
+    return out

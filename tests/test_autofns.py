@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import random_integer_gamma, random_sl2
+from conftest import random_integer_gamma, random_sl2, reduce_fundamental_reference, reduction_corpus
+from horolab import autofns
 from horolab.autofns import (
     PoincareTestFn,
     coefficient_support,
@@ -22,6 +23,8 @@ from horolab.autofns import (
     sl2_count_mod,
 )
 from horolab.affine import GroupElement
+from horolab.arith import CosetSpec
+from horolab.expsum import enumerate_coset_ball
 from horolab.errors import DomainError, ResourceGuardError
 from horolab.sl2core import Sl2Matrix, iwasawa_decompose
 from horolab.smoothfns import bump6
@@ -198,6 +201,91 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+
+def reference_value(fn, matrix, xi):
+    """The translate series one matrix at a time, as it was built before the
+    stack form: reduce step by step, enumerate the ball, kernel-weight it
+    with one matrix product, pull the kept translates back through gamma."""
+    gamma, reduced = reduce_fundamental_reference(matrix)
+    if iwasawa_decompose(reduced).v > fn.support_radius**2:
+        return 0.0 + 0.0j
+    radius = math.ceil(fn.support_radius * reduced.frobenius_norm() * (1.0 + 1e-12) * 4.0) / 4.0
+    g = [int(round(x)) for x in (gamma.a, gamma.b, gamma.c, gamma.d)]
+    cands = enumerate_coset_ball(CosetSpec(fn.level, tuple(g)), radius)
+    weights = kernel_value(fn, cands.astype(float) @ reduced.as_array())
+    keep = weights != 0.0
+    if not keep.any():
+        return 0.0 + 0.0j
+    translates = cands[keep] @ np.array([[g[3], -g[1]], [-g[2], g[0]]], dtype=np.int64)
+    inv_t = np.stack([translates[:, 1, 1], -translates[:, 0, 1], -translates[:, 1, 0], translates[:, 0, 0]], -1)
+    rows = np.einsum("kj,nij->nki", fn.freq_array, inv_t.reshape(-1, 2, 2)).reshape(-1, 2 * fn.k)
+    xi = np.asarray(xi, dtype=float)
+    phases = rows.astype(float) @ (xi - np.floor(xi)).ravel()
+    return complex(np.dot(np.ascontiguousarray(weights[keep]), np.exp(2j * np.pi * phases)))
+
+
+class TestStackEvaluate:
+    """The stack form of evaluate_f against the scalar form, value for value."""
+
+    @pytest.mark.parametrize("level, radius", [(1, 3.0), (2, 3.5)])
+    def test_values_equal_the_one_matrix_reference(self, rng, level, radius):
+        fn = PoincareTestFn(level=level, freq=((1, 2),), support_radius=radius)
+        mats = reduction_corpus(rng, count=8)
+        xi = rng.uniform(-1.0, 1.0, size=(1, 2))
+        got = evaluate_f(fn, np.array([m.as_array() for m in mats]), xi)
+        for m, value in zip(mats, got):
+            assert value == reference_value(fn, m, xi)
+
+    FNS = [
+        PoincareTestFn(level=1, freq=((1, 0),)),
+        PoincareTestFn(level=2, freq=((2, 1),), support_radius=3.5),
+        PoincareTestFn(level=3, freq=((0, 1),), support_radius=4.0),
+        PoincareTestFn(level=1, freq=((1, 2), (0, -1))),
+        PoincareTestFn(level=2, freq=((0, 0), (1, 1)), support_radius=2.5),
+    ]
+
+    @staticmethod
+    def _check(fn, mats, xi):
+        got = evaluate_f(fn, np.array([m.as_array() for m in mats]), xi)
+        assert got.shape == (len(mats),) and got.dtype == complex
+        for m, value in zip(mats, got):
+            assert value == evaluate_f(fn, m, xi)
+
+    @pytest.mark.parametrize("fn", FNS, ids=["l1k1", "l2k1", "l3k1", "l1k2", "l2k2"])
+    def test_haar_samples_equal_scalar_values(self, rng, fn):
+        xi = rng.uniform(-2.0, 2.0, size=(fn.k, 2))
+        self._check(fn, haar_sample_level_one(rng, 40), xi)
+
+    @pytest.mark.parametrize("fn", FNS[:3], ids=["l1", "l2", "l3"])
+    def test_tie_lines_and_long_orbits_equal_scalar_values(self, rng, fn):
+        self._check(fn, reduction_corpus(rng, count=8), rng.uniform(0.0, 1.0, size=(1, 2)))
+
+    def test_empty_ball_gives_zero(self, rng):
+        fn = self.FNS[0]
+        # v_red = 100 > rho^2 = 9 at the tall points: no translate reaches the ball.
+        tall = [Sl2Matrix.dilation(100.0), Sl2Matrix.translation(0.2) @ Sl2Matrix.dilation(50.0)]
+        mats = tall + haar_sample_level_one(rng, 3)
+        got = evaluate_f(fn, np.array([m.as_array() for m in mats]), np.array([[0.3, 0.4]]))
+        assert got[0] == got[1] == 0.0
+        self._check(fn, mats, np.array([[0.3, 0.4]]))
+
+    def test_blocks_do_not_change_values(self, rng, monkeypatch):
+        fn = self.FNS[1]
+        mats = np.array([m.as_array() for m in reduction_corpus(rng, count=8)])
+        xi = np.array([[0.1, 0.7]])
+        whole = evaluate_f(fn, mats, xi)
+        monkeypatch.setattr(autofns, "_BLOCK_POINTS", 3)
+        monkeypatch.setattr(autofns, "_BLOCK_CANDIDATES", 7)
+        assert evaluate_f(fn, mats, xi).tobytes() == whole.tobytes()
+
+    def test_empty_and_malformed_stacks(self):
+        fn = self.FNS[0]
+        assert evaluate_f(fn, np.zeros((0, 2, 2)), np.zeros((1, 2))).shape == (0,)
+        with pytest.raises(DomainError):
+            evaluate_f(fn, np.eye(2), np.zeros((1, 2)))
+        with pytest.raises(DomainError):
+            evaluate_f(fn, np.diag([2.0, 1.0])[None], np.zeros((1, 2)))
 
 
 class TestFourier:

@@ -85,6 +85,20 @@ class TestAnchors:
         assert rows[0][0] == "0"
         assert int(rows[0][1]) >= 1
 
+    def test_pointwise_word_beyond_int64_maps_to_two(self, capsys):
+        # u_{1e19} reduces by a word with an entry past 2^63; the coset
+        # arithmetic is int64, so the route refuses instead of overflowing.
+        argv = ["orbit", "--route", "pointwise", "--matrix", "1,1e19,0,1", "--freq", "1,0", "--T", "1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("horolab: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["2", "2000"])
+    def test_lfd_exact_hit_survives_an_underflowed_bound(self, capsys, alpha):
+        code, out = invoke(capsys, "lfd", "--psi", "0.5", "--qmax", "1", "--alpha", alpha)
+        assert code == 0
+        assert rows_of(out)[1] == [["0", "2", "1"]]
+
 
 class TestTables:
     def test_headers_match_documented_schemas(self, capsys):

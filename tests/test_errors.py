@@ -91,3 +91,15 @@ def test_integral_values_print_as_integers():
         guard(10**30, 10, "units")
     with pytest.raises(ResourceGuardError, match=r"^1\.5e\+300 units exceed the cap 2\.5$"):
         guard(1.5e300, 2.5, "units")
+
+
+def test_stack_form_trips_the_ball_radius_guard(monkeypatch):
+    # A point above the kernel support has an empty sum and is never
+    # guarded; the identity's squared ball radius is 18.0625, as above.
+    stack = np.stack([Sl2Matrix.dilation(100.0).as_array(), Sl2Matrix.identity().as_array()])
+    monkeypatch.setattr(autofns, "BALL_RADIUS_SQ_GUARD", 18.0625)
+    evaluate_f(FN, stack, XI)
+    monkeypatch.setattr(autofns, "BALL_RADIUS_SQ_GUARD", 17.0625)
+    message = "18.0625 squared ball-radius units exceed the cap 17.0625"
+    with pytest.raises(ResourceGuardError, match=f"^{re.escape(message)}$"):
+        evaluate_f(FN, stack, XI)

@@ -388,6 +388,12 @@ class TestLfd:
         w = lfd_test([0.5], kappa=1.0, alpha=1.0, c=0.2, q_max=1, d_max=10)
         assert w == LfdWitness(2, (1,))
 
+    def test_zero_distance_is_flagged_where_the_bound_underflows(self):
+        # 2000 ** -2000 rounds to 0, so the bound 0.1 * d^-alpha reads 0 at
+        # d = 2, where the distance is exactly 0 and the true bound positive.
+        assert lfd_test([0.5], 1.0, 2000.0, 0.1, 1, 3) == LfdWitness(d=2, q=(1,))
+        assert lfd_test([0.5], 1.0, 2.0, 0.1, 1, 3) == LfdWitness(d=2, q=(1,))
+
     def test_golden_mean_passes(self):
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert lfd_test([golden], 1.0, 1.0, 0.2, q_max=100, d_max=100) is None

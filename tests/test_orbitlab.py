@@ -190,11 +190,11 @@ class TestTranslateIntegral:
         xs = -1.0 + 2.0 * (np.arange(n) + 0.5) / n
         hs = window(xs)
         scale = Sl2Matrix.dilation(y)
+        live = hs != 0.0
+        mats = [(m @ Sl2Matrix.translation(float(x)) @ scale).as_array() for x in xs[live]]
         total = 0.0 + 0.0j
-        for x, hv in zip(xs, hs):
-            if hv == 0.0:
-                continue
-            total += hv * evaluate_f(fn, m @ Sl2Matrix.translation(float(x)) @ scale, xi)
+        for hv, value in zip(hs[live], evaluate_f(fn, np.array(mats), xi)):
+            total += hv * value
         total *= 2.0 / n
         assert abs(got - total) < 1e-5
 
@@ -670,3 +670,47 @@ class TestExperimentConfig:
         two = GroupElement.from_torus_point(Sl2Matrix.identity(), np.zeros((2, 2)))
         with pytest.raises(DomainError):
             OrbitExperiment(fn, two, (1.0,), window)
+
+
+class TestClosedHorocycle:
+    """The one-period average is the constant term at height y.
+
+    Cusp forms have no constant term, so the error of the untwisted
+    level-one average comes from the Eisenstein spectrum and carries terms
+    y^{1 - rho/2} at the zeros rho = 1/2 + i gamma of zeta (Zagier 1981,
+    Sarnak 1981): err / y^{3/4} oscillates in ln y at frequency gamma_1 / 2.
+    The window is 1 on (0, 1) and the kernel has degree 24 in x, so the
+    24-point rule is exact and the limit is ``mean_value``.  The tolerances
+    were fixed before the run.
+    """
+
+    def test_error_oscillates_at_the_first_zeta_zero(self):
+        import mpmath
+
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix.identity(), np.zeros((1, 2)))
+        ys = np.logspace(-1.0, -4.0, 40)
+        limit = mean_value(fn)
+        err = np.array(
+            [lattice_window_average(fn, el, y, np.ones_like, (0.0, 1.0)).real - limit for y in ys]
+        )
+        scaled, log_y = err / ys**0.75, np.log(ys)
+
+        def residual(omega):
+            basis = np.stack([np.cos(omega * log_y), np.sin(omega * log_y)], axis=1)
+            coef = np.linalg.lstsq(basis, scaled, rcond=None)[0]
+            return float(np.sum((basis @ coef - scaled) ** 2))
+
+        # One-frequency least squares: a coarse scan, then a fine one.
+        coarse = np.arange(4.0, 10.0, 1e-2)
+        omega = coarse[np.argmin([residual(w) for w in coarse])]
+        fine = np.arange(omega - 1e-2, omega + 1e-2, 1e-5)
+        omega = fine[np.argmin([residual(w) for w in fine])]
+        half_gamma1 = float(mpmath.zetazero(1).imag) / 2.0
+        assert abs(omega - half_gamma1) <= 1e-3 * half_gamma1
+
+        decades = [(ys <= 10.0**-k * (1 + 1e-9)) & (ys >= 10.0 ** -(k + 1) * (1 - 1e-9)) for k in (1, 2, 3)]
+        rms_34 = [math.sqrt(np.mean(scaled[d] ** 2)) for d in decades]
+        assert max(rms_34) <= 1.5 * min(rms_34)
+        rms_12 = [math.sqrt(np.mean((err / ys**0.5)[d] ** 2)) for d in decades]
+        assert all(prev >= 1.5 * nxt for prev, nxt in zip(rms_12, rms_12[1:]))

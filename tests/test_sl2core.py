@@ -14,11 +14,14 @@ from horolab.sl2core import (
     iwasawa_compose,
     iwasawa_decompose,
     reduce_fundamental,
+    _tau_at_i,
+    reduce_stack,
+    stack_product,
     uvs_compose,
     uvs_decompose,
 )
 
-from conftest import random_integer_gamma, random_sl2
+from conftest import random_integer_gamma, random_sl2, reduce_fundamental_reference, reduction_corpus
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,3 +215,75 @@ class TestCuspidalHeight:
     def test_dilation_heights(self):
         assert cuspidal_height(Sl2Matrix.dilation(4.0)) == pytest.approx(4.0)
         assert cuspidal_height(Sl2Matrix.dilation(0.25)) == pytest.approx(4.0)
+
+
+class TestReduceStack:
+    """The masked loop against the step-by-step reference, bit for bit."""
+
+    @staticmethod
+    def _bits(m):
+        return np.asarray(m.as_array() if isinstance(m, Sl2Matrix) else m).tobytes()
+
+    def test_matches_reference_on_corpus(self, rng):
+        corpus = reduction_corpus(rng)
+        gammas, reduced = reduce_stack(np.array([m.as_array() for m in corpus]))
+        for m, g, red in zip(corpus, gammas, reduced):
+            want_g, want_red = reduce_fundamental_reference(m)
+            assert self._bits(g) == self._bits(want_g)
+            assert self._bits(red) == self._bits(want_red)
+            got_g, got_red = reduce_fundamental(m)
+            assert self._bits(got_g) == self._bits(want_g)
+            assert self._bits(got_red) == self._bits(want_red)
+
+    def test_tau_is_the_complex_division_bit_for_bit(self, rng):
+        # Ties sit within an ulp of the thresholds, so the reduction's
+        # decisions need Re tau and |tau| exactly as Python's complex
+        # division has them (Sl2Matrix.mobius on float entries).
+        spread = [random_sl2(rng) @ Sl2Matrix.dilation(y) for y in (1e-6, 1.0, 1e6) for _ in range(20)]
+        corpus = reduction_corpus(rng) + [Sl2Matrix(*m.as_array().ravel().tolist()) for m in spread]
+        re, norm = _tau_at_i(*np.array([m.as_array().ravel() for m in corpus]).T)
+        for m, r, n in zip(corpus, re, norm):
+            tau = m.mobius(1j)
+            assert (r, n) == (tau.real, abs(tau))
+
+    def test_rows_are_independent_of_the_stack(self, rng):
+        corpus = reduction_corpus(rng, count=8)
+        stack = np.array([m.as_array() for m in corpus])
+        gammas, reduced = reduce_stack(stack)
+        for i in range(0, len(corpus), 7):
+            g, red = reduce_stack(stack[i : i + 1])
+            assert g.tobytes() == gammas[i : i + 1].tobytes()
+            assert red.tobytes() == reduced[i : i + 1].tobytes()
+
+    def test_empty_and_malformed_stacks(self):
+        gammas, reduced = reduce_stack(np.zeros((0, 2, 2)))
+        assert gammas.shape == reduced.shape == (0, 2, 2)
+        with pytest.raises(DomainError):
+            reduce_stack(np.eye(2))
+
+    def test_huge_word_is_refused_as_before(self):
+        # The word of u_t for t near 1e9 times a generic matrix has products
+        # past 2^53, so gamma's determinant rounds away from one.
+        m = Sl2Matrix(1.256382792777376, 1256382792.765656, -0.13043831793601063, -130438317.13885805)
+        with pytest.raises(DomainError) as ref:
+            reduce_fundamental_reference(m)
+        with pytest.raises(DomainError) as got:
+            reduce_fundamental(m)
+        assert str(got.value) == str(ref.value)
+
+
+class TestStackProduct:
+    def test_equals_sl2matrix_products(self, rng):
+        corpus = reduction_corpus(rng, count=8)
+        right = Sl2Matrix.translation(0.37) @ Sl2Matrix.dilation(1e-3)
+        got = stack_product(np.array([m.as_array() for m in corpus]), right.as_array())
+        for m, g in zip(corpus, got):
+            assert g.tobytes() == (m @ right).as_array().tobytes()
+
+    def test_renormalizes_and_refuses_like_the_constructor(self):
+        drift = np.array([[1.0 + 1e-9, 0.0], [0.0, 1.0]])
+        assert stack_product(drift, np.eye(2)).tobytes() == Sl2Matrix.from_array(drift).as_array().tobytes()
+        with pytest.raises(DomainError, match="too far from 1"):
+            stack_product(np.diag([2.0, 1.0]), np.eye(2))
+        with pytest.raises(DomainError, match="not a positive real"):
+            stack_product(np.diag([-1.0, 1.0]), np.eye(2))
