@@ -113,7 +113,8 @@ def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray
     a, b, c, d = reduced.reshape(n, 4).T
     # Every integer translate of a matrix whose reduced height exceeds
     # rho^2 has Frobenius norm above rho, so the sum is empty.
-    live = np.flatnonzero(~(1.0 / (c * c + d * d) > rho_sq))
+    with np.errstate(divide="ignore"):  # a bottom row that squares to 0 has infinite height
+        live = np.flatnonzero(~(1.0 / (c * c + d * d) > rho_sq))
     if not live.size:
         return out
     radius = rho * np.sqrt(a * a + b * b + c * c + d * d) * (1.0 + 1e-12)

@@ -232,10 +232,12 @@ def stack_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     :class:`Sl2Matrix`'s product and construction, so every matrix of the
     stack equals its ``Sl2Matrix`` counterpart bit for bit."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    entries = np.broadcast_arrays(
-        *(x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j] for i in (0, 1) for j in (0, 1))
-    )
-    return _unimodular(np.stack(entries).reshape(4, -1)).T.reshape(*entries[0].shape, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the rule refuses what overflows
+        entries = np.broadcast_arrays(
+            *(x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j] for i in (0, 1) for j in (0, 1))
+        )
+        flat = _unimodular(np.stack(entries).reshape(4, -1))
+    return flat.T.reshape(*entries[0].shape, 2, 2)
 
 
 def _tau_at_i(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +284,10 @@ def reduce_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(n)
     tol = FUNDAMENTAL_TOL
     for _ in range(_MAX_REDUCTION_STEPS if n else 0):
-        re, norm = _tau_at_i(*cur)
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, norm = _tau_at_i(*cur)
+        if not np.all(np.isfinite(re)):
+            raise DomainError("Re M(i) overflows: the matrix is too far out to reduce")
         inside = (np.abs(re) <= 0.5 + tol) & (norm >= 1.0 - tol)
         # Inside the domain the right edge of the strip shifts by one (prefer
         # Re tau <= 0) and the unit-circle boundary with Re tau > 0 flips
@@ -300,9 +305,11 @@ def reduce_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if not rows.size:
                 break
             shift, flip, cur, w = shift[go], flip[go], cur[:, go], w[:, go]
-        # Shift: (a - n c, b - n d, c, d); flip: (-c, -d, a, b).
-        cur = _unimodular(np.where(flip, np.concatenate((-cur[2:], cur[:2])),
-                                   np.concatenate((cur[:2] - shift * cur[2:], cur[2:]))))
+        # Shift: (a - n c, b - n d, c, d); flip: (-c, -d, a, b).  An entry
+        # that overflows makes the determinant rule refuse the row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.concatenate((cur[:2] - shift * cur[2:], cur[2:]))
+            cur = _unimodular(np.where(flip, np.concatenate((-cur[2:], cur[:2])), step))
         w = np.where(flip, np.concatenate((-w[2:], w[:2])),
                      np.concatenate((w[:2] - _to_int(shift) * w[2:], w[2:])))
     if rows.size:

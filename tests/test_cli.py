@@ -85,13 +85,24 @@ class TestAnchors:
         assert rows[0][0] == "0"
         assert int(rows[0][1]) >= 1
 
-    def test_pointwise_word_beyond_int64_maps_to_two(self, capsys):
-        # u_{1e19} reduces by a word with an entry past 2^63; the coset
-        # arithmetic is int64, so the route refuses instead of overflowing.
-        argv = ["orbit", "--route", "pointwise", "--matrix", "1,1e19,0,1", "--freq", "1,0", "--T", "1"]
-        assert run(argv) == 2
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # u_{1e19} reduces by a word with an entry past 2^63, where the
+            # coset arithmetic (int64) would overflow.
+            "1,1e19,0,1",
+            # Re M(i) of g u_t overflows to inf for every t != 0.
+            "1e200,0,0,1e-200",
+        ],
+        ids=["word-beyond-int64", "tau-overflow"],
+    )
+    def test_unreducible_pointwise_orbit_maps_to_two(self, capsys, matrix):
+        argv = ["orbit", "--route", "pointwise", "--matrix", matrix, "--freq", "1,0", "--T", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("horolab: ") and "Traceback" not in err
+        assert err.startswith("horolab: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("alpha", ["2", "2000"])
     def test_lfd_exact_hit_survives_an_underflowed_bound(self, capsys, alpha):
