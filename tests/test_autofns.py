@@ -226,7 +226,8 @@ def reference_value(fn, matrix, xi):
 
 
 class TestStackEvaluate:
-    """The stack form of evaluate_f against the scalar form, value for value."""
+    """The stack form of evaluate_f against the one-matrix reference and the
+    scalar form, value for value."""
 
     @pytest.mark.parametrize("level, radius", [(1, 3.0), (2, 3.5)])
     def test_values_equal_the_one_matrix_reference(self, rng, level, radius):
