@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -261,7 +262,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(command: str) -> argparse.ArgumentParser:
+    """The command's parser, built once; ``parse_args`` leaves it unchanged."""
     spec = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"horolab {command}", description=spec.help)
     for key in spec.flags:

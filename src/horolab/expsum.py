@@ -1,18 +1,24 @@
-"""Weighted exponential sums over balls in determinant-one integer cosets.
+"""Weighted exponential sums over balls and boxes in determinant-one integer cosets.
 
 Enumeration is array code over blocks of primitive first rows (a, b) in the
 disk, completed by one array extended gcd: the solutions of a d - b c = 1
 form the line (c, d) = (c0, d0) + t (a, b), and the admissible t make up an
 explicit interval.  Congruence classes mod N are filtered along the way, so
 the ball of matrices A = R mod N with Frobenius norm at most rho comes out
-in one deterministic pass, ordered by a, b, then t.  Radii above
-``BALL_RADIUS_CAP`` are refused; balls are cached in an LRU bounded by bytes.
+in one deterministic pass, ordered by a, b, then t.  An optional box cut n
+builds only the matrices with every entry at most n in absolute value: the
+first rows run over |a|, |b| <= n, and each t interval is narrowed to the
+exact integer intervals on which |c| <= n and |d| <= n, so the box comes out
+in the ball's order without building the ball.  Radii above
+``BALL_RADIUS_CAP`` are refused; balls and boxes share one LRU cache bounded
+by bytes.
 
 On top of the enumeration sit the linear-twist sums
 
-    L(X, alpha) = sum over A in the coset, |A| <= B X, of e(alpha . A) w(A / X)
+    L(X, alpha) = sum over A in the coset, max|a_i| <= B X, of e(alpha . A) w(A / X)
 
-and the divisor-weighted comparison expression they are measured against.
+over the box that carries the weight, and the divisor-weighted comparison
+expression they are measured against.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ from .smoothfns import bump6
 
 #: Largest ball radius enumerated (6.3 million matrices); the scripts go up to 800.
 BALL_RADIUS_CAP = 1024.0
-#: Bytes of balls kept; a cancellation report up to X = 200 reuses its four (20 MB).
+#: Bytes of balls and boxes kept; a cancellation report up to X = 200 reuses its four
+#: boxes, 519,952 int32 matrices (7.9 MB), where the four balls around them were 19.4 MB.
 BALL_CACHE_BYTES = 64 << 20
-#: Candidate first rows per enumeration block, and ball rows per weight block; at 1 << 16
+#: Candidate first rows per enumeration block, and box rows per weight block; at 1 << 16
 #: the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
 _BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
+_EMPTY = np.zeros((0, 2, 2), dtype=np.int32)
+_EMPTY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,9 @@ class WeightFn:
 
 
 class _BallCache:
-    """LRU cache of coset balls bounded by total bytes; a ball larger than the
-    bound is not kept.  ``cache_info`` counts hits and misses like ``lru_cache``."""
+    """LRU cache of coset sets keyed by their build arguments and bounded by
+    total bytes; a set larger than the bound is not kept.  ``cache_info``
+    counts hits and misses like ``lru_cache``."""
 
     def __init__(self, build, max_bytes: int):
         self._build, self._max_bytes = build, max_bytes
@@ -71,15 +81,14 @@ class _BallCache:
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
-    def __call__(self, spec: CosetSpec, rho: float) -> np.ndarray:
-        key = (spec, rho)
+    def __call__(self, *key) -> np.ndarray:
         with self._lock:
             if key in self._balls:
                 self._hits += 1
                 self._balls.move_to_end(key)
                 return self._balls[key]
             self._misses += 1
-        ball = self._build(spec, rho)
+        ball = self._build(*key)
         with self._lock:
             if ball.nbytes <= self._max_bytes:
                 self._balls[key] = ball
@@ -92,11 +101,37 @@ class _BallCache:
             return CacheInfo(self._hits, self._misses, sum(b.nbytes for b in self._balls.values()))
 
 
-def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
+def _clip_to_box(t_lo, t_hi, u0, u, n):
+    """Narrow each [t_lo, t_hi] to the integers t with |u0 + t u| <= n.
+
+    For u != 0 the bounds are exact floor divisions of the line turned to
+    u > 0.  u = 0 only on the primitive rows (0, +-1) and (+-1, 0), whose
+    fixed second-row entry u0 = -+1 or +-1 lies in every box that holds the
+    row, so their interval is kept whole.
+    """
+    s = np.where(u < 0, -1, 1)
+    step, v0 = u * s, u0 * s
+    moving = step != 0
+    div = np.where(moving, step, 1)
+    t_lo = np.where(moving, np.maximum(t_lo, -((n + v0) // div)), t_lo)
+    t_hi = np.where(moving, np.minimum(t_hi, (n - v0) // div), t_hi)
+    return t_lo, t_hi
+
+
+def _coset_ball(spec: CosetSpec, rho: float, cut: int | None = None) -> np.ndarray:
     r2 = rho * rho
-    amax = int(math.floor(rho))
+    amax = int(math.floor(rho)) if cut is None else min(int(math.floor(rho)), cut)
     N = spec.N
     r11, r12, r21, r22 = spec.rep
+    if N > 2 * amax + 1:
+        # Entries lie in [-amax, amax], where a class mod N holds at most its
+        # signed residue; testing that residue mod 2 amax + 1 keeps the masks
+        # and stays clear of int64 overflow for any N.
+        signed = [r - N if 2 * r > N else r for r in spec.rep]
+        if max(abs(r) for r in signed) > amax:
+            return _EMPTY
+        N = 2 * amax + 1
+        r11, r12, r21, r22 = (r % N for r in signed)
     axis = np.arange(-amax, amax + 1, dtype=np.int64)
     a_step = max(1, _BLOCK_ROWS // len(axis))
     # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
@@ -125,8 +160,11 @@ def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
         root = np.sqrt(disc[rows])
         t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
         t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
+        if cut is not None:
+            t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, cut)
+            t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, cut)
         # Every row's t interval, expanded in place: rows in order, t ascending.
-        counts = t_hi - t_lo + 1
+        counts = np.maximum(t_hi - t_lo + 1, 0)
         row = np.repeat(np.arange(len(counts)), counts)
         ts = t_lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
         a, b = a[row], b[row]
@@ -144,13 +182,38 @@ def _coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
 _coset_ball_cached = _BallCache(_coset_ball, BALL_CACHE_BYTES)
 
 
-def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
+def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) -> np.ndarray:
     """All coset matrices with Frobenius norm at most rho, as an (n, 2, 2)
-    int32 array in (first row, then completion parameter) order."""
+    int32 array in (first row, then completion parameter) order.
+
+    With a ``cut``, only the matrices whose four entries are at most ``cut``
+    in absolute value are built, in the same order as the ball filtered by
+    that box test.
+    """
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
     guard(rho, BALL_RADIUS_CAP, "ball-radius units")
-    return _coset_ball_cached(spec, float(rho))
+    if cut is None:
+        return _coset_ball_cached(spec, float(rho))
+    if not cut >= 0:
+        raise DomainError("box cut must be a nonnegative number")
+    # Entries of the ball are at most rho, so a larger cut selects nothing more.
+    return _coset_ball_cached(spec, float(rho), int(math.floor(min(cut, rho))))
+
+
+def _twist(alpha: Sequence[float]) -> np.ndarray:
+    """alpha as a 4-vector reduced exactly (by ``fmod``) into (-1, 1).
+
+    Matrices and moduli are integers, so both sides depend on alpha only
+    mod 1; the reduction keeps alpha . A and q alpha finite and their
+    fractional parts intact, and leaves an alpha already in (-1, 1) as it is.
+    """
+    alpha_arr = np.asarray(alpha, dtype=float)
+    if alpha_arr.shape != (4,):
+        raise DomainError("twist alpha must be a 4-vector")
+    if not np.all(np.isfinite(alpha_arr)):
+        raise DomainError("twist alpha must be finite")
+    return np.fmod(alpha_arr, 1.0)
 
 
 def weighted_expsum_lhs(
@@ -158,25 +221,21 @@ def weighted_expsum_lhs(
 ) -> complex:
     """The twisted, weighted count over the coset box of side 2 B X.
 
-    Matrices enter through their flattened rows a = (a1, a2, a3, a4); each
-    contributes e(alpha . a) w(a / X).  The sum is exact, correctly rounded
-    and the enumeration order fixed, so results are bit-reproducible.
+    The box max|a_i| <= B X is enumerated directly, as the ball of radius
+    2 B X (which circumscribes it) cut to the box.  Matrices enter through
+    their flattened rows a = (a1, a2, a3, a4); each contributes
+    e(alpha . a) w(a / X).  The sum is exact, correctly rounded and the
+    enumeration order fixed, so results are bit-reproducible.
     """
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if alpha_arr.shape != (4,):
-        raise DomainError("twist alpha must be a 4-vector")
+    alpha_arr = _twist(alpha)
     side = weight.B * X
-    mats = enumerate_coset_ball(spec, 2.0 * side).reshape(-1, 4)
-    # Terms are computed row by row, so ball blocks give the floats of one pass.
+    mats = enumerate_coset_ball(spec, 2.0 * side, cut=side).reshape(-1, 4)
+    # Terms are computed row by row, so blocks give the floats of one pass.
     acc = ExactSum()
     for i in range(0, len(mats), _BLOCK_ROWS):
-        block = mats[i : i + _BLOCK_ROWS]
-        # Column by column: numpy reduces a length-4 axis slowly.
-        a = np.abs(block)
-        box = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3])) <= side
-        flat = block[box].astype(float)
+        flat = mats[i : i + _BLOCK_ROWS].astype(float)
         acc.add(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
     return complex(acc.totals()[0])
 
@@ -191,9 +250,7 @@ def expsum_rhs(X: float, alpha: Sequence[float]) -> float:
     """
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if alpha_arr.shape != (4,):
-        raise DomainError("twist alpha must be a 4-vector")
+    alpha_arr = _twist(alpha)
     qs = np.arange(1, int(math.floor(X)) + 1, dtype=float)
     taus = divisor_counts(len(qs))
     qa = qs[:, None] * alpha_arr[None, :]

@@ -5,6 +5,8 @@ output bytes are observable without spawning subprocesses; only the check
 of ``verify`` under ``python -O`` needs a fresh interpreter.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,9 +18,11 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horolab
-from horolab.cli import run
+from horolab.cli import _build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -175,6 +179,13 @@ class TestTables:
         _, first = invoke(capsys, *argv)
         _, second = invoke(capsys, *argv)
         assert first == second
+
+    def test_cached_parsers_give_the_same_bytes(self, capsys):
+        # Each command's parser is built once and reused by every run.
+        assert _build_parser("theorem4") is _build_parser("theorem4")
+        for argv in (("theorem4", "--T", "100,1000"), ("expsum", "--help")):
+            first, second = invoke(capsys, *argv), invoke(capsys, *argv)
+            assert first == second and first[0] == 0 and first[1]
 
 
 class TestConfigFile:
@@ -344,6 +355,46 @@ class TestExitCodes:
     def test_mismatched_block_counts(self, capsys):
         assert run(["delta", "--k", "2", "--xi", "0,0"]) == 2
         assert run(["orbit", "--freq", "1,0,0,1"]) == 2
+
+
+#: Edge texts tried on every flag: signs, extremes, subnormals and broken lists.
+EDGE_TEXTS = ("0", "1", "-1", "2", "3", "-3", "0.5", "1e308", "-1e308", "1e-308", "5e-324",
+              "1e-30", "1e30", "1e5", "", ",", "1,")
+
+
+def _listed(element, size):
+    return st.lists(element, min_size=size[0], max_size=size[1]).map(",".join)
+
+
+#: In-range texts per expsum flag, kept small so each run takes milliseconds.
+_EXPSUM_VALUES = {
+    "--X": _listed(st.floats(1.0, 40.0).map(repr), (1, 3)),
+    "--B": st.floats(1.0, 3.0).map(repr),
+    "--N": st.integers(1, 12).map(str) | st.sampled_from((str(2**63 - 1), str(10**21))),
+    "--rep": _listed(st.integers(-30, 30).map(str), (4, 4)) | st.just("1,0,0,1"),
+    "--alpha": _listed(st.floats(-3.0, 3.0).map(repr) | st.sampled_from(("1e308", "-1e300", "4.5e15")),
+                       (4, 4)),
+}
+
+
+class TestExitContract:
+    """Every input ends in a finite table or in exit 2, 3 or 4, with no warning."""
+
+    @settings(max_examples=150, deadline=1000)
+    @given(st.sampled_from(sorted(_EXPSUM_VALUES)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_TEXTS) | _EXPSUM_VALUES[flag])))
+    def test_expsum_flag(self, case):
+        flag, text = case
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(["expsum", f"{flag}={text}"])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            _, rows = rows_of(out.getvalue())
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 class TestVerify:

@@ -177,6 +177,8 @@ class TestEnumeration:
             (CosetSpec.principal(1), 5.0),
             (CosetSpec(2, (1, 1, 0, 1)), 8.0),
             (CosetSpec(3, (1, 2, 0, 1)), 8.0),
+            # A level above 2 * 5 + 1, where a class holds only its signed residue.
+            (CosetSpec(13, (1, 12, 0, 1)), 5.0),
         ],
     )
     def test_matches_bruteforce(self, spec, rho):
@@ -202,6 +204,30 @@ class TestEnumeration:
         got = enumerate_coset_ball(spec, rho)
         assert got.dtype == np.int32
         assert np.array_equal(got, scalar_ball(spec, rho))
+
+    @pytest.mark.parametrize(
+        "spec,side",
+        [(CosetSpec.principal(1), s) for s in (1.0, 1.5, 7.25, 20.0, 100.0)]
+        + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)],
+    )
+    def test_box_cut_is_the_filtered_ball(self, spec, side):
+        # The box max|entry| <= side, enumerated directly, against the
+        # circumscribed ball of radius 2 side filtered by the box test.
+        ball = enumerate_coset_ball(spec, 2.0 * side)
+        expect = ball[np.max(np.abs(ball.reshape(-1, 4)), axis=1) <= side]
+        got = enumerate_coset_ball(spec, 2.0 * side, cut=side)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, expect)
+
+    def test_levels_beyond_int64(self):
+        big = 10**21
+        for N in (2**63 - 1, big):
+            minus = CosetSpec(N, (N - 1, 0, 0, N - 1))
+            assert enumerate_coset_ball(minus, 3.0).reshape(-1, 4).tolist() == [[-1, 0, 0, -1]]
+            assert len(enumerate_coset_ball(CosetSpec(N, (1, 10**10, 0, 1)), 12.0, cut=6)) == 0
+        shear = CosetSpec(big, (1, 5, 0, 1))
+        assert len(enumerate_coset_ball(shear, 3.0)) == 0
+        assert enumerate_coset_ball(shear, 12.0, cut=6).reshape(-1, 4).tolist() == [[1, 5, 0, 1]]
 
     def test_radius_guard(self):
         spec = CosetSpec.principal(1)
@@ -274,14 +300,14 @@ class TestBallCache:
         assert info.nbytes <= 32 * 50
 
     def test_report_balls_stay_cached(self):
-        # A cancellation report up to X = 200 needs the balls of radius
-        # 50..400; all four must stay so the report's second pass reuses them.
-        spec, radii = CosetSpec.principal(1), (50.0, 100.0, 200.0, 400.0)
-        for rho in radii:
-            enumerate_coset_ball(spec, rho)
+        # A cancellation report up to X = 200 needs the box sets of sides
+        # 25..200 (balls of radius 50..400 cut to the box); all four must
+        # stay so the report's second pass reuses them.
+        spec, w, alpha = CosetSpec.principal(1), WeightFn(1.0), np.zeros(4)
+        scales = (25.0, 50.0, 100.0, 200.0)
+        cancellation_report(spec, w, alpha, scales)
         before = _coset_ball_cached.cache_info()
-        for rho in radii:
-            enumerate_coset_ball(spec, rho)
+        cancellation_report(spec, w, alpha, scales)
         after = _coset_ball_cached.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
@@ -318,6 +344,18 @@ class TestWeightedSum:
         b = weighted_expsum_lhs(spec, w, 25.0, alpha)
         assert a == b
 
+
+    def test_twist_is_read_mod_one(self):
+        # Integer shifts of alpha change neither side; 1e308 once overflowed.
+        spec, w = CosetSpec.principal(1), WeightFn(1.0)
+        shifted = np.array([3.25, 1e308, -0.625, 5.5])
+        reduced = np.array([0.25, 0.0, -0.625, 0.5])
+        assert weighted_expsum_lhs(spec, w, 12.0, shifted) == weighted_expsum_lhs(spec, w, 12.0, reduced)
+        assert expsum_rhs(12.0, shifted) == expsum_rhs(12.0, reduced)
+        assert weighted_expsum_lhs(spec, w, 12.0, reduced) == pytest.approx(
+            weighted_expsum_lhs(spec, w, 12.0, reduced % 1.0), rel=1e-12)
+        with pytest.raises(DomainError):
+            weighted_expsum_lhs(spec, w, 12.0, [0.1, math.inf, 0.0, 0.0])
 
     def test_weight_blocks_match_one_pass(self):
         # The box at X = 100 spans several ball blocks; the reference
