@@ -346,7 +346,8 @@ class TestWeightedSum:
 
 
     def test_twist_is_read_mod_one(self):
-        # Integer shifts of alpha change neither side; 1e308 once overflowed.
+        # Integer shifts of alpha change neither side, even where alpha . A
+        # itself would overflow (1e308).
         spec, w = CosetSpec.principal(1), WeightFn(1.0)
         shifted = np.array([3.25, 1e308, -0.625, 5.5])
         reduced = np.array([0.25, 0.0, -0.625, 0.5])
