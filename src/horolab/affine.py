@@ -81,7 +81,9 @@ class GroupElement:
     def from_torus_point(cls, matrix: Sl2Matrix, xi: np.ndarray) -> "GroupElement":
         """Build the element whose torus variable is the given xi (k x 2)."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        return cls(matrix, xi @ matrix.as_array())
+        # A product beyond the float range is refused by the finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(matrix, xi @ matrix.as_array())
 
     def torus_point(self) -> np.ndarray:
         """The k x 2 block xi = v M^{-1}."""

@@ -57,16 +57,18 @@ class PoincareTestFn:
     support_radius: float = 3.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or self.level < 1:
-            raise DomainError("level must be a positive integer")
+        # The kernels compute with the level and the frequencies in int64.
+        if not isinstance(self.level, int) or not 1 <= self.level < 2**63:
+            raise DomainError("level must be a positive 64-bit integer")
         arr = np.asarray(self.freq)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise DomainError(f"freq must be a k x 2 integer array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
             raise DomainError("freq entries must be integers")
-        object.__setattr__(
-            self, "freq", tuple(tuple(int(x) for x in row) for row in arr)
-        )
+        freq = tuple(tuple(int(x) for x in row) for row in arr)
+        if not all(-(2**63) <= x < 2**63 for row in freq for x in row):
+            raise DomainError("freq entries must be 64-bit integers")
+        object.__setattr__(self, "freq", freq)
         if not (MIN_SUPPORT_RADIUS < self.support_radius < math.inf):
             raise DomainError(
                 "support_radius must be finite and exceed sqrt(2), the smallest "

@@ -18,6 +18,15 @@ exact, correctly rounded sum of its own translate terms
 any block size.  Window callables take arrays of nodes (the kernel's also
 the owning window of each node row).
 
+At levels 1 and 2 the group contains -I, so every translate A comes with
+-A, whose bottom row is the mirror of A's.  The kernel argument and the
+support interval are even in A and the character phase is odd, so the two
+terms are exact conjugates.  The kernel enumerates one bottom row of each
+pair and adds 2 Re term(A): doubling is exact and each window's sum is
+correctly rounded, so the value is the same float as the sum over both,
+with imaginary part 0.0, at half the cost.  At level 3 and above -I is not
+in the group and every translate is summed.
+
 Completion bounds each bottom row q's translates by the disk
 p^2 + q^2 < p_max^2 that every integrated translate lies in.  On a
 translate's support interval the kernel argument is a quadratic in the
@@ -44,6 +53,8 @@ from .smoothfns import bump6, bump6_normalized
 
 # Above this many translate candidates a single average would stall or
 # exhaust memory; callers see the guard instead of a silent truncation.
+# The guards count the full +- set: at levels 1 and 2, where the kernel
+# enumerates one row of each mirror pair, every kept row counts twice.
 CANDIDATE_CAP = 3_000_000
 #: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.85-1.12 ms
 #: on 2 cores (T = 100 to 3000, three base points), so 18,000 panels (T = 3000)
@@ -216,6 +227,13 @@ def _ragged(edges: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.n
     return owner, idx - edges[owner]
 
 
+def _paired(level: int) -> bool:
+    """Whether -I lies in the group of the level: at levels 1 and 2, where
+    -1 is 1 mod the level.  There A and -A are both translates, and the
+    lattice kernel sums one of each pair."""
+    return level <= 2
+
+
 def _guard(tally: np.ndarray, win: np.ndarray, counts: np.ndarray, what: str) -> None:
     # Per window and summed over blocks, so a window trips the guard in a
     # batch exactly when it does alone.
@@ -237,19 +255,31 @@ def _candidate_blocks(
     runs over |n2| <= bound2[w]; its first coordinates n1 are the multiples of
     the level with |a_star n1 + b_star n2| <= cap_star and |n1| <= bound1.
     That form is the better conditioned of the two; the caller applies the
-    other as an exact filter."""
-    col_edges = _edges(2.0 * bound2 + 1.0)
+    other as an exact filter.
+
+    At levels 1 and 2 this set is closed under (n1, n2) -> (-n1, -n2), with
+    the same float bounds on both rows, and only one row of each pair is
+    yielded: the columns n2 >= 0, and on the column n2 = 0 only n1 > 0.  The
+    guard still counts the whole set, each column n2 > 0 twice and the column
+    n2 = 0 whole, so it trips on the same windows as an unpaired walk."""
+    paired = _paired(level)
+    col_edges = _edges(bound2 + 1.0 if paired else 2.0 * bound2 + 1.0)
     for start in range(0, int(col_edges[-1]), _BLOCK_CANDIDATES):
         win, n2 = _ragged(col_edges, start, min(start + _BLOCK_CANDIDATES, col_edges[-1]))
-        n2 -= bound2.astype(np.int64)[win]
+        if not paired:
+            n2 -= bound2.astype(np.int64)[win]
         keep = n2 % level == 1 % level
         win, n2 = win[keep], n2[keep]
         edges = ([[-1.0], [1.0]] * cap_star[win] - n2 * b_star[win]) / a_star[win]
         n1_lo = np.maximum(edges.min(axis=0), -bound1[win] - 0.5)
         n1_hi = np.minimum(edges.max(axis=0), bound1[win] + 0.5)
-        k_lo = np.ceil(n1_lo / level)
-        counts = np.maximum(0.0, np.floor(n1_hi / level) - k_lo + 1.0)
-        _guard(tally, win, counts, "bottom-row candidates")
+        k_lo, k_hi = np.ceil(n1_lo / level), np.floor(n1_hi / level)
+        counts = np.maximum(0.0, k_hi - k_lo + 1.0)
+        # Counted before the cut below: a paired column n2 > 0 stands for -n2 too.
+        _guard(tally, win, np.where(paired & (n2 > 0), 2.0, 1.0) * counts, "bottom-row candidates")
+        if paired:  # the column n2 = 0 keeps n1 > 0
+            k_lo[n2 == 0] = np.maximum(k_lo[n2 == 0], 1.0)
+            counts = np.maximum(0.0, k_hi - k_lo + 1.0)
         cand_edges = _edges(counts)
         for lo in range(0, int(cand_edges[-1]), _BLOCK_CANDIDATES):
             col, offset = _ragged(cand_edges, lo, min(lo + _BLOCK_CANDIDATES, cand_edges[-1]))
@@ -274,8 +304,21 @@ def _lattice_batch(
     One block of bottom-row candidates at a time goes through every stage:
     the slab and gcd filters, completion to translates, support intervals
     and integration.  Each block's terms go into one exact sum keyed by
-    window, so no term outlives its block."""
+    window, so no term outlives its block.
+
+    At levels 1 and 2 (:func:`_paired`) the candidates come one row of each
+    pair (n1, n2), (-n1, -n2).  The mirror row completes to exactly the
+    negated translates -A: ``xgcd_array`` of the negated row returns the
+    negated gcd with the same coefficients, so every float of the completion
+    and of the support interval is negated or unchanged.  The kernel
+    argument and the window are even in A and the phase is odd, so term(-A)
+    is the exact conjugate of term(A), and the pair adds 2 Re term(A), a real
+    term.  Doubling is exact and the sum correctly rounded, so each window
+    value is the float the unpaired sum gives, with imaginary part 0.0.  The
+    translate and panel guards count each kept row twice."""
     n_win, level = ys.size, fn.level
+    paired = _paired(level)
+    mirrors = 2.0 if paired else 1.0  # translates each kept row stands for
     rho_sq = fn.support_radius * fn.support_radius
     root_y = np.sqrt(ys)
     p_max = fn.support_radius / root_y
@@ -327,7 +370,8 @@ def _lattice_batch(
         # budget, so |p| is bounded by the rest of that disk.
         eps, s_pad = row_eps[win], (s_cap * _PAD)[win]
         p_pad = np.sqrt(np.maximum((p_max * p_max * _PAD)[win] - q * q, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A subnormal q or s overflows in the branch np.where discards.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_q = np.where(np.abs(q) > eps, [(-p_pad - p0) / q, (p_pad - p0) / q], [[-big], [big]])
             t_s = np.where(np.abs(s) > eps, [(-s_pad - r0) / s, (s_pad - r0) / s], [[-big], [big]])
         t_lo = np.maximum(t_q.min(axis=0), t_s.min(axis=0))
@@ -337,7 +381,7 @@ def _lattice_batch(
         t_start = t_anchor + level * np.ceil((t_lo - t_anchor) / level)
         counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
         counts[t_hi < t_lo] = 0.0
-        _guard(tally[2], win, counts, "translate candidates")
+        _guard(tally[2], win, mirrors * counts, "translate candidates")
 
         own, offset = _ragged(_edges(counts))
         t = t_start[own].astype(np.int64) + level * offset
@@ -368,7 +412,7 @@ def _lattice_batch(
         if max_panel is not None:
             spans = x_hi - x_lo
             pieces = np.maximum(1.0, np.ceil(spans / max_panel))
-            _guard(tally[3], win, pieces, "quadrature panels")
+            _guard(tally[3], win, mirrors * pieces, "quadrature panels")
             own, frac = _ragged(_edges(pieces))
             widths = (spans / pieces)[own]
             phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
@@ -392,7 +436,7 @@ def _lattice_batch(
             vals = bump6(t) * window(xs, win[sl])
             ints = half * np.sum(vals * wts, axis=1)
             terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
-        acc.add(terms, win)
+        acc.add(2.0 * terms.real if paired else terms, win)
     return acc.totals()
 
 
@@ -433,6 +477,12 @@ def lattice_window_average(
     translate's term is computed on its own row and the sum is correctly
     rounded (real and imaginary parts apart), so the value does not depend
     on the block sizes or on the other windows of a batch.
+
+    At levels 1 and 2, where -I lies in the group, the translates -A and A
+    carry conjugate terms, and only one of each pair is enumerated and
+    integrated, adding twice its real part.  That is exact, so the value is
+    the float the full sum gives, with imaginary part 0.0; the guards still
+    count both.  At level 3 and above every translate is summed.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -507,7 +557,8 @@ def long_orbit_average(
                 "the reduced lattice route applies to level-one functions; use route='pointwise'"
             )
         gamma, reduced = reduce_fundamental(element.matrix @ Sl2Matrix.dilation(T))
-        shifted = GroupElement.from_torus_point(reduced, xi @ gamma.as_array())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as a non-finite block
+            shifted = GroupElement.from_torus_point(reduced, xi @ gamma.as_array())
         return lattice_window_average(fn, shifted, 1.0 / T, h, (-1.0, 1.0))
     if route != "pointwise":
         raise DomainError(f"unknown orbit average route {route!r}")

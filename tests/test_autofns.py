@@ -95,6 +95,19 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PoincareTestFn(level=1, freq=((math.inf, 0),))
 
+    @pytest.mark.parametrize("level, freq", [
+        (2**63, ((1, 0),)), (1, ((2**63, 0),)), (1, ((0, -(2**63) - 1),)), (1, ((10**21, 0),)),
+        (1, ((1e30, 0),)),
+    ])
+    def test_rejects_values_past_int64(self, level, freq):
+        # The kernels compute with the level and the frequencies in int64.
+        with pytest.raises(DomainError):
+            PoincareTestFn(level=level, freq=freq)
+
+    def test_accepts_int64_extremes(self):
+        fn = PoincareTestFn(level=2**63 - 1, freq=((2**63 - 1, -(2**63)),))
+        assert fn.freq_array.tolist() == [[2**63 - 1, -(2**63)]]
+
     def test_freq_is_coerced_and_k_derived(self):
         fn = PoincareTestFn(level=2, freq=np.array([[1, 2], [3, 4]]))
         assert fn.k == 2

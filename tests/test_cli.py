@@ -306,6 +306,43 @@ class TestExitCodes:
         _, rows = rows_of(out)
         assert all(math.isfinite(float(x)) for x in rows[0])
 
+    # Refused partway through the bottom rows.  Which stage's count crosses the
+    # cap first depends on the enumeration order; the totals, and so the
+    # refused inputs, do not.
+    @pytest.mark.parametrize("argv", [("orbit", "--T", "1e5"), ("horocycle", "--y", "1e-5")])
+    def test_lattice_refusal_midway_maps_to_four(self, capsys, argv):
+        assert run(list(argv)) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"horolab: \d+ (bottom-row|translate) candidates exceed the cap 3000000\n", err)
+
+    # Found by the flag draws of TestExitContract: a level or frequency past
+    # int64 ended in a traceback, and a subnormal matrix entry or a torus
+    # point near the float limit warned of an overflow.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("horocycle", "--level=1000000000000000000000"), 2),
+            (("orbit", "--route=pointwise", "--level=9223372036854775808"), 2),
+            (("orbit", "--freq=9223372036854775808,0"), 2),
+            (("orbit", "--freq=1000000000000000000000,0"), 2),
+            (("orbit", "--matrix=5e-324,-1,1,0"), 0),
+            (("orbit", "--xi=1e308,-1e308", "--freq=1,1"), 2),
+            (("horocycle", "--matrix=2,1,1,1", "--xi=1e308,0"), 2),
+        ],
+        ids=["level", "pointwise-level", "freq-uint64", "freq-past-uint64", "subnormal-entry",
+             "orbit-torus-point", "horocycle-torus-point"],
+    )
+    def test_extreme_orbit_flags_end_without_warnings(self, capsys, argv, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(list(argv)) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("horolab: ") and err.count("\n") == 1
+        else:
+            _, rows = rows_of(out)
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_overflowing_orbit_time_is_refused_without_warnings(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error")
@@ -377,24 +414,68 @@ _EXPSUM_VALUES = {
 }
 
 
-class TestExitContract:
-    """Every input ends in a finite table or in exit 2, 3 or 4, with no warning."""
+_INT64_EDGES = (str(2**63 - 1), str(-(2**63)), str(2**63), str(10**21))
+#: In-range texts for the flags of the base point, shared by orbit and horocycle.
+_ELEMENT_VALUES = {
+    "--matrix": _listed(st.integers(-3, 3).map(str), (4, 4))
+    | st.sampled_from(("2,1,1,1", "0,-1,1,0", "1,2,0,1", "5e-324,-1,1,0")),
+    "--xi": _listed(st.floats(-2.0, 2.0).map(repr) | st.sampled_from(("1e308", "-1e308", "5e-324")),
+                    (1, 4)),
+    "--level": st.integers(1, 6).map(str) | st.sampled_from(_INT64_EDGES),
+}
+_HOROCYCLE_VALUES = {
+    **_ELEMENT_VALUES,
+    "--y": st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=3, unique=True).map(
+        lambda ys: ",".join(map(repr, sorted(ys, reverse=True)))),
+}
+_ORBIT_VALUES = {
+    **_ELEMENT_VALUES,
+    "--freq": _listed(st.integers(-3, 3).map(str) | st.sampled_from(_INT64_EDGES), (1, 4)),
+    "--T": _listed(st.floats(1.0, 100.0).map(repr), (1, 3)),
+    "--route": st.sampled_from(("lattice", "pointwise", "Lattice", "secant")),
+}
 
-    @settings(max_examples=150, deadline=1000)
-    @given(st.sampled_from(sorted(_EXPSUM_VALUES)).flatmap(
-        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_TEXTS) | _EXPSUM_VALUES[flag])))
-    def test_expsum_flag(self, case):
-        flag, text = case
+
+def _flag_cases(values):
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_TEXTS) | values[flag]))
+
+
+class TestExitContract:
+    """Every input ends in a finite table or in exit 2, 3 or 4, with no warning.
+
+    Each case sets one flag, as ``--flag=value`` so that a leading minus
+    reaches the converter.  ``orbit --T=1e5`` is refused by a lattice guard
+    after about a second, hence the deadlines of the orbit and horocycle
+    cases."""
+
+    @staticmethod
+    def check(command, flag, text):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = run(["expsum", f"{flag}={text}"])
+            code = run([command, f"{flag}={text}"])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert [str(w.message) for w in caught] == []
         if code == 0:
             _, rows = rows_of(out.getvalue())
             assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @settings(max_examples=150, deadline=1000)
+    @given(_flag_cases(_EXPSUM_VALUES))
+    def test_expsum_flag(self, case):
+        self.check("expsum", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_HOROCYCLE_VALUES))
+    def test_horocycle_flag(self, case):
+        self.check("horocycle", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_ORBIT_VALUES))
+    def test_orbit_flag(self, case):
+        self.check("orbit", *case)
 
 
 class TestVerify:

@@ -410,6 +410,81 @@ class TestLatticeKernel:
         except ResourceGuardError as err:
             assert what not in str(err)
 
+    @staticmethod
+    def candidate_rows(level, bounds, tally):
+        """The rows (win, n1, n2) that ``_candidate_blocks`` yields."""
+        rows = []
+        for win, n1, n2 in orbitlab._candidate_blocks(level, *bounds, tally):
+            rows += zip(win.tolist(), n1.tolist(), n2.tolist())
+        assert len(rows) == len(set(rows))
+        return set(rows)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1 << 14, 5])
+    def test_mirror_rows_are_enumerated_once(self, monkeypatch, rng, level, block):
+        # Bounds of five windows, and the full candidate set by brute force:
+        # n2 = 1 mod the level, n1 a multiple of it between the float edges.
+        n_win = 5
+        bound1, bound2 = np.floor(rng.uniform(2.0, 12.0, (2, n_win))) + 1.0
+        a_star = rng.uniform(0.5, 2.0, n_win) * rng.choice([-1.0, 1.0], n_win)
+        b_star, cap_star = rng.uniform(-2.0, 2.0, n_win), rng.uniform(1.0, 6.0, n_win)
+        full = set()
+        for w in range(n_win):
+            for n2 in range(-int(bound2[w]), int(bound2[w]) + 1):
+                edges = (np.array([-1.0, 1.0]) * cap_star[w] - n2 * b_star[w]) / a_star[w]
+                lo, hi = max(edges.min(), -bound1[w] - 0.5), min(edges.max(), bound1[w] + 0.5)
+                full |= {(w, n1, n2) for n1 in range(-40, 41)
+                         if n2 % level == 1 % level and n1 % level == 0 and lo <= n1 <= hi}
+        counts = np.bincount([w for w, _, _ in full], minlength=n_win)
+        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", block)
+        tally = np.zeros(n_win)
+        rows = self.candidate_rows(level, (bound1, bound2, a_star, b_star, cap_star), tally)
+        assert np.array_equal(tally, counts)  # the guard counts the full set
+        if level == 3:
+            assert rows == full
+        else:
+            # One row of each mirror pair; the zero row, its own mirror, is dropped
+            # (no gcd is 1 there).
+            mirrors = {(w, -n1, -n2) for w, n1, n2 in rows}
+            assert not rows & mirrors
+            assert rows | mirrors == full - {(w, 0, 0) for w in range(n_win)}
+            assert all(n2 > 0 or n1 > 0 and n2 == 0 for _, n1, n2 in rows)
+
+    @pytest.mark.parametrize("level, radius", [(1, 2.0), (2, 3.0)])
+    def test_pairs_give_the_full_sum(self, monkeypatch, level, radius):
+        # The values and the guard tallies of the paired kernel equal those of
+        # the walk over every row, and the conjugate terms cancel exactly.
+        fn = PoincareTestFn(level=level, freq=((1, 1),), support_radius=radius)
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), np.array([[0.3, 0.7]]))
+        guard, tallies = orbitlab._guard, {}
+
+        def recording(tally, win, counts, what):
+            guard(tally, win, counts, what)
+            tallies[what] = tally.copy()
+
+        def run():
+            tallies.clear()
+            values = [lattice_window_average(fn, el, y, window, (-1.0, 1.0)) for y in (0.2, 0.02)]
+            values.append(lattice_window_average(fn, el, 0.05, window, (-1.0, 1.0), max_panel=0.05))
+            return values, dict(tallies)
+
+        monkeypatch.setattr(orbitlab, "_guard", recording)
+        paired, paired_tallies = run()
+        assert all(v.imag == 0.0 for v in paired)
+        monkeypatch.setattr(orbitlab, "_paired", lambda level: False)
+        full, full_tallies = run()
+        assert [v.real for v in full] == [v.real for v in paired]
+        assert [v.imag for v in full] == [0.0, 0.0, 0.0]
+        assert len(full_tallies) == 4
+        assert all(np.array_equal(paired_tallies[k], full_tallies[k]) for k in full_tallies)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_twisted_averages_are_real(self, rng, level):
+        for _ in range(3):
+            fn = PoincareTestFn(level=level, freq=((1, 2),), support_radius=3.0)
+            el = GroupElement.from_torus_point(random_sl2(rng, scale=0.7), rng.uniform(0.0, 1.0, (1, 2)))
+            assert lattice_window_average(fn, el, 0.05, window, (-1.0, 1.0)).imag == 0.0
+
     def test_degenerate_rows_guard(self):
         # diag(1e5, 1e-5) sends the primitive bottom row (0, 1) to (0, 1e-5),
         # within the rounding slack of zero in both entries, so its completion
