@@ -233,22 +233,23 @@ def _gap_block(basis, reduced, u, offsets, exempt, T):
     c1 = np.rint(target[:, 1])[:, None] + np.arange(-2.0, 3.0)
     base = c1[:, :, None] * reduced[1] + shifted[:, None, :]
     breaks = [np.broadcast_to(target[:, :1], c1.shape)]
-    for i in (0, 1):
-        if reduced[0, i] != 0.0:
-            breaks.append(-base[:, :, i] / reduced[0, i])
-    for sgn in (1.0, -1.0):
-        denom = reduced[0, 0] - sgn * reduced[0, 1]
-        if denom != 0.0:
-            breaks.append((sgn * base[:, :, 1] - base[:, :, 0]) / denom)
-    x = np.stack(breaks, axis=2)[:, :, :, None]
-    c0 = np.floor(x) + np.arange(-1.0, 3.0)
-    c1 = c1[:, :, None, None]
-    # Integer-valued floats, equal to the exact lattice indices below 2^53.
-    n0 = c0 * u[0][0] + c1 * u[1][0]
-    n1 = c0 * u[0][1] + c1 * u[1][1]
-    # Far candidates at huge T or offsets may overflow to inf or nan; fmin
-    # sends nan to inf, so neither ever wins.
+    # A subnormal reduced entry sends its breakpoints to inf, and far candidates
+    # at huge T or offsets may overflow to inf or nan.  Infinite breakpoints are
+    # skipped and fmin sends nan to inf, so neither ever wins.
     with np.errstate(over="ignore", invalid="ignore"):
+        for i in (0, 1):
+            if reduced[0, i] != 0.0:
+                breaks.append(-base[:, :, i] / reduced[0, i])
+        for sgn in (1.0, -1.0):
+            denom = reduced[0, 0] - sgn * reduced[0, 1]
+            if denom != 0.0:
+                breaks.append((sgn * base[:, :, 1] - base[:, :, 0]) / denom)
+        x = np.stack(breaks, axis=2)[:, :, :, None]
+        c0 = np.floor(x) + np.arange(-1.0, 3.0)
+        c1 = c1[:, :, None, None]
+        # Integer-valued floats, equal to the exact lattice indices below 2^53.
+        n0 = c0 * u[0][0] + c1 * u[1][0]
+        n1 = c0 * u[0][1] + c1 * u[1][1]
         vals, x1, x2 = _point_value(n0, n1, basis, offsets[:, None, None, None, :], T)
     skip = ~np.isfinite(x) | (exempt[:, None, None, None] & (n0 == 0.0) & (n1 == 0.0))
     vals = np.where(skip, np.inf, np.fmin(vals, np.inf)).reshape(n, -1)
@@ -303,7 +304,11 @@ def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:
     lies in the lattice); for nonzero q a grid that contains the origin
     forces the answer 0.  Values are capped at ``GAP_CAP``.
     """
-    values, witnesses = grid_gap_many(element, np.asarray(q, dtype=int)[None, :], T)
+    try:
+        ns = np.asarray(q, dtype=np.int64)[None, :]
+    except OverflowError as exc:
+        raise DomainError("projection vector entries must be 64-bit integers") from exc
+    values, witnesses = grid_gap_many(element, ns, T)
     return GapResult(values[0], witnesses[0])
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import CosetSpec
+from .arith import CosetSpec, factorize
 from .errors import DomainError, guard
 from .expsum import enumerate_coset_ball
 from .quadrature import box_grid
@@ -93,6 +93,12 @@ def kernel_value(fn: PoincareTestFn, mats: np.ndarray) -> np.ndarray:
     return bump6((np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
 
 
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """(d, -b; -c, a) of each matrix of an (n, 2, 2) integer stack: its inverse
+    where the determinant is one."""
+    return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1).reshape(-1, 2, 2)
+
+
 def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Weights and flattened frequency rows of the translates through each
     matrix of an (n, 2, 2) stack.
@@ -131,8 +137,8 @@ def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray
     if not np.all(np.abs(gamma) < _INT64_LIMIT):
         raise DomainError("the reducing matrix has entries beyond 64-bit integers")
     gamma = gamma.astype(np.int64)
-    # Translates are pulled back through gamma^{-1} = (d, -b; -c, a).
-    ginv = np.stack([gamma[:, 1, 1], -gamma[:, 0, 1], -gamma[:, 1, 0], gamma[:, 0, 0]], -1).reshape(-1, 2, 2)
+    # Translates are pulled back through gamma^{-1}.
+    ginv = _adjugate(gamma)
     # Group by (coset of gamma mod the level, quantized radius).
     cosets = (gamma.reshape(-1, 4) % fn.level).tolist()
     groups: dict[tuple, list[int]] = {}
@@ -151,12 +157,7 @@ def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray
             weights = kernel_value(fn, cand_f @ reduced[live[pts]][:, None])
             keep = weights != 0.0
             row, col = np.nonzero(keep)
-            translates = cands[col] @ ginv[pts[row]]
-            inv_t = np.empty_like(translates)
-            inv_t[:, 0, 0] = translates[:, 1, 1]
-            inv_t[:, 0, 1] = -translates[:, 0, 1]
-            inv_t[:, 1, 0] = -translates[:, 1, 0]
-            inv_t[:, 1, 1] = translates[:, 0, 0]
+            inv_t = _adjugate(cands[col] @ ginv[pts[row]])
             freq_rows = np.einsum("kj,nij->nki", freq, inv_t)
             phase_rows = freq_rows.reshape(len(col), 2 * fn.k).astype(float)
             kept, end = weights[keep], 0
@@ -290,26 +291,12 @@ def fourier_coefficient(
     return _grid_coefficient(weights, phase_rows, target, 2 * fn.k, panels, points)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def sl2_count_mod(n: int) -> int:
     """Number of 2 x 2 determinant-one matrices over the integers mod n."""
     if n < 1:
         raise DomainError("modulus must be a positive integer")
     count = n ** 3
-    for p in _prime_factors(n):
+    for p, _ in factorize(n):
         count = count // (p * p) * (p * p - 1)
     return count
 

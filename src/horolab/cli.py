@@ -95,24 +95,27 @@ class RunConfig:
             raise DomainError(f"format must be csv or json, not {self.fmt!r}")
 
 
+def _torus_point(xi: Sequence[float]) -> np.ndarray:
+    """The k x 2 torus point, read mod 1.  Every command depends on it only mod 1:
+    f and the majorant are periodic in it, and an integer shift moves the gap
+    statistic's grid by a lattice vector."""
+    xi = np.asarray(xi, dtype=float).reshape(-1, 2)
+    return xi - np.floor(xi)
+
+
 def _as_element(matrix: Sequence[float], xi: Sequence[float]) -> GroupElement:
     if len(matrix) != 4:
         raise DomainError("matrix needs exactly four entries a,b,c,d")
     if len(xi) == 0 or len(xi) % 2:
         raise DomainError("xi needs an even, positive number of entries")
-    m = Sl2Matrix(*matrix)
-    return GroupElement.from_torus_point(m, np.asarray(xi, dtype=float).reshape(-1, 2))
-
-
-def _window(x):
-    return bump6(np.asarray(x, dtype=float))
+    return GroupElement.from_torus_point(Sl2Matrix(*matrix), _torus_point(xi))
 
 
 def _plan_delta(p):
     params = MajorantParams(p["k"], p["m"], p["qmax"], p["dmax"])
     if len(p["xi"]) != 2 * p["k"]:
         raise DomainError(f"xi needs {2 * p['k']} entries for k={p['k']}")
-    xi = np.asarray(p["xi"], dtype=float).reshape(-1, 2)
+    xi = _torus_point(p["xi"])
 
     def row(y):
         out = majorant_full(params, xi, y)
@@ -186,10 +189,10 @@ def _plan_orbit(p):
     fn = PoincareTestFn(level=p["level"], freq=tuple(zip(p["freq"][::2], p["freq"][1::2])))
     if p["route"] not in ("lattice", "pointwise"):
         raise DomainError(f"unknown route {p['route']!r}")
-    limit = mean_value(fn) * _h_mass(_window, -1.0, 1.0)
+    limit = mean_value(fn) * _h_mass(bump6, -1.0, 1.0)
 
     def row(T):
-        avg = long_orbit_average(fn, element, T, _window, route=p["route"])
+        avg = long_orbit_average(fn, element, T, bump6, route=p["route"])
         return (T, avg.real, avg.imag, limit, abs(avg - limit))
 
     return row, p["T"]
@@ -200,7 +203,7 @@ def _plan_horocycle(p):
     fn = PoincareTestFn(level=p["level"], freq=((0, 0),) * element.k)
 
     def row(y):
-        (entry,) = horocycle_main_term(OrbitExperiment(fn, element, (y,), _window))
+        (entry,) = horocycle_main_term(OrbitExperiment(fn, element, (y,), bump6))
         return (y, entry.average, entry.limit, entry.error)
 
     return row, p["y"]
@@ -378,8 +381,8 @@ def _verify_checks(rng):
     def translate_dual_route():
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         element = random_element()
-        slow = translate_integral(fn, element, 0.5, _window)
-        fast = lattice_window_average(fn, element, 0.5, _window, (-1.0, 1.0))
+        slow = translate_integral(fn, element, 0.5, bump6)
+        fast = lattice_window_average(fn, element, 0.5, bump6, (-1.0, 1.0))
         _require(abs(slow - fast) < 1e-6, f"translate {slow} against lattice {fast} (tol 1e-6)")
 
     def split_reconstruction():

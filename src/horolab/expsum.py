@@ -5,13 +5,13 @@ disk, completed by one array extended gcd: the solutions of a d - b c = 1
 form the line (c, d) = (c0, d0) + t (a, b), and the admissible t make up an
 explicit interval.  Congruence classes mod N are filtered along the way, so
 the ball of matrices A = R mod N with Frobenius norm at most rho comes out
-in one deterministic pass, ordered by a, b, then t.  An optional box cut n
-builds only the matrices with every entry at most n in absolute value: the
-first rows run over |a|, |b| <= n, and each t interval is narrowed to the
-exact integer intervals on which |c| <= n and |d| <= n, so the box comes out
-in the ball's order without building the ball.  Radii above
-``BALL_RADIUS_CAP`` are refused; balls and boxes share one LRU cache bounded
-by bytes.
+in one deterministic pass, ordered by a, b, then t.  Every set is built as
+a box cut n of the ball, the matrices with every entry at most n in absolute
+value; the ball itself is its box of side floor(rho).  The first rows run
+over |a|, |b| <= n, and each t interval is narrowed to the exact integer
+intervals on which |c| <= n and |d| <= n, so a box comes out in the ball's
+order without building the ball.  Radii above ``BALL_RADIUS_CAP`` are
+refused; the sets share one LRU cache bounded by bytes.
 
 On top of the enumeration sit the linear-twist sums
 
@@ -118,9 +118,10 @@ def _clip_to_box(t_lo, t_hi, u0, u, n):
     return t_lo, t_hi
 
 
-def _coset_ball(spec: CosetSpec, rho: float, cut: int | None = None) -> np.ndarray:
+def _coset_ball(spec: CosetSpec, rho: float, amax: int) -> np.ndarray:
+    """The matrices of the ball of radius rho with every entry at most amax <= rho in
+    absolute value, in ball order."""
     r2 = rho * rho
-    amax = int(math.floor(rho)) if cut is None else min(int(math.floor(rho)), cut)
     N = spec.N
     r11, r12, r21, r22 = spec.rep
     if N > 2 * amax + 1:
@@ -160,9 +161,8 @@ def _coset_ball(spec: CosetSpec, rho: float, cut: int | None = None) -> np.ndarr
         root = np.sqrt(disc[rows])
         t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
         t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
-        if cut is not None:
-            t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, cut)
-            t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, cut)
+        t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
+        t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
         # Every row's t interval, expanded in place: rows in order, t ascending.
         counts = np.maximum(t_hi - t_lo + 1, 0)
         row = np.repeat(np.arange(len(counts)), counts)
@@ -193,11 +193,11 @@ def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) 
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
     guard(rho, BALL_RADIUS_CAP, "ball-radius units")
-    if cut is None:
-        return _coset_ball_cached(spec, float(rho))
+    cut = rho if cut is None else cut
     if not cut >= 0:
         raise DomainError("box cut must be a nonnegative number")
-    # Entries of the ball are at most rho, so a larger cut selects nothing more.
+    # Integer entries of the ball are at most floor(rho) in absolute value, so the
+    # ball is its own box of that side, and a larger cut selects nothing more.
     return _coset_ball_cached(spec, float(rho), int(math.floor(min(cut, rho))))
 
 

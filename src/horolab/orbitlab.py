@@ -24,8 +24,9 @@ support interval are even in A and the character phase is odd, so the two
 terms are exact conjugates.  The kernel enumerates one bottom row of each
 pair and adds 2 Re term(A): doubling is exact and each window's sum is
 correctly rounded, so the value is the same float as the sum over both,
-with imaginary part 0.0, at half the cost.  At level 3 and above -I is not
-in the group and every translate is summed.
+with imaginary part 0.0, at half the cost.  The guards still count both
+members of each pair.  At level 3 and above -I is not in the group and
+every translate is summed.
 
 Completion bounds each bottom row q's translates by the disk
 p^2 + q^2 < p_max^2 that every integrated translate lies in.  On a
@@ -47,14 +48,13 @@ from .arith import ExactSum, exact_sum, xgcd_array
 from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import DomainError, ResourceGuardError, guard
 from .majorant import MajorantParams, majorant_full
-from .quadrature import _rule, adaptive_quad
+from .quadrature import _panels, _rule, adaptive_quad
 from .sl2core import Sl2Matrix, reduce_fundamental, stack_product
 from .smoothfns import bump6, bump6_normalized
 
 # Above this many translate candidates a single average would stall or
 # exhaust memory; callers see the guard instead of a silent truncation.
-# The guards count the full +- set: at levels 1 and 2, where the kernel
-# enumerates one row of each mirror pair, every kept row counts twice.
+# The guards count mirror pairs whole.
 CANDIDATE_CAP = 3_000_000
 #: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.85-1.12 ms
 #: on 2 cores (T = 100 to 3000, three base points), so 18,000 panels (T = 3000)
@@ -164,6 +164,11 @@ def partition_identity(
     return float(adaptive_quad(scaled, s - w2, s + w2, rel_tol=1e-10, abs_tol=1e-13))
 
 
+def _check_blocks(fn: PoincareTestFn, element: GroupElement) -> None:
+    if element.k != fn.k:
+        raise DomainError("element and test function carry different block counts")
+
+
 def _h_mass(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     return float(adaptive_quad(lambda x: np.asarray(h(x), dtype=float), lo, hi, rel_tol=1e-10))
 
@@ -186,8 +191,7 @@ def translate_integral(
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
-    if element.k != fn.k:
-        raise DomainError("element and test function carry different block counts")
+    _check_blocks(fn, element)
     xi = element.torus_point()
     base = element.matrix.as_array()
     scale = Sl2Matrix.dilation(y).as_array()
@@ -229,8 +233,7 @@ def _ragged(edges: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.n
 
 def _paired(level: int) -> bool:
     """Whether -I lies in the group of the level: at levels 1 and 2, where
-    -1 is 1 mod the level.  There A and -A are both translates, and the
-    lattice kernel sums one of each pair."""
+    -1 is 1 mod the level."""
     return level <= 2
 
 
@@ -257,11 +260,11 @@ def _candidate_blocks(
     That form is the better conditioned of the two; the caller applies the
     other as an exact filter.
 
-    At levels 1 and 2 this set is closed under (n1, n2) -> (-n1, -n2), with
-    the same float bounds on both rows, and only one row of each pair is
-    yielded: the columns n2 >= 0, and on the column n2 = 0 only n1 > 0.  The
-    guard still counts the whole set, each column n2 > 0 twice and the column
-    n2 = 0 whole, so it trips on the same windows as an unpaired walk."""
+    When :func:`_paired`, the set is closed under (n1, n2) -> (-n1, -n2)
+    with the same float bounds on both rows, and only the columns n2 >= 0
+    are yielded, on the column n2 = 0 only n1 > 0.  The guard counts each
+    column n2 > 0 twice and the column n2 = 0 whole, so it trips on the same
+    windows as an unpaired walk."""
     paired = _paired(level)
     col_edges = _edges(bound2 + 1.0 if paired else 2.0 * bound2 + 1.0)
     for start in range(0, int(col_edges[-1]), _BLOCK_CANDIDATES):
@@ -306,16 +309,12 @@ def _lattice_batch(
     and integration.  Each block's terms go into one exact sum keyed by
     window, so no term outlives its block.
 
-    At levels 1 and 2 (:func:`_paired`) the candidates come one row of each
-    pair (n1, n2), (-n1, -n2).  The mirror row completes to exactly the
-    negated translates -A: ``xgcd_array`` of the negated row returns the
+    When :func:`_paired`, the mirror of each kept row completes to exactly
+    the negated translates -A: ``xgcd_array`` of the negated row returns the
     negated gcd with the same coefficients, so every float of the completion
-    and of the support interval is negated or unchanged.  The kernel
-    argument and the window are even in A and the phase is odd, so term(-A)
-    is the exact conjugate of term(A), and the pair adds 2 Re term(A), a real
-    term.  Doubling is exact and the sum correctly rounded, so each window
-    value is the float the unpaired sum gives, with imaginary part 0.0.  The
-    translate and panel guards count each kept row twice."""
+    and of the support interval is negated or unchanged.  Each kept
+    translate adds 2 Re term(A), and the translate and panel guards count it
+    twice."""
     n_win, level = ys.size, fn.level
     paired = _paired(level)
     mirrors = 2.0 if paired else 1.0  # translates each kept row stands for
@@ -476,18 +475,12 @@ def lattice_window_average(
     is bounded by the block, not by the window's row count.  Each
     translate's term is computed on its own row and the sum is correctly
     rounded (real and imaginary parts apart), so the value does not depend
-    on the block sizes or on the other windows of a batch.
-
-    At levels 1 and 2, where -I lies in the group, the translates -A and A
-    carry conjugate terms, and only one of each pair is enumerated and
-    integrated, adding twice its real part.  That is exact, so the value is
-    the float the full sum gives, with imaginary part 0.0; the guards still
-    count both.  At level 3 and above every translate is summed.
+    on the block sizes or on the other windows of a batch.  At levels 1
+    and 2 its imaginary part is 0.0 (module docstring).
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
-    if element.k != fn.k:
-        raise DomainError("element and test function carry different block counts")
+    _check_blocks(fn, element)
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise DomainError("support interval must be increasing")
@@ -548,8 +541,7 @@ def long_orbit_average(
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least one")
-    if element.k != fn.k:
-        raise DomainError("element and test function carry different block counts")
+    _check_blocks(fn, element)
     xi = element.torus_point()
     if route == "lattice":
         if fn.level != 1:
@@ -565,16 +557,12 @@ def long_orbit_average(
     panels = max(48, int(math.ceil(6.0 * T)))
     guard(panels, POINTWISE_PANEL_CAP, "pointwise panels")
     base = element.matrix.as_array()
-    nodes, wts = _rule(24)
     edges = np.linspace(-1.0, 1.0, panels + 1)
     acc = 0.0 + 0.0j
     for lo in range(0, panels, _BLOCK_PANELS):
-        block = edges[lo : lo + _BLOCK_PANELS + 1]
-        left, right = block[:-1], block[1:]
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        xs = (mid[:, None] + half[:, None] * nodes).ravel()
+        xs, wts = _panels(edges[lo : lo + _BLOCK_PANELS + 1], 24)
         hx = np.asarray(h(xs), dtype=float)
-        factor = (half[:, None] * wts).ravel() * hx
+        factor = wts * hx
         live = hx != 0.0
         values = evaluate_f(fn, stack_product(base, _unipotents(T * xs[live])), xi)
         for f, v in zip(factor[live], values.tolist()):
@@ -602,8 +590,7 @@ def split_orbit_average(
     """
     if not (T >= 2.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least two")
-    if element.k != fn.k:
-        raise DomainError("element and test function carry different block counts")
+    _check_blocks(fn, element)
     if fn.level != 1:
         raise DomainError("orbit splitting reduces by the full integer group, so it needs level one")
     gamma, reduced = reduce_fundamental(element.matrix @ Sl2Matrix.dilation(T))
@@ -616,12 +603,9 @@ def split_orbit_average(
     c, d = reduced.c, reduced.d
     reach = 2.0 / height
 
-    nodes, wts = _rule(16)
     span = 1.0 + 1.0 / 50.0
     edges = np.linspace(-span, span, max(128, int(math.ceil(0.35 * T * rho_sq))) + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    z = (mid[:, None] + half[:, None] * nodes).ravel()
-    weight = (half[:, None] * wts).ravel()
+    z, weight = _panels(edges, 16)
     scale, shift, core = _split_nodes(reduced, z)
     s_lo, s_hi = np.maximum(-1.0, z - reach), np.minimum(1.0, z + reach)
     # A window lies wholly above the kernel support when even its lowest
@@ -701,8 +685,7 @@ class OrbitExperiment:
     h: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.element.k != self.fn.k:
-            raise DomainError("element and test function carry different block counts")
+        _check_blocks(self.fn, self.element)
         sched = tuple(float(x) for x in self.schedule)
         if len(sched) < 1:
             raise DomainError("schedule must contain at least one scale")

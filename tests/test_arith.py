@@ -14,6 +14,7 @@ from horolab.arith import (
     divisor_count,
     divisor_counts,
     exact_sum,
+    factorize,
     kloosterman,
     kloosterman_weil_bound,
     mod_inverse,
@@ -164,6 +165,20 @@ class TestDivisorCount:
     def test_partial_sum_window(self, x):
         total = sum(divisor_count(n) for n in range(1, x + 1))
         assert x * math.log(x) - x <= total <= x * math.log(x) + 2 * x
+
+
+class TestFactorize:
+    def test_against_sympy(self, rng):
+        # 1999993 is the largest prime below the last trial divisor, 2 * 10^6.
+        fixed = [1, 2, 360, 2**62, 999_983 * 1_000_003, 3 * 1_999_993**2]
+        for n in fixed + rng.integers(1, 10**10, size=20).tolist():
+            assert factorize(n) == sorted(sympy.factorint(n).items())
+
+    def test_refuses_a_cofactor_past_the_trial_cap(self):
+        # 2^63 - 25 is prime, so it needs every divisor up to its square root.
+        for count in (factorize, divisor_count):
+            with pytest.raises(ResourceGuardError, match="trial divisors exceed the cap 1000000"):
+                count(2**63 - 25)
 
 
 class TestXgcd:

@@ -268,10 +268,14 @@ class TestExitCodes:
             ("lfd", "--dmax", "1000000000"),
             ("theorem4", "--dmax", "1000000"),
             ("delta", "--k", "2", "--qmax", "100", "--xi", "0.1,0.2,0.3,0.4", "--y", "1e-12"),
+            # 2^63 - 25 is prime: factoring the level for its covolume needs 1.5e9 divisors.
+            ("horocycle", "--level", "9223372036854775783", "--y", "0.1"),
+            ("orbit", "--level", "9223372036854775783"),
         ],
         ids=["ball-radius", "sieve-cap", "lattice-height", "lattice-time", "pointwise-huge",
              "pointwise-long", "q-grid", "kloosterman-modulus", "quadsum-shift-classes",
-             "lfd-scan", "theorem4-offsets", "series-work"],
+             "lfd-scan", "theorem4-offsets", "series-work", "prime-level-horocycle",
+             "prime-level-orbit"],
     )
     def test_oversized_request_is_refused_promptly(self, capsys, argv):
         start = time.perf_counter()
@@ -315,9 +319,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.fullmatch(r"horolab: \d+ (bottom-row|translate) candidates exceed the cap 3000000\n", err)
 
-    # Found by the flag draws of TestExitContract: a level or frequency past
-    # int64 ended in a traceback, and a subnormal matrix entry or a torus
-    # point near the float limit warned of an overflow.
+    # Found by the flag draws of TestExitContract: a level, frequency or
+    # projection vector past int64 ended in a traceback, and a subnormal
+    # matrix entry or a torus point near the float limit warned of an
+    # overflow.  The torus point is read mod 1, so those give tables.
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -326,11 +331,16 @@ class TestExitCodes:
             (("orbit", "--freq=9223372036854775808,0"), 2),
             (("orbit", "--freq=1000000000000000000000,0"), 2),
             (("orbit", "--matrix=5e-324,-1,1,0"), 0),
-            (("orbit", "--xi=1e308,-1e308", "--freq=1,1"), 2),
-            (("horocycle", "--matrix=2,1,1,1", "--xi=1e308,0"), 2),
+            (("orbit", "--xi=1e308,-1e308", "--freq=1,1"), 0),
+            (("horocycle", "--matrix=2,1,1,1", "--xi=1e308,0"), 0),
+            (("delta", "--xi=1e308,-1e308"), 0),
+            (("sgq", "--matrix=5e-324,-1,1,0"), 0),
+            (("theorem4", "--matrix=5e-324,-1,1,0"), 0),
+            (("sgq", "--q=9223372036854775808"), 2),
         ],
         ids=["level", "pointwise-level", "freq-uint64", "freq-past-uint64", "subnormal-entry",
-             "orbit-torus-point", "horocycle-torus-point"],
+             "orbit-torus-point", "horocycle-torus-point", "delta-torus-point",
+             "sgq-subnormal-entry", "theorem4-subnormal-entry", "sgq-projection-uint64"],
     )
     def test_extreme_orbit_flags_end_without_warnings(self, capsys, argv, code):
         with warnings.catch_warnings():
@@ -342,6 +352,14 @@ class TestExitCodes:
         else:
             _, rows = rows_of(out)
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_routes_agree_at_a_huge_torus_point(self, capsys):
+        argv = ("orbit", "--xi=1e308,-1e308", "--freq=1,1", "--T=10")
+        _, lattice = rows_of(invoke(capsys, *argv)[1])
+        _, pointwise = rows_of(invoke(capsys, *argv, "--route=pointwise")[1])
+        assert abs(float(lattice[0][1]) - float(pointwise[0][1])) < 1e-6
+        assert abs(float(lattice[0][2]) - float(pointwise[0][2])) < 1e-6
+        assert abs(float(lattice[0][1])) > 1.0
 
     def test_overflowing_orbit_time_is_refused_without_warnings(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -414,7 +432,8 @@ _EXPSUM_VALUES = {
 }
 
 
-_INT64_EDGES = (str(2**63 - 1), str(-(2**63)), str(2**63), str(10**21))
+#: Integers at and past the int64 range, and 2^63 - 25, a prime too large to factor.
+_INT64_EDGES = (str(2**63 - 1), str(-(2**63)), str(2**63), str(10**21), str(2**63 - 25))
 #: In-range texts for the flags of the base point, shared by orbit and horocycle.
 _ELEMENT_VALUES = {
     "--matrix": _listed(st.integers(-3, 3).map(str), (4, 4))
@@ -433,6 +452,51 @@ _ORBIT_VALUES = {
     "--freq": _listed(st.integers(-3, 3).map(str) | st.sampled_from(_INT64_EDGES), (1, 4)),
     "--T": _listed(st.floats(1.0, 100.0).map(repr), (1, 3)),
     "--route": st.sampled_from(("lattice", "pointwise", "Lattice", "secant")),
+}
+
+
+_SMALL_INTS = st.integers(-3, 3).map(str) | st.sampled_from(_INT64_EDGES)
+_DEGREES = st.integers(1, 30).map(str) | st.sampled_from(_INT64_EDGES)
+_DELTA_VALUES = {
+    "--k": st.integers(1, 2).map(str) | st.sampled_from(_INT64_EDGES),
+    "--m": st.floats(0.5, 5.0).map(repr),
+    "--qmax": _DEGREES,
+    "--dmax": _DEGREES | st.just("auto"),
+    "--xi": _ELEMENT_VALUES["--xi"],
+    "--y": _listed(st.floats(1e-6, 10.0).map(repr), (1, 3)),
+}
+_LFD_VALUES = {
+    "--psi": _listed(st.floats(-2.0, 2.0).map(repr), (1, 3)),
+    "--kappa": st.floats(0.0, 4.0).map(repr),
+    "--alpha": st.floats(0.0, 3.0).map(repr),
+    "--c": st.floats(0.0, 1.0).map(repr),
+    "--qmax": _DEGREES,
+    "--dmax": _DEGREES,
+}
+_SGQ_VALUES = {
+    "--matrix": _ELEMENT_VALUES["--matrix"],
+    "--xi": _ELEMENT_VALUES["--xi"],
+    "--q": _listed(_SMALL_INTS, (1, 2)),
+    "--T": _listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
+}
+_KLOOSTERMAN_VALUES = {
+    "--m": _SMALL_INTS,
+    "--n": _SMALL_INTS,
+    "--q": _listed(st.integers(1, 60).map(str) | st.sampled_from(_INT64_EDGES), (1, 3)),
+}
+_QUADSUM_VALUES = {
+    "--q": _listed(_DEGREES, (1, 3)),
+    "--N": st.integers(1, 6).map(str) | st.sampled_from(_INT64_EDGES),
+    "--rep": _listed(st.integers(-6, 6).map(str), (4, 4)) | st.just("1,0,0,1"),
+    "--v": _listed(_SMALL_INTS, (4, 4)),
+}
+_THEOREM4_VALUES = {
+    "--matrix": _ELEMENT_VALUES["--matrix"],
+    "--xi": _ELEMENT_VALUES["--xi"],
+    "--m": st.floats(0.5, 5.0).map(repr),
+    "--qmax": _DEGREES,
+    "--dmax": _DEGREES | st.just("auto"),
+    "--T": _listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
 }
 
 
@@ -460,7 +524,9 @@ class TestExitContract:
         assert [str(w.message) for w in caught] == []
         if code == 0:
             _, rows = rows_of(out.getvalue())
-            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+            # lfd's q cell lists a witness as ';'-joined integers, or is empty.
+            cells = [part for row in rows for cell in row for part in cell.split(";") if part]
+            assert rows and all(math.isfinite(float(part)) for part in cells)
 
     @settings(max_examples=150, deadline=1000)
     @given(_flag_cases(_EXPSUM_VALUES))
@@ -476,6 +542,36 @@ class TestExitContract:
     @given(_flag_cases(_ORBIT_VALUES))
     def test_orbit_flag(self, case):
         self.check("orbit", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_DELTA_VALUES))
+    def test_delta_flag(self, case):
+        self.check("delta", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_LFD_VALUES))
+    def test_lfd_flag(self, case):
+        self.check("lfd", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_SGQ_VALUES))
+    def test_sgq_flag(self, case):
+        self.check("sgq", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_KLOOSTERMAN_VALUES))
+    def test_kloosterman_flag(self, case):
+        self.check("kloosterman", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_QUADSUM_VALUES))
+    def test_quadsum_flag(self, case):
+        self.check("quadsum", *case)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(_flag_cases(_THEOREM4_VALUES))
+    def test_theorem4_flag(self, case):
+        self.check("theorem4", *case)
 
 
 class TestVerify:

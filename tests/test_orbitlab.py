@@ -27,7 +27,7 @@ from horolab.orbitlab import (
     split_orbit_average,
     translate_integral,
 )
-from horolab.sl2core import Sl2Matrix, cuspidal_height
+from horolab.sl2core import Sl2Matrix, cuspidal_height, reduce_fundamental
 from horolab.smoothfns import bump6, bump6_normalized
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -614,6 +614,18 @@ class TestSplitOrbit:
     def test_matches_direct_route_rotated_base(self):
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         el = GroupElement.from_torus_point(cusp_base(110.0, 25.0, -0.1, 1.0), XI_GOLD)
+        direct = long_orbit_average(fn, el, 25.0, window, route="lattice")
+        split = split_orbit_average(fn, el, 25.0, window)
+        assert abs(direct) > 1e-2
+        assert abs(direct - split) < 1e-4
+
+    def test_matches_direct_route_downward_bottom_row(self):
+        # Turned by pi, the reduced orbit matrix has a bottom row pointing
+        # down, so the split flips the signs of it and of the reducing word.
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        base = cusp_base(110.0, 25.0, -0.1, 1.0) @ Sl2Matrix.rotation(math.pi)
+        assert reduce_fundamental(base @ Sl2Matrix.dilation(25.0))[1].c < 0.0
+        el = GroupElement.from_torus_point(base, XI_GOLD)
         direct = long_orbit_average(fn, el, 25.0, window, route="lattice")
         split = split_orbit_average(fn, el, 25.0, window)
         assert abs(direct) > 1e-2

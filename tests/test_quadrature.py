@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from horolab.errors import ConvergenceError, DomainError
-from horolab.quadrature import adaptive_quad, box_grid, fixed_quad
+from horolab.errors import ConvergenceError, DomainError, ResourceGuardError
+from horolab.quadrature import BOX_GRID_NODE_CAP, adaptive_quad, box_grid, fixed_quad
 
 
 class TestFixedRule:
@@ -69,3 +69,11 @@ class TestBox:
             box_grid([0.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             box_grid([0.0], [1.0], panels=0)
+
+    def test_node_guard(self):
+        # Two torus blocks at 8 panels of 12 points would be 96^4 nodes, about 11 GB.
+        with pytest.raises(ResourceGuardError, match="84934656 grid nodes exceed the cap"):
+            box_grid([0.0] * 4, [1.0] * 4, panels=8, points=12)
+        pts, wts = box_grid([0.0] * 4, [1.0] * 4, panels=4, points=4)
+        assert pts.shape == (65_536, 4) and 65_536 <= BOX_GRID_NODE_CAP
+        assert wts.sum() == pytest.approx(1.0, rel=1e-13)
