@@ -111,8 +111,10 @@ def _positive_row(m: Sl2Matrix) -> Sl2Matrix:
 
 
 def _split_nodes(reduced: Sl2Matrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`orbit_split` of a reduced positive-row matrix at an array of positions:
-    the scales, the integer shifts (as floats) and the (n, 2, 2) cores."""
+    """:func:`orbit_split` of a reduced matrix at an array of positions: the
+    scales, the integer shifts (as floats) and the (n, 2, 2) cores.  Each core
+    carries the sign of c z + d, so the matrix and its negative give the same
+    scales and shifts and opposite cores."""
     a, b, c, d = reduced.a, reduced.b, reduced.c, reduced.d
     denom = c * z + d
     if np.any(np.abs(denom) < 1e-12 * (abs(c) * np.abs(z) + abs(d) + 1.0)):
@@ -597,8 +599,6 @@ def split_orbit_average(
     height = reduced.mobius(1j).imag
     if not height > 100.0:
         raise DomainError("splitting applies to orbits of cusp height above 100")
-    if _positive_row(reduced) is not reduced:
-        reduced, gamma = _positive_row(reduced), -gamma
     rho_sq = fn.support_radius * fn.support_radius
     c, d = reduced.c, reduced.d
     reach = 2.0 / height

@@ -621,7 +621,7 @@ class TestSplitOrbit:
 
     def test_matches_direct_route_downward_bottom_row(self):
         # Turned by pi, the reduced orbit matrix has a bottom row pointing
-        # down, so the split flips the signs of it and of the reducing word.
+        # down, so every core of the split carries a negative sign.
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         base = cusp_base(110.0, 25.0, -0.1, 1.0) @ Sl2Matrix.rotation(math.pi)
         assert reduce_fundamental(base @ Sl2Matrix.dilation(25.0))[1].c < 0.0
@@ -630,6 +630,16 @@ class TestSplitOrbit:
         split = split_orbit_average(fn, el, 25.0, window)
         assert abs(direct) > 1e-2
         assert abs(direct - split) < 1e-4
+
+    @pytest.mark.parametrize("args, T", [((150.0, 20.0, 0.2), 20.0), ((110.0, 25.0, -0.1, 1.0), 25.0)])
+    def test_negated_base_gives_the_same_bits(self, args, T):
+        # -I lies in the level-one group and negation is exact, so the split
+        # sees the same point whichever sign the reduction leaves on the row.
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        base = cusp_base(*args)
+        up = GroupElement.from_torus_point(base, XI_GOLD)
+        down = GroupElement.from_torus_point(-base, XI_GOLD)
+        assert split_orbit_average(fn, down, T, window) == split_orbit_average(fn, up, T, window)
 
     def test_zero_when_orbit_stays_above_support(self):
         fn = PoincareTestFn(level=1, freq=((1, 0),))
