@@ -41,6 +41,9 @@ def compare(args):
 
     twisted = cancellation_report(spec, weight, alpha, Xs)
     flat = cancellation_report(spec, weight, np.zeros(4), Xs)
+    zero = [t.X for t, f in zip(twisted, flat) if t.lhs == 0 or f.lhs == 0]
+    if zero:
+        raise DomainError(f"the weighted sum at X={zero[0]:g} is zero and has no growth exponent")
     print(f"{'X':>8} {'|twisted|':>12} {'|flat|':>12} {'rhs':>12} {'ratio':>8}")
     for t, f in zip(twisted, flat):
         print(f"{t.X:8.0f} {abs(t.lhs):12.4f} {abs(f.lhs):12.1f} "

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from horolab.cli import run_script
-from horolab.errors import DomainError
+from horolab.errors import DomainError, guard
 from horolab.majorant import MajorantParams, majorant_full
 
 POINTS = {
@@ -25,6 +25,10 @@ POINTS = {
     "quadratic": np.array([[math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]]),
     "rational": np.array([[0.25, 0.4]]),
 }
+#: Heights one sweep visits.  At the default flags a height at y = 1e-6, the
+#: deepest default one, took 2.4-2.8 ms for the four points (2 cores), so at
+#: 3.3 ms this is ~20 s.  The default sweep visits 11.
+POINT_CAP = 6_000
 
 
 def main(argv=None):
@@ -42,6 +46,10 @@ def main(argv=None):
 def sweep(args):
     if args.points < 2 or args.min_exp == args.max_exp:
         raise DomainError("a slope needs --points of at least 2 and two distinct exponents")
+    for flag, exp in (("--min-exp", args.min_exp), ("--max-exp", args.max_exp)):
+        if not 0.0 <= exp < math.inf:
+            raise DomainError(f"{flag} must be finite and at least 0 for y = 10^-e in (0, 1]")
+    guard(args.points, POINT_CAP, "sweep heights")
     ys = np.logspace(-args.min_exp, -args.max_exp, args.points)
     params = MajorantParams(1, args.m, args.qmax, None)
     rows = []

@@ -16,10 +16,15 @@ import sys
 import numpy as np
 
 from horolab.affine import GroupElement
-from horolab.cli import _floats, run_script
-from horolab.errors import DomainError
+from horolab.cli import _floats, _seed, run_script
+from horolab.errors import DomainError, guard
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.sl2core import Sl2Matrix
+
+#: Orbit bounds one run evaluates, --count times the number of --times.  At the
+#: default flags a bound took 1.5-2.4 ms (2 cores, T = 1e2 to 1e8), so at 2.5 ms
+#: this is ~20 s.  The default run evaluates 150.
+BOUND_CAP = 8_000
 
 
 def draw_matrix(rng):
@@ -37,7 +42,7 @@ def draw_matrix(rng):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=20240817)
+    parser.add_argument("--seed", default=20240817)
     parser.add_argument("--times", default="1e2,1e3,1e4")
     parser.add_argument("--m", type=float, default=3.0)
     parser.add_argument("--qmax", type=int, default=10)
@@ -50,10 +55,11 @@ def main(argv=None):
 def ensemble(args):
     if args.count < 1:
         raise DomainError("--count must be at least 1")
-    rng = np.random.default_rng(np.random.Philox(args.seed))
+    rng = np.random.default_rng(np.random.Philox(_seed(args.seed)))
     Ts = list(_floats(args.times))
     if len(set(Ts)) < 2:
         raise DomainError("--times needs two distinct values to fit a slope")
+    guard(args.count * len(Ts), BOUND_CAP, "orbit bounds")
     params = MajorantParams(1, args.m, args.qmax, args.dmax)
     log_t = np.log(Ts)
 

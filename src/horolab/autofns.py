@@ -19,7 +19,7 @@ from .arith import CosetSpec, factorize
 from .errors import DomainError, guard
 from .expsum import enumerate_coset_ball
 from .quadrature import box_grid
-from .sl2core import IwasawaCoords, Sl2Matrix, iwasawa_compose, reduce_stack
+from .sl2core import Sl2Matrix, reduce_stack
 from .smoothfns import BUMP6_MASS, bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
@@ -35,7 +35,6 @@ _BLOCK_CANDIDATES = 1 << 14
 #: Matrices of a stack reduced and evaluated at a time.
 _BLOCK_POINTS = 1 << 10
 _INT64_LIMIT = 2.0**63
-SIEGEL_V_FLOOR = math.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -336,25 +335,3 @@ def mean_value(fn: PoincareTestFn) -> float:
     if np.any(fn.freq_array != 0):
         return 0.0
     return kernel_haar_mass(fn) / covolume(fn.level)
-
-
-def haar_sample_level_one(rng: np.random.Generator, count: int) -> list[Sl2Matrix]:
-    """Draw matrices uniformly, for the v^{-2} du dv dtheta measure, from
-    the classical level-one domain crossed with a full angular turn.
-
-    Proposals fall on the strip |u| <= 1/2, v >= sqrt(3)/2 with the exact
-    target density in v (its normalized tail is 1/v up to a constant, so
-    inverse transform sampling applies), then rejection keeps the points
-    with |u + iv| >= 1.
-    """
-    if count < 1:
-        raise DomainError("sample count must be positive")
-    out: list[Sl2Matrix] = []
-    while len(out) < count:
-        u = rng.uniform(-0.5, 0.5)
-        v = SIEGEL_V_FLOOR / (1.0 - rng.random())
-        if u * u + v * v < 1.0:
-            continue
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        out.append(iwasawa_compose(IwasawaCoords(u, v, theta)))
-    return out

@@ -61,6 +61,14 @@ def _number(text: str) -> float:
     return value
 
 
+def _natural(text: str) -> int:
+    """``int``, refusing negative values with the same ValueError as bad text."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _flag(expected: str, parse: Callable[[str], object]) -> Callable[[str], object]:
     """A flag converter: ``parse`` the text, or raise DomainError naming what was expected."""
 
@@ -78,6 +86,8 @@ _float = _flag("a number", _number)
 _ints = _flag("comma-separated integers", lambda text: tuple(map(int, text.split(","))))
 _floats = _flag("comma-separated numbers", lambda text: tuple(map(_number, text.split(","))))
 _maybe_int = _flag("an integer", lambda text: None if text == "auto" else int(text))
+#: Generator keys: numpy's seed sequences take non-negative integers only.
+_seed = _flag("a non-negative integer", _natural)
 
 
 @dataclass(frozen=True)
@@ -309,7 +319,7 @@ def _parse_command(command: str, argv: Sequence[str]) -> RunConfig:
     merged.update(provided)
     out = merged.pop("out", None)
     fmt = str(merged.pop("format"))
-    seed = _int(merged.pop("seed"))
+    seed = _seed(merged.pop("seed"))
     params = tuple((key, convert(merged[key])) for key, (_, convert) in flags.items())
     return RunConfig(command, params, seed, out, fmt)
 

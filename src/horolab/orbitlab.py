@@ -29,7 +29,8 @@ members of each pair.  At level 3 and above -I is not in the group and
 every translate is summed.
 
 Completion bounds each bottom row q's translates by the disk
-p^2 + q^2 < p_max^2 that every integrated translate lies in.  On a
+p^2 + q^2 < p_max^2 (p_max = radius / sqrt(y)) that every integrated
+translate lies in; no other translate has a kernel term.  On a
 translate's support interval the kernel argument is a quadratic in the
 Gauss node, built per row about the interval's midpoint, so it costs four
 array operations per node.
@@ -180,11 +181,10 @@ def translate_integral(
     element: GroupElement,
     y: float,
     h: Callable[[np.ndarray], np.ndarray],
-    h_support: tuple[float, float] = (-1.0, 1.0),
 ) -> complex:
     """Reference route: pointwise adaptive quadrature of the translated value.
 
-    The quadrature of ``h`` on its support interval asks for relative
+    The quadrature of ``h`` on its support [-1, 1] asks for relative
     tolerance 1e-7 at depth up to 24.  This route evaluates the function
     at each node's matrix g u_x a_y, by domain reduction and a coset ball,
     so it is the slow but independent benchmark for the lattice route.
@@ -206,10 +206,7 @@ def translate_integral(
         values = iter(evaluate_f(fn, mats, xi).tolist())
         return np.array([0.0 if w == 0.0 else next(values) * w for w in weights])
 
-    lo, hi = h_support
-    if not lo < hi:
-        raise DomainError("support interval must be increasing")
-    return complex(adaptive_quad(integrand, lo, hi, rel_tol=1e-7, max_depth=24))
+    return complex(adaptive_quad(integrand, -1.0, 1.0, rel_tol=1e-7, max_depth=24))
 
 
 def _unipotents(ts: np.ndarray) -> np.ndarray:
@@ -262,11 +259,10 @@ def _candidate_blocks(
     That form is the better conditioned of the two; the caller applies the
     other as an exact filter.
 
-    When :func:`_paired`, the set is closed under (n1, n2) -> (-n1, -n2)
-    with the same float bounds on both rows, and only the columns n2 >= 0
-    are yielded, on the column n2 = 0 only n1 > 0.  The guard counts each
-    column n2 > 0 twice and the column n2 = 0 whole, so it trips on the same
-    windows as an unpaired walk."""
+    When :func:`_paired`, only the columns n2 >= 0 are yielded, on the
+    column n2 = 0 only n1 > 0; the bounds give (n1, n2) and (-n1, -n2) the
+    same floats.  The guard counts each column n2 > 0 twice and the column
+    n2 = 0 whole, so it trips on the same windows as an unpaired walk."""
     paired = _paired(level)
     col_edges = _edges(bound2 + 1.0 if paired else 2.0 * bound2 + 1.0)
     for start in range(0, int(col_edges[-1]), _BLOCK_CANDIDATES):
@@ -299,7 +295,6 @@ def _lattice_batch(
     los: np.ndarray,
     his: np.ndarray,
     window: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    max_panel: float | None = None,
 ) -> np.ndarray:
     """Lattice route for W windows: base matrices (W, 2, 2), torus points
     (W, k, 2), heights and support ends (W,), checked by the callers.  Each
@@ -311,12 +306,11 @@ def _lattice_batch(
     and integration.  Each block's terms go into one exact sum keyed by
     window, so no term outlives its block.
 
-    When :func:`_paired`, the mirror of each kept row completes to exactly
-    the negated translates -A: ``xgcd_array`` of the negated row returns the
-    negated gcd with the same coefficients, so every float of the completion
-    and of the support interval is negated or unchanged.  Each kept
-    translate adds 2 Re term(A), and the translate and panel guards count it
-    twice."""
+    When :func:`_paired`, the mirror of a kept row would complete to exactly
+    -A: ``xgcd_array`` of the negated row returns the negated gcd with the
+    same coefficients, so every float of the completion and of the support
+    interval is negated or unchanged.  The translate guard counts each kept
+    translate twice."""
     n_win, level = ys.size, fn.level
     paired = _paired(level)
     mirrors = 2.0 if paired else 1.0  # translates each kept row stands for
@@ -334,7 +328,7 @@ def _lattice_batch(
         bound1 = np.floor(w_max * np.hypot(m11, m10)) + 1.0
         bound2 = np.floor(w_max * np.hypot(m01, m00)) + 1.0
         columns = 2.0 * bound2 + 1.0
-    tally = np.zeros((4, n_win))
+    tally = np.zeros((3, n_win))
     _guard(tally[0], np.arange(n_win), columns, "bottom-row columns")
     use_q = np.abs(m00) >= np.abs(m01)
     blocks = _candidate_blocks(
@@ -410,16 +404,6 @@ def _lattice_batch(
             v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
         )
 
-        if max_panel is not None:
-            spans = x_hi - x_lo
-            pieces = np.maximum(1.0, np.ceil(spans / max_panel))
-            _guard(tally[3], win, mirrors * pieces, "quadrature panels")
-            own, frac = _ragged(_edges(pieces))
-            widths = (spans / pieces)[own]
-            phase, p, r, q, s, a2, win = (v[own] for v in (phase, p, r, q, s, a2, win))
-            x_lo = x_lo[own] + frac * widths
-            x_hi = x_lo + widths
-
         # On x = mid + half u the rows top = p x + r and bot = q x + s are
         # affine in u, so the kernel argument is a quadratic per row, taken
         # about the midpoint: expanding about x = 0 cancels digits at small y.
@@ -447,7 +431,6 @@ def lattice_window_average(
     y: float,
     window: Callable[[np.ndarray], np.ndarray],
     support: tuple[float, float],
-    max_panel: float | None = None,
 ) -> complex:
     """Fast route: swap the translate series with the window integral.
 
@@ -457,28 +440,15 @@ def lattice_window_average(
     enumerated through their bottom rows (integer combinations of the base
     rows confined to a thin slab), each completed to the compatible top
     rows; per translate the window integral runs on its exact support
-    interval with one 24-point Gauss-Legendre panel.  Windows with features
-    much shorter than those intervals need ``max_panel`` to cap the length
-    each rule is asked to cover.  With a polynomial window of degree at most
-    23, such as ``bump6`` (degree 12), each translate's integrand is a
-    polynomial of degree at most 47 on its interval (the bump6 kernel is
-    degree 24 in x), so the rule is exact up to rounding at every height.
+    interval with one 24-point Gauss-Legendre panel.  With a polynomial
+    window of degree at most 23, such as ``bump6`` (degree 12), each
+    translate's integrand is a polynomial of degree at most 47 on its
+    interval (the bump6 kernel is degree 24 in x), so the rule is exact up
+    to rounding at every height.
 
-    A bottom row q is completed only to the translates with
-    p^2 + q^2 < p_max^2 (p_max = radius / sqrt(y)); no other translate has a
-    kernel term.  On a support interval x = mid + half u the rows
-    p x + r and q x + s are affine in the node u, so the kernel argument
-    (|A|_F^2 - 2) / (radius^2 - 2) is a per-row quadratic in u whose
-    coefficients come from the rows at the midpoint.
-
-    Translates are enumerated, completed and integrated one block of at most
-    ``_BLOCK_CANDIDATES`` bottom rows at a time, and each block's terms are
-    added into an exact running sum before the next block starts, so memory
-    is bounded by the block, not by the window's row count.  Each
-    translate's term is computed on its own row and the sum is correctly
-    rounded (real and imaginary parts apart), so the value does not depend
-    on the block sizes or on the other windows of a batch.  At levels 1
-    and 2 its imaginary part is 0.0 (module docstring).
+    The value does not depend on the block sizes or on the other windows of
+    a batch, and at levels 1 and 2 its imaginary part is 0.0 (module
+    docstring).
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("height must be positive and finite")
@@ -486,39 +456,10 @@ def lattice_window_average(
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise DomainError("support interval must be increasing")
-    if max_panel is not None and not (max_panel > 0.0 and math.isfinite(max_panel)):
-        raise DomainError("panel cap must be positive and finite")
     mats, xis = element.matrix.as_array()[None], element.torus_point()[None]
     ys, los, his = np.array([[y], [lo], [hi]], dtype=float)
-    value = _lattice_batch(fn, mats, xis, ys, los, his, lambda xs, _: window(xs), max_panel)
+    value = _lattice_batch(fn, mats, xis, ys, los, his, lambda xs, _: window(xs))
     return complex(value[0])
-
-
-def smeared_average(
-    fn: PoincareTestFn,
-    element: GroupElement,
-    y: float,
-    T: float,
-    eta: Callable[[np.ndarray], np.ndarray],
-    h: Callable[[np.ndarray], np.ndarray],
-) -> complex:
-    """Length-T window average along the height-y horocycle.
-
-    Computes the translate integral against the long window
-    ``eta(x) h(x/T) / T`` on [-T, T], the T-fold stretch of the support
-    [-1, 1] of ``h``.  Uniformity of the distance to the limit over T is
-    the content of the smeared equidistribution statement.  Each 24-point
-    rule covers at most length 1, so the features of ``eta`` must be no
-    shorter than 1.
-    """
-    if not (T >= 1.0 and math.isfinite(T)):
-        raise DomainError("window length must be at least one")
-
-    def long_window(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.asarray(eta(xs), dtype=float) * np.asarray(h(xs / T), dtype=float) / T
-
-    return lattice_window_average(fn, element, y, long_window, (-T, T), max_panel=1.0)
 
 
 def long_orbit_average(

@@ -1,5 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+#: Edge texts tried on every flag: signs, extremes, subnormals and broken lists.
+EDGE_TEXTS = ("0", "1", "-1", "2", "3", "-3", "0.5", "1e308", "-1e308", "1e-308", "5e-324",
+              "1e-30", "1e30", "1e5", "", ",", "1,")
+#: Integers at and past the int64 range, and 2^63 - 25, a prime too large to factor.
+INT64_EDGES = (str(2**63 - 1), str(-(2**63)), str(2**63), str(10**21), str(2**63 - 25))
+
+
+def listed(element, size):
+    """Comma-joined lists of ``element`` texts, of size[0] to size[1] entries."""
+    return st.lists(element, min_size=size[0], max_size=size[1]).map(",".join)
+
+
+def flag_cases(values):
+    """(flag, text) pairs: one flag of ``values``, with an edge text or an in-range one."""
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_TEXTS) | values[flag]))
 
 
 @pytest.fixture
@@ -8,12 +26,27 @@ def rng():
     return np.random.default_rng(np.random.Philox(20240817))
 
 
-def inverse_power_window(x):
-    """A smooth even window (1 + x^2)^{-22} decaying far faster than cubically."""
-    x = np.asarray(x, dtype=float)
-    out = (1.0 + x * x) ** -22.0
-    if out.ndim == 0:
-        return float(out)
+def haar_sample_level_one(rng, count):
+    """Draw matrices uniformly, for the v^{-2} du dv dtheta measure, from
+    the classical level-one domain crossed with a full angular turn.
+
+    Proposals fall on the strip |u| <= 1/2, v >= sqrt(3)/2 with the exact
+    target density in v (its normalized tail is 1/v up to a constant, so
+    inverse transform sampling applies), then rejection keeps the points
+    with |u + iv| >= 1.
+    """
+    import math
+
+    from horolab.sl2core import IwasawaCoords, iwasawa_compose
+
+    out = []
+    while len(out) < count:
+        u = rng.uniform(-0.5, 0.5)
+        v = (math.sqrt(3.0) / 2.0) / (1.0 - rng.random())
+        if u * u + v * v < 1.0:
+            continue
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        out.append(iwasawa_compose(IwasawaCoords(u, v, theta)))
     return out
 
 
@@ -92,7 +125,6 @@ def reduction_corpus(rng, count=24):
     """
     import math
 
-    from horolab.autofns import haar_sample_level_one
     from horolab.sl2core import Sl2Matrix
 
     haar = haar_sample_level_one(rng, count)

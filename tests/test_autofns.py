@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import random_integer_gamma, random_sl2, reduce_fundamental_reference, reduction_corpus
+from conftest import (
+    haar_sample_level_one, random_integer_gamma, random_sl2, reduce_fundamental_reference,
+    reduction_corpus,
+)
 from horolab import autofns
 from horolab.autofns import (
     PoincareTestFn,
@@ -16,7 +19,6 @@ from horolab.autofns import (
     evaluate_f,
     fourier_coefficient,
     fourier_coefficient_exact,
-    haar_sample_level_one,
     kernel_haar_mass,
     kernel_value,
     mean_value,

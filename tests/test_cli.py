@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horolab
+from conftest import INT64_EDGES, flag_cases, listed
 from horolab.cli import _build_parser, run
 
 
@@ -412,35 +413,24 @@ class TestExitCodes:
         assert run(["orbit", "--freq", "1,0,0,1"]) == 2
 
 
-#: Edge texts tried on every flag: signs, extremes, subnormals and broken lists.
-EDGE_TEXTS = ("0", "1", "-1", "2", "3", "-3", "0.5", "1e308", "-1e308", "1e-308", "5e-324",
-              "1e-30", "1e30", "1e5", "", ",", "1,")
-
-
-def _listed(element, size):
-    return st.lists(element, min_size=size[0], max_size=size[1]).map(",".join)
-
-
 #: In-range texts per expsum flag, kept small so each run takes milliseconds.
 _EXPSUM_VALUES = {
-    "--X": _listed(st.floats(1.0, 40.0).map(repr), (1, 3)),
+    "--X": listed(st.floats(1.0, 40.0).map(repr), (1, 3)),
     "--B": st.floats(1.0, 3.0).map(repr),
     "--N": st.integers(1, 12).map(str) | st.sampled_from((str(2**63 - 1), str(10**21))),
-    "--rep": _listed(st.integers(-30, 30).map(str), (4, 4)) | st.just("1,0,0,1"),
-    "--alpha": _listed(st.floats(-3.0, 3.0).map(repr) | st.sampled_from(("1e308", "-1e300", "4.5e15")),
-                       (4, 4)),
+    "--rep": listed(st.integers(-30, 30).map(str), (4, 4)) | st.just("1,0,0,1"),
+    "--alpha": listed(st.floats(-3.0, 3.0).map(repr) | st.sampled_from(("1e308", "-1e300", "4.5e15")),
+                      (4, 4)),
 }
 
 
-#: Integers at and past the int64 range, and 2^63 - 25, a prime too large to factor.
-_INT64_EDGES = (str(2**63 - 1), str(-(2**63)), str(2**63), str(10**21), str(2**63 - 25))
 #: In-range texts for the flags of the base point, shared by orbit and horocycle.
 _ELEMENT_VALUES = {
-    "--matrix": _listed(st.integers(-3, 3).map(str), (4, 4))
+    "--matrix": listed(st.integers(-3, 3).map(str), (4, 4))
     | st.sampled_from(("2,1,1,1", "0,-1,1,0", "1,2,0,1", "5e-324,-1,1,0")),
-    "--xi": _listed(st.floats(-2.0, 2.0).map(repr) | st.sampled_from(("1e308", "-1e308", "5e-324")),
-                    (1, 4)),
-    "--level": st.integers(1, 6).map(str) | st.sampled_from(_INT64_EDGES),
+    "--xi": listed(st.floats(-2.0, 2.0).map(repr) | st.sampled_from(("1e308", "-1e308", "5e-324")),
+                   (1, 4)),
+    "--level": st.integers(1, 6).map(str) | st.sampled_from(INT64_EDGES),
 }
 _HOROCYCLE_VALUES = {
     **_ELEMENT_VALUES,
@@ -449,24 +439,24 @@ _HOROCYCLE_VALUES = {
 }
 _ORBIT_VALUES = {
     **_ELEMENT_VALUES,
-    "--freq": _listed(st.integers(-3, 3).map(str) | st.sampled_from(_INT64_EDGES), (1, 4)),
-    "--T": _listed(st.floats(1.0, 100.0).map(repr), (1, 3)),
+    "--freq": listed(st.integers(-3, 3).map(str) | st.sampled_from(INT64_EDGES), (1, 4)),
+    "--T": listed(st.floats(1.0, 100.0).map(repr), (1, 3)),
     "--route": st.sampled_from(("lattice", "pointwise", "Lattice", "secant")),
 }
 
 
-_SMALL_INTS = st.integers(-3, 3).map(str) | st.sampled_from(_INT64_EDGES)
-_DEGREES = st.integers(1, 30).map(str) | st.sampled_from(_INT64_EDGES)
+_SMALL_INTS = st.integers(-3, 3).map(str) | st.sampled_from(INT64_EDGES)
+_DEGREES = st.integers(1, 30).map(str) | st.sampled_from(INT64_EDGES)
 _DELTA_VALUES = {
-    "--k": st.integers(1, 2).map(str) | st.sampled_from(_INT64_EDGES),
+    "--k": st.integers(1, 2).map(str) | st.sampled_from(INT64_EDGES),
     "--m": st.floats(0.5, 5.0).map(repr),
     "--qmax": _DEGREES,
     "--dmax": _DEGREES | st.just("auto"),
     "--xi": _ELEMENT_VALUES["--xi"],
-    "--y": _listed(st.floats(1e-6, 10.0).map(repr), (1, 3)),
+    "--y": listed(st.floats(1e-6, 10.0).map(repr), (1, 3)),
 }
 _LFD_VALUES = {
-    "--psi": _listed(st.floats(-2.0, 2.0).map(repr), (1, 3)),
+    "--psi": listed(st.floats(-2.0, 2.0).map(repr), (1, 3)),
     "--kappa": st.floats(0.0, 4.0).map(repr),
     "--alpha": st.floats(0.0, 3.0).map(repr),
     "--c": st.floats(0.0, 1.0).map(repr),
@@ -476,19 +466,19 @@ _LFD_VALUES = {
 _SGQ_VALUES = {
     "--matrix": _ELEMENT_VALUES["--matrix"],
     "--xi": _ELEMENT_VALUES["--xi"],
-    "--q": _listed(_SMALL_INTS, (1, 2)),
-    "--T": _listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
+    "--q": listed(_SMALL_INTS, (1, 2)),
+    "--T": listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
 }
 _KLOOSTERMAN_VALUES = {
     "--m": _SMALL_INTS,
     "--n": _SMALL_INTS,
-    "--q": _listed(st.integers(1, 60).map(str) | st.sampled_from(_INT64_EDGES), (1, 3)),
+    "--q": listed(st.integers(1, 60).map(str) | st.sampled_from(INT64_EDGES), (1, 3)),
 }
 _QUADSUM_VALUES = {
-    "--q": _listed(_DEGREES, (1, 3)),
-    "--N": st.integers(1, 6).map(str) | st.sampled_from(_INT64_EDGES),
-    "--rep": _listed(st.integers(-6, 6).map(str), (4, 4)) | st.just("1,0,0,1"),
-    "--v": _listed(_SMALL_INTS, (4, 4)),
+    "--q": listed(_DEGREES, (1, 3)),
+    "--N": st.integers(1, 6).map(str) | st.sampled_from(INT64_EDGES),
+    "--rep": listed(st.integers(-6, 6).map(str), (4, 4)) | st.just("1,0,0,1"),
+    "--v": listed(_SMALL_INTS, (4, 4)),
 }
 _THEOREM4_VALUES = {
     "--matrix": _ELEMENT_VALUES["--matrix"],
@@ -496,13 +486,8 @@ _THEOREM4_VALUES = {
     "--m": st.floats(0.5, 5.0).map(repr),
     "--qmax": _DEGREES,
     "--dmax": _DEGREES | st.just("auto"),
-    "--T": _listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
+    "--T": listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
 }
-
-
-def _flag_cases(values):
-    return st.sampled_from(sorted(values)).flatmap(
-        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_TEXTS) | values[flag]))
 
 
 class TestExitContract:
@@ -530,47 +515,47 @@ class TestExitContract:
             assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     @settings(max_examples=150, deadline=1000)
-    @given(_flag_cases(_EXPSUM_VALUES))
+    @given(flag_cases(_EXPSUM_VALUES))
     def test_expsum_flag(self, case):
         self.check("expsum", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_HOROCYCLE_VALUES))
+    @given(flag_cases(_HOROCYCLE_VALUES))
     def test_horocycle_flag(self, case):
         self.check("horocycle", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_ORBIT_VALUES))
+    @given(flag_cases(_ORBIT_VALUES))
     def test_orbit_flag(self, case):
         self.check("orbit", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_DELTA_VALUES))
+    @given(flag_cases(_DELTA_VALUES))
     def test_delta_flag(self, case):
         self.check("delta", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_LFD_VALUES))
+    @given(flag_cases(_LFD_VALUES))
     def test_lfd_flag(self, case):
         self.check("lfd", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_SGQ_VALUES))
+    @given(flag_cases(_SGQ_VALUES))
     def test_sgq_flag(self, case):
         self.check("sgq", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_KLOOSTERMAN_VALUES))
+    @given(flag_cases(_KLOOSTERMAN_VALUES))
     def test_kloosterman_flag(self, case):
         self.check("kloosterman", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_QUADSUM_VALUES))
+    @given(flag_cases(_QUADSUM_VALUES))
     def test_quadsum_flag(self, case):
         self.check("quadsum", *case)
 
     @settings(max_examples=100, deadline=5000)
-    @given(_flag_cases(_THEOREM4_VALUES))
+    @given(flag_cases(_THEOREM4_VALUES))
     def test_theorem4_flag(self, case):
         self.check("theorem4", *case)
 
@@ -585,6 +570,14 @@ class TestVerify:
 
     def test_battery_is_seedable(self, capsys):
         assert run(["verify", "--seed", "123"]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "delta"])
+    def test_negative_seed_is_refused(self, capsys, command):
+        # The generator key is checked once, for every subcommand.
+        assert run([command, "--seed=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "horolab: expected a non-negative integer, got '-1'\n"
 
     def test_failure_survives_optimize_and_names_the_value(self):
         script = (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inverse_power_window, random_integer_gamma, random_sl2
+from conftest import random_integer_gamma, random_sl2
 from horolab import orbitlab
 from horolab.affine import GroupElement, grid_gap
 from horolab.autofns import PoincareTestFn, evaluate_f, mean_value
@@ -23,7 +23,6 @@ from horolab.orbitlab import (
     long_orbit_average,
     orbit_split,
     partition_identity,
-    smeared_average,
     split_orbit_average,
     translate_integral,
 )
@@ -273,17 +272,25 @@ class TestLatticeRoute:
         el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
         assert lattice_window_average(fn, el, 20.0, window, (-1.0, 1.0)) == 0.0
 
-    def test_rule_is_exact_at_small_height(self):
+    def test_rule_is_exact_at_small_height(self, monkeypatch):
         # With the bump6 window each translate's integrand is a polynomial of
-        # degree 36 in x, which the 24-point rule integrates exactly, so cutting
-        # the support intervals into panels of 1e-3 (two or more panels for 80%
-        # of the A09 rows at y = 1e-3) changes the value only by rounding.
+        # degree 36 in x, which the 24-point rule integrates exactly, so a
+        # 32-point rule on the same intervals changes the A09 values at
+        # y = 1e-3 only by rounding.
         el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
-        for freq in ((0, 0), (1, 0)):
-            fn = PoincareTestFn(level=1, freq=(freq,))
-            one = lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0))
-            cut = lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0), max_panel=1e-3)
-            assert abs(cut - one) < 1e-13 * abs(one)
+        fns = [PoincareTestFn(level=1, freq=(freq,)) for freq in ((0, 0), (1, 0))]
+        ones = [lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0)) for fn in fns]
+        rule, sizes = orbitlab._rule, []
+
+        def finer_rule(n):
+            sizes.append(n)
+            return rule(32)
+
+        monkeypatch.setattr(orbitlab, "_rule", finer_rule)
+        for fn, one in zip(fns, ones):
+            finer = lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0))
+            assert abs(finer - one) < 1e-13 * abs(one)
+        assert sizes == [24, 24]
 
 
 class TestLatticeKernel:
@@ -294,7 +301,6 @@ class TestLatticeKernel:
     def test_block_size_does_not_change_values(self, monkeypatch):
         twisted = PoincareTestFn(level=2, freq=((1, 1),), support_radius=3.0)
         el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), np.array([[0.3, 0.7]]))
-        flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
         untwisted = PoincareTestFn(level=1, freq=((0, 0),))
         split_el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
 
@@ -302,7 +308,10 @@ class TestLatticeKernel:
             return [
                 lattice_window_average(untwisted, el, 0.01, window, (-1.0, 1.0)),
                 lattice_window_average(twisted, el, 0.05, window, (-1.0, 1.0)),
-                smeared_average(PoincareTestFn(level=1, freq=((1, 0),)), el, 0.05, 3.0, flat, window),
+                lattice_window_average(
+                    PoincareTestFn(level=1, freq=((1, 0),)), el, 0.05,
+                    lambda x: window(x / 3.0) / 3.0, (-3.0, 3.0),
+                ),
             ]
 
         def batches():
@@ -388,19 +397,18 @@ class TestLatticeKernel:
             with pytest.raises(ResourceGuardError):
                 batch(30)
 
-    # The identity window at y = 0.5 with panels of at most 0.05 counts 17
-    # bottom-row columns, 153 bottom-row candidates, 196 translate candidates
-    # and 2,112 quadrature panels; a cap one below a count trips that guard.
+    # The identity window at y = 0.5 counts 17 bottom-row columns, 153
+    # bottom-row candidates and 196 translate candidates; a cap one below a
+    # count trips that guard.
     @pytest.mark.parametrize("count, what", [
         (17, "bottom-row columns"),
         (153, "bottom-row candidates"),
         (196, "translate candidates"),
-        (2112, "quadrature panels"),
     ])
     def test_each_count_guard_trips_at_its_count(self, monkeypatch, count, what):
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        run = lambda: lattice_window_average(fn, el, 0.5, window, (-1.0, 1.0), max_panel=0.05)
+        run = lambda: lattice_window_average(fn, el, 0.5, window, (-1.0, 1.0))
         monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", count - 1)
         with pytest.raises(ResourceGuardError, match=f"^{count} {what} exceed the"):
             run()
@@ -464,9 +472,9 @@ class TestLatticeKernel:
 
         def run():
             values, seen = [], []
-            for y, panel in ((0.2, None), (0.02, None), (0.05, 0.05)):
+            for y in (0.2, 0.02, 0.05):
                 tallies.clear()
-                values.append(lattice_window_average(fn, el, y, window, (-1.0, 1.0), max_panel=panel))
+                values.append(lattice_window_average(fn, el, y, window, (-1.0, 1.0)))
                 seen.append({what: tally.tolist() for what, tally in tallies.items()})
             return values, seen
 
@@ -477,7 +485,7 @@ class TestLatticeKernel:
         full, full_tallies = run()
         assert [v.real for v in full] == [v.real for v in paired]
         assert [v.imag for v in full] == [0.0, 0.0, 0.0]
-        assert [len(t) for t in full_tallies] == [3, 3, 4]
+        assert [len(t) for t in full_tallies] == [3, 3, 3]
         assert paired_tallies == full_tallies
 
     def test_degenerate_rows_guard(self):
@@ -502,53 +510,6 @@ class TestLatticeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
-
-
-class TestSmearedAverage:
-    def test_zero_window(self):
-        fn = PoincareTestFn(level=1, freq=((1, 0),))
-        el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        val = smeared_average(
-            fn, el, 0.3, 10.0, lambda x: np.ones_like(np.asarray(x)),
-            lambda x: np.zeros_like(np.asarray(x)),
-        )
-        assert val == 0.0
-
-    def test_reduction_to_shifted_windows(self):
-        # splitting the long integral at integer cuts turns each piece into
-        # a unit-window translate integral with the torus point slid along
-        fn = PoincareTestFn(level=1, freq=((1, 0),))
-        el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        y, T = 0.4, 3.0
-        whole = smeared_average(fn, el, y, T, inverse_power_window, window)
-        pieces = 0.0 + 0.0j
-        for j in range(-3, 3):
-            shifted = GroupElement.from_torus_point(
-                Sl2Matrix.identity(),
-                XI_GOLD @ Sl2Matrix.translation(float(j)).as_array(),
-            )
-
-            def piece_window(x, j=j):
-                x = np.asarray(x, dtype=float)
-                return inverse_power_window(j + x) * window((j + x) / T) / T
-
-            pieces += translate_integral(fn, shifted, y, piece_window, h_support=(0.0, 1.0))
-        assert abs(whole - pieces) < 1e-6
-
-    def test_magnitude_uniform_in_window_length(self):
-        # frozen sweep: observed 0.832, 0.114, 3.6e-6 along T = 1, 10, 100
-        fn = PoincareTestFn(level=1, freq=((1, 0),))
-        el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        vals = [abs(smeared_average(fn, el, 0.01, T, flat, window)) for T in (1.0, 10.0, 100.0)]
-        assert max(vals) <= 1.0
-        assert vals[2] <= vals[0]
-
-    def test_rejects_short_window(self):
-        fn = PoincareTestFn(level=1, freq=((1, 0),))
-        el = GroupElement.from_torus_point(Sl2Matrix.identity(), XI_GOLD)
-        with pytest.raises(DomainError):
-            smeared_average(fn, el, 0.3, 0.5, inverse_power_window, window)
 
 
 class TestLongOrbit:

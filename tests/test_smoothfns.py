@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import inverse_power_window
 from horolab.smoothfns import BUMP6_MASS, bump6, bump6_normalized
 
 
@@ -62,21 +61,3 @@ class TestBump:
             inside = bump6(1.0 - eps)
             assert inside == pytest.approx((eps * (2 - eps)) ** 6, rel=1e-12)
             assert inside <= (2 * eps) ** 6
-
-
-class TestInversePowerWindow:
-    def test_even_and_decaying(self):
-        xs = np.linspace(0.0, 30.0, 50)
-        vals = inverse_power_window(xs)
-        assert np.all(np.diff(vals) < 0)
-        assert inverse_power_window(-3.0) == inverse_power_window(3.0)
-
-    def test_beats_cubic_decay(self):
-        for x in (1.0, 2.0, 10.0, 100.0):
-            assert inverse_power_window(x) <= (1.0 + x) ** -3.0
-
-    def test_integrable_mass(self):
-        est, _ = scipy.integrate.quad(inverse_power_window, -np.inf, np.inf)
-        assert est > 0
-        tail, _ = scipy.integrate.quad(inverse_power_window, 50, np.inf)
-        assert tail < 1e-30
