@@ -8,13 +8,12 @@ Usage:
     python3 scripts/run_cancellation.py --scales 25,50,100,200,400
 """
 
-import argparse
 import math
 import sys
 
 import numpy as np
 
-from horolab.cli import _floats, run_script
+from horolab.cli import ScriptParser, _floats, run_script
 from horolab.errors import DomainError
 from horolab.expsum import CosetSpec, WeightFn, cancellation_report
 
@@ -22,13 +21,12 @@ GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ScriptParser(prog="run_cancellation", description=__doc__.splitlines()[0])
     parser.add_argument("--scales", default="25,50,100,200")
     parser.add_argument("--N", type=int, default=1)
     parser.add_argument("--B", type=float, default=1.0)
     parser.add_argument("--out", help="CSV destination")
-    args = parser.parse_args(argv)
-    return run_script("run_cancellation", args.out, lambda: compare(args))
+    return run_script(parser, argv, compare)
 
 
 def compare(args):

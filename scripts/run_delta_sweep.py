@@ -9,15 +9,14 @@ Usage:
     python3 scripts/run_delta_sweep.py --min-exp 1 --max-exp 6 --points 11
 """
 
-import argparse
 import math
 import sys
 
 import numpy as np
 
-from horolab.cli import run_script
+from horolab.cli import ScriptParser, run_script
 from horolab.errors import DomainError, guard
-from horolab.majorant import MajorantParams, majorant_full
+from horolab.majorant import SERIES_WORK_CAP, MajorantParams, majorant_full
 
 POINTS = {
     "origin": np.zeros((1, 2)),
@@ -32,15 +31,14 @@ POINT_CAP = 6_000
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ScriptParser(prog="run_delta_sweep", description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=float, default=3.0)
     parser.add_argument("--qmax", type=int, default=20)
     parser.add_argument("--min-exp", type=float, default=1.0)
     parser.add_argument("--max-exp", type=float, default=6.0)
     parser.add_argument("--points", type=int, default=11)
     parser.add_argument("--out", help="CSV destination")
-    args = parser.parse_args(argv)
-    return run_script("run_delta_sweep", args.out, lambda: sweep(args))
+    return run_script(parser, argv, sweep)
 
 
 def sweep(args):
@@ -52,6 +50,11 @@ def sweep(args):
     guard(args.points, POINT_CAP, "sweep heights")
     ys = np.logspace(-args.min_exp, -args.max_exp, args.points)
     params = MajorantParams(1, args.m, args.qmax, None)
+    # Series work of the whole sweep: per point and height, q_max half-set q
+    # vectors (k = 1) times d_max(y) times two columns.  A height that
+    # underflows to 0 would take unbounded work.
+    d_total = sum(params.effective_d_max(y) if y > 0 else math.inf for y in ys.tolist())
+    guard(len(POINTS) * args.qmax * d_total * 2, SERIES_WORK_CAP, "sweep series work units")
     rows = []
     for name, xi in POINTS.items():
         vals = []

@@ -10,13 +10,12 @@ Usage:
     python3 scripts/run_orbit_decay.py --count 50 --times 1e2,1e3,1e4
 """
 
-import argparse
 import sys
 
 import numpy as np
 
 from horolab.affine import GroupElement
-from horolab.cli import _floats, _seed, run_script
+from horolab.cli import ScriptParser, _floats, _seed, run_script
 from horolab.errors import DomainError, guard
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.sl2core import Sl2Matrix
@@ -40,7 +39,7 @@ def draw_matrix(rng):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ScriptParser(prog="run_orbit_decay", description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", default=20240817)
     parser.add_argument("--times", default="1e2,1e3,1e4")
@@ -48,8 +47,7 @@ def main(argv=None):
     parser.add_argument("--qmax", type=int, default=10)
     parser.add_argument("--dmax", type=int, default=10)
     parser.add_argument("--out", help="CSV destination")
-    args = parser.parse_args(argv)
-    return run_script("run_orbit_decay", args.out, lambda: ensemble(args))
+    return run_script(parser, argv, ensemble)
 
 
 def ensemble(args):

@@ -523,21 +523,39 @@ def _fail(prog: str, exc: Exception) -> int:
     return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
-def run_script(prog: str, out: str | None, table: Callable[[], tuple[list, list]]) -> int:
+class ScriptParser(argparse.ArgumentParser):
+    """Flag parser of a ``scripts/`` driver.  Text it cannot read, such as a
+    flag whose ``type`` refuses its value, raises ``DomainError``, so
+    :func:`run_script` refuses it like every other input."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
+def run_script(
+    parser: ScriptParser, argv: Sequence[str] | None, table: Callable[[argparse.Namespace], tuple[list, list]]
+) -> int:
     """Run a ``scripts/`` driver under the exit codes of :func:`run`.
 
-    ``table()`` prints the driver's report and returns its CSV header and
-    rows, which are written to ``out`` when it is given.  ``out`` is opened
-    before ``table`` runs, so a path that cannot be written exits 2 before
-    any work is done.
+    ``parser`` reads ``argv``, and ``table(args)`` prints the driver's report
+    and returns its CSV header and rows, which are written to ``args.out``
+    when it is given.  Every refusal is one ``prog: ...`` line on stderr.
+    ``--out`` is opened before ``table`` runs, so a path that cannot be
+    written exits 2 before any work is done.
     """
+    prog = parser.prog
+    try:
+        args = parser.parse_args(argv)
+    except DomainError as exc:
+        return _fail(prog, exc)
+    out = args.out
     try:
         fh = open(out, "w", newline="") if out else None
     except OSError as exc:
         return _fail(prog, DomainError(f"cannot write {out}: {exc}"))
     with fh or nullcontext():
         try:
-            header, rows = table()
+            header, rows = table(args)
         except tuple(_EXIT_CODES) as exc:
             return _fail(prog, exc)
         if fh:

@@ -18,7 +18,11 @@ On top of the enumeration sit the linear-twist sums
     L(X, alpha) = sum over A in the coset, max|a_i| <= B X, of e(alpha . A) w(A / X)
 
 over the box that carries the weight, and the divisor-weighted comparison
-expression they are measured against.
+expression they are measured against.  At levels N <= 2 every class is closed
+under A -> -A (-1 = 1 mod 2), the box is symmetric and the weight even, so
+each pair adds 2 w cos(2 pi alpha . A): the sum reads the half of the box
+whose first rows have a > 0, or a = 0 and b > 0, enumerated directly.  At
+N >= 3 no class holds -A with A, and the whole box is summed.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .smoothfns import bump6
 #: Largest ball radius enumerated (6.3 million matrices); the scripts go up to 800.
 BALL_RADIUS_CAP = 1024.0
 #: Bytes of balls and boxes kept; a cancellation report up to X = 200 reuses its four
-#: boxes, 519,952 int32 matrices (7.9 MB), where the four balls around them were 19.4 MB.
+#: half boxes, 259,976 int32 matrices (4.0 MB), where the full boxes were 7.9 MB.
 BALL_CACHE_BYTES = 64 << 20
 #: Candidate first rows per enumeration block, and box rows per weight block; at 1 << 16
 #: the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
@@ -118,9 +122,10 @@ def _clip_to_box(t_lo, t_hi, u0, u, n):
     return t_lo, t_hi
 
 
-def _coset_ball(spec: CosetSpec, rho: float, amax: int) -> np.ndarray:
+def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarray:
     """The matrices of the ball of radius rho with every entry at most amax <= rho in
-    absolute value, in ball order."""
+    absolute value, in ball order.  With ``half``, only those whose first row has
+    a > 0, or a = 0 and b > 0: one matrix of each pair A, -A."""
     r2 = rho * rho
     N = spec.N
     r11, r12, r21, r22 = spec.rep
@@ -134,17 +139,20 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int) -> np.ndarray:
         N = 2 * amax + 1
         r11, r12, r21, r22 = (r % N for r in signed)
     axis = np.arange(-amax, amax + 1, dtype=np.int64)
+    a_axis = axis[amax:] if half else axis
     a_step = max(1, _BLOCK_ROWS // len(axis))
     # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
     chunks = [np.zeros((0, 4), dtype=np.int32)]
-    for a0 in range(0, len(axis), a_step):
+    for a0 in range(0, len(a_axis), a_step):
         # Candidate first rows of this block, a ascending, then b ascending.
-        a = np.repeat(axis[a0 : a0 + a_step], len(axis))
+        a = np.repeat(a_axis[a0 : a0 + a_step], len(axis))
         b = np.tile(axis, len(a) // len(axis))
         r1sq = a * a + b * b
         # The second row has norm at least 1/|row1| (unit area), so
         # overly long first rows cannot be completed inside the ball.
         keep = np.gcd(a, b) == 1
+        if half:
+            keep &= (a > 0) | (b > 0)  # a >= 0 here
         keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
         if N > 1:
             keep &= ((a - r11) % N == 0) & ((b - r12) % N == 0)
@@ -182,14 +190,10 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int) -> np.ndarray:
 _coset_ball_cached = _BallCache(_coset_ball, BALL_CACHE_BYTES)
 
 
-def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) -> np.ndarray:
-    """All coset matrices with Frobenius norm at most rho, as an (n, 2, 2)
-    int32 array in (first row, then completion parameter) order.
-
-    With a ``cut``, only the matrices whose four entries are at most ``cut``
-    in absolute value are built, in the same order as the ball filtered by
-    that box test.
-    """
+def _coset_set(spec: CosetSpec, rho: float, cut: float | None, half: bool) -> np.ndarray:
+    """The cached coset matrices of the ball of radius rho with every entry at
+    most ``cut`` (default rho) in absolute value; with ``half``, one of each
+    pair A, -A.  Holds the radius and cut checks of both entry points."""
     if not (rho >= 0 and math.isfinite(rho)):
         raise DomainError("ball radius must be a finite nonnegative number")
     guard(rho, BALL_RADIUS_CAP, "ball-radius units")
@@ -198,7 +202,18 @@ def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) 
         raise DomainError("box cut must be a nonnegative number")
     # Integer entries of the ball are at most floor(rho) in absolute value, so the
     # ball is its own box of that side, and a larger cut selects nothing more.
-    return _coset_ball_cached(spec, float(rho), int(math.floor(min(cut, rho))))
+    return _coset_ball_cached(spec, float(rho), int(math.floor(min(cut, rho))), half)
+
+
+def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) -> np.ndarray:
+    """All coset matrices with Frobenius norm at most rho, as an (n, 2, 2)
+    int32 array in (first row, then completion parameter) order.
+
+    With a ``cut``, only the matrices whose four entries are at most ``cut``
+    in absolute value are built, in the same order as the ball filtered by
+    that box test.
+    """
+    return _coset_set(spec, rho, cut, half=False)
 
 
 def _twist(alpha: Sequence[float]) -> np.ndarray:
@@ -224,19 +239,25 @@ def weighted_expsum_lhs(
     The box max|a_i| <= B X is enumerated directly, as the ball of radius
     2 B X (which circumscribes it) cut to the box.  Matrices enter through
     their flattened rows a = (a1, a2, a3, a4); each contributes
-    e(alpha . a) w(a / X).  The sum is exact, correctly rounded and the
-    enumeration order fixed, so results are bit-reproducible.
+    e(alpha . a) w(a / X).  At levels N <= 2 only the half box is built and
+    each pair a, -a adds 2 w(a / X) cos(2 pi alpha . a).  The sum is exact,
+    correctly rounded and the enumeration order fixed, so results are
+    bit-reproducible.
     """
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
     alpha_arr = _twist(alpha)
     side = weight.B * X
-    mats = enumerate_coset_ball(spec, 2.0 * side, cut=side).reshape(-1, 4)
+    paired = spec.N <= 2
+    mats = _coset_set(spec, 2.0 * side, side, paired).reshape(-1, 4)
     # Terms are computed row by row, so blocks give the floats of one pass.
     acc = ExactSum()
     for i in range(0, len(mats), _BLOCK_ROWS):
         flat = mats[i : i + _BLOCK_ROWS].astype(float)
-        acc.add(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
+        if paired:
+            acc.add(2.0 * (weight(flat / X) * np.cos(2.0 * np.pi * (flat @ alpha_arr))))
+        else:
+            acc.add(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
     return complex(acc.totals()[0])
 
 

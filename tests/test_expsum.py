@@ -16,6 +16,7 @@ from horolab.expsum import (
     _BLOCK_ROWS,
     _BallCache,
     _coset_ball_cached,
+    _coset_set,
     enumerate_coset_ball,
     expsum_rhs,
     weighted_expsum_lhs,
@@ -23,6 +24,11 @@ from horolab.expsum import (
 from horolab.smoothfns import bump6
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: The classes closed under A -> -A: level 1 and the six classes of SL(2, Z/2).
+PAIRED_SPECS = [CosetSpec.principal(1)] + [
+    CosetSpec(2, rep)
+    for rep in ((1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 0), (0, 1, 1, 1))
+]
 
 
 def brute_ball(spec, rho):
@@ -246,6 +252,24 @@ class TestEnumeration:
             assert 1.9 <= expo <= 2.1
 
 
+class TestHalfBox:
+    @pytest.mark.parametrize("spec", PAIRED_SPECS, ids=lambda spec: f"N{spec.N}-{spec.rep}")
+    def test_half_and_its_negation_make_the_box(self, spec):
+        for side in (1.0, 2.5, 7.0, 20.0, 45.5):
+            box = enumerate_coset_ball(spec, 2.0 * side, cut=side).reshape(-1, 4)
+            half = _coset_set(spec, 2.0 * side, side, True).reshape(-1, 4)
+            assert half.dtype == np.int32
+            a, b = half[:, 0], half[:, 1]
+            # One of each pair A, -A, and so no first row (0, 0).
+            assert np.all((a > 0) | ((a == 0) & (b > 0)))
+            union = np.concatenate([half, -half]).tolist()
+            assert len(set(map(tuple, union))) == len(union)
+            assert set(map(tuple, union)) == set(map(tuple, box.tolist()))
+            # In box order: the box filtered by the half-plane test.
+            upper = (box[:, 0] > 0) | ((box[:, 0] == 0) & (box[:, 1] > 0))
+            assert np.array_equal(half, box[upper])
+
+
 class TestBallCache:
     def test_bounded_by_bytes_least_recent_first(self):
         built = []
@@ -300,7 +324,7 @@ class TestBallCache:
         assert info.nbytes <= 32 * 50
 
     def test_report_balls_stay_cached(self):
-        # A cancellation report up to X = 200 needs the box sets of sides
+        # A cancellation report up to X = 200 needs the half boxes of sides
         # 25..200 (balls of radius 50..400 cut to the box); all four must
         # stay so the report's second pass reuses them.
         spec, w, alpha = CosetSpec.principal(1), WeightFn(1.0), np.zeros(4)
@@ -369,6 +393,19 @@ class TestWeightedSum:
         vals = w(flat / 100.0) * np.exp(2j * np.pi * (flat @ alpha))
         expect = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
         assert weighted_expsum_lhs(spec, w, 100.0, alpha) == expect
+
+
+    @pytest.mark.parametrize("alpha", [np.zeros(4), np.array([GOLDEN, -0.3, 0.25, 0.07])],
+                             ids=["untwisted", "twisted"])
+    @pytest.mark.parametrize("spec", [CosetSpec(2, (0, 1, 1, 0)), CosetSpec(3, (1, 2, 0, 1))],
+                             ids=["paired-N2", "unpaired-N3"])
+    def test_equals_full_box_fsum(self, spec, alpha):
+        # Paired or not, the value is the correctly rounded sum over the full box.
+        w, X = WeightFn(1.5), 23.0
+        flat = enumerate_coset_ball(spec, 3.0 * X, cut=1.5 * X).reshape(-1, 4).astype(float)
+        vals = w(flat / X) * np.exp(2j * np.pi * (flat @ alpha))
+        expect = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        assert weighted_expsum_lhs(spec, w, X, alpha) == expect
 
 
 class TestRhs:
