@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from horolab.cli import ScriptParser, _floats, run_script
+from horolab.cli import Parser, _float, _floats, _int, run_script
 from horolab.errors import DomainError
 from horolab.expsum import CosetSpec, WeightFn, cancellation_report
 
@@ -21,16 +21,15 @@ GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def main(argv=None):
-    parser = ScriptParser(prog="run_cancellation", description=__doc__.splitlines()[0])
-    parser.add_argument("--scales", default="25,50,100,200")
-    parser.add_argument("--N", type=int, default=1)
-    parser.add_argument("--B", type=float, default=1.0)
-    parser.add_argument("--out", help="CSV destination")
+    parser = Parser(prog="run_cancellation", description=__doc__.splitlines()[0])
+    parser.add_argument("--scales", type=_floats, default="25,50,100,200")
+    parser.add_argument("--N", type=_int, default="1")
+    parser.add_argument("--B", type=_float, default="1.0")
     return run_script(parser, argv, compare)
 
 
 def compare(args):
-    Xs = list(_floats(args.scales))
+    Xs = list(args.scales)
     if len(set(Xs)) < 2:
         raise DomainError("--scales needs two distinct values to fit a growth exponent")
     spec = CosetSpec.principal(args.N)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from horolab.cli import ScriptParser, run_script
+from horolab.cli import Parser, _float, _int, run_script
 from horolab.errors import DomainError, guard
 from horolab.majorant import SERIES_WORK_CAP, MajorantParams, majorant_full
 
@@ -31,22 +31,20 @@ POINT_CAP = 6_000
 
 
 def main(argv=None):
-    parser = ScriptParser(prog="run_delta_sweep", description=__doc__.splitlines()[0])
-    parser.add_argument("--m", type=float, default=3.0)
-    parser.add_argument("--qmax", type=int, default=20)
-    parser.add_argument("--min-exp", type=float, default=1.0)
-    parser.add_argument("--max-exp", type=float, default=6.0)
-    parser.add_argument("--points", type=int, default=11)
-    parser.add_argument("--out", help="CSV destination")
+    parser = Parser(prog="run_delta_sweep", description=__doc__.splitlines()[0])
+    parser.add_argument("--m", type=_float, default="3.0")
+    parser.add_argument("--qmax", type=_int, default="20")
+    parser.add_argument("--min-exp", type=_float, default="1.0")
+    parser.add_argument("--max-exp", type=_float, default="6.0")
+    parser.add_argument("--points", type=_int, default="11")
     return run_script(parser, argv, sweep)
 
 
 def sweep(args):
     if args.points < 2 or args.min_exp == args.max_exp:
         raise DomainError("a slope needs --points of at least 2 and two distinct exponents")
-    for flag, exp in (("--min-exp", args.min_exp), ("--max-exp", args.max_exp)):
-        if not 0.0 <= exp < math.inf:
-            raise DomainError(f"{flag} must be finite and at least 0 for y = 10^-e in (0, 1]")
+    if min(args.min_exp, args.max_exp) < 0.0:
+        raise DomainError("--min-exp and --max-exp must be at least 0 for y = 10^-e in (0, 1]")
     guard(args.points, POINT_CAP, "sweep heights")
     ys = np.logspace(-args.min_exp, -args.max_exp, args.points)
     params = MajorantParams(1, args.m, args.qmax, None)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from horolab.affine import GroupElement
-from horolab.cli import ScriptParser, _floats, _seed, run_script
+from horolab.cli import Parser, _float, _floats, _int, _seed, run_script
 from horolab.errors import DomainError, guard
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.sl2core import Sl2Matrix
@@ -39,22 +39,21 @@ def draw_matrix(rng):
 
 
 def main(argv=None):
-    parser = ScriptParser(prog="run_orbit_decay", description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--seed", default=20240817)
-    parser.add_argument("--times", default="1e2,1e3,1e4")
-    parser.add_argument("--m", type=float, default=3.0)
-    parser.add_argument("--qmax", type=int, default=10)
-    parser.add_argument("--dmax", type=int, default=10)
-    parser.add_argument("--out", help="CSV destination")
+    parser = Parser(prog="run_orbit_decay", description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=_int, default="50")
+    parser.add_argument("--seed", type=_seed, default="20240817")
+    parser.add_argument("--times", type=_floats, default="1e2,1e3,1e4")
+    parser.add_argument("--m", type=_float, default="3.0")
+    parser.add_argument("--qmax", type=_int, default="10")
+    parser.add_argument("--dmax", type=_int, default="10")
     return run_script(parser, argv, ensemble)
 
 
 def ensemble(args):
     if args.count < 1:
         raise DomainError("--count must be at least 1")
-    rng = np.random.default_rng(np.random.Philox(_seed(args.seed)))
-    Ts = list(_floats(args.times))
+    rng = np.random.default_rng(np.random.Philox(args.seed))
+    Ts = list(args.times)
     if len(set(Ts)) < 2:
         raise DomainError("--times needs two distinct values to fit a slope")
     guard(args.count * len(Ts), BOUND_CAP, "orbit bounds")

@@ -7,27 +7,30 @@ are pure functions of the run configuration, so identical invocations
 produce byte-identical files.
 
 Every subcommand is one entry of ``_COMMANDS``: its one-line description,
-its CSV columns, its flags as ``(default, converter)`` pairs and its
+its CSV columns, its flags as ``(default text, converter)`` pairs and its
 planner.  A planner validates the converted flags and returns a row
 function with the schedule of values it maps.  Usage and ``--help`` text
 are built from the description and the columns, so they name exactly the
 header the command writes.
 
-Exit codes: 0 success, 2 validation failure (including unknown flags,
-NaN/inf in any numeric flag and an ``--out`` path that cannot be written),
-3 numerical non-convergence, 4 resource guard tripped.  ``run_script`` gives
-the ``scripts/`` drivers the same exit codes.
+The subcommands and the ``scripts/`` drivers share one front end: the
+:class:`Parser`, the ``_flag`` converters, the ``--out`` rule of
+:func:`_out_file` and the exit codes: 0 success, 2 validation failure
+(unknown flags, unreadable or non-finite flag text, an ``--out`` path that
+cannot be written), 3 numerical non-convergence, 4 resource guard tripped.
+Each refusal is one ``<prog>: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,15 +73,20 @@ def _natural(text: str) -> int:
 
 
 def _flag(expected: str, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """A flag converter: ``parse`` the text, or raise DomainError naming what was expected."""
+    """A flag's argparse ``type``: ``parse`` the text, or refuse it naming what was expected."""
 
     def convert(text: str):
         try:
-            return parse(str(text))
+            return parse(text)
         except ValueError as exc:
-            raise DomainError(f"expected {expected}, got {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from exc
 
     return convert
+
+
+def _one_of(*names: str) -> Callable[[str], str]:
+    """A converter taking exactly one of ``names`` (``index`` raises ValueError)."""
+    return _flag(" or ".join(names), lambda text: names[names.index(text)])
 
 
 _int = _flag("an integer", int)
@@ -88,6 +96,7 @@ _floats = _flag("comma-separated numbers", lambda text: tuple(map(_number, text.
 _maybe_int = _flag("an integer", lambda text: None if text == "auto" else int(text))
 #: Generator keys: numpy's seed sequences take non-negative integers only.
 _seed = _flag("a non-negative integer", _natural)
+_format = _one_of("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -99,10 +108,6 @@ class RunConfig:
     seed: int
     out: str | None
     fmt: str
-
-    def __post_init__(self) -> None:
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, not {self.fmt!r}")
 
 
 def _torus_point(xi: Sequence[float]) -> np.ndarray:
@@ -197,8 +202,6 @@ def _plan_orbit(p):
     if len(p["freq"]) != 2 * element.k:
         raise DomainError(f"freq needs {2 * element.k} entries to match xi")
     fn = PoincareTestFn(level=p["level"], freq=tuple(zip(p["freq"][::2], p["freq"][1::2])))
-    if p["route"] not in ("lattice", "pointwise"):
-        raise DomainError(f"unknown route {p['route']!r}")
     limit = mean_value(fn) * _h_mass(bump6, -1.0, 1.0)
 
     def row(T):
@@ -265,7 +268,7 @@ _COMMANDS = {
         {"q": ("2", _ints), "N": ("1", _int), "rep": ("1,0,0,1", _ints), "v": ("0,0,0,0", _ints)}),
     "orbit": _Command("long orbit averages", "T,avg_re,avg_im,limit,error", _plan_orbit, {
         **_ELEMENT, "level": ("1", _int), "freq": ("0,0", _ints), "T": ("10", _floats),
-        "route": ("lattice", str)}),
+        "route": ("lattice", _one_of("lattice", "pointwise"))}),
     "horocycle": _Command("untwisted window averages", "y,average,limit,error", _plan_horocycle, {
         **_ELEMENT, "level": ("1", _int), "y": ("0.1,0.01,0.001", _floats)}),
     "theorem4": _Command("orbit comparison bound", "T,term0,series,tail", _plan_theorem4, {
@@ -275,22 +278,33 @@ _COMMANDS = {
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """The flag parser of a subcommand or a ``scripts/`` driver.  Text it
+    cannot read (an unknown flag, a missing value, a value its ``type``
+    refuses) raises ``DomainError``, so it is refused like every other input;
+    ``--help`` still prints its text and exits 0."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 @functools.lru_cache(maxsize=None)
-def _build_parser(command: str) -> argparse.ArgumentParser:
+def _build_parser(command: str) -> Parser:
     """The command's parser, built once; ``parse_args`` leaves it unchanged."""
     spec = _COMMANDS[command]
-    parser = argparse.ArgumentParser(prog=f"horolab {command}", description=spec.help)
-    for key in spec.flags:
-        parser.add_argument(f"--{key}", default=argparse.SUPPRESS)
-    parser.add_argument("--out", default=argparse.SUPPRESS, help="output path (default stdout)")
-    parser.add_argument("--format", default=argparse.SUPPRESS, help="csv or json")
-    parser.add_argument("--seed", default=argparse.SUPPRESS, help="64-bit generator key")
-    parser.add_argument("--config", default=argparse.SUPPRESS, help="key = value defaults file")
+    parser = Parser(prog=f"horolab {command}", description=spec.help)
+    for key, (default, convert) in spec.flags.items():
+        parser.add_argument(f"--{key}", default=default, type=convert)
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", default="csv", type=_format, help="csv or json")
+    parser.add_argument("--seed", default="0", type=_seed, help="64-bit generator key")
+    parser.add_argument("--config", help="key = value defaults file")
     return parser
 
 
-def _read_config(path: str, allowed: set[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_config(path: str, allowed: set[str]) -> list[str]:
+    """The file's ``key = value`` lines as ``--key=value`` tokens."""
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -305,23 +319,19 @@ def _read_config(path: str, allowed: set[str]) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in allowed:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
-    return out
+        tokens.append(f"--{key}={value}")
+    return tokens
 
 
 def _parse_command(command: str, argv: Sequence[str]) -> RunConfig:
-    flags = _COMMANDS[command].flags
-    provided = vars(_build_parser(command).parse_args(list(argv)))
-    merged = {key: default for key, (default, _) in flags.items()}
-    merged.update(format="csv", seed="0")
-    if "config" in provided:
-        merged.update(_read_config(provided.pop("config"), set(flags) | {"out", "format", "seed"}))
-    merged.update(provided)
-    out = merged.pop("out", None)
-    fmt = str(merged.pop("format"))
-    seed = _seed(merged.pop("seed"))
-    params = tuple((key, convert(merged[key])) for key, (_, convert) in flags.items())
-    return RunConfig(command, params, seed, out, fmt)
+    """Flags override the ``--config`` file (its tokens go first), which overrides the defaults."""
+    parser, flags = _build_parser(command), _COMMANDS[command].flags
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        tokens = _read_config(args.config, set(flags) | {"out", "format", "seed"})
+        args = parser.parse_args([*tokens, *argv])
+    params = tuple((key, getattr(args, key)) for key in flags)
+    return RunConfig(command, params, args.seed, args.out, args.format)
 
 
 def _require(ok: bool, failure: str) -> None:
@@ -497,15 +507,26 @@ def _execute(config: RunConfig) -> str:
     return _render(config, spec.columns.split(","), [row(v) for v in values])
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is None:
-        sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _out_file(path: str):
+    """A buffer for the ``--out`` table, written to ``path`` once the block
+    succeeds.  ``path`` is opened for appending first, which truncates nothing:
+    an unwritable path is refused before any work, and a refused run leaves an
+    existing file byte-identical (a new path, empty)."""
     try:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fh = open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
-        raise DomainError(f"cannot write {config.out}: {exc}") from exc
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        buffer = io.StringIO()
+        yield buffer
+        try:
+            if fh.tell():  # only a file with bytes needs emptying; appends go to its start
+                fh.truncate(0)
+            fh.write(buffer.getvalue())
+            fh.flush()
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def _usage(stream) -> None:
@@ -518,51 +539,47 @@ def _usage(stream) -> None:
 _EXIT_CODES = {DomainError: 2, ConvergenceError: 3, ResourceGuardError: 4}
 
 
-def _fail(prog: str, exc: Exception) -> int:
-    print(f"{prog}: {exc}", file=sys.stderr)
-    return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-
-
-class ScriptParser(argparse.ArgumentParser):
-    """Flag parser of a ``scripts/`` driver.  Text it cannot read, such as a
-    flag whose ``type`` refuses its value, raises ``DomainError``, so
-    :func:`run_script` refuses it like every other input."""
-
-    def error(self, message: str):
-        raise DomainError(message)
+def _exit_code(prog: str, work: Callable[[], int]) -> int:
+    """``work()``'s exit code; a refusal prints one ``prog: ...`` line and exits 2, 3 or 4."""
+    try:
+        return work()
+    except SystemExit:  # --help printed its text; Parser.error raises instead
+        return 0
+    except tuple(_EXIT_CODES) as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run_script(
-    parser: ScriptParser, argv: Sequence[str] | None, table: Callable[[argparse.Namespace], tuple[list, list]]
+    parser: Parser, argv: Sequence[str] | None, table: Callable[[argparse.Namespace], tuple[list, list]]
 ) -> int:
-    """Run a ``scripts/`` driver under the exit codes of :func:`run`.
+    """Run a ``scripts/`` driver with the flags of ``parser`` and an ``--out``
+    flag, under the exit codes of :func:`run`.  ``table(args)`` prints the
+    report and returns its CSV header and rows, which ``--out`` writes by the
+    rule of :func:`_out_file`."""
+    parser.add_argument("--out", help="CSV destination")
 
-    ``parser`` reads ``argv``, and ``table(args)`` prints the driver's report
-    and returns its CSV header and rows, which are written to ``args.out``
-    when it is given.  Every refusal is one ``prog: ...`` line on stderr.
-    ``--out`` is opened before ``table`` runs, so a path that cannot be
-    written exits 2 before any work is done.
-    """
-    prog = parser.prog
-    try:
+    def drive() -> int:
         args = parser.parse_args(argv)
-    except DomainError as exc:
-        return _fail(prog, exc)
-    out = args.out
-    try:
-        fh = open(out, "w", newline="") if out else None
-    except OSError as exc:
-        return _fail(prog, DomainError(f"cannot write {out}: {exc}"))
-    with fh or nullcontext():
-        try:
+        if args.out is None:
+            table(args)
+            return 0
+        with _out_file(args.out) as fh:
             header, rows = table(args)
-        except tuple(_EXIT_CODES) as exc:
-            return _fail(prog, exc)
-        if fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-            print(f"wrote {len(rows)} rows to {out}")
+            csv.writer(fh).writerows([header, *rows])
+        print(f"wrote {len(rows)} rows to {args.out}")
+        return 0
+
+    return _exit_code(parser.prog, drive)
+
+
+def _run_command(command: str, argv: Sequence[str]) -> int:
+    config = _parse_command(command, argv)
+    if command == "verify":
+        return _run_verify(config, sys.stdout)
+    out = contextlib.nullcontext(sys.stdout) if config.out is None else _out_file(config.out)
+    with out as fh:
+        fh.write(_execute(config))
     return 0
 
 
@@ -577,16 +594,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"horolab: unknown subcommand {command!r}", file=sys.stderr)
         _usage(sys.stderr)
         return 2
-    try:
-        config = _parse_command(command, rest)
-        if command == "verify":
-            return _run_verify(config, sys.stdout)
-        _emit(config, _execute(config))
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    except tuple(_EXIT_CODES) as exc:
-        return _fail("horolab", exc)
-    return 0
+    return _exit_code("horolab", lambda: _run_command(command, rest))
 
 
 def main() -> None:

@@ -205,15 +205,10 @@ def _coset_set(spec: CosetSpec, rho: float, cut: float | None, half: bool) -> np
     return _coset_ball_cached(spec, float(rho), int(math.floor(min(cut, rho))), half)
 
 
-def enumerate_coset_ball(spec: CosetSpec, rho: float, cut: float | None = None) -> np.ndarray:
+def enumerate_coset_ball(spec: CosetSpec, rho: float) -> np.ndarray:
     """All coset matrices with Frobenius norm at most rho, as an (n, 2, 2)
-    int32 array in (first row, then completion parameter) order.
-
-    With a ``cut``, only the matrices whose four entries are at most ``cut``
-    in absolute value are built, in the same order as the ball filtered by
-    that box test.
-    """
-    return _coset_set(spec, rho, cut, half=False)
+    int32 array in (first row, then completion parameter) order."""
+    return _coset_set(spec, rho, None, half=False)
 
 
 def _twist(alpha: Sequence[float]) -> np.ndarray:

@@ -403,6 +403,28 @@ class TestExitCodes:
         assert err.startswith(f"horolab: cannot write {target}: ") and "Traceback" not in err
         assert not target.parent.exists()
 
+    def test_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys):
+        # The pointwise route takes seconds at T = 2000; the path is tried first.
+        target = tmp_path / "missing" / "t.csv"
+        start = time.perf_counter()
+        code = run(["orbit", "--route", "pointwise", "--T", "2000", "--out", str(target)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"horolab: cannot write {target}: ") and err.count("\n") == 1
+
+    def test_refused_run_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        kept = b"X,lhs_re\r\n4,1\n" * 50
+        target.write_bytes(kept)
+        assert run(["expsum", "--X", "1e6", "--out", str(target)]) == 4
+        assert target.read_bytes() == kept
+        # A run that succeeds replaces the whole, longer file with its table.
+        _, table = invoke(capsys, "expsum")
+        assert run(["expsum", "--out", str(target)]) == 0
+        assert target.read_text() == table and len(table) < len(kept)
+
     @pytest.mark.parametrize("flags", [("--dmax", "0"), ("--dmax", "-5"), ("--qmax", "0")])
     def test_empty_lfd_scan_is_refused(self, capsys, flags):
         assert run(["lfd", *flags]) == 2
@@ -499,12 +521,14 @@ class TestExitContract:
     cases."""
 
     @staticmethod
-    def check(command, flag, text):
+    def check(command, *flags):
+        """The exit code of one run, checked against the contract; returns it
+        with the stderr text."""
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = run([command, f"{flag}={text}"])
+            code = run([command, *flags])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert [str(w.message) for w in caught] == []
         if code == 0:
@@ -513,51 +537,77 @@ class TestExitContract:
                 # lfd's last cell, q, lists a witness as ';'-joined integers, or is empty.
                 rows = [row[:-1] + [part for part in row[-1].split(";") if part] for row in rows]
             assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("horolab: ") and err.getvalue().count("\n") == 1
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(("expsum", "--bogus", "1"), "unrecognized arguments: --bogus 1",
+                     id="unknown-flag"),
+        pytest.param(("delta", "--y"), "argument --y: expected one argument", id="missing-value"),
+        pytest.param(("delta", "--y", "abc"),
+                     "argument --y: expected comma-separated numbers, got 'abc'",
+                     id="unreadable-text"),
+        pytest.param(("theorem4", "--format", "xml"),
+                     "argument --format: expected csv or json, got 'xml'", id="unknown-format"),
+        pytest.param(("orbit", "--route", "teleport"),
+                     "argument --route: expected lattice or pointwise, got 'teleport'",
+                     id="unknown-route"),
+    ])
+    def test_unreadable_input_is_one_line(self, argv, err):
+        assert self.check(*argv) == (2, f"horolab: {err}\n")
+
+    def test_unreadable_config_value_is_one_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert self.check("delta", "--config", str(cfg)) == (
+            2, "horolab: argument --format: expected csv or json, got 'xml'\n")
 
     @settings(max_examples=150, deadline=1000)
     @given(flag_cases(_EXPSUM_VALUES))
     def test_expsum_flag(self, case):
-        self.check("expsum", *case)
+        self.check("expsum", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_HOROCYCLE_VALUES))
     def test_horocycle_flag(self, case):
-        self.check("horocycle", *case)
+        self.check("horocycle", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_ORBIT_VALUES))
     def test_orbit_flag(self, case):
-        self.check("orbit", *case)
+        self.check("orbit", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_DELTA_VALUES))
     def test_delta_flag(self, case):
-        self.check("delta", *case)
+        self.check("delta", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_LFD_VALUES))
     def test_lfd_flag(self, case):
-        self.check("lfd", *case)
+        self.check("lfd", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_SGQ_VALUES))
     def test_sgq_flag(self, case):
-        self.check("sgq", *case)
+        self.check("sgq", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_KLOOSTERMAN_VALUES))
     def test_kloosterman_flag(self, case):
-        self.check("kloosterman", *case)
+        self.check("kloosterman", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_QUADSUM_VALUES))
     def test_quadsum_flag(self, case):
-        self.check("quadsum", *case)
+        self.check("quadsum", "=".join(case))
 
     @settings(max_examples=100, deadline=5000)
     @given(flag_cases(_THEOREM4_VALUES))
     def test_theorem4_flag(self, case):
-        self.check("theorem4", *case)
+        self.check("theorem4", "=".join(case))
 
 
 class TestVerify:
@@ -577,7 +627,7 @@ class TestVerify:
         assert run([command, "--seed=-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "horolab: expected a non-negative integer, got '-1'\n"
+        assert captured.err == "horolab: argument --seed: expected a non-negative integer, got '-1'\n"
 
     def test_failure_survives_optimize_and_names_the_value(self):
         script = (

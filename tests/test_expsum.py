@@ -221,7 +221,7 @@ class TestEnumeration:
         # circumscribed ball of radius 2 side filtered by the box test.
         ball = enumerate_coset_ball(spec, 2.0 * side)
         expect = ball[np.max(np.abs(ball.reshape(-1, 4)), axis=1) <= side]
-        got = enumerate_coset_ball(spec, 2.0 * side, cut=side)
+        got = _coset_set(spec, 2.0 * side, side, False)
         assert got.dtype == np.int32
         assert np.array_equal(got, expect)
 
@@ -230,10 +230,10 @@ class TestEnumeration:
         for N in (2**63 - 1, big):
             minus = CosetSpec(N, (N - 1, 0, 0, N - 1))
             assert enumerate_coset_ball(minus, 3.0).reshape(-1, 4).tolist() == [[-1, 0, 0, -1]]
-            assert len(enumerate_coset_ball(CosetSpec(N, (1, 10**10, 0, 1)), 12.0, cut=6)) == 0
+            assert len(_coset_set(CosetSpec(N, (1, 10**10, 0, 1)), 12.0, 6, False)) == 0
         shear = CosetSpec(big, (1, 5, 0, 1))
         assert len(enumerate_coset_ball(shear, 3.0)) == 0
-        assert enumerate_coset_ball(shear, 12.0, cut=6).reshape(-1, 4).tolist() == [[1, 5, 0, 1]]
+        assert _coset_set(shear, 12.0, 6, False).reshape(-1, 4).tolist() == [[1, 5, 0, 1]]
 
     def test_radius_guard(self):
         spec = CosetSpec.principal(1)
@@ -256,7 +256,7 @@ class TestHalfBox:
     @pytest.mark.parametrize("spec", PAIRED_SPECS, ids=lambda spec: f"N{spec.N}-{spec.rep}")
     def test_half_and_its_negation_make_the_box(self, spec):
         for side in (1.0, 2.5, 7.0, 20.0, 45.5):
-            box = enumerate_coset_ball(spec, 2.0 * side, cut=side).reshape(-1, 4)
+            box = _coset_set(spec, 2.0 * side, side, False).reshape(-1, 4)
             half = _coset_set(spec, 2.0 * side, side, True).reshape(-1, 4)
             assert half.dtype == np.int32
             a, b = half[:, 0], half[:, 1]
@@ -402,7 +402,7 @@ class TestWeightedSum:
     def test_equals_full_box_fsum(self, spec, alpha):
         # Paired or not, the value is the correctly rounded sum over the full box.
         w, X = WeightFn(1.5), 23.0
-        flat = enumerate_coset_ball(spec, 3.0 * X, cut=1.5 * X).reshape(-1, 4).astype(float)
+        flat = _coset_set(spec, 3.0 * X, 1.5 * X, False).reshape(-1, 4).astype(float)
         vals = w(flat / X) * np.exp(2j * np.pi * (flat @ alpha))
         expect = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
         assert weighted_expsum_lhs(spec, w, X, alpha) == expect

@@ -80,6 +80,21 @@ def run_driver(name, argv):
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("name", ["run_delta_sweep", "run_cancellation", "run_orbit_decay"])
+def test_help_prints_usage_and_exits_zero(name):
+    code, out, err, caught = run_driver(name, ["--help"])
+    assert (code, err, caught) == (0, "", [])
+    assert out.startswith(f"usage: {name} ") and "--out OUT" in out
+
+
+def test_refused_run_leaves_an_existing_out_file_as_it_was(tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_bytes(b"X,twisted_abs\r\n25,1\n")
+    code, _, err, _ = run_driver("run_cancellation", ["--scales", "1,2", "--out", str(target)])
+    assert code == 2 and err.startswith("run_cancellation: ")
+    assert target.read_bytes() == b"X,twisted_abs\r\n25,1\n"
+
+
 @pytest.mark.parametrize("name, flags, code", [
     pytest.param("run_orbit_decay", "--seed=-1", 2, id="orbit-decay-negative-seed"),
     pytest.param("run_orbit_decay", f"--count={2**63 - 1}", 4, id="orbit-decay-int64-count"),
@@ -93,6 +108,8 @@ def run_driver(name, argv):
     pytest.param("run_delta_sweep", "--max-exp=12 --points=6000", 4, id="delta-sweep-series-work"),
     # A flag whose type cannot read its text.
     pytest.param("run_orbit_decay", "--count=abc", 2, id="orbit-decay-count-not-int"),
+    pytest.param("run_cancellation", "--bogus 1", 2, id="cancellation-unknown-flag"),
+    pytest.param("run_delta_sweep", "--points", 2, id="delta-sweep-missing-value"),
     # Below X = 1.5 the box holds no matrix of positive weight, and log 0 warned.
     pytest.param("run_cancellation", "--scales=1,2", 2, id="cancellation-zero-sum"),
 ])
