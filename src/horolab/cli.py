@@ -295,8 +295,11 @@ def _build_parser(command: str) -> Parser:
     parser = Parser(prog=f"horolab {command}", description=spec.help)
     for key, (default, convert) in spec.flags.items():
         parser.add_argument(f"--{key}", default=default, type=convert)
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", default="csv", type=_format, help="csv or json")
+    if spec.plan is None:  # verify prints its checks and writes no table
+        parser.set_defaults(out=None, format="csv")
+    else:
+        parser.add_argument("--out", help="output path (default stdout)")
+        parser.add_argument("--format", default="csv", type=_format, help="csv or json")
     parser.add_argument("--seed", default="0", type=_seed, help="64-bit generator key")
     parser.add_argument("--config", help="key = value defaults file")
     return parser
@@ -325,12 +328,12 @@ def _read_config(path: str, allowed: set[str]) -> list[str]:
 
 def _parse_command(command: str, argv: Sequence[str]) -> RunConfig:
     """Flags override the ``--config`` file (its tokens go first), which overrides the defaults."""
-    parser, flags = _build_parser(command), _COMMANDS[command].flags
+    parser = _build_parser(command)
     args = parser.parse_args(argv)
     if args.config is not None:
-        tokens = _read_config(args.config, set(flags) | {"out", "format", "seed"})
-        args = parser.parse_args([*tokens, *argv])
-    params = tuple((key, getattr(args, key)) for key in flags)
+        keys = {action.dest for action in parser._actions} - {"config", "help"}
+        args = parser.parse_args([*_read_config(args.config, keys), *argv])
+    params = tuple((key, getattr(args, key)) for key in _COMMANDS[command].flags)
     return RunConfig(command, params, args.seed, args.out, args.format)
 
 
@@ -529,11 +532,11 @@ def _out_file(path: str):
             raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-def _usage(stream) -> None:
-    print("usage: horolab <subcommand> [--flags]", file=stream)
-    print("subcommands:", file=stream)
+def _usage() -> None:
+    print("usage: horolab <subcommand> [--flags]")
+    print("subcommands:")
     for name, spec in _COMMANDS.items():
-        print(f"  {name:<14}{spec.help}", file=stream)
+        print(f"  {name:<14}{spec.help}")
 
 
 _EXIT_CODES = {DomainError: 2, ConvergenceError: 3, ResourceGuardError: 4}
@@ -573,7 +576,10 @@ def run_script(
     return _exit_code(parser.prog, drive)
 
 
-def _run_command(command: str, argv: Sequence[str]) -> int:
+def _run_command(command: str | None, argv: Sequence[str]) -> int:
+    if command not in _COMMANDS:
+        given = "missing subcommand" if command is None else f"unknown subcommand {command!r}"
+        raise DomainError(f"{given} (one of {', '.join(_COMMANDS)}; see horolab --help)")
     config = _parse_command(command, argv)
     if command == "verify":
         return _run_verify(config, sys.stdout)
@@ -586,15 +592,11 @@ def _run_command(command: str, argv: Sequence[str]) -> int:
 def run(argv: Sequence[str]) -> int:
     """Entry point returning the process exit code."""
     argv = list(argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        _usage(sys.stdout if argv else sys.stderr)
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command not in _COMMANDS:
-        print(f"horolab: unknown subcommand {command!r}", file=sys.stderr)
-        _usage(sys.stderr)
-        return 2
-    return _exit_code("horolab", lambda: _run_command(command, rest))
+    if argv[:1] in (["-h"], ["--help"]):
+        _usage()
+        return 0
+    command = argv[0] if argv else None
+    return _exit_code("horolab", lambda: _run_command(command, argv[1:]))
 
 
 def main() -> None:

@@ -24,16 +24,20 @@ measure the lattice distance as the root of the summed squares of the two
 columns' fractional parts; column blocks take the fractional part's absolute
 value directly, which gives the same term for every y above about 7e-276
 (see ``_series``).  numpy sums each row's terms per tile and ``math.fsum``
-combines a row's tile sums.  A row's value is therefore the same float alone
-or inside any batch, and on every run.
+combines a row's tile sums.  The rows of a batch are split into contiguous
+ranges summed on separate threads (``_split_rows``).  A row's value is
+therefore the same float alone or inside any batch, on any number of workers,
+and on every run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +48,25 @@ from .errors import DomainError, guard
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
 ZETA_THREE_HALVES = 2.612375348685488
 
-#: Terms (rows x q x d) evaluated per numpy block; fixes the tile and row-block sizes.
+#: Terms (q x d) of one tile of the (q, d) plane; fixes the tile sizes.
 _BLOCK_TERMS = 1 << 15
+
+#: Terms (rows x q x d) of one block of rows against one tile.  Each row range
+#: allocates two buffers of c times this many floats once per call and reuses them.
+#: Threads hand the GIL over between ufuncs, so only long ufuncs overlap: a bare
+#: numpy loop ran 1.9-2.3x faster on two threads than on one with 65,536 elements
+#: per ufunc, 1.0-1.4x with 20,000 (2 cores).  A07's rows at y = 1e-6 hold 20
+#: half-set q x 1000 d, so a block holds 3 of them.  Blocks of 1 << 17 terms were
+#: faster still but added 3-5 MB to ``majorant_batch``'s 39 MB of peak memory.
+_ROW_BLOCK_TERMS = 1 << 16
+
+#: Threads that one series call splits its rows across: the cores this process may
+#: run on (not its CPU quota), at most 2, which holds the buffers at 2 MB per column.
+#: On 2 cores two threads gained only 5-15% with one-row blocks of 20,000 terms;
+#: with the blocks above, ``majorant_batch`` went from 0.89 to 0.48 s of scaled wall
+#: time and from 39.4 to 40.6 MB.  More workers are unmeasured: each adds about
+#: 1 MB per column, which would take that peak past its 5% bound at 4.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 #: Fewest d values a tile spans when d_max allows.  Every pass of the block loop runs
 #: over d innermost, so a short d axis makes numpy's per-row loop overhead dominate:
@@ -182,16 +203,54 @@ def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def _split_rows(fill: Callable[[int, int], None], n_rows: int, row_step: int) -> None:
+    """Run ``fill(lo, hi)`` over contiguous row ranges covering 0..n_rows-1.
+
+    The rows are split across up to ``_WORKERS`` threads only when each gets
+    at least ``row_step`` rows; otherwise, as for every one-row call, the
+    caller's thread fills them all.  The caller fills the first range while
+    the threads fill the others.  Every thread is joined before anything is
+    raised, and the first exception a range raised is raised again here.
+    """
+    workers = min(_WORKERS, n_rows // row_step)
+    if workers <= 1:
+        fill(0, n_rows)
+        return
+    bounds = [n_rows * i // workers for i in range(workers + 1)]
+    errors: list[BaseException] = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            fill(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for span in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=run, args=span)
+            thread.start()
+            started.append(thread)
+        fill(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarray, float]:
     """Truncated values for a batch of blocks ``xis`` of shape (n, k, c), and the tail.
 
     The (q, d) plane is cut into tiles of at most ``_BLOCK_TERMS`` (q, d)
-    pairs that span at least min(d_max, ``_MIN_D_SPAN``) values of d, and
-    each tile into blocks of rows.  Per tile the weight table
-    coef_q (x) (coef_d d sqrt(y)) is built once, so every term costs one
-    division: weight d sqrt(y) / (d sqrt(y) + dist).  The projections q . xi
-    are summed over the k entries of q in a fixed order, so a column's
-    projections do not depend on the block's column count c.
+    pairs that span at least min(d_max, ``_MIN_D_SPAN``) values of d.  The
+    rows are split into contiguous ranges, one per worker thread
+    (``_split_rows``), and each range runs over the tiles in blocks of whole
+    rows, ``_ROW_BLOCK_TERMS`` terms or one row at most.  Per tile and range
+    the weight table coef_q (x) (coef_d d sqrt(y)) is built once, so every
+    term costs one division: weight d sqrt(y) / (d sqrt(y) + dist).  The
+    projections q . xi are summed over the k entries of q in a fixed order,
+    so a column's projections do not depend on the block's column count c.
 
     The lattice distance of d q xi is sqrt(f0^2 + f1^2) over the fractional
     parts of the two columns for planar blocks (c = 2).  Column blocks
@@ -222,7 +281,7 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
     coef_d = weights.coef_d * scale
     d_step = min(d_max, max(_MIN_D_SPAN, _BLOCK_TERMS // n_half))
     q_step = min(n_half, _BLOCK_TERMS // d_step)
-    row_step = max(1, _BLOCK_TERMS // (q_step * d_step))
+    row_step = max(1, _ROW_BLOCK_TERMS // (q_step * d_step))
     tiles = [
         (slice(q0, q0 + q_step), slice(d0, d0 + d_step))
         for q0 in range(0, n_half, q_step)
@@ -232,28 +291,37 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
     # contiguous (rows, q, d) array.
     cols = xis.transpose(2, 0, 1)
     blocks = np.empty((n_rows, len(tiles)))
-    for j, (q_tile, d_tile) in enumerate(tiles):
-        table = coef_q[q_tile, None] * coef_d[d_tile]
-        q_cols = qs[q_tile].T
-        for r0 in range(0, n_rows, row_step):
-            rows = cols[:, r0 : r0 + row_step]
-            proj = rows[..., 0, None] * q_cols[0]
-            for i in range(1, k):
-                proj += rows[..., i, None] * q_cols[i]
-            frac = proj[..., None] * ds[d_tile]
-            frac -= np.rint(frac)
-            f0 = frac[0]
-            if c == 1:
-                denom = np.abs(f0, out=f0)
-            else:
-                f1 = frac[1]
-                f0 *= f0
-                f1 *= f1
-                f0 += f1
-                denom = np.sqrt(f0, out=f0)
-            denom += scale[d_tile]
-            terms = np.divide(table, denom, out=denom)
-            blocks[r0 : r0 + row_step, j] = terms.reshape(len(terms), -1).sum(axis=1)
+
+    def fill(lo: int, hi: int) -> None:
+        """Sum rows lo..hi-1 per tile into ``blocks``, in two reused buffers."""
+        frac_buf = np.empty(c * min(row_step, hi - lo) * q_step * d_step)
+        rint_buf = np.empty_like(frac_buf)
+        for j, (q_tile, d_tile) in enumerate(tiles):
+            table = coef_q[q_tile, None] * coef_d[d_tile]
+            q_cols = qs[q_tile].T
+            for r0 in range(lo, hi, row_step):
+                rows = cols[:, r0 : min(r0 + row_step, hi)]
+                proj = rows[..., 0, None] * q_cols[0]
+                for i in range(1, k):
+                    proj += rows[..., i, None] * q_cols[i]
+                shape = (*proj.shape, table.shape[1])
+                size = math.prod(shape)
+                frac = np.multiply(proj[..., None], ds[d_tile], out=frac_buf[:size].reshape(shape))
+                frac -= np.rint(frac, out=rint_buf[:size].reshape(shape))
+                f0 = frac[0]
+                if c == 1:
+                    denom = np.abs(f0, out=f0)
+                else:
+                    f1 = frac[1]
+                    f0 *= f0
+                    f1 *= f1
+                    f0 += f1
+                    denom = np.sqrt(f0, out=f0)
+                denom += scale[d_tile]
+                terms = np.divide(table, denom, out=denom)
+                blocks[r0 : r0 + len(terms), j] = terms.reshape(len(terms), -1).sum(axis=1)
+
+    _split_rows(fill, n_rows, row_step)
     return np.array([math.fsum(row) for row in blocks]), weights.tail
 
 

@@ -213,17 +213,30 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    SUBCOMMANDS = "one of delta, lfd, sgq, expsum, kloosterman, quadsum, orbit, horocycle, theorem4, verify"
+
     def test_unknown_flag(self, capsys):
         assert run(["delta", "--bogus", "1"]) == 2
 
     def test_unknown_subcommand(self, capsys):
         assert run(["teleport"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"horolab: unknown subcommand 'teleport' ({self.SUBCOMMANDS}; see horolab --help)\n")
 
     def test_no_arguments_prints_usage(self, capsys):
+        # One line naming the subcommands; --help prints the full list.
         assert run([]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"horolab: missing subcommand ({self.SUBCOMMANDS}; see horolab --help)\n"
 
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: horolab <subcommand>")
+        assert len(captured.out.splitlines()) == 2 + len(self.SUBCOMMANDS.split(", "))
         assert run(["delta", "--help"]) == 0
 
     def test_domain_error_maps_to_two(self, capsys):
@@ -557,6 +570,19 @@ class TestExitContract:
     ])
     def test_unreadable_input_is_one_line(self, argv, err):
         assert self.check(*argv) == (2, f"horolab: {err}\n")
+
+    @pytest.mark.parametrize("flags", [("--out", "v.txt"), ("--format", "json"),
+                                       ("--out", "v.txt", "--format", "json")])
+    def test_verify_writes_no_table(self, tmp_path, monkeypatch, flags):
+        # verify prints its checks only, so a table flag is refused, not ignored.
+        monkeypatch.chdir(tmp_path)
+        assert self.check("verify", *flags) == (
+            2, f"horolab: unrecognized arguments: {' '.join(flags)}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flags[0][2:]} = {flags[1]}\n")
+        assert self.check("verify", "--config", str(cfg)) == (
+            2, f"horolab: {cfg}:1: unknown key {flags[0][2:]!r}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unreadable_config_value_is_one_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

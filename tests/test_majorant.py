@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -307,6 +309,111 @@ class TestMajorantValues:
             for d in range(1, 11)
         )
         assert mv.value == pytest.approx(coef_q * coef_d, rel=1e-12)
+
+
+def record_ranges(monkeypatch):
+    """Wrap ``_split_rows`` so that each call records its row step and the row
+    ranges it filled, each with the name of its thread (idents are reused once a
+    thread ends, names are not)."""
+    real, calls = majorant._split_rows, []
+
+    def split(fill, n_rows, row_step):
+        ranges = []
+        calls.append((row_step, ranges))
+
+        def recorded(lo, hi):
+            fill(lo, hi)
+            ranges.append((lo, hi, threading.current_thread().name))
+
+        real(recorded, n_rows, row_step)
+
+    monkeypatch.setattr(majorant, "_split_rows", split)
+    return calls
+
+
+class TestRowSplit:
+    """The rows of one call split into contiguous ranges, one per worker thread."""
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("n_rows", [1, 2, 5, 37])
+    @pytest.mark.parametrize("row_block", ["one row", "one tile"])
+    @pytest.mark.parametrize(
+        "k, q_max, y, block_terms", [(1, 20, 1e-4, 1 << 15), (2, 4, 5e-4, 256), (1, 12, 5e-4, 256)]
+    )
+    def test_values_do_not_depend_on_workers(
+        self, rng, monkeypatch, c, n_rows, row_block, k, q_max, y, block_terms
+    ):
+        # Row blocks of one tile hold 16 rows at k = 1, y = 1e-4 (20 x 100
+        # terms per tile, 1 << 15 per block), so 37 rows feed only two of
+        # three workers; blocks of one row split n rows across min(n, workers).
+        monkeypatch.setattr(majorant, "_BLOCK_TERMS", block_terms)
+        monkeypatch.setattr(majorant, "_ROW_BLOCK_TERMS", 1 if row_block == "one row" else block_terms)
+        p = MajorantParams(k=k, m=k + 2.0, q_max=q_max)
+        xis = rng.uniform(-1.0, 2.0, (n_rows, k, c))
+        monkeypatch.setattr(majorant, "_WORKERS", 1)
+        expect, _ = _series(p, xis, y)
+        calls = record_ranges(monkeypatch)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(majorant, "_WORKERS", workers)
+            calls.clear()
+            before = threading.active_count()
+            values, _ = _series(p, xis, y)
+            assert threading.active_count() == before
+            np.testing.assert_array_equal(values, expect)
+            [(row_step, ranges)] = calls
+            spans = sorted(ranges)
+            assert [lo for lo, _, _ in spans] == [0] + [hi for _, hi, _ in spans[:-1]]
+            assert spans[-1][1] == n_rows
+            # Only as many workers as there are full row blocks, each on its own thread.
+            assert len(spans) == max(1, min(workers, n_rows // row_step))
+            assert len({name for _, _, name in spans}) == len(spans)
+            if len(spans) == 1:
+                assert spans[0][2] == threading.current_thread().name
+
+    def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
+        # Four threads on one-row blocks, switching every microsecond: a row
+        # written twice, or never (``blocks`` starts uninitialised), would
+        # change a value.
+        monkeypatch.setattr(majorant, "_ROW_BLOCK_TERMS", 1)
+        p = MajorantParams(k=2, m=4.0, q_max=6)
+        xis = rng.uniform(-1.0, 2.0, (203, 2, 2))
+        monkeypatch.setattr(majorant, "_WORKERS", 1)
+        expect, _ = _series(p, xis, 1e-3)
+        monkeypatch.setattr(majorant, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                np.testing.assert_array_equal(_series(p, xis, 1e-3)[0], expect)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_range_raises_in_the_caller(self, rng, monkeypatch, failing):
+        # Three ranges of 4 rows each; the failing one fills a row and raises.
+        monkeypatch.setattr(majorant, "_WORKERS", 3)
+        monkeypatch.setattr(majorant, "_ROW_BLOCK_TERMS", 1)
+        real, done = majorant._split_rows, []
+
+        def split(fill, n_rows, row_step):
+            def fill_or_fail(lo, hi):
+                if lo == 4 * failing:
+                    fill(lo, lo + 1)
+                    raise RuntimeError(f"rows {lo}..{hi} failed")
+                fill(lo, hi)
+                done.append(lo)
+
+            real(fill_or_fail, n_rows, row_step)
+
+        monkeypatch.setattr(majorant, "_split_rows", split)
+        p = MajorantParams(k=1, m=3.0, q_max=5)
+        xis = rng.uniform(-1.0, 2.0, (12, 1, 1))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"rows {4 * failing}..{4 * failing + 4} failed"):
+            _series(p, xis, 1e-2)
+        # The other ranges ran to their end before the caller raised.
+        assert sorted(done) == [lo for lo in (0, 4, 8) if lo != 4 * failing]
+        assert threading.active_count() == before
 
 
 class TestTermByTermOracle:
