@@ -19,6 +19,16 @@ All projected grids of one element share the basis rows M, so
 offset q v as array code; :func:`grid_gap` is its one-row case.  Where the
 minimum is attained twice (always for q = 0, by p and -p) the witness is the
 first minimizer in candidate order: c1, then breakpoint, then c0.
+
+The gap value is even in the offset: the rows n and -n give the same float
+(not always opposite witnesses, since ties are broken in candidate order),
+because the lattice is symmetric and every step is odd or even in the
+offset.  The offset, the batched solves, ``rint``, the breakpoints and the
+candidates are odd; ``_point_value`` and the membership test are even.  Only
+the ``floor``-based c0 window shifts, and only at an integer breakpoint, where
+both windows still hold its floor and ceiling.  So a sum over a ± symmetric
+set of offsets may score one of each pair and count it twice, as
+``majorant.orbit_gap_bound`` does.
 """
 
 from __future__ import annotations

@@ -88,10 +88,13 @@ Q_GRID_CAP = 1_000_000
 LFD_WORK_CAP = 800_000_000
 
 #: Gap offsets of one ``orbit_gap_bound`` call, counted as n_q d_max for the n_q
-#: vectors of the full q set.  Each offset was measured (2 cores) at 7-9 us of
-#: ``grid_gap_many`` and series work (15.6 s at q_max = 10, d_max = 10^5, that is
-#: 2 10^6 offsets, with 218 MB peak RSS), so at 8 us per offset this is ~20 s.
-#: CLI defaults, A15 and ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
+#: vectors of the full q set, so ± pairs count whole although one of each is scored.
+#: The cap was set at 8 us per full-set offset (~20 s).  With the pairing each one
+#: was measured (2 cores) at 2.6-2.7 us of ``grid_gap_many`` and series work (5.2-5.4 s
+#: at q_max = 10, d_max = 10^5, that is 2 10^6 offsets, with 125 MB peak RSS, against
+#: 13.3 s and 218 MB unpaired on the same host), so a call at the cap takes ~7 s.
+#: The cap is kept, so the same calls are refused.  CLI defaults, A15 and
+#: ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
 ORBIT_GAP_WORK_CAP = 2_500_000
 
 #: Work of one series evaluation, counted as rows x half-set q vectors x d_max x
@@ -477,8 +480,11 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
 
     The leading term applies the cubic gauge to the reciprocal square root
     of the q = 0 gap; each series term applies the linear gauge to
-    1 / (1 + gap(d q) / d), weighted like the majorant series.  Calls with
-    more than ``ORBIT_GAP_WORK_CAP`` gap offsets (q, d) are refused.
+    1 / (1 + gap(d q) / d), weighted like the majorant series.  The gap is
+    even in the offset (``affine`` module docstring), so only the half set's
+    offsets are scored and each term is counted twice; the sum is the same
+    float as over the full set.  Calls with more than ``ORBIT_GAP_WORK_CAP``
+    gap offsets (q, d) of the full set are refused.
     """
     if not T >= 2.0:
         raise DomainError("time parameter must be at least 2")
@@ -489,18 +495,22 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
     offsets = len(_q_vectors(params.k, params.q_max)) * params.d_max
     guard(offsets, ORBIT_GAP_WORK_CAP, "gap offsets")
     qs, coef_q, coef_d, tail = _weights(params, params.d_max)
-    # One batch per T: the q = 0 row, then d q for each q and d = 1..d_max.
-    dq = qs[:, None, :] * np.arange(1, params.d_max + 1)[:, None]
+    # One batch per T: the q = 0 row, then d q for each half-set q and d = 1..d_max.
+    half = _half_set(qs)
+    ds = np.arange(1, params.d_max + 1)
+    dq = qs[half][:, None, :] * ds[:, None]
     ns = np.concatenate([np.zeros((1, params.k), dtype=int), dq.reshape(-1, params.k)])
-    gaps = iter(grid_gap_many(element, ns, T)[0].tolist())
-    term0 = log_gauge(next(gaps) ** -0.5, 3)
+    gaps = grid_gap_many(element, ns, T)[0]
+    term0 = log_gauge(float(gaps[0]) ** -0.5, 3)
 
-    contributions = []
-    for i in range(len(qs)):
-        for d in range(1, params.d_max + 1):
-            gauge = log_gauge(1.0 / (1.0 + next(gaps) / d), 1)
-            contributions.append(coef_q[i] * coef_d[d - 1] * gauge)
-    series = math.fsum(contributions)
+    # log_gauge(x, 1) per term, with math.log as there: np.log may differ by an ulp.
+    x = 1.0 / (1.0 + gaps[1:].reshape(-1, params.d_max) / ds)
+    if not (x.min() > 0.0 and x.max() < math.inf):
+        raise DomainError("gauge argument must be a positive finite number")
+    logs = np.fromiter(map(math.log, (2.0 + 1.0 / x).ravel().tolist()), float, x.size)
+    terms = (coef_q[half][:, None] * coef_d) * (x * logs.reshape(x.shape))
+    # Doubling the term, not the weight, is exact even for a subnormal product.
+    series = math.fsum((2.0 * terms).ravel().tolist())
     return OrbitGapBound(term0, series, math.log(3.0) * tail)
 
 

@@ -53,10 +53,15 @@ from .quadrature import _panels, _rule, adaptive_quad
 from .sl2core import Sl2Matrix, reduce_fundamental, stack_product
 from .smoothfns import bump6, bump6_normalized
 
-# Above this many translate candidates a single average would stall or
-# exhaust memory; callers see the guard instead of a silent truncation.
-# The guards count mirror pairs whole.
-CANDIDATE_CAP = 3_000_000
+#: Candidates of one window in any of the three counts (bottom-row columns,
+#: bottom-row candidates, translate candidates), mirror pairs counted whole.  The
+#: slower window shape is A09's ((2, 1; 1, 1) at the golden torus point), whose
+#: bottom-row candidates are the largest count: it was measured (2 cores) at
+#: 0.32-0.41 us per candidate from y = 1e-4 to 1.2e-6, where 47.3 million took
+#: 16.9-17.8 s at 69 MB peak RSS; the CLI's one-period window ran at 0.31-0.44 us.
+#: At 0.4 us per candidate the ~20 s budget allows 5e7, so A09's window answers
+#: down to about y = 1.14e-6 and ``horocycle``'s default one down to 1.02e-6.
+CANDIDATE_CAP = 50_000_000
 #: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.85-1.12 ms
 #: on 2 cores (T = 100 to 3000, three base points), so 18,000 panels (T = 3000)
 #: stay near 20 s at the slowest rate: 18,000 x 1.12 ms = 20.2 s.

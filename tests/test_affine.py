@@ -207,7 +207,7 @@ class TestGridGapMany:
             assert values[i] == scan_gap(grid.basis, grid.offset, 7.0, exclude_origin=n == 0) > 0
 
     def test_row_is_the_same_alone_and_in_any_batch(self, rng):
-        # 2,500 rows span three array blocks.
+        # 2,500 rows span many array blocks.
         for k in (1, 2):
             g = random_element(rng, k=k)
             ns = rng.integers(-40, 41, size=(2500, k))
@@ -221,6 +221,24 @@ class TestGridGapMany:
                 res = grid_gap(g, list(ns[i]), 300.0)
                 assert res.value == values[i]
                 assert np.array_equal(res.witness, witnesses[i])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_value_is_even_in_the_offset(self, rng, k):
+        # orbit_gap_bound scores one row of each pair n, -n and counts it
+        # twice, so both must give the same float.  Integer matrices at
+        # rational torus points put breakpoints on integers, where the c0
+        # windows of n and -n differ.
+        matrices = [Sl2Matrix.identity(), Sl2Matrix(2.0, 1.0, 1.0, 1.0)]
+        matrices += [random_sl2(rng) for _ in range(3)]
+        for m in matrices:
+            for den in (4, 5, 7, None):
+                xi = rng.random((k, 2)) if den is None else rng.integers(0, 2 * den, (k, 2)) / den
+                g = GroupElement.from_torus_point(m, xi)
+                ns = rng.integers(-12, 13, size=(200, k))
+                ns[0] = 0
+                for T in (1.0, 2.0, 37.0, 1e2, 1e4, 1e6):
+                    values, _ = grid_gap_many(g, ns, T)
+                    assert np.array_equal(grid_gap_many(g, -ns, T)[0], values)
 
     def test_tie_rule_is_pinned(self):
         # q = 0 always ties p with -p; the first minimizer in candidate order

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import horolab
 from conftest import INT64_EDGES, flag_cases, listed
+from horolab import orbitlab
 from horolab.cli import _build_parser, run
 
 
@@ -326,12 +327,22 @@ class TestExitCodes:
 
     # Refused partway through the bottom rows.  Which stage's count crosses the
     # cap first depends on the enumeration order; the totals, and so the
-    # refused inputs, do not.
+    # refused inputs, do not.  Under the real cap these inputs answer (below),
+    # and inputs refused midway would run for seconds first, so a small cap
+    # stands in for it.
     @pytest.mark.parametrize("argv", [("orbit", "--T", "1e5"), ("horocycle", "--y", "1e-5")])
-    def test_lattice_refusal_midway_maps_to_four(self, capsys, argv):
+    def test_lattice_refusal_midway_maps_to_four(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(orbitlab, "CANDIDATE_CAP", 3_000_000)
         assert run(list(argv)) == 4
         err = capsys.readouterr().err
         assert re.fullmatch(r"horolab: \d+ (bottom-row|translate) candidates exceed the cap 3000000\n", err)
+
+    def test_deep_horocycle_answers_below_the_cap(self, capsys):
+        # 5,093,445 bottom-row candidates, refused under the former cap of 3e6.
+        code, out = invoke(capsys, "horocycle", "--y", "1e-5")
+        assert code == 0
+        _, rows = rows_of(out)
+        assert abs(float(rows[0][3])) < 1e-4
 
     # Found by the flag draws of TestExitContract: a level, frequency or
     # projection vector past int64 ended in a traceback, and a subnormal
@@ -380,7 +391,7 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run(["orbit", "--T=1e308"]) == 4
         assert caught == []
-        assert capsys.readouterr().err == "horolab: inf bottom-row columns exceed the cap 3000000\n"
+        assert capsys.readouterr().err == "horolab: inf bottom-row columns exceed the cap 50000000\n"
 
     # alpha and kappa at -1e308 make the bound infinite, at d = 2 and at |q| = 2;
     # d q psi overflows for psi = +-1e308.

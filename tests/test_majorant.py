@@ -550,6 +550,21 @@ class TestOrbitGapBound:
         assert res.total == res.term0 + res.series
         assert res.upper == res.total + res.tail_bound
 
+    def test_non_finite_gap_is_refused_like_log_gauge(self, monkeypatch):
+        # The series applies the gauge as array code; a gap it cannot gauge
+        # must still end in log_gauge's DomainError.
+        real = majorant.grid_gap_many
+
+        def with_nan(element, ns, T):
+            values, witnesses = real(element, ns, T)
+            values[-1] = math.nan
+            return values, witnesses
+
+        monkeypatch.setattr(majorant, "grid_gap_many", with_nan)
+        p = MajorantParams(k=1, m=3, q_max=2, d_max=3)
+        with pytest.raises(DomainError, match="^gauge argument must be a positive finite number$"):
+            orbit_gap_bound(GroupElement.identity(), 10.0, p)
+
     def test_tail_positive(self, rng):
         from conftest import random_sl2
 
