@@ -7,30 +7,32 @@ are pure functions of the run configuration, so identical invocations
 produce byte-identical files.
 
 Every subcommand is one entry of ``_COMMANDS``: its one-line description,
-its CSV columns, its flags as ``(default text, converter)`` pairs and its
-planner.  A planner validates the converted flags and returns a row
-function with the schedule of values it maps.  Usage and ``--help`` text
-are built from the description and the columns, so they name exactly the
-header the command writes.
+its CSV columns, its flags as ``(default text, converter)`` pairs, its
+planner and an optional report.  A planner validates the converted flags
+and returns its rows.  Usage and ``--help`` text are built from the
+description and the columns, so they name exactly the header the command
+writes.  A command with a report (``delta-sweep``, ``cancellation`` and
+``orbit-decay``, the tables of the ``scripts/`` drivers, which are shims
+over them) prints the report and writes its table only to ``--out``.
 
-The subcommands and the ``scripts/`` drivers share one front end: the
-:class:`Parser`, the ``_flag`` converters, the ``--out`` rule of
-:func:`_out_file` and the exit codes: 0 success, 2 validation failure
-(unknown flags, unreadable or non-finite flag text, an ``--out`` path that
-cannot be written), 3 numerical non-convergence, 4 resource guard tripped.
-Each refusal is one ``<prog>: ...`` line on stderr.
+Every table goes through one front end: the :class:`Parser`, the ``_flag``
+converters, :func:`_render` and the ``--out`` rule of :func:`_out_file`.
+The exit codes are 0 success, 2 validation failure (unknown flags,
+unreadable or non-finite flag text, an ``--out`` path that cannot be
+written), 3 numerical non-convergence, 4 resource guard tripped.  Each
+refusal is one ``horolab: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,9 +45,11 @@ from .arith import (
     quadsum_weil_bound,
 )
 from .autofns import PoincareTestFn, evaluate_f, mean_value
-from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .expsum import WeightFn, expsum_rhs, weighted_expsum_lhs
-from .majorant import MajorantParams, lfd_test, majorant_full, orbit_gap_bound
+from .errors import ConvergenceError, DomainError, ResourceGuardError, guard
+from .expsum import WeightFn, cancellation_report, expsum_rhs, weighted_expsum_lhs
+from .majorant import (
+    SERIES_WORK_CAP, MajorantParams, lfd_test, majorant_full, orbit_gap_bound,
+)
 from .orbitlab import (
     _h_mass, horocycle_main_term, lattice_window_average, long_orbit_average, orbit_split,
     OrbitExperiment, partition_identity, translate_integral,
@@ -136,17 +140,14 @@ def _plan_delta(p):
         out = majorant_full(params, xi, y)
         return (y, out.value, out.tail_bound, p["qmax"], params.effective_d_max(y))
 
-    return row, p["y"]
+    return [row(y) for y in p["y"]]
 
 
 def _plan_lfd(p):
-    def row(_):
-        witness = lfd_test(p["psi"], p["kappa"], p["alpha"], p["c"], p["qmax"], p["dmax"])
-        if witness is None:
-            return (1, 0, "")
-        return (0, witness.d, ";".join(str(v) for v in witness.q))
-
-    return row, (None,)
+    witness = lfd_test(p["psi"], p["kappa"], p["alpha"], p["c"], p["qmax"], p["dmax"])
+    if witness is None:
+        return [(1, 0, "")]
+    return [(0, witness.d, ";".join(str(v) for v in witness.q))]
 
 
 def _plan_sgq(p):
@@ -158,7 +159,7 @@ def _plan_sgq(p):
         gap = grid_gap(element, list(p["q"]), T)
         return (T, gap.value, gap.witness[0], gap.witness[1])
 
-    return row, p["T"]
+    return [row(T) for T in p["T"]]
 
 
 def _plan_expsum(p):
@@ -172,7 +173,7 @@ def _plan_expsum(p):
         rhs = expsum_rhs(X, p["alpha"])
         return (X, lhs.real, lhs.imag, rhs, abs(lhs) / rhs)
 
-    return row, p["X"]
+    return [row(X) for X in p["X"]]
 
 
 def _plan_kloosterman(p):
@@ -181,7 +182,7 @@ def _plan_kloosterman(p):
         bound = kloosterman_weil_bound(p["m"], p["n"], q)
         return (q, value, bound, abs(value) / bound)
 
-    return row, p["q"]
+    return [row(q) for q in p["q"]]
 
 
 def _plan_quadsum(p):
@@ -194,7 +195,7 @@ def _plan_quadsum(p):
         bound = quadsum_weil_bound(q, p["N"])
         return (q, value.real, value.imag, bound, abs(value) / bound)
 
-    return row, p["q"]
+    return [row(q) for q in p["q"]]
 
 
 def _plan_orbit(p):
@@ -208,7 +209,7 @@ def _plan_orbit(p):
         avg = long_orbit_average(fn, element, T, bump6, route=p["route"])
         return (T, avg.real, avg.imag, limit, abs(avg - limit))
 
-    return row, p["T"]
+    return [row(T) for T in p["T"]]
 
 
 def _plan_horocycle(p):
@@ -219,7 +220,7 @@ def _plan_horocycle(p):
         (entry,) = horocycle_main_term(OrbitExperiment(fn, element, (y,), bump6))
         return (y, entry.average, entry.limit, entry.error)
 
-    return row, p["y"]
+    return [row(y) for y in p["y"]]
 
 
 def _plan_theorem4(p):
@@ -230,16 +231,160 @@ def _plan_theorem4(p):
         bound = orbit_gap_bound(element, T, params)
         return (T, bound.term0, bound.series, bound.tail_bound)
 
-    return row, p["T"]
+    return [row(T) for T in p["T"]]
+
+
+def _log_slope(xs, values, what: str) -> float:
+    """The least-squares slope of log ``values`` against log ``xs``, the float
+    ``np.polyfit`` gives.  Abscissae whose logs it cannot fit are refused:
+    fewer than two distinct finite logs (polyfit fails inside LAPACK), or logs
+    so close that polyfit's rank test fails (it warns and fits noise).  Both
+    depend on ``xs`` alone, so a planner checks its schedule before any work
+    by fitting unit values."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.log(np.asarray(xs, dtype=float))
+    refusal = DomainError(f"cannot fit a log-log slope over {what}: it needs two finite logs "
+                          "far enough apart")
+    if not np.isfinite(lx).all() or len(set(lx.tolist())) < 2:
+        raise refusal
+    ly = np.log(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # polyfit's RankWarning, whatever module numpy keeps it in
+        try:
+            return float(np.polyfit(lx, ly, 1)[0])
+        except Warning:
+            raise refusal from None
+
+
+#: The torus points of the delta sweep, one per Diophantine regime: the origin
+#: (resonant, no decay), the golden-ratio point (badly approximable), a
+#: quadratic irrational point and a rational point (eventual resonance).
+_SWEEP_POINTS = {
+    "origin": np.zeros((1, 2)),
+    "golden": np.array([[(math.sqrt(5.0) - 1.0) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0]]),
+    "quadratic": np.array([[math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]]),
+    "rational": np.array([[0.25, 0.4]]),
+}
+#: Heights one sweep visits.  At the default flags a height at y = 1e-6, the
+#: deepest default one, took 2.4-2.8 ms for the four points (2 cores), so at
+#: 3.3 ms this is ~20 s.  The default sweep visits 11.
+POINT_CAP = 6_000
+
+
+def _plan_delta_sweep(p):
+    if p["points"] < 2:
+        raise DomainError("a slope needs --points of at least 2")
+    if min(p["min-exp"], p["max-exp"]) < 0.0:
+        raise DomainError("--min-exp and --max-exp must be at least 0 for y = 10^-e in (0, 1]")
+    guard(p["points"], POINT_CAP, "sweep heights")
+    ys = np.logspace(-p["min-exp"], -p["max-exp"], p["points"])
+    params = MajorantParams(1, p["m"], p["qmax"], None)
+    # Series work of the whole sweep: per point and height, q_max half-set q
+    # vectors (k = 1) times d_max(y) times two columns.  A height that
+    # underflows to 0 would take unbounded work.
+    d_total = sum(params.effective_d_max(y) if y > 0 else math.inf for y in ys.tolist())
+    guard(len(_SWEEP_POINTS) * p["qmax"] * d_total * 2, SERIES_WORK_CAP, "sweep series work units")
+    _log_slope(ys, np.ones(len(ys)), "the heights 10^-e")
+    rows = []
+    for name, xi in _SWEEP_POINTS.items():
+        for y in ys.tolist():
+            out = majorant_full(params, xi, y)
+            rows.append((name, y, out.value, out.tail_bound))
+    return rows
+
+
+def _report_delta_sweep(p, rows) -> str:
+    """Per torus point, the end values and the fitted log-log slope."""
+    lines = []
+    for name in _SWEEP_POINTS:
+        ys, vals = zip(*((y, value) for point, y, value, _ in rows if point == name))
+        slope = _log_slope(ys, vals, "the heights 10^-e")
+        lines.append(f"{name:10s} delta({ys[0]:.2g})={vals[0]:.5g}  "
+                     f"delta({ys[-1]:.2g})={vals[-1]:.5g}  slope={slope:+.4f}\n")
+    return "".join(lines)
+
+
+def _plan_cancellation(p):
+    Xs = sorted(p["scales"])  # the order of cancellation_report's rows
+    _log_slope(Xs, np.ones(len(Xs)), "--scales")
+    spec = CosetSpec.principal(p["N"])
+    weight = WeightFn(p["B"])
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    alpha = np.array([gold, gold**2, gold**3, gold**4]) / 4.0
+    twisted = cancellation_report(spec, weight, alpha, Xs)
+    flat = cancellation_report(spec, weight, np.zeros(4), Xs)
+    zero = [t.X for t, f in zip(twisted, flat) if t.lhs == 0 or f.lhs == 0]
+    if zero:
+        raise DomainError(f"the weighted sum at X={zero[0]:g} is zero and has no growth exponent")
+    return [(t.X, abs(t.lhs), abs(f.lhs), t.rhs, t.ratio) for t, f in zip(twisted, flat)]
+
+
+def _report_cancellation(p, rows) -> str:
+    """The table in fixed columns and both fitted growth exponents."""
+    lines = [f"{'X':>8} {'|twisted|':>12} {'|flat|':>12} {'rhs':>12} {'ratio':>8}\n"]
+    lines += [f"{X:8.0f} {twisted:12.4f} {flat:12.1f} {rhs:12.1f} {ratio:8.4f}\n"
+              for X, twisted, flat, rhs, ratio in rows]
+    Xs, twisted, flat, _, _ = zip(*rows)
+    lines.append(f"growth exponents: twisted {_log_slope(Xs, twisted, '--scales'):.3f}, "
+                 f"untwisted {_log_slope(Xs, flat, '--scales'):.3f}\n")
+    return "".join(lines)
+
+
+#: Orbit bounds one run evaluates, --count times the number of --times.  At the
+#: default flags a bound took 1.5-2.4 ms (2 cores, T = 1e2 to 1e8), so at 2.5 ms
+#: this is ~20 s.  The default run evaluates 150.
+BOUND_CAP = 8_000
+
+
+def _draw_matrix(rng) -> Sl2Matrix:
+    """A Gaussian matrix scaled to determinant one (columns swapped if negative)."""
+    while True:
+        a = rng.normal(size=(2, 2))
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        if abs(det) < 1e-3:
+            continue
+        if det < 0:
+            a[:, [0, 1]] = a[:, [1, 0]]
+            det = -det
+        return Sl2Matrix.from_array(a / np.sqrt(det))
+
+
+def _plan_orbit_decay(p):
+    if p["count"] < 1:
+        raise DomainError("--count must be at least 1")
+    Ts = list(p["times"])
+    _log_slope(Ts, np.ones(len(Ts)), "--times")
+    guard(p["count"] * len(Ts), BOUND_CAP, "orbit bounds")
+    rng = np.random.default_rng(np.random.Philox(p["seed"]))
+    params = MajorantParams(1, p["m"], p["qmax"], p["dmax"])
+    rows = []
+    for index in range(p["count"]):
+        element = GroupElement.from_torus_point(_draw_matrix(rng), rng.uniform(0.0, 1.0, (1, 2)))
+        bounds = [orbit_gap_bound(element, T, params) for T in Ts]
+        slope = _log_slope(Ts, [b.total for b in bounds], "--times")
+        rows.extend((index, T, b.term0, b.series, b.tail_bound, slope) for T, b in zip(Ts, bounds))
+    return rows
+
+
+def _report_orbit_decay(p, rows) -> str:
+    """The quartiles and extremes of the per-element slopes."""
+    slopes = np.array([row[-1] for row in rows[:: len(p["times"])]])
+    return (f"ensemble of {p['count']}, times {list(p['times'])}\n"
+            f"slope quartiles: {np.percentile(slopes, 25):+.4f}  "
+            f"{np.median(slopes):+.4f}  {np.percentile(slopes, 75):+.4f}\n"
+            f"steepest {slopes.min():+.4f}, shallowest {slopes.max():+.4f}\n")
 
 
 class _Command(NamedTuple):
-    """One subcommand: what it does, the CSV header it writes, its planner and its flags."""
+    """One subcommand: what it does, the CSV header it writes, its planner, its
+    flags and, for a command that prints a summary instead of its table, the
+    ``report(params, rows)`` text."""
 
     about: str
     columns: str
     plan: Callable | None
     flags: dict[str, tuple[str, Callable[[str], object]]]
+    report: Callable | None = None
 
     @property
     def help(self) -> str:
@@ -274,15 +419,30 @@ _COMMANDS = {
     "theorem4": _Command("orbit comparison bound", "T,term0,series,tail", _plan_theorem4, {
         **_ELEMENT, "m": ("3", _float), "qmax": ("10", _int), "dmax": ("10", _maybe_int),
         "T": ("100,1000,10000", _floats)}),
+    "delta-sweep": _Command(
+        "majorant decay slopes at four torus points", "point,y,value,tail", _plan_delta_sweep, {
+            "m": ("3.0", _float), "qmax": ("20", _int), "min-exp": ("1.0", _float),
+            "max-exp": ("6.0", _float), "points": ("11", _int)}, _report_delta_sweep),
+    "cancellation": _Command(
+        "twisted against untwisted coset growth", "X,twisted_abs,flat_abs,rhs,ratio",
+        _plan_cancellation,
+        {"scales": ("25,50,100,200", _floats), "N": ("1", _int), "B": ("1.0", _float)},
+        _report_cancellation),
+    # The seed of A15's ensemble; the command declares it, so the generic --seed is not added.
+    "orbit-decay": _Command(
+        "orbit bound decay over a random ensemble", "index,T,term0,series,tail,slope",
+        _plan_orbit_decay, {
+            "count": ("50", _int), "seed": ("20240817", _seed), "times": ("1e2,1e3,1e4", _floats),
+            "m": ("3.0", _float), "qmax": ("10", _int), "dmax": ("10", _int)}, _report_orbit_decay),
     "verify": _Command("run the invariant battery; nonzero exit on first failure", "", None, {}),
 }
 
 
 class Parser(argparse.ArgumentParser):
-    """The flag parser of a subcommand or a ``scripts/`` driver.  Text it
-    cannot read (an unknown flag, a missing value, a value its ``type``
-    refuses) raises ``DomainError``, so it is refused like every other input;
-    ``--help`` still prints its text and exits 0."""
+    """The flag parser of a subcommand.  Text it cannot read (an unknown flag,
+    a missing value, a value its ``type`` refuses) raises ``DomainError``, so
+    it is refused like every other input; ``--help`` still prints its text and
+    exits 0."""
 
     def error(self, message: str):
         raise DomainError(message)
@@ -294,13 +454,15 @@ def _build_parser(command: str) -> Parser:
     spec = _COMMANDS[command]
     parser = Parser(prog=f"horolab {command}", description=spec.help)
     for key, (default, convert) in spec.flags.items():
-        parser.add_argument(f"--{key}", default=default, type=convert)
+        # dest=key: --min-exp is read, and named in --config files, as min-exp.
+        parser.add_argument(f"--{key}", dest=key, default=default, type=convert)
     if spec.plan is None:  # verify prints its checks and writes no table
         parser.set_defaults(out=None, format="csv")
     else:
         parser.add_argument("--out", help="output path (default stdout)")
         parser.add_argument("--format", default="csv", type=_format, help="csv or json")
-    parser.add_argument("--seed", default="0", type=_seed, help="64-bit generator key")
+    if "seed" not in spec.flags:
+        parser.add_argument("--seed", default="0", type=_seed, help="64-bit generator key")
     parser.add_argument("--config", help="key = value defaults file")
     return parser
 
@@ -504,10 +666,24 @@ def _render(config: RunConfig, columns: Sequence[str], rows: list[tuple]) -> str
     return json.dumps({"metadata": meta, "rows": out_rows}, indent=2) + "\n"
 
 
-def _execute(config: RunConfig) -> str:
+def _execute(config: RunConfig) -> int:
+    """Plan the table and write it to stdout or ``--out``.  A command with a
+    report prints the report instead, and then ``wrote N rows to PATH`` if
+    ``--out`` took the table."""
     spec = _COMMANDS[config.command]
-    row, values = spec.plan(dict(config.params))
-    return _render(config, spec.columns.split(","), [row(v) for v in values])
+    params = dict(config.params)
+    if config.out is None:
+        rows = spec.plan(params)
+        sys.stdout.write(_render(config, spec.columns.split(","), rows)
+                         if spec.report is None else spec.report(params, rows))
+        return 0
+    with _out_file(config.out) as fh:
+        rows = spec.plan(params)
+        report = None if spec.report is None else spec.report(params, rows)
+        fh.write(_render(config, spec.columns.split(","), rows))
+    if report is not None:
+        sys.stdout.write(f"{report}wrote {len(rows)} rows to {config.out}\n")
+    return 0
 
 
 @contextlib.contextmanager
@@ -542,40 +718,6 @@ def _usage() -> None:
 _EXIT_CODES = {DomainError: 2, ConvergenceError: 3, ResourceGuardError: 4}
 
 
-def _exit_code(prog: str, work: Callable[[], int]) -> int:
-    """``work()``'s exit code; a refusal prints one ``prog: ...`` line and exits 2, 3 or 4."""
-    try:
-        return work()
-    except SystemExit:  # --help printed its text; Parser.error raises instead
-        return 0
-    except tuple(_EXIT_CODES) as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-
-
-def run_script(
-    parser: Parser, argv: Sequence[str] | None, table: Callable[[argparse.Namespace], tuple[list, list]]
-) -> int:
-    """Run a ``scripts/`` driver with the flags of ``parser`` and an ``--out``
-    flag, under the exit codes of :func:`run`.  ``table(args)`` prints the
-    report and returns its CSV header and rows, which ``--out`` writes by the
-    rule of :func:`_out_file`."""
-    parser.add_argument("--out", help="CSV destination")
-
-    def drive() -> int:
-        args = parser.parse_args(argv)
-        if args.out is None:
-            table(args)
-            return 0
-        with _out_file(args.out) as fh:
-            header, rows = table(args)
-            csv.writer(fh).writerows([header, *rows])
-        print(f"wrote {len(rows)} rows to {args.out}")
-        return 0
-
-    return _exit_code(parser.prog, drive)
-
-
 def _run_command(command: str | None, argv: Sequence[str]) -> int:
     if command not in _COMMANDS:
         given = "missing subcommand" if command is None else f"unknown subcommand {command!r}"
@@ -583,20 +725,23 @@ def _run_command(command: str | None, argv: Sequence[str]) -> int:
     config = _parse_command(command, argv)
     if command == "verify":
         return _run_verify(config, sys.stdout)
-    out = contextlib.nullcontext(sys.stdout) if config.out is None else _out_file(config.out)
-    with out as fh:
-        fh.write(_execute(config))
-    return 0
+    return _execute(config)
 
 
 def run(argv: Sequence[str]) -> int:
-    """Entry point returning the process exit code."""
+    """Entry point returning the process exit code; a refusal prints one
+    ``horolab: ...`` line and exits 2, 3 or 4."""
     argv = list(argv)
     if argv[:1] in (["-h"], ["--help"]):
         _usage()
         return 0
-    command = argv[0] if argv else None
-    return _exit_code("horolab", lambda: _run_command(command, argv[1:]))
+    try:
+        return _run_command(argv[0] if argv else None, argv[1:])
+    except SystemExit:  # --help printed its text; Parser.error raises instead
+        return 0
+    except tuple(_EXIT_CODES) as exc:
+        print(f"horolab: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -2,7 +2,8 @@
 
 Everything runs in-process through ``horolab.cli.run`` so exit codes and
 output bytes are observable without spawning subprocesses; only the check
-of ``verify`` under ``python -O`` needs a fresh interpreter.
+of ``verify`` under ``python -O`` needs a fresh interpreter.  The driver
+shims under ``scripts/`` are checked in ``test_scripts.py``.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
@@ -36,6 +38,14 @@ def invoke(capsys, *argv):
 def rows_of(text):
     lines = text.strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+#: Flags that keep each driver command's run small.
+DRIVER_FLAGS = {
+    "delta-sweep": ("--points", "2", "--max-exp", "2"),
+    "cancellation": ("--scales", "10,20"),
+    "orbit-decay": ("--count", "1"),
+}
 
 
 class TestAnchors:
@@ -118,7 +128,7 @@ class TestAnchors:
 
 
 class TestTables:
-    def test_headers_match_documented_schemas(self, capsys):
+    def test_headers_match_documented_schemas(self, tmp_path, capsys):
         schemas = {
             "delta": ["y", "value", "tail", "Qmax", "Dmax"],
             "lfd": ["ok", "d", "q"],
@@ -129,18 +139,46 @@ class TestTables:
             "orbit": ["T", "avg_re", "avg_im", "limit", "error"],
             "horocycle": ["y", "average", "limit", "error"],
             "theorem4": ["T", "term0", "series", "tail"],
+            "delta-sweep": ["point", "y", "value", "tail"],
+            "cancellation": ["X", "twisted_abs", "flat_abs", "rhs", "ratio"],
+            "orbit-decay": ["index", "T", "term0", "series", "tail", "slope"],
         }
         # The usage text lists each table command's columns; they must be its header.
         _, usage = invoke(capsys, "--help")
-        listed = dict(re.findall(r"^  (\w+) .*; columns (\S+)$", usage, re.MULTILINE))
+        listed = dict(re.findall(r"^  ([\w-]+) .*; columns (\S+)$", usage, re.MULTILINE))
         assert listed.keys() == schemas.keys()
-        args = {"horocycle": ("--y", "0.3"), "theorem4": ("--T", "50")}
+        args = {"horocycle": ("--y", "0.3"), "theorem4": ("--T", "50"), **DRIVER_FLAGS}
+        target = tmp_path / "table.csv"
         for command, expected in schemas.items():
-            code, out = invoke(capsys, command, *args.get(command, ()))
+            code, _ = invoke(capsys, command, *args.get(command, ()), "--out", str(target))
             assert code == 0, command
-            header, rows = rows_of(out)
+            header, rows = rows_of(target.read_text())
             assert header == expected == listed[command].split(","), command
             assert rows
+
+    @pytest.mark.parametrize("command", DRIVER_FLAGS)
+    def test_driver_tables_carry_seventeen_digits_and_newlines(self, tmp_path, capsys, command):
+        # The drivers' --out tables follow the rule of every table: .17g floats, "\n" line ends.
+        target = tmp_path / "table.csv"
+        code, out = invoke(capsys, command, *DRIVER_FLAGS[command], "--out", str(target))
+        assert code == 0
+        raw = target.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        _, rows = rows_of(raw.decode())
+        assert out.endswith(f"wrote {len(rows)} rows to {target}\n")
+        cells = [cell for row in rows for cell in row if cell not in _SWEEP_POINT_NAMES]
+        assert cells and all(cell == format(float(cell), ".17g") for cell in cells)
+        # The report goes to stdout and the table only to --out.
+        _, report = invoke(capsys, command, *DRIVER_FLAGS[command])
+        assert out == f"{report}wrote {len(rows)} rows to {target}\n"
+
+    def test_orbit_decay_keeps_its_ensemble_seed(self, tmp_path, capsys):
+        target = tmp_path / "table.json"
+        for flags, seed in (((), 20240817), (("--seed", "5"), 5)):
+            assert invoke(capsys, "orbit-decay", "--count", "1", *flags, "--format", "json",
+                          "--out", str(target))[0] == 0
+            meta = json.loads(target.read_text())["metadata"]
+            assert meta["seed"] == meta["params"]["seed"] == seed
 
     def test_schedule_spans_rows_in_order(self, capsys):
         code, out = invoke(capsys, "theorem4", "--T", "300,100,200")
@@ -202,6 +240,21 @@ class TestConfigFile:
         _, plain = invoke(capsys, "delta", "--y", "0.5")
         assert overridden != plain
 
+    def test_hyphenated_key_reads_like_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min-exp = 2\n")
+        target = tmp_path / "sweep.json"
+
+        def heights(*flags):
+            argv = ("delta-sweep", "--max-exp", "3", "--points", "2", "--format", "json")
+            assert invoke(capsys, *argv, *flags, "--out", str(target))[0] == 0
+            doc = json.loads(target.read_text())
+            return doc["metadata"]["params"]["min-exp"], [row["y"] for row in doc["rows"][:2]]
+
+        assert heights("--config", str(cfg)) == (2.0, [1e-2, 1e-3])
+        assert heights("--config", str(cfg), "--min-exp", "1") == (1.0, [1e-1, 1e-3])
+        assert heights("--min-exp=2") == heights("--config", str(cfg))
+
     def test_unknown_config_key_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("zz = 1\n")
@@ -214,7 +267,8 @@ class TestConfigFile:
 
 
 class TestExitCodes:
-    SUBCOMMANDS = "one of delta, lfd, sgq, expsum, kloosterman, quadsum, orbit, horocycle, theorem4, verify"
+    SUBCOMMANDS = ("one of delta, lfd, sgq, expsum, kloosterman, quadsum, orbit, horocycle, theorem4, "
+                   "delta-sweep, cancellation, orbit-decay, verify")
 
     def test_unknown_flag(self, capsys):
         assert run(["delta", "--bogus", "1"]) == 2
@@ -526,6 +580,28 @@ _QUADSUM_VALUES = {
     "--rep": listed(st.integers(-6, 6).map(str), (4, 4)) | st.just("1,0,0,1"),
     "--v": listed(_SMALL_INTS, (4, 4)),
 }
+_ORBIT_DECAY_VALUES = {
+    "--count": st.integers(1, 3).map(str) | st.sampled_from(INT64_EDGES),
+    "--seed": st.integers(0, 2**64).map(str) | st.sampled_from(INT64_EDGES),
+    "--times": listed(st.floats(10.0, 1e6).map(repr), (2, 3)),
+    "--m": st.floats(0.5, 5.0).map(repr),
+    "--qmax": st.integers(1, 12).map(str) | st.sampled_from(INT64_EDGES),
+    "--dmax": st.integers(1, 12).map(str) | st.sampled_from(INT64_EDGES),
+}
+_DELTA_SWEEP_VALUES = {
+    "--m": st.floats(0.5, 5.0).map(repr),
+    "--qmax": st.integers(1, 30).map(str) | st.sampled_from(INT64_EDGES),
+    "--min-exp": st.floats(0.0, 8.0).map(repr),
+    "--max-exp": st.floats(0.0, 8.0).map(repr),
+    "--points": st.integers(2, 40).map(str) | st.sampled_from(INT64_EDGES),
+}
+_CANCELLATION_VALUES = {
+    "--scales": listed(st.floats(1.0, 40.0).map(repr), (2, 3)),
+    "--N": st.integers(1, 6).map(str) | st.sampled_from(INT64_EDGES),
+    "--B": st.floats(1.0, 3.0).map(repr),
+}
+#: The names in delta-sweep's point column.
+_SWEEP_POINT_NAMES = ("origin", "golden", "quadratic", "rational")
 _THEOREM4_VALUES = {
     "--matrix": _ELEMENT_VALUES["--matrix"],
     "--xi": _ELEMENT_VALUES["--xi"],
@@ -534,6 +610,17 @@ _THEOREM4_VALUES = {
     "--dmax": _DEGREES | st.just("auto"),
     "--T": listed(st.floats(1.0, 1e4).map(repr), (1, 3)),
 }
+
+
+def _numbers(rows):
+    """The numbers of a table's cells.  lfd's q cell lists a witness as
+    ';'-joined integers or is empty, and delta-sweep's point cell is a name:
+    parts that are not numbers are skipped."""
+    for row in rows:
+        for cell in row:
+            for part in cell.split(";"):
+                with contextlib.suppress(ValueError):
+                    yield float(part)
 
 
 class TestExitContract:
@@ -547,23 +634,26 @@ class TestExitContract:
     @staticmethod
     def check(command, *flags):
         """The exit code of one run, checked against the contract; returns it
-        with the stderr text."""
+        with the stderr text.  Every table goes to ``--out`` and is read back
+        from there; stdout then holds only a driver's report."""
         out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run([command, *flags])
-        assert code in (0, 2, 3, 4), err.getvalue()
-        assert [str(w.message) for w in caught] == []
-        if code == 0:
-            _, rows = rows_of(out.getvalue())
-            if command == "lfd":
-                # lfd's last cell, q, lists a witness as ';'-joined integers, or is empty.
-                rows = [row[:-1] + [part for part in row[-1].split(";") if part] for row in rows]
-            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
-        else:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("horolab: ") and err.getvalue().count("\n") == 1
+        with tempfile.TemporaryDirectory() as tmp:
+            target = pathlib.Path(tmp) / "table.csv"
+            to_file = () if command == "verify" else (f"--out={target}",)
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run([command, *to_file, *flags])
+            assert code in (0, 2, 3, 4), err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            if code == 0:
+                _, rows = rows_of(target.read_text())
+                assert rows and all(math.isfinite(x) for x in _numbers(rows))
+                report = command in DRIVER_FLAGS
+                assert out.getvalue().endswith(f"wrote {len(rows)} rows to {target}\n") == report
+            else:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("horolab: ") and err.getvalue().count("\n") == 1
         return code, err.getvalue()
 
     @pytest.mark.parametrize("argv, err", [
@@ -645,6 +735,22 @@ class TestExitContract:
     @given(flag_cases(_THEOREM4_VALUES))
     def test_theorem4_flag(self, case):
         self.check("theorem4", "=".join(case))
+
+    # The drivers' commands run small, as their shims would; the drawn flag comes last and wins.
+    @settings(max_examples=60, deadline=2000)
+    @given(flag_cases(_ORBIT_DECAY_VALUES))
+    def test_orbit_decay_flag(self, case):
+        self.check("orbit-decay", "--count=2", "=".join(case))
+
+    @settings(max_examples=60, deadline=2000)
+    @given(flag_cases(_DELTA_SWEEP_VALUES))
+    def test_delta_sweep_flag(self, case):
+        self.check("delta-sweep", "=".join(case))
+
+    @settings(max_examples=60, deadline=2000)
+    @given(flag_cases(_CANCELLATION_VALUES))
+    def test_cancellation_flag(self, case):
+        self.check("cancellation", "--scales=10,20", "=".join(case))
 
 
 class TestVerify:
