@@ -60,6 +60,9 @@ _EXACT_SHIFT = 1126
 #: the low half of its own exponent and the high half of the exponent 27 below, so
 #: a bin's float64 sum stays an integer below 1.5 * 2^52: exact.
 _EXACT_CHUNK = 1 << 25
+#: Bins one fold of a chunk may fill, (parts) x (exponent span + 27): 512 KiB of
+#: float64, and each fold holds about four arrays of that size.
+_EXACT_BINS = 1 << 16
 
 
 class ExactSum:
@@ -68,12 +71,14 @@ class ExactSum:
 
     Terms arrive block by block through :meth:`add`, each with its group
     index.  A block costs a few array passes and one ``np.bincount`` per
-    mantissa half, keyed by (group part, binary exponent) over the block's
-    own exponent range; the bins are packed into int64 words and folded
-    into one Python int per group part (real and imaginary parts apart), so
-    states of different blocks add exactly.  :meth:`totals` divides each int by 2^1126 once,
-    which is correctly rounded: every part is the float ``math.fsum``
-    returns for the same terms, whatever their order or cut into blocks.
+    mantissa half, keyed by (group part, binary exponent) over the parts
+    present in the block and its own exponent range, at most
+    ``_EXACT_BINS`` bins at a time; the bins are packed into int64 words and
+    folded into one Python int per group part (real and imaginary parts
+    apart), so states of different blocks add exactly.  :meth:`totals`
+    divides each int by 2^1126 once, which is correctly rounded: every part
+    is the float ``math.fsum`` returns for the same terms, whatever their
+    order or cut into blocks.
     Non-finite terms act as in ``math.fsum``: NaN gives NaN, inf of one sign
     gives that inf, and both signs raise ``ValueError``; otherwise a sum
     beyond the float range raises ``OverflowError``.  (``math.fsum`` also
@@ -107,14 +112,32 @@ class ExactSum:
             values, parts = values[finite], parts[finite]
         if not values.size:
             return
+        # Bins are keyed by the rank of a term's part among the parts present,
+        # so parts without terms take none; past _EXACT_BINS bins the chunk is
+        # folded in pieces of consecutive ranks.
+        frac, exp = np.frexp(values)
+        p_lo = int(parts.min())
+        present = np.zeros(int(parts.max()) - p_lo + 1, dtype=bool)
+        present[parts - p_lo] = True
+        ids = np.flatnonzero(present) + p_lo
+        rank = (np.cumsum(present) - 1)[parts - p_lo]
+        per = max(1, _EXACT_BINS // (int(exp.max()) - int(exp.min()) + 28))
+        if ids.size <= per:
+            self._fold(frac, exp, rank, ids)
+            return
+        order = np.argsort(rank, kind="stable")
+        for piece in np.split(order, np.searchsorted(rank[order], np.arange(per, ids.size, per))):
+            self._fold(frac[piece], exp[piece], rank[piece], ids)
+
+    def _fold(self, frac: np.ndarray, exp: np.ndarray, rank: np.ndarray, ids: np.ndarray) -> None:
+        """Add the finite terms frac 2^exp, term i into part ids[rank[i]]."""
         # The mantissa M = frac 2^53 splits as hi 2^27 + lo, hi = floor(M / 2^27),
         # 0 <= lo < 2^27; every step is exact in float64.
-        frac, exp = np.frexp(values)
         hi = np.floor(frac * 2.0 ** 26)
         lo = frac * 2.0 ** 53 - hi * 2.0 ** 27
-        e_lo, p_lo = int(exp.min()), int(parts.min())
-        span, n_parts = int(exp.max()) - e_lo + 1, int(parts.max()) - p_lo + 1
-        keys = (parts - p_lo) * span + (exp - e_lo)
+        e_lo, r_lo = int(exp.min()), int(rank.min())
+        span, n_parts = int(exp.max()) - e_lo + 1, int(rank.max()) - r_lo + 1
+        keys = (rank - r_lo) * span + (exp - e_lo)
         bins = np.zeros((n_parts, span + 27))
         bins[:, :span] = np.bincount(keys, weights=lo, minlength=n_parts * span).reshape(n_parts, span)
         bins[:, 27:] += np.bincount(keys, weights=hi, minlength=n_parts * span).reshape(n_parts, span)
@@ -128,7 +151,8 @@ class ExactSum:
         nz = np.flatnonzero(words)
         part, word = np.divmod(nz, n_words)
         ints, base = self._ints, e_lo - 53 + _EXACT_SHIFT
-        for p, shift, w in zip((part + p_lo).tolist(), (word * k + base).tolist(), words[nz].tolist()):
+        owners = ids[part + r_lo].tolist()
+        for p, shift, w in zip(owners, (word * k + base).tolist(), words[nz].tolist()):
             ints[p] += w << shift
 
     def totals(self) -> np.ndarray:

@@ -13,7 +13,8 @@ and returns its rows.  Usage and ``--help`` text are built from the
 description and the columns, so they name exactly the header the command
 writes.  A command with a report (``delta-sweep``, ``cancellation`` and
 ``orbit-decay``, the tables of the ``scripts/`` drivers, which are shims
-over them) prints the report and writes its table only to ``--out``.
+over them) prints the report and writes its table only to ``--out``, so it
+refuses ``--format json`` without ``--out``.
 
 Every table goes through one front end: the :class:`Parser`, the ``_flag``
 converters, :func:`_render` and the ``--out`` rule of :func:`_out_file`.
@@ -459,7 +460,9 @@ def _build_parser(command: str) -> Parser:
     if spec.plan is None:  # verify prints its checks and writes no table
         parser.set_defaults(out=None, format="csv")
     else:
-        parser.add_argument("--out", help="output path (default stdout)")
+        where = ("table path (without it only the report is printed)" if spec.report
+                 else "output path (default stdout)")
+        parser.add_argument("--out", help=where)
         parser.add_argument("--format", default="csv", type=_format, help="csv or json")
     if "seed" not in spec.flags:
         parser.add_argument("--seed", default="0", type=_seed, help="64-bit generator key")
@@ -672,6 +675,9 @@ def _execute(config: RunConfig) -> int:
     ``--out`` took the table."""
     spec = _COMMANDS[config.command]
     params = dict(config.params)
+    if config.out is None and spec.report is not None and config.fmt == "json":
+        raise DomainError(f"--format json needs --out: without it {config.command} prints "
+                          "only its report")
     if config.out is None:
         rows = spec.plan(params)
         sys.stdout.write(_render(config, spec.columns.split(","), rows)

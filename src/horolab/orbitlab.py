@@ -10,13 +10,14 @@ Mutual agreement of the routes is the main correctness check.
 
 Every lattice average goes through one kernel over a stack of windows.  It
 runs one block of at most ``_BLOCK_CANDIDATES`` bottom-row candidates at a
-time through enumeration, filters, completion and integration, so its
-arrays stay bounded by the block, not by the window: one y = 1e-4 window
-peaks at about 21 MB traced instead of 129 MB.  A window's value is the
-exact, correctly rounded sum of its own translate terms
-(``arith.ExactSum``), so it is the same float alone, in any batch and at
-any block size.  Window callables take arrays of nodes (the kernel's also
-the owning window of each node row).
+time through enumeration, filters and completion, and the block's
+translates through integration in chunks of at most as many rows, so its
+arrays stay bounded by the block, not by the window or its depth: A09's
+window peaks at about 7 MB traced at y = 1e-4, 1e-5 and 1.14e-6 alike.  A
+window's value is the exact, correctly rounded sum of its own translate
+terms (``arith.ExactSum``), so it is the same float alone, in any batch and
+at any block size.  Window callables take arrays of nodes (the kernel's
+also the owning window of each node row).
 
 At levels 1 and 2 the group contains -I, so every translate A comes with
 -A, whose bottom row is the mirror of A's.  The kernel argument and the
@@ -58,7 +59,7 @@ from .smoothfns import bump6, bump6_normalized
 #: slower window shape is A09's ((2, 1; 1, 1) at the golden torus point), whose
 #: bottom-row candidates are the largest count: it was measured (2 cores) at
 #: 0.32-0.41 us per candidate from y = 1e-4 to 1.2e-6, where 47.3 million took
-#: 16.9-17.8 s at 69 MB peak RSS; the CLI's one-period window ran at 0.31-0.44 us.
+#: 16.9-17.9 s at 43 MB peak RSS; the CLI's one-period window ran at 0.31-0.44 us.
 #: At 0.4 us per candidate the ~20 s budget allows 5e7, so A09's window answers
 #: down to about y = 1.14e-6 and ``horocycle``'s default one down to 1.02e-6.
 CANDIDATE_CAP = 50_000_000
@@ -306,10 +307,11 @@ def _lattice_batch(
     translate row carries its window index ``win``; the integration calls
     ``window(xs, win)`` on node rows.  Returns the (W,) window values.
 
-    One block of bottom-row candidates at a time goes through every stage:
-    the slab and gcd filters, completion to translates, support intervals
-    and integration.  Each block's terms go into one exact sum keyed by
-    window, so no term outlives its block.
+    One block of bottom-row candidates at a time goes through the slab and
+    gcd filters and completion; its translates then go through support
+    intervals and integration in chunks of at most ``_BLOCK_CANDIDATES``
+    rows.  Each chunk's terms go into one exact sum keyed by window, so no
+    term outlives its chunk.
 
     When :func:`_paired`, the mirror of a kept row would complete to exactly
     -A: ``xgcd_array`` of the negated row returns the negated gcd with the
@@ -347,6 +349,45 @@ def _lattice_batch(
     nodes, wts = _rule(24)
     acc = ExactSum(n_win)
 
+    def integrate(win, phase, p, r, q, s):
+        """The terms of translate rows (p, r; q, s) that meet their window,
+        with the windows they go to."""
+        # Exact interval on which this translate's kernel term can be nonzero.
+        y = ys[win]
+        a2 = p * p + q * q
+        budget = y * (rho_sq - y * a2)
+        bb = p * r + q * s
+        cc = r * r + s * s - budget
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = bb * bb - a2 * cc
+            ok = (budget > 0.0) & (disc > 0.0)
+            root = np.sqrt(np.where(ok, disc, 0.0))
+            x_lo = np.maximum((-bb - root) / a2, los[win])
+            x_hi = np.minimum((-bb + root) / a2, his[win])
+        ok &= x_hi > x_lo
+        phase, p, r, q, s, a2, x_lo, x_hi, win = (
+            v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
+        )
+
+        # On x = mid + half u the rows top = p x + r and bot = q x + s are
+        # affine in u, so the kernel argument is a quadratic per row, taken
+        # about the midpoint: expanding about x = 0 cancels digits at small y.
+        terms = np.empty(p.size, dtype=complex)
+        for start in range(0, p.size, _BLOCK_ROWS):
+            sl = slice(start, start + _BLOCK_ROWS)
+            mid, half = 0.5 * (x_lo[sl] + x_hi[sl]), 0.5 * (x_hi[sl] - x_lo[sl])
+            y, d_top, d_bot = ys[win[sl]], p[sl] * half, q[sl] * half
+            top, bot, scale = p[sl] * mid + r[sl], q[sl] * mid + s[sl], y * (rho_sq - 2.0)
+            t_a = (d_top * d_top + d_bot * d_bot) / scale
+            t_b = 2.0 * (top * d_top + bot * d_bot) / scale
+            t_c = (y * a2[sl] + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
+            xs = mid[:, None] + half[:, None] * nodes
+            t = (t_a[:, None] * nodes + t_b[:, None]) * nodes + t_c[:, None]
+            vals = bump6(t) * window(xs, win[sl])
+            ints = half * np.sum(vals * wts, axis=1)
+            terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
+        return terms, win
+
     for win, n1, n2 in blocks:
         # The slab test before gcd: the filters commute and the slab drops more rows.
         q = n1 * m00[win] + n2 * m10[win]
@@ -383,50 +424,21 @@ def _lattice_batch(
         counts[t_hi < t_lo] = 0.0
         _guard(tally[2], win, mirrors * counts, "translate candidates")
 
-        own, offset = _ragged(_edges(counts))
-        t = t_start[own].astype(np.int64) + level * offset
-        n1, n2, q, s, win = n1[own], n2[own], q[own], s[own], win[own]
-        alpha = alpha0[own] + t * n1
-        beta = beta0[own] + t * n2
-        p = p0[own] + t * q
-        r = r0[own] + t * s
-        phase = c[win, 0, 0] * n2 - c[win, 0, 1] * beta - c[win, 1, 0] * n1 + c[win, 1, 1] * alpha
-
-        # Exact interval on which this translate's kernel term can be nonzero.
-        y = ys[win]
-        a2 = p * p + q * q
-        budget = y * (rho_sq - y * a2)
-        bb = p * r + q * s
-        cc = r * r + s * s - budget
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = bb * bb - a2 * cc
-            ok = (budget > 0.0) & (disc > 0.0)
-            root = np.sqrt(np.where(ok, disc, 0.0))
-            x_lo = np.maximum((-bb - root) / a2, los[win])
-            x_hi = np.minimum((-bb + root) / a2, his[win])
-        ok &= x_hi > x_lo
-        phase, p, r, q, s, a2, x_lo, x_hi, win = (
-            v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
-        )
-
-        # On x = mid + half u the rows top = p x + r and bot = q x + s are
-        # affine in u, so the kernel argument is a quadratic per row, taken
-        # about the midpoint: expanding about x = 0 cancels digits at small y.
-        terms = np.empty(p.size, dtype=complex)
-        for start in range(0, p.size, _BLOCK_ROWS):
-            sl = slice(start, start + _BLOCK_ROWS)
-            mid, half = 0.5 * (x_lo[sl] + x_hi[sl]), 0.5 * (x_hi[sl] - x_lo[sl])
-            y, d_top, d_bot = ys[win[sl]], p[sl] * half, q[sl] * half
-            top, bot, scale = p[sl] * mid + r[sl], q[sl] * mid + s[sl], y * (rho_sq - 2.0)
-            t_a = (d_top * d_top + d_bot * d_bot) / scale
-            t_b = 2.0 * (top * d_top + bot * d_bot) / scale
-            t_c = (y * a2[sl] + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
-            xs = mid[:, None] + half[:, None] * nodes
-            t = (t_a[:, None] * nodes + t_b[:, None]) * nodes + t_c[:, None]
-            vals = bump6(t) * window(xs, win[sl])
-            ints = half * np.sum(vals * wts, axis=1)
-            terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
-        acc.add(2.0 * terms.real if paired else terms, win)
+        # The block's translates go in chunks of at most _BLOCK_CANDIDATES rows;
+        # a chunk may cut one bottom row's t range in two.
+        edges, block = _edges(counts), (t_start, n1, n2, q, s, win, alpha0, beta0, p0, r0)
+        for lo in range(0, int(edges[-1]), _BLOCK_CANDIDATES):
+            own, offset = _ragged(edges, lo, min(lo + _BLOCK_CANDIDATES, edges[-1]))
+            t, n1, n2, q, s, win, alpha, beta, p, r = (v[own] for v in block)
+            t = t.astype(np.int64) + level * offset
+            alpha += t * n1
+            beta += t * n2
+            p += t * q
+            r += t * s
+            phase = (c[win, 0, 0] * n2 - c[win, 0, 1] * beta
+                     - c[win, 1, 0] * n1 + c[win, 1, 1] * alpha)
+            terms, win = integrate(win, phase, p, r, q, s)
+            acc.add(2.0 * terms.real if paired else terms, win)
     return acc.totals()
 
 

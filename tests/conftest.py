@@ -51,9 +51,14 @@ def haar_sample_level_one(rng, count):
 
 
 def random_sl2(rng, scale=1.0):
-    """Draw a well-conditioned unimodular matrix from a Gaussian ensemble."""
+    """Draw a well-conditioned unimodular matrix from a Gaussian ensemble.  At
+    scale 1 it is the drivers' ensemble, ``cli._draw_matrix``; a scale only
+    moves the rejection threshold on the determinant (and the rounding)."""
+    from horolab.cli import _draw_matrix
     from horolab.sl2core import Sl2Matrix
 
+    if scale == 1.0:
+        return _draw_matrix(rng)
     while True:
         a = rng.normal(size=(2, 2)) * scale
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]

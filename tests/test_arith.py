@@ -69,6 +69,43 @@ class TestExactSum:
             assert same_float(totals[g].real, math.fsum(v.real for v in mine))
             assert same_float(totals[g].imag, math.fsum(v.imag for v in mine))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1001, 1600), size=st.integers(0, 4000), complex_terms=st.booleans(),
+           special=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_many_groups_in_random_adds_equal_fsum(self, n, size, complex_terms, special, seed,
+                                                   data):
+        # Unsorted groups over more than a thousand parts and exponents from
+        # 1e-300 to 1e300, so a chunk's bins are folded in many pieces.
+        rng = np.random.default_rng(seed)
+        groups = rng.integers(0, n, size)
+        terms = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+        terms[rng.random(size) < 0.1] = 0.0
+        if complex_terms:
+            terms = terms + 1j * rng.permutation(terms)
+        if size:  # an exact cancellation, and a few non-finite terms
+            terms[rng.integers(0, size, size // 4)] *= -1.0
+            at = rng.integers(0, size, special)
+            terms[at] = rng.choice([math.nan, math.inf, -math.inf], special)
+        cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=8)))
+        acc = ExactSum(n)
+        for i, (lo, hi) in enumerate(zip([0] + cuts, cuts + [size])):
+            acc.add(terms[lo:hi], groups[lo:hi])
+            if i == 0:  # a refused add leaves the sums as they were
+                for bad in (n, -1):
+                    with pytest.raises(IndexError):
+                        acc.add(np.ones(2, dtype=terms.dtype), np.array([0, bad]))
+        parts = [[] for _ in range(2 * n)]
+        for value, g in zip(terms.astype(complex).tolist(), groups.tolist()):
+            parts[2 * g].append(value.real)
+            parts[2 * g + 1].append(value.imag)
+        if any(math.inf in part and -math.inf in part for part in parts):
+            with pytest.raises(ValueError):
+                acc.totals()
+            return
+        for got, part in zip(acc.totals().view(float).tolist(), parts):
+            want = math.fsum(part)
+            assert (math.isnan(got) and math.isnan(want)) or same_float(got, want)
+
     def test_full_bins(self):
         # Equal extreme mantissas fill one bin, or bring the bins of 64 adjacent
         # exponents to just below 2^43, so packed int64 words come near 2^62.

@@ -172,6 +172,17 @@ class TestTables:
         _, report = invoke(capsys, command, *DRIVER_FLAGS[command])
         assert out == f"{report}wrote {len(rows)} rows to {target}\n"
 
+    @pytest.mark.parametrize("command", DRIVER_FLAGS)
+    def test_driver_json_without_out_is_refused(self, capsys, command):
+        # Without --out a driver prints only its report, so --format json would do nothing.
+        assert "only the report is printed" in _build_parser(command).format_help()
+        assert run([command, *DRIVER_FLAGS[command], "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"horolab: --format json needs --out: without it {command} prints only its report\n")
+        assert run([command, *DRIVER_FLAGS[command], "--format", "csv"]) == 0
+
     def test_orbit_decay_keeps_its_ensemble_seed(self, tmp_path, capsys):
         target = tmp_path / "table.json"
         for flags, seed in (((), 20240817), (("--seed", "5"), 5)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_integer_gamma, random_sl2
 from horolab import orbitlab
 from horolab.affine import GroupElement, grid_gap
+from horolab.arith import ExactSum
 from horolab.autofns import PoincareTestFn, evaluate_f, mean_value
 from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import MajorantParams, orbit_gap_bound
@@ -328,6 +329,33 @@ class TestLatticeKernel:
         monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 5)
         assert values() == whole
 
+    def test_translate_chunks_hold_at_most_a_block(self, monkeypatch):
+        # With blocks of 5 bottom rows a block completes to more than 5
+        # translates, which go in chunks of at most 5 (cutting some row's t
+        # range); each window keeps its value.
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        values = lambda: [lattice_window_average(fn, el, y, window, (-1.0, 1.0))
+                          for y in (0.05, 0.01)]
+        whole, added, translates = values(), [], []
+        guard = orbitlab._guard
+
+        class Recording(ExactSum):
+            def add(self, terms, groups=None):
+                added.append(len(terms))
+                super().add(terms, groups)
+
+        def recording(tally, win, counts, what):
+            if what == "translate candidates":
+                translates.append(counts.sum() / 2.0)  # paired: each kept row counts twice
+            guard(tally, win, counts, what)
+
+        monkeypatch.setattr(orbitlab, "ExactSum", Recording)
+        monkeypatch.setattr(orbitlab, "_guard", recording)
+        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 5)
+        assert values() == whole
+        assert max(translates) > 5 and 0 < max(added) <= 5
+
     def test_window_groups_do_not_change_values(self, monkeypatch):
         # 69 to 93 candidates per window: with blocks of 64 every window
         # straddles a block boundary and the columns come in many chunks.
@@ -510,6 +538,23 @@ class TestLatticeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_one_window_memory_does_not_grow_with_depth(self):
+        # Translates go in chunks as large as a candidate block, so A09's
+        # window peaks alike at y = 1e-4 and 3e-5 (about 7 MB traced), where
+        # the whole expansion of a block once grew with depth.
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        lattice_window_average(fn, el, 0.1, window, (-1.0, 1.0))  # warm caches and imports
+        peaks = []
+        for y in (1e-4, 3e-5):
+            tracemalloc.start()
+            try:
+                lattice_window_average(fn, el, y, window, (-1.0, 1.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestLongOrbit:

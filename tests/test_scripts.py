@@ -4,6 +4,7 @@ through ``cli.run``, and each shim's ``__main__`` path in a fresh interpreter.
 The exit-contract draws of the three commands are in ``test_cli.py``."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import pathlib
@@ -12,9 +13,11 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import horolab
+from horolab import cli
 from horolab.cli import run
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -164,3 +167,21 @@ def test_main_path_matches_cli_run(tmp_path, name, flags, code):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_driver(name, argv)[:3]
     assert proc.returncode == code
+
+
+def test_benchmark_draws_the_drivers_ensemble_and_points(monkeypatch):
+    # bench/workloads.py keeps its own copies of the orbit-decay ensemble and
+    # the delta-sweep torus points; they must stay those of the CLI.
+    path = SCRIPTS.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    draws = []
+    for draw in (workloads._draw_matrix, cli._draw_matrix):
+        rng = np.random.default_rng(np.random.Philox(20240817))
+        draws.append([draw(rng) for _ in range(50)])
+    assert draws[0] == draws[1]
+    points = [{name: xi.tolist() for name, xi in table.items()}
+              for table in (workloads.SWEEP_POINTS, cli._SWEEP_POINTS)]
+    assert list(points[0].items()) == list(points[1].items())
