@@ -112,32 +112,37 @@ class ExactSum:
             values, parts = values[finite], parts[finite]
         if not values.size:
             return
-        # Bins are keyed by the rank of a term's part among the parts present,
-        # so parts without terms take none; past _EXACT_BINS bins the chunk is
+        # A part takes (exponent span + 27) bins.  When the chunk's part range
+        # would pass _EXACT_BINS bins, parts are keyed by their rank among the
+        # parts present, so parts without terms take none, and the chunk is
         # folded in pieces of consecutive ranks.
         frac, exp = np.frexp(values)
-        p_lo = int(parts.min())
-        present = np.zeros(int(parts.max()) - p_lo + 1, dtype=bool)
+        e_lo = int(exp.min())
+        span = int(exp.max()) - e_lo + 1
+        per = max(1, _EXACT_BINS // (span + 27))
+        p_lo, p_hi = int(parts.min()), int(parts.max())
+        if p_hi - p_lo < per:
+            self._fold(frac, exp, e_lo, span, parts, p_lo, np.arange(p_lo, p_hi + 1))
+            return
+        present = np.zeros(p_hi - p_lo + 1, dtype=bool)
         present[parts - p_lo] = True
         ids = np.flatnonzero(present) + p_lo
         rank = (np.cumsum(present) - 1)[parts - p_lo]
-        per = max(1, _EXACT_BINS // (int(exp.max()) - int(exp.min()) + 28))
-        if ids.size <= per:
-            self._fold(frac, exp, rank, ids)
-            return
         order = np.argsort(rank, kind="stable")
-        for piece in np.split(order, np.searchsorted(rank[order], np.arange(per, ids.size, per))):
-            self._fold(frac[piece], exp[piece], rank[piece], ids)
+        cuts = np.searchsorted(rank[order], np.arange(per, ids.size, per))
+        for start, piece in zip(range(0, ids.size, per), np.split(order, cuts)):
+            owners = ids[start : start + per]
+            self._fold(frac[piece], exp[piece], e_lo, span, rank[piece], start, owners)
 
-    def _fold(self, frac: np.ndarray, exp: np.ndarray, rank: np.ndarray, ids: np.ndarray) -> None:
-        """Add the finite terms frac 2^exp, term i into part ids[rank[i]]."""
+    def _fold(self, frac, exp, e_lo: int, span: int, rows, r_lo: int, ids: np.ndarray) -> None:
+        """Add the finite terms frac 2^exp, term i into part ids[rows[i] - r_lo];
+        every exp lies in e_lo .. e_lo + span - 1."""
         # The mantissa M = frac 2^53 splits as hi 2^27 + lo, hi = floor(M / 2^27),
         # 0 <= lo < 2^27; every step is exact in float64.
         hi = np.floor(frac * 2.0 ** 26)
         lo = frac * 2.0 ** 53 - hi * 2.0 ** 27
-        e_lo, r_lo = int(exp.min()), int(rank.min())
-        span, n_parts = int(exp.max()) - e_lo + 1, int(rank.max()) - r_lo + 1
-        keys = (rank - r_lo) * span + (exp - e_lo)
+        n_parts = ids.size
+        keys = (rows - r_lo) * span + (exp - e_lo)  # one temporary, reused in place
         bins = np.zeros((n_parts, span + 27))
         bins[:, :span] = np.bincount(keys, weights=lo, minlength=n_parts * span).reshape(n_parts, span)
         bins[:, 27:] += np.bincount(keys, weights=hi, minlength=n_parts * span).reshape(n_parts, span)
@@ -151,8 +156,7 @@ class ExactSum:
         nz = np.flatnonzero(words)
         part, word = np.divmod(nz, n_words)
         ints, base = self._ints, e_lo - 53 + _EXACT_SHIFT
-        owners = ids[part + r_lo].tolist()
-        for p, shift, w in zip(owners, (word * k + base).tolist(), words[nz].tolist()):
+        for p, shift, w in zip(ids[part].tolist(), (word * k + base).tolist(), words[nz].tolist()):
             ints[p] += w << shift
 
     def totals(self) -> np.ndarray:
