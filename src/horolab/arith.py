@@ -71,14 +71,14 @@ class ExactSum:
 
     Terms arrive block by block through :meth:`add`, each with its group
     index.  A block costs a few array passes and one ``np.bincount`` per
-    mantissa half, keyed by (group part, binary exponent) over the parts
-    present in the block and its own exponent range, at most
-    ``_EXACT_BINS`` bins at a time; the bins are packed into int64 words and
-    folded into one Python int per group part (real and imaginary parts
-    apart), so states of different blocks add exactly.  :meth:`totals`
-    divides each int by 2^1126 once, which is correctly rounded: every part
-    is the float ``math.fsum`` returns for the same terms, whatever their
-    order or cut into blocks.
+    mantissa half, keyed by (group part, binary exponent) over the block's
+    own exponent range and its part range, or the parts present where that
+    range would pass ``_EXACT_BINS`` bins, at most ``_EXACT_BINS`` bins at a
+    time; the bins are packed into int64 words and folded into one Python
+    int per group part (real and imaginary parts apart), so states of
+    different blocks add exactly.  :meth:`totals` divides each int by 2^1126
+    once, which is correctly rounded: every part is the float ``math.fsum``
+    returns for the same terms, whatever their order or cut into blocks.
     Non-finite terms act as in ``math.fsum``: NaN gives NaN, inf of one sign
     gives that inf, and both signs raise ``ValueError``; otherwise a sum
     beyond the float range raises ``OverflowError``.  (``math.fsum`` also
