@@ -134,7 +134,10 @@ class ExactSum:
             owners = ids[start : start + per]
             self._fold(frac[piece], exp[piece], e_lo, span, rank[piece], start, owners)
 
-    def _fold(self, frac, exp, e_lo: int, span: int, rows, r_lo: int, ids: np.ndarray) -> None:
+    def _fold(
+        self, frac: np.ndarray, exp: np.ndarray, e_lo: int, span: int, rows: np.ndarray,
+        r_lo: int, ids: np.ndarray,
+    ) -> None:
         """Add the finite terms frac 2^exp, term i into part ids[rows[i] - r_lo];
         every exp lies in e_lo .. e_lo + span - 1."""
         # The mantissa M = frac 2^53 splits as hi 2^27 + lo, hi = floor(M / 2^27),
