@@ -1,6 +1,6 @@
 """Elementary arithmetic kernels: exact sums of float arrays, divisor
-counts, extended gcds, Kloosterman sums, and complete exponential sums over
-determinant-one congruence classes.
+counts, extended gcds, the chunked expansion of rows into ranges, Kloosterman
+sums, and complete exponential sums over determinant-one congruence classes.
 
 The quadratic sum evaluated here runs over 4-tuples x in a fixed residue
 class mod N, weighted by additive characters in both the determinant
@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -206,17 +206,10 @@ def divisor_counts(n: int) -> np.ndarray:
 
 
 def divisor_count(n: int) -> int:
-    """Number of positive divisors of n.
-
-    Values up to one million come from a shared sieve table; larger inputs
-    go through :func:`factorize`.
-    """
+    """Number of positive divisors of n, by :func:`factorize`."""
     if n < 1 or n != int(n):
         raise DomainError("divisor count requires a positive integer")
-    n = int(n)
-    if n <= SIEVE_CAP:
-        return int(divisor_counts(n)[n - 1])
-    return math.prod(e + 1 for _, e in factorize(n))
+    return math.prod(e + 1 for _, e in factorize(int(n)))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -269,6 +262,19 @@ def xgcd_array(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             old[live], new[live] = new[live], old[live] - quot * new[live]
         live = live[r[live] != 0]
     return old_r, old_s, old_t
+
+
+def expand(counts: np.ndarray, *cols: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Expand row i into counts[i] flat rows, in order, and yield them in slices of
+    at most ``chunk``: every column of ``cols`` at the owning rows, then each flat
+    row's offset within its row.  A slice may cut a row in two; counts may be floats."""
+    edges = np.cumsum(np.r_[0, np.asarray(counts).astype(np.int64)])  # row i: edges[i:i + 2]
+    for lo in range(0, int(edges[-1]), chunk):
+        hi = min(lo + chunk, int(edges[-1]))
+        first, last = np.searchsorted(edges, [lo, hi - 1], side="right") - 1
+        n = np.minimum(edges[first + 1 : last + 2], hi) - np.maximum(edges[first : last + 1], lo)
+        owner = np.repeat(np.arange(first, last + 1), n)
+        yield (*(col[owner] for col in cols), np.arange(lo, hi) - edges[owner])
 
 
 def mod_inverse(a: int, q: int) -> int:

@@ -45,15 +45,15 @@ from .arith import (
     CosetSpec, kloosterman, kloosterman_weil_bound, quad_expsum_bruteforce, quad_expsum_closed,
     quadsum_weil_bound,
 )
-from .autofns import PoincareTestFn, evaluate_f, mean_value
+from .autofns import PoincareTestFn, evaluate_f
 from .errors import ConvergenceError, DomainError, ResourceGuardError, guard
 from .expsum import WeightFn, cancellation_report, expsum_rhs, weighted_expsum_lhs
 from .majorant import (
     SERIES_WORK_CAP, MajorantParams, lfd_test, majorant_full, orbit_gap_bound,
 )
 from .orbitlab import (
-    _h_mass, horocycle_main_term, lattice_window_average, long_orbit_average, orbit_split,
-    OrbitExperiment, partition_identity, translate_integral,
+    horocycle_main_term, lattice_window_average, long_orbit_average, orbit_split,
+    OrbitExperiment, partition_identity, translate_integral, window_limit,
 )
 from .sl2core import (
     IwasawaCoords, Sl2Matrix, iwasawa_compose, iwasawa_decompose, reduce_fundamental,
@@ -204,7 +204,7 @@ def _plan_orbit(p):
     if len(p["freq"]) != 2 * element.k:
         raise DomainError(f"freq needs {2 * element.k} entries to match xi")
     fn = PoincareTestFn(level=p["level"], freq=tuple(zip(p["freq"][::2], p["freq"][1::2])))
-    limit = mean_value(fn) * _h_mass(bump6, -1.0, 1.0)
+    limit = window_limit(fn, bump6)
 
     def row(T):
         avg = long_orbit_average(fn, element, T, bump6, route=p["route"])
@@ -418,7 +418,7 @@ _COMMANDS = {
     "horocycle": _Command("untwisted window averages", "y,average,limit,error", _plan_horocycle, {
         **_ELEMENT, "level": ("1", _int), "y": ("0.1,0.01,0.001", _floats)}),
     "theorem4": _Command("orbit comparison bound", "T,term0,series,tail", _plan_theorem4, {
-        **_ELEMENT, "m": ("3", _float), "qmax": ("10", _int), "dmax": ("10", _maybe_int),
+        **_ELEMENT, "m": ("3", _float), "qmax": ("10", _int), "dmax": ("10", _int),
         "T": ("100,1000,10000", _floats)}),
     "delta-sweep": _Command(
         "majorant decay slopes at four torus points", "point,y,value,tail", _plan_delta_sweep, {

@@ -10,8 +10,9 @@ a box cut n of the ball, the matrices with every entry at most n in absolute
 value; the ball itself is its box of side floor(rho).  The first rows run
 over |a|, |b| <= n, and each t interval is narrowed to the exact integer
 intervals on which |c| <= n and |d| <= n, so a box comes out in the ball's
-order without building the ball.  Radii above ``BALL_RADIUS_CAP`` are
-refused; the sets share one LRU cache bounded by bytes.
+order without building the ball.  The t intervals expand in slices of at
+most ``_BLOCK_ROWS`` matrices (``arith.expand``).  Radii above
+``BALL_RADIUS_CAP`` are refused; the sets share one LRU cache bounded by bytes.
 
 On top of the enumeration sit the linear-twist sums
 
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import CosetSpec, ExactSum, divisor_counts, exact_sum, xgcd_array
+from .arith import CosetSpec, ExactSum, divisor_counts, exact_sum, expand, xgcd_array
 from .errors import DomainError, guard
 from .smoothfns import bump6
 
@@ -44,8 +45,8 @@ BALL_RADIUS_CAP = 1024.0
 #: Bytes of balls and boxes kept; a cancellation report up to X = 200 reuses its four
 #: half boxes, 259,976 int32 matrices (4.0 MB), where the full boxes were 7.9 MB.
 BALL_CACHE_BYTES = 64 << 20
-#: Candidate first rows per enumeration block, and box rows per weight block; at 1 << 16
-#: the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
+#: Candidate first rows per enumeration block, rows per t slice and per weight block; at
+#: 1 << 16 the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
 _BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 _EMPTY = np.zeros((0, 2, 2), dtype=np.int32)
@@ -171,17 +172,16 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
         t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
-        # Every row's t interval, expanded in place: rows in order, t ascending.
         counts = np.maximum(t_hi - t_lo + 1, 0)
-        row = np.repeat(np.arange(len(counts)), counts)
-        ts = t_lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-        a, b = a[row], b[row]
-        cs = c0[row] + ts * a
-        ds = d0[row] + ts * b
-        keep = (cs * cs + ds * ds) <= budget[row]
-        if N > 1:
-            keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
-        chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1).astype(np.int32))
+        cols = (a, b, c0, d0, budget, t_lo)
+        for a, b, c0, d0, budget, ts, offset in expand(counts, *cols, chunk=_BLOCK_ROWS):
+            ts += offset
+            cs = c0 + ts * a
+            ds = d0 + ts * b
+            keep = (cs * cs + ds * ds) <= budget
+            if N > 1:
+                keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
+            chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1).astype(np.int32))
     out = np.concatenate(chunks, axis=0).reshape(-1, 2, 2)
     out.setflags(write=False)
     return out

@@ -11,13 +11,13 @@ Mutual agreement of the routes is the main correctness check.
 Every lattice average goes through one kernel over a stack of windows.  It
 runs one block of at most ``_BLOCK_CANDIDATES`` bottom-row candidates at a
 time through enumeration, filters and completion, and the block's
-translates through integration in chunks of at most as many rows, so its
-arrays stay bounded by the block, not by the window or its depth: A09's
-window peaks at about 7 MB traced at y = 1e-4, 1e-5 and 1.14e-6 alike.  A
-window's value is the exact, correctly rounded sum of its own translate
-terms (``arith.ExactSum``), so it is the same float alone, in any batch and
-at any block size.  Window callables take arrays of nodes (the kernel's
-also the owning window of each node row).
+translates through integration in chunks of at most as many rows, all cut
+by ``arith.expand``, so its arrays stay bounded by the block, not by the
+window or its depth: A09's window peaks at about 7 MB traced at y = 1e-4,
+1e-5 and 1.14e-6 alike.  A window's value is the exact, correctly rounded
+sum of its own translate terms (``arith.ExactSum``), so it is the same
+float alone, in any batch and at any block size.  Window callables take
+arrays of nodes (the kernel's also the owning window of each node row).
 
 At levels 1 and 2 the group contains -I, so every translate A comes with
 -A, whose bottom row is the mirror of A's.  The kernel argument and the
@@ -46,7 +46,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .affine import GroupElement
-from .arith import ExactSum, exact_sum, xgcd_array
+from .arith import ExactSum, exact_sum, expand, xgcd_array
 from .autofns import PoincareTestFn, evaluate_f, mean_value
 from .errors import DomainError, ResourceGuardError, guard
 from .majorant import MajorantParams, majorant_full
@@ -112,9 +112,7 @@ def _positive_row(m: Sl2Matrix) -> Sl2Matrix:
     representative whose bottom row points into the upper half plane makes
     downstream splits independent of the reduction path.
     """
-    if m.c < 0.0 or (m.c == 0.0 and m.d < 0.0):
-        return Sl2Matrix(-m.a, -m.b, -m.c, -m.d)
-    return m
+    return -m if m.c < 0.0 or (m.c == 0.0 and m.d < 0.0) else m
 
 
 def _split_nodes(reduced: Sl2Matrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,10 +176,6 @@ def _check_blocks(fn: PoincareTestFn, element: GroupElement) -> None:
         raise DomainError("element and test function carry different block counts")
 
 
-def _h_mass(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    return float(adaptive_quad(lambda x: np.asarray(h(x), dtype=float), lo, hi, rel_tol=1e-10))
-
-
 def translate_integral(
     fn: PoincareTestFn,
     element: GroupElement,
@@ -223,19 +217,6 @@ def _unipotents(ts: np.ndarray) -> np.ndarray:
     return u
 
 
-def _edges(counts: np.ndarray) -> np.ndarray:
-    """Flat row edges of an expansion in which row i expands into counts[i] rows."""
-    return np.cumsum(np.r_[0, counts.astype(np.int64)])
-
-
-def _ragged(edges: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and offset of the flat rows lo..hi-1 (default all) when row i
-    owns the flat rows edges[i]..edges[i+1]-1."""
-    idx = np.arange(lo, edges[-1] if hi is None else hi)
-    owner = np.searchsorted(edges, idx, side="right") - 1
-    return owner, idx - edges[owner]
-
-
 def _paired(level: int) -> bool:
     """Whether -I lies in the group of the level: at levels 1 and 2, where
     -1 is 1 mod the level."""
@@ -259,20 +240,19 @@ def _candidate_blocks(
     tally: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Bottom-row candidates (win, n1, n2) of every window in window order,
-    in blocks of at most ``_BLOCK_CANDIDATES`` rows.  Column n2 of window w
-    runs over |n2| <= bound2[w]; its first coordinates n1 are the multiples of
-    the level with |a_star n1 + b_star n2| <= cap_star and |n1| <= bound1.
-    That form is the better conditioned of the two; the caller applies the
-    other as an exact filter.
+    in blocks of at most ``_BLOCK_CANDIDATES`` rows (``arith.expand``).  Column
+    n2 of window w runs over |n2| <= bound2[w]; its first coordinates n1 are
+    the multiples of the level with |a_star n1 + b_star n2| <= cap_star and
+    |n1| <= bound1.  That form is the better conditioned of the two; the
+    caller applies the other as an exact filter.
 
     When :func:`_paired`, only the columns n2 >= 0 are yielded, on the
     column n2 = 0 only n1 > 0; the bounds give (n1, n2) and (-n1, -n2) the
     same floats.  The guard counts each column n2 > 0 twice and the column
     n2 = 0 whole, so it trips on the same windows as an unpaired walk."""
     paired = _paired(level)
-    col_edges = _edges(bound2 + 1.0 if paired else 2.0 * bound2 + 1.0)
-    for start in range(0, int(col_edges[-1]), _BLOCK_CANDIDATES):
-        win, n2 = _ragged(col_edges, start, min(start + _BLOCK_CANDIDATES, col_edges[-1]))
+    columns = bound2 + 1.0 if paired else 2.0 * bound2 + 1.0
+    for win, n2 in expand(columns, np.arange(bound2.size), chunk=_BLOCK_CANDIDATES):
         if not paired:
             n2 -= bound2.astype(np.int64)[win]
         keep = n2 % level == 1 % level
@@ -287,10 +267,8 @@ def _candidate_blocks(
         if paired:  # the column n2 = 0 keeps n1 > 0
             k_lo[n2 == 0] = np.maximum(k_lo[n2 == 0], 1.0)
             counts = np.maximum(0.0, k_hi - k_lo + 1.0)
-        cand_edges = _edges(counts)
-        for lo in range(0, int(cand_edges[-1]), _BLOCK_CANDIDATES):
-            col, offset = _ragged(cand_edges, lo, min(lo + _BLOCK_CANDIDATES, cand_edges[-1]))
-            yield win[col], level * (k_lo[col].astype(np.int64) + offset), n2[col]
+        for w, k, n, offset in expand(counts, win, k_lo, n2, chunk=_BLOCK_CANDIDATES):
+            yield w, level * (k.astype(np.int64) + offset), n
 
 
 def _lattice_batch(
@@ -308,10 +286,10 @@ def _lattice_batch(
     ``window(xs, win)`` on node rows.  Returns the (W,) window values.
 
     One block of bottom-row candidates at a time goes through the slab and
-    gcd filters and completion; its translates then go through support
-    intervals and integration in chunks of at most ``_BLOCK_CANDIDATES``
-    rows.  Each chunk's terms go into one exact sum keyed by window, so no
-    term outlives its chunk.
+    gcd filters and completion; ``arith.expand`` then slices its translates
+    into chunks of at most ``_BLOCK_CANDIDATES`` rows for support intervals
+    and integration.  Each chunk's terms go into one exact sum keyed by
+    window, so no term outlives its chunk.
 
     When :func:`_paired`, the mirror of a kept row would complete to exactly
     -A: ``xgcd_array`` of the negated row returns the negated gcd with the
@@ -424,12 +402,9 @@ def _lattice_batch(
         counts[t_hi < t_lo] = 0.0
         _guard(tally[2], win, mirrors * counts, "translate candidates")
 
-        # The block's translates go in chunks of at most _BLOCK_CANDIDATES rows;
-        # a chunk may cut one bottom row's t range in two.
-        edges, block = _edges(counts), (t_start, n1, n2, q, s, win, alpha0, beta0, p0, r0)
-        for lo in range(0, int(edges[-1]), _BLOCK_CANDIDATES):
-            own, offset = _ragged(edges, lo, min(lo + _BLOCK_CANDIDATES, edges[-1]))
-            t, n1, n2, q, s, win, alpha, beta, p, r = (v[own] for v in block)
+        translates = expand(counts, t_start, n1, n2, q, s, win, alpha0, beta0, p0, r0,
+                            chunk=_BLOCK_CANDIDATES)  # a chunk may cut a t range in two
+        for t, n1, n2, q, s, win, alpha, beta, p, r, offset in translates:
             t = t.astype(np.int64) + level * offset
             alpha += t * n1
             beta += t * n2
@@ -589,6 +564,16 @@ def split_orbit_average(
     return exact_sum(weight * (inner / t))
 
 
+def window_limit(fn: PoincareTestFn, h: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The limit of the averages of ``fn`` in the window ``h`` on [-1, 1], mean
+    value times window mass; 0.0 for a twisted function, with no quadrature."""
+    mean = mean_value(fn)
+    if mean == 0.0:
+        return 0.0
+    mass = adaptive_quad(lambda x: np.asarray(h(x), dtype=float), -1.0, 1.0, rel_tol=1e-10)
+    return mean * float(mass)
+
+
 @dataclass(frozen=True)
 class EquidistResult:
     """Measured distance of one window average from its limit, with the
@@ -622,8 +607,7 @@ def equidist_error(
     if params.k != fn.k:
         raise DomainError("majorant parameters carry a different block count")
     average = lattice_window_average(fn, element, y, h, (-1.0, 1.0))
-    mean = mean_value(fn)
-    limit = mean * _h_mass(h, -1.0, 1.0) if mean != 0.0 else 0.0
+    limit = window_limit(fn, h)
     error = abs(average - limit)
     xi = element.torus_point()
     xi = xi - np.floor(xi)
@@ -674,7 +658,7 @@ def horocycle_main_term(experiment: OrbitExperiment) -> list[MainTermRow]:
     if np.any(experiment.fn.freq_array != 0):
         raise DomainError("main-term tables need an untwisted function")
     fn, element, h = experiment.fn, experiment.element, experiment.h
-    limit = mean_value(fn) * _h_mass(h, -1.0, 1.0)
+    limit = window_limit(fn, h)
     ys = np.array(experiment.schedule)
     tile = lambda a: np.repeat(a[None], ys.size, axis=0)
     avgs = _lattice_batch(

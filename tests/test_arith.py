@@ -14,6 +14,7 @@ from horolab.arith import (
     divisor_count,
     divisor_counts,
     exact_sum,
+    expand,
     factorize,
     kloosterman,
     kloosterman_weil_bound,
@@ -234,6 +235,32 @@ class TestXgcd:
         expected = [xgcd(int(x), int(y)) for x, y in zip(a, b)]
         assert got.tolist() == [list(e) for e in expected]
         assert xgcd_array(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))[0].size == 0
+
+
+class TestExpand:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.just(0) | st.integers(0, 9), max_size=12), floats=st.booleans(),
+           chunk=st.sampled_from([1, 2, 7, None]))
+    def test_slices_join_to_the_repeat_expansion(self, counts, floats, chunk):
+        # The lattice kernel passes float counts.  Chunks of 1, 2 and 7 cut rows
+        # in two; None stands for one chunk larger than the total.
+        counts = np.array(counts, dtype=float if floats else np.int64)
+        n = counts.astype(np.int64)
+        chunk = chunk or int(n.sum()) + 1
+        owner = np.repeat(np.arange(n.size), n)
+        offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        col = 10 * np.arange(n.size) - 3
+        slices = list(expand(counts, col, np.arange(n.size), chunk=chunk))
+        sizes = [len(piece[-1]) for piece in slices]
+        assert sizes == [chunk] * (n.sum() // chunk) + ([n.sum() % chunk] if n.sum() % chunk else [])
+        joined = [np.concatenate(cols) for cols in zip(*slices)] or [np.zeros(0, np.int64)] * 3
+        assert np.array_equal(joined[0], col[owner])
+        assert np.array_equal(joined[1], owner)
+        assert np.array_equal(joined[2], offset)
+
+    def test_all_zero_counts_yield_nothing(self):
+        for counts in (np.zeros(0), np.zeros(5), np.zeros(3, dtype=np.int64)):
+            assert list(expand(counts, np.arange(counts.size), chunk=2)) == []
 
 
 class TestModInverse:

@@ -702,6 +702,11 @@ class TestExitContract:
         assert self.check("delta", "--config", str(cfg)) == (
             2, "horolab: argument --format: expected csv or json, got 'xml'\n")
 
+    def test_theorem4_dmax_takes_an_integer(self):
+        # The orbit gap bound has no automatic d_max, so the parser refuses 'auto'.
+        assert self.check("theorem4", "--dmax", "auto") == (
+            2, "horolab: argument --dmax: expected an integer, got 'auto'\n")
+
     @settings(max_examples=150, deadline=1000)
     @given(flag_cases(_EXPSUM_VALUES))
     def test_expsum_flag(self, case):

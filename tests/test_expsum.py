@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from horolab import expsum
 from horolab.arith import xgcd
 from horolab.errors import DomainError, ResourceGuardError
 from horolab.expsum import (
@@ -224,6 +225,20 @@ class TestEnumeration:
         got = _coset_set(spec, 2.0 * side, side, False)
         assert got.dtype == np.int32
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize(
+        "spec", [CosetSpec.principal(1), CosetSpec(2, (1, 1, 0, 1)), CosetSpec(3, (1, 2, 0, 1))],
+        ids=lambda spec: f"N{spec.N}",
+    )
+    def test_blocks_of_seven_keep_the_set_in_order(self, monkeypatch, spec, half):
+        # Seven rows per block and per t slice: slices cut t intervals in two.
+        cases = ((20.0, 20), (30.0, 12))
+        expect = [expsum._coset_ball(spec, rho, cut, half) for rho, cut in cases]
+        monkeypatch.setattr(expsum, "_BLOCK_ROWS", 7)
+        for (rho, cut), want in zip(cases, expect):
+            assert len(want) > 7
+            assert np.array_equal(expsum._coset_ball(spec, rho, cut, half), want)
 
     def test_levels_beyond_int64(self):
         big = 10**21

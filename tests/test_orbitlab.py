@@ -17,7 +17,6 @@ from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import MajorantParams, orbit_gap_bound
 from horolab.orbitlab import (
     OrbitExperiment,
-    _h_mass,
     equidist_error,
     horocycle_main_term,
     lattice_window_average,
@@ -26,9 +25,10 @@ from horolab.orbitlab import (
     partition_identity,
     split_orbit_average,
     translate_integral,
+    window_limit,
 )
 from horolab.sl2core import Sl2Matrix, cuspidal_height, reduce_fundamental
-from horolab.smoothfns import bump6, bump6_normalized
+from horolab.smoothfns import BUMP6_MASS, bump6, bump6_normalized
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 XI_GOLD = np.array([[GOLD, GOLD * GOLD]])
@@ -593,7 +593,7 @@ class TestLongOrbit:
     def test_error_ratio_stays_bounded(self, rng):
         # frozen sweep: largest observed ratio 0.061 across two seeds
         fn = PoincareTestFn(level=1, freq=((0, 0),))
-        limit = mean_value(fn) * _h_mass(window, -1.0, 1.0)
+        limit = mean_value(fn) * BUMP6_MASS
         params = MajorantParams(k=1, m=3.0, q_max=10, d_max=10)
         el = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0, 1, (1, 2)))
         for T in (100.0, 1000.0, 10000.0):
@@ -695,6 +695,10 @@ class TestEquidistError:
         with pytest.raises(DomainError):
             equidist_error(fn, el, 0.2, window, MajorantParams(k=2, m=3.0))
 
+    def test_twisted_limit_is_zero_without_quadrature(self, monkeypatch):
+        monkeypatch.setattr(orbitlab, "adaptive_quad", None)  # a call would raise
+        assert window_limit(PoincareTestFn(level=1, freq=((1, 0),)), window) == 0.0
+
 
 class TestMainTerm:
     def test_rejects_twisted_function(self):
@@ -711,7 +715,7 @@ class TestMainTerm:
         rows = horocycle_main_term(exp)
         assert [r.y for r in rows] == [0.5, 0.05, 0.005]
         assert all(math.isfinite(r.error) and r.error >= 0.0 for r in rows)
-        assert rows[0].limit == pytest.approx(mean_value(fn) * _h_mass(window, -1, 1))
+        assert rows[0].limit == pytest.approx(mean_value(fn) * BUMP6_MASS, rel=1e-9)
         assert rows[-1].error < rows[0].error
 
     def test_zero_window_gives_zero_errors(self):
