@@ -267,7 +267,7 @@ def xgcd_array(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def expand(counts: np.ndarray, *cols: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Expand row i into counts[i] flat rows, in order, and yield them in slices of
     at most ``chunk``: every column of ``cols`` at the owning rows, then each flat
-    row's offset within its row.  A slice may cut a row in two; counts may be floats."""
+    row's offset within its row.  A slice may cut a row in two.  Counts may be floats."""
     edges = np.cumsum(np.r_[0, np.asarray(counts).astype(np.int64)])  # row i: edges[i:i + 2]
     for lo in range(0, int(edges[-1]), chunk):
         hi = min(lo + chunk, int(edges[-1]))

@@ -173,11 +173,11 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
         counts = np.maximum(t_hi - t_lo + 1, 0)
-        cols = (a, b, c0, d0, budget, t_lo)
-        for a, b, c0, d0, budget, ts, offset in expand(counts, *cols, chunk=_BLOCK_ROWS):
-            ts += offset
-            cs = c0 + ts * a
-            ds = d0 + ts * b
+        # Row by row the line from t = t_lo, rows in order, t ascending.
+        cols = (a, b, c0 + t_lo * a, d0 + t_lo * b, budget)
+        for a, b, cs, ds, budget, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
+            cs += dt * a
+            ds += dt * b
             keep = (cs * cs + ds * ds) <= budget
             if N > 1:
                 keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
