@@ -249,10 +249,12 @@ def weighted_expsum_lhs(
     acc = ExactSum()
     for i in range(0, len(mats), _BLOCK_ROWS):
         flat = mats[i : i + _BLOCK_ROWS].astype(float)
+        phase = flat @ alpha_arr
+        flat /= X  # after the phase has read the integer rows
         if paired:
-            acc.add(2.0 * (weight(flat / X) * np.cos(2.0 * np.pi * (flat @ alpha_arr))))
+            acc.add(2.0 * (weight(flat) * np.cos(2.0 * np.pi * phase)))
         else:
-            acc.add(weight(flat / X) * np.exp(2j * np.pi * (flat @ alpha_arr)))
+            acc.add(weight(flat) * np.exp(2j * np.pi * phase))
     return complex(acc.totals()[0])
 
 
