@@ -273,8 +273,8 @@ def expand(counts: np.ndarray, *cols: np.ndarray, chunk: int) -> Iterator[tuple[
         hi = min(lo + chunk, int(edges[-1]))
         first, last = np.searchsorted(edges, [lo, hi - 1], side="right") - 1
         n = np.minimum(edges[first + 1 : last + 2], hi) - np.maximum(edges[first : last + 1], lo)
-        owner = np.repeat(np.arange(first, last + 1), n)
-        yield (*(col[owner] for col in cols), np.arange(lo, hi) - edges[owner])
+        owner = np.repeat(np.arange(first, last + 1), n)  # its buffer then takes the offsets
+        yield (*(c[owner] for c in cols), np.subtract(np.arange(lo, hi), edges[owner], out=owner))
 
 
 def mod_inverse(a: int, q: int) -> int:
