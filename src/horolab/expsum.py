@@ -173,7 +173,7 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
         counts = np.maximum(t_hi - t_lo + 1, 0)
-        # Row by row the line from t = t_lo, rows in order, t ascending.
+        # Each row's line from its point at t = t_lo: rows in order, t ascending.
         cols = (a, b, c0 + t_lo * a, d0 + t_lo * b, budget)
         for a, b, cs, ds, budget, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
             cs += dt * a
