@@ -19,15 +19,16 @@ evaluator runs over the vectors whose first nonzero entry is positive
 and the -q term it stands for is the same float.  The (q, d) plane is cut
 into tiles whose sizes depend only on the number of q vectors and on d_max.
 Per tile the weights are multiplied by the scale d sqrt(y) once, so each term
-is one division, weight d sqrt(y) / (d sqrt(y) + dist).  Planar blocks
-measure the lattice distance as the root of the summed squares of the two
-columns' fractional parts; column blocks take the fractional part's absolute
-value directly, which gives the same term for every y above about 7e-276
-(see ``_series``).  numpy sums each row's terms per tile and ``math.fsum``
-combines a row's tile sums.  The rows of a batch are split into contiguous
-ranges summed on separate threads (``_split_rows``).  A row's value is
-therefore the same float alone or inside any batch, on any number of workers,
-and on every run.
+is one division, weight d sqrt(y) / (d sqrt(y) + dist).  The products d q.xi
+are one einsum outer product and the scale is added from a (q, d) copy, so
+every pass runs over contiguous tiles.  Planar blocks measure the lattice
+distance as the root of the summed squares of the two columns' fractional
+parts; column blocks take the fractional part's absolute value directly, which
+gives the same term for every y above about 7e-276 (see ``_series``).  numpy
+sums each row's terms per tile and ``math.fsum`` combines a row's tile sums.
+The rows of a batch are split into contiguous ranges summed on separate
+threads (``_split_rows``).  A row's value is therefore the same float alone or
+inside any batch, on any number of workers, and on every run.
 """
 
 from __future__ import annotations
@@ -250,10 +251,13 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
     rows are split into contiguous ranges, one per worker thread
     (``_split_rows``), and each range runs over the tiles in blocks of whole
     rows, ``_ROW_BLOCK_TERMS`` terms or one row at most.  Per tile and range
-    the weight table coef_q (x) (coef_d d sqrt(y)) is built once, so every
-    term costs one division: weight d sqrt(y) / (d sqrt(y) + dist).  The
-    projections q . xi are summed over the k entries of q in a fixed order,
-    so a column's projections do not depend on the block's column count c.
+    the weight table coef_q (x) (coef_d d sqrt(y)) and a (q, d) copy of the
+    scale d sqrt(y) are built once, so every term costs one division: weight d
+    sqrt(y) / (d sqrt(y) + dist).  The einsum outer product d (q . xi) is one
+    product per element; it may turn -0.0 to +0.0, which frac - rint(frac)
+    maps to the same float.  The projections q . xi are summed over the k
+    entries of q in a fixed order, so a column's projections do not depend on
+    the block's column count c.
 
     The lattice distance of d q xi is sqrt(f0^2 + f1^2) over the fractional
     parts of the two columns for planar blocks (c = 2).  Column blocks
@@ -301,6 +305,7 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
         rint_buf = np.empty_like(frac_buf)
         for j, (q_tile, d_tile) in enumerate(tiles):
             table = coef_q[q_tile, None] * coef_d[d_tile]
+            scales = np.broadcast_to(scale[d_tile], table.shape).copy()
             q_cols = qs[q_tile].T
             for r0 in range(lo, hi, row_step):
                 rows = cols[:, r0 : min(r0 + row_step, hi)]
@@ -309,7 +314,7 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
                     proj += rows[..., i, None] * q_cols[i]
                 shape = (*proj.shape, table.shape[1])
                 size = math.prod(shape)
-                frac = np.multiply(proj[..., None], ds[d_tile], out=frac_buf[:size].reshape(shape))
+                frac = np.einsum("...i,j->...ij", proj, ds[d_tile], out=frac_buf[:size].reshape(shape))
                 frac -= np.rint(frac, out=rint_buf[:size].reshape(shape))
                 f0 = frac[0]
                 if c == 1:
@@ -320,7 +325,7 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
                     f1 *= f1
                     f0 += f1
                     denom = np.sqrt(f0, out=f0)
-                denom += scale[d_tile]
+                denom += scales
                 terms = np.divide(table, denom, out=denom)
                 blocks[r0 : r0 + len(terms), j] = terms.reshape(len(terms), -1).sum(axis=1)
 

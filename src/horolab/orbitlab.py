@@ -17,7 +17,8 @@ window or its depth: A09's window peaks at about 7 MB traced at y = 1e-4,
 1e-5 and 1.14e-6 alike.  A window's value is the exact, correctly rounded
 sum of its own translate terms (``arith.ExactSum``), so it is the same
 float alone, in any batch and at any block size.  Window callables take
-arrays of nodes (the kernel's also the owning window of each node row).
+arrays of nodes; the kernel's take a node-major (nodes, rows) block and the
+owning window of each row.
 
 At levels 1 and 2 the group contains -I, so every translate A comes with
 -A, whose bottom row is the mirror of A's.  The kernel argument and the
@@ -33,8 +34,10 @@ Completion bounds each bottom row q's translates by the disk
 p^2 + q^2 < p_max^2 (p_max = radius / sqrt(y)) that every integrated
 translate lies in; no other translate has a kernel term.  On a
 translate's support interval the kernel argument is a quadratic in the
-Gauss node, built per row about the interval's midpoint, so it costs four
-array operations per node.
+Gauss node, built per row about the interval's midpoint, once per chunk
+of translates.  The nodes of ``_BLOCK_ROWS`` rows form a node-major (24, rows)
+block, so every array operation runs along the rows, and ``_node_sum`` adds
+each row's nodes in the order ``np.sum`` adds a contiguous (rows, 24) row.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ CANDIDATE_CAP = 50_000_000
 POINTWISE_PANEL_CAP = 18_000
 #: Bottom-row candidates (and columns) enumerated at a time across a batch of windows.
 _BLOCK_CANDIDATES = 1 << 14
-#: Translate rows integrated at a time.  A (512, 24) float temporary is 96 KiB,
-#: below glibc's mmap threshold, so the integration reuses heap memory; at
+#: Translate rows integrated at a time.  A node-major (24, 512) float temporary is
+#: 96 KiB, below glibc's mmap threshold, so the integration reuses heap memory; at
 #: 8,192 rows every temporary was mmapped and faulted in afresh.
 _BLOCK_ROWS = 512
 #: Pointwise orbit panels evaluated at a time: 1,008 node matrices, within one
@@ -223,6 +226,24 @@ def _paired(level: int) -> bool:
     return level <= 2
 
 
+def _node_sum(block: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of an (n, rows) block, n <= 128, as the floats
+    ``np.sum(axis=1)`` gives on its C-contiguous transpose: numpy's pairwise sum
+    of 8 to 128 contiguous terms adds eight strided partial sums in a fixed tree,
+    then the rest in order; it adds fewer than 8 in order, all after 0.0."""
+    n = len(block)
+    whole = n - n % 8 if n >= 8 else 0
+    total = np.zeros(block.shape[1])
+    if whole:
+        r = block[:8].copy()
+        for i in range(8, whole, 8):
+            r += block[i : i + 8]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in block[whole:]:
+        total += row
+    return total
+
+
 def _guard(tally: np.ndarray, win: np.ndarray, counts: np.ndarray, what: str) -> None:
     # Per window and summed over blocks, so a window trips the guard in a
     # batch exactly when it does alone.
@@ -271,6 +292,37 @@ def _candidate_blocks(
             yield w, level * (k.astype(np.int64) + offset), n
 
 
+def _translate_panels(y, lo, hi, rho_sq, p, r, q, s):
+    """Which translate rows (p, r; q, s) at heights y meet their windows [lo, hi],
+    and for those the panel on the exact interval where the kernel term can be
+    nonzero: midpoint, half width and the coefficients t_a, t_b, t_c of the kernel
+    argument, a quadratic in the Gauss node.  Its temporaries die on return."""
+    a2 = p * p + q * q
+    budget = y * (rho_sq - y * a2)
+    bb = p * r + q * s
+    cc = r * r + s * s - budget
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = bb * bb - a2 * cc
+        ok = (budget > 0.0) & (disc > 0.0)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        x_lo = np.maximum((-bb - root) / a2, lo)
+        x_hi = np.minimum((-bb + root) / a2, hi)
+    ok &= x_hi > x_lo
+    y, p, r, q, s, a2, x_lo, x_hi = (v[ok] for v in (y, p, r, q, s, a2, x_lo, x_hi))
+    del budget, bb, cc, disc, root  # the kernel's traced peak is reached below
+
+    # On x = mid + half u the rows top = p x + r and bot = q x + s are
+    # affine in u, so the kernel argument is a quadratic per row, taken
+    # about the midpoint: expanding about x = 0 cancels digits at small y.
+    mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    d_top, d_bot = p * half, q * half
+    top, bot, scale = p * mid + r, q * mid + s, y * (rho_sq - 2.0)
+    t_a = (d_top * d_top + d_bot * d_bot) / scale
+    t_b = 2.0 * (top * d_top + bot * d_bot) / scale
+    t_c = (y * a2 + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
+    return ok, mid, half, t_a, t_b, t_c
+
+
 def _lattice_batch(
     fn: PoincareTestFn,
     mats: np.ndarray,
@@ -283,13 +335,15 @@ def _lattice_batch(
     """Lattice route for W windows: base matrices (W, 2, 2), torus points
     (W, k, 2), heights and support ends (W,), checked by the callers.  Each
     translate row carries its window index ``win``; the integration calls
-    ``window(xs, win)`` on node rows.  Returns the (W,) window values.
+    ``window(xs, win)`` on a node-major (n_nodes, rows) block ``xs`` and the
+    (rows,) windows ``win`` of its rows.  Returns the (W,) window values.
 
     One block of bottom-row candidates at a time goes through the slab and
     gcd filters and completion; ``arith.expand`` then slices its translates
     into chunks of at most ``_BLOCK_CANDIDATES`` rows for support intervals
-    and integration.  Each chunk's terms go into one exact sum keyed by
-    window, so no term outlives its chunk.
+    and integration, whose per-row coefficients and phase factors are
+    computed once per chunk.  Each chunk's terms go into one exact sum keyed
+    by window, so no term outlives its chunk.
 
     When :func:`_paired`, the mirror of a kept row would complete to exactly
     -A: ``xgcd_array`` of the negated row returns the negated gcd with the
@@ -330,40 +384,20 @@ def _lattice_batch(
     def integrate(win, phase, p, r, q, s):
         """The terms of translate rows (p, r; q, s) that meet their window,
         with the windows they go to."""
-        # Exact interval on which this translate's kernel term can be nonzero.
-        y = ys[win]
-        a2 = p * p + q * q
-        budget = y * (rho_sq - y * a2)
-        bb = p * r + q * s
-        cc = r * r + s * s - budget
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = bb * bb - a2 * cc
-            ok = (budget > 0.0) & (disc > 0.0)
-            root = np.sqrt(np.where(ok, disc, 0.0))
-            x_lo = np.maximum((-bb - root) / a2, los[win])
-            x_hi = np.minimum((-bb + root) / a2, his[win])
-        ok &= x_hi > x_lo
-        phase, p, r, q, s, a2, x_lo, x_hi, win = (
-            v[ok] for v in (phase, p, r, q, s, a2, x_lo, x_hi, win)
-        )
-
-        # On x = mid + half u the rows top = p x + r and bot = q x + s are
-        # affine in u, so the kernel argument is a quadratic per row, taken
-        # about the midpoint: expanding about x = 0 cancels digits at small y.
-        terms = np.empty(p.size, dtype=complex)
-        for start in range(0, p.size, _BLOCK_ROWS):
+        ok, mid, half, t_a, t_b, t_c = _translate_panels(ys[win], los[win], his[win], rho_sq, p, r, q, s)
+        win = win[ok]
+        terms = np.exp(2j * np.pi * phase[ok])  # the phase factors, scaled in place below
+        for start in range(0, win.size, _BLOCK_ROWS):
             sl = slice(start, start + _BLOCK_ROWS)
-            mid, half = 0.5 * (x_lo[sl] + x_hi[sl]), 0.5 * (x_hi[sl] - x_lo[sl])
-            y, d_top, d_bot = ys[win[sl]], p[sl] * half, q[sl] * half
-            top, bot, scale = p[sl] * mid + r[sl], q[sl] * mid + s[sl], y * (rho_sq - 2.0)
-            t_a = (d_top * d_top + d_bot * d_bot) / scale
-            t_b = 2.0 * (top * d_top + bot * d_bot) / scale
-            t_c = (y * a2[sl] + (top * top + bot * bot) / y - 2.0) / (rho_sq - 2.0)
-            xs = mid[:, None] + half[:, None] * nodes
-            t = (t_a[:, None] * nodes + t_b[:, None]) * nodes + t_c[:, None]
+            xs = np.einsum("j,i->ji", nodes, half[sl])
+            xs += mid[sl]
+            t = np.einsum("j,i->ji", nodes, t_a[sl])
+            t += t_b[sl]
+            t *= nodes[:, None]
+            t += t_c[sl]
             vals = bump6(t) * window(xs, win[sl])
-            ints = half * np.sum(vals * wts, axis=1)
-            terms[sl] = ints * np.exp(2j * np.pi * phase[sl])
+            vals *= wts[:, None]
+            terms[sl] = half[sl] * _node_sum(vals) * terms[sl]
         return terms, win
 
     for win, n1, n2 in blocks:
@@ -552,8 +586,8 @@ def split_orbit_average(
     xis[:, :, 1] += xis[:, :, 0] * shift[:, None]
 
     def window(xs: np.ndarray, win: np.ndarray) -> np.ndarray:
-        zw = z[win][:, None]
-        ss = zw + xs / t[win][:, None]
+        zw = z[win]
+        ss = zw + xs / t[win]
         w2 = (c * ss + d) ** 2
         safe = w2 > 1e-300
         w2s = np.where(safe, w2, 1.0)

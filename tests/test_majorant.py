@@ -480,6 +480,38 @@ class TestKernelReference:
         np.testing.assert_array_less(np.abs(values - expect), tol * expect)
 
 
+class TestGoldenBits:
+    """Series values pinned to their ``float.hex`` (recorded on x86-64 Linux,
+    numpy 2.4): the kernel's floats and the order they are added in are fixed."""
+
+    def test_seeded_columns(self):
+        psis = np.random.default_rng(20240817).uniform(0.0, 1.0, (16, 1))
+        params = MajorantParams(1, 3.0, 20, None)
+        assert [v.hex() for v in majorant_column_many(params, psis, 1e-4)] == [
+            "0x1.d8a7123baaf9ap+1", "0x1.1998afa32808dp+2", "0x1.d3d931fe2a9d9p+1",
+            "0x1.d2f2bb8f81a1dp+1", "0x1.e656e6d302114p+1", "0x1.d94e3cfe4c349p+1",
+            "0x1.8fe75d0c383bfp+3", "0x1.009fa8361b649p+2", "0x1.d8eab1a7a4600p+1",
+            "0x1.d6a73a75c39eep+1", "0x1.d58910995fc8cp+1", "0x1.04f6499cbfd14p+2",
+            "0x1.4e573c0b90cc2p+2", "0x1.f28ad5529e25ep+1", "0x1.dbd931b1d0df8p+1",
+            "0x1.dc862dc7c5b6fp+1",
+        ]
+        assert [v.hex() for v in majorant_column_many(params, psis, 1e-6)] == [
+            "0x1.16dea4d0f61f2p+1", "0x1.339697b630774p+1", "0x1.158d23a04ac7dp+1",
+            "0x1.1c0d3bae1f1b2p+1", "0x1.1ae0bdaf93bfcp+1", "0x1.1854f0eaedc7ap+1",
+            "0x1.a22cb498d2130p+3", "0x1.1a6a0f703eefep+1", "0x1.187bfd9729f07p+1",
+            "0x1.176cfd254f0bfp+1", "0x1.1480261e7f02cp+1", "0x1.562194535f6abp+1",
+            "0x1.387b1cbe99741p+1", "0x1.1cc22ffb7fb8ap+1", "0x1.138aeef34eb47p+1",
+            "0x1.14e8be6c751f8p+1",
+        ]
+
+    def test_planar_block(self):
+        xi = np.array([[0.3, 0.7], [(math.sqrt(5.0) - 1.0) / 2.0, 0.1]])
+        value = majorant_full(MajorantParams(2, 3.0, 20, None), xi, 1e-4)
+        assert (value.value.hex(), value.tail_bound.hex()) == (
+            "0x1.563fd2c0fbfaep+3", "0x1.9c46cf20c3fe8p+5"
+        )
+
+
 class TestLowerEnvelope:
     def test_report_rows(self):
         p = MajorantParams(k=2, m=5)

@@ -556,6 +556,82 @@ class TestLatticeKernel:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
+    def test_window_takes_node_major_blocks(self):
+        # The kernel calls window(xs, win) on (24, rows) blocks of nodes, rows
+        # at most _BLOCK_ROWS; an elementwise window gives the public value.
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        sizes = []
+
+        def recording(xs, win):
+            assert xs.shape == (24, win.size)
+            sizes.append(win.size)
+            return bump6(xs)
+
+        value = orbitlab._lattice_batch(
+            fn, el.matrix.as_array()[None], el.torus_point()[None], np.array([1e-3]),
+            np.array([-1.0]), np.array([1.0]), recording,
+        )
+        assert max(sizes) == orbitlab._BLOCK_ROWS and min(sizes) < orbitlab._BLOCK_ROWS
+        assert value[0] == lattice_window_average(fn, el, 1e-3, window, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("rows", [1, 7, 513])
+    def test_node_sum_adds_like_numpy_row_sums(self, rows):
+        # Every node count up to numpy's pairwise block of 128, with signs and
+        # magnitudes mixed over 60 decades; a plain running sum differs from
+        # np.sum on most of these blocks.  NaN and infinities propagate the
+        # same way, and a row of -0.0 sums to numpy's 0.0.
+        rng = np.random.default_rng(rows)
+        for n in range(1, 129):
+            block = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-30.0, 30.0, (rows, n))
+            special = block.copy()
+            for _ in range(2):
+                special[np.arange(rows), rng.integers(n, size=rows)] = rng.choice(
+                    [np.nan, np.inf, -np.inf], size=rows
+                )
+            for b in (block, special, np.full((rows, n), -0.0)):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    got = orbitlab._node_sum(np.ascontiguousarray(b.T))
+                    want = np.sum(b, axis=1)
+                assert np.array_equal(got, want, equal_nan=True), n
+                assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+
+class TestGoldenBits:
+    """Lattice values pinned to their ``float.hex`` (recorded on x86-64 Linux,
+    numpy 2.4): the integration's floats and the order they are added in are
+    fixed.  Only k = 1 frequencies, so the phase coefficients come from BLAS
+    products of one term."""
+
+    def test_a09_main_term_rows(self):
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        rows = horocycle_main_term(OrbitExperiment(fn, el, (1e-1, 1e-2, 1e-3, 1e-4), window))
+        assert [(r.average.hex(), r.error.hex()) for r in rows] == [
+            ("0x1.09a0b28780babp+3", "0x1.775f5ca1ec340p+0"),
+            ("0x1.350c80ae47510p+3", "0x1.c00eb6bb78180p-4"),
+            ("0x1.386138e1e792ep+3", "0x1.5b29ceb572800p-8"),
+            ("0x1.388ca7cba6336p+3", "0x1.35fcfe4600000p-18"),
+        ]
+
+    def test_a12_first_split_case(self):
+        fn = PoincareTestFn(level=1, freq=((1, 0),))
+        el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
+        value = split_orbit_average(fn, el, 20.0, window)
+        assert (value.real.hex(), value.imag.hex()) == ("-0x1.1ff158f530cd2p-8", "0x0.0p+0")
+
+    def test_level_three_twisted_windows(self):
+        # Level 3 leaves -I out of the group: every translate is summed.  At
+        # y = 0.2 a few translates make the value, so a one-ulp change in a
+        # term's kernel argument (Horner order) shows in its last bits.
+        fn = PoincareTestFn(level=3, freq=((1, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), np.array([[0.3, 0.7]]))
+        values = [lattice_window_average(fn, el, y, window, (-1.0, 1.0)) for y in (0.01, 0.2)]
+        assert [(v.real.hex(), v.imag.hex()) for v in values] == [
+            ("-0x1.59d73447ee201p-3", "0x1.439023dd9550ap-2"),
+            ("-0x1.fdd83f1ac7b2ep-5", "0x1.7ad72836defe9p-3"),
+        ]
+
 
 class TestLongOrbit:
     def test_zero_window(self):
