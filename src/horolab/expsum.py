@@ -10,8 +10,13 @@ a box cut n of the ball, the matrices with every entry at most n in absolute
 value; the ball itself is its box of side floor(rho).  The first rows run
 over |a|, |b| <= n, and each t interval is narrowed to the exact integer
 intervals on which |c| <= n and |d| <= n, so a box comes out in the ball's
-order without building the ball.  The t intervals expand in slices of at
-most ``_BLOCK_ROWS`` matrices (``arith.expand``).  Radii above
+order without building the ball.  A box with 4 n^2 <= rho^2 lies inside its
+ball, as every box of the weighted sums does (rho = 2 n): its matrices skip
+the ball's three norm tests (the first-row disk, the t interval of the
+discriminant and the final |row 2|^2 filter), its t ranges are the two box
+clips alone, and its rows expand straight into one preallocated array.  Only
+balls, and boxes their ball trims, run those tests.  The t intervals expand in
+slices of at most ``_BLOCK_ROWS`` matrices (``arith.expand``).  Radii above
 ``BALL_RADIUS_CAP`` are refused; the sets share one LRU cache bounded by bytes.
 
 On top of the enumeration sit the linear-twist sums
@@ -46,7 +51,9 @@ BALL_RADIUS_CAP = 1024.0
 #: half boxes, 259,976 int32 matrices (4.0 MB), where the full boxes were 7.9 MB.
 BALL_CACHE_BYTES = 64 << 20
 #: Candidate first rows per enumeration block, rows per t slice and per weight block; at
-#: 1 << 16 the radius-400 block temporaries set the peak RSS, and it swung 14 MB with heap layout.
+#: 1 << 16 the radius-400 ball's block temporaries set the peak RSS, and it swung 14 MB with
+#: heap layout.  Box slices are written into the output, and the weight blocks share one
+#: float buffer, so their other temporaries hold a column each (128 KiB).
 _BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 _EMPTY = np.zeros((0, 2, 2), dtype=np.int32)
@@ -67,11 +74,15 @@ class WeightFn:
         if not 1.0 <= self.B < math.inf:
             raise DomainError("weight half-width B must be finite and at least 1")
 
+    def factor(self, x) -> np.ndarray:
+        """The factor bump6(x / B) that each entry x contributes to the product."""
+        return bump6(np.asarray(x, dtype=float) / self.B)
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != 4:
             raise DomainError("weight expects 4-component points")
-        b = bump6(pts / self.B)
+        b = self.factor(pts)
         return b[..., 0] * b[..., 1] * b[..., 2] * b[..., 3]
 
 
@@ -126,8 +137,13 @@ def _clip_to_box(t_lo, t_hi, u0, u, n):
 def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarray:
     """The matrices of the ball of radius rho with every entry at most amax <= rho in
     absolute value, in ball order.  With ``half``, only those whose first row has
-    a > 0, or a = 0 and b > 0: one matrix of each pair A, -A."""
+    a > 0, or a = 0 and b > 0: one matrix of each pair A, -A.
+
+    When 4 amax^2 <= rho^2 the box lies inside the ball and no norm test can
+    bind: each row's t range is its two box clips, and the rows expand straight
+    into the output array."""
     r2 = rho * rho
+    boxed = 4 * amax * amax <= r2
     N = spec.N
     r11, r12, r21, r22 = spec.rep
     if N > 2 * amax + 1:
@@ -144,45 +160,73 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
     a_step = max(1, _BLOCK_ROWS // len(axis))
     # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
     chunks = [np.zeros((0, 4), dtype=np.int32)]
+    lines = []  # boxed: each block's counts and rows, expanded once their total is known
     for a0 in range(0, len(a_axis), a_step):
         # Candidate first rows of this block, a ascending, then b ascending.
         a = np.repeat(a_axis[a0 : a0 + a_step], len(axis))
         b = np.tile(axis, len(a) // len(axis))
-        r1sq = a * a + b * b
-        # The second row has norm at least 1/|row1| (unit area), so
-        # overly long first rows cannot be completed inside the ball.
         keep = np.gcd(a, b) == 1
         if half:
             keep &= (a > 0) | (b > 0)  # a >= 0 here
-        keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
+        if not boxed:
+            # The second row has norm at least 1/|row1| (unit area), so
+            # overly long first rows cannot be completed inside the ball.
+            r1sq = a * a + b * b
+            keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
         if N > 1:
             keep &= ((a - r11) % N == 0) & ((b - r12) % N == 0)
-        a, b, r1sq = a[keep], b[keep], r1sq[keep]
+        a, b = a[keep], b[keep]
         g, x_co, y_co = xgcd_array(a, b)  # g = +-1 on primitive rows
         d0, c0 = g * x_co, -g * y_co
-        # Solve |(c0 + t a, d0 + t b)|^2 <= r2 - r1sq for integer t.
-        budget = r2 - r1sq
-        bb = a * c0 + b * d0
-        cc = c0 * c0 + d0 * d0 - budget
-        disc = bb * bb - r1sq * cc
-        rows = disc >= 0
-        a, b, c0, d0, r1sq, budget, bb = (v[rows] for v in (a, b, c0, d0, r1sq, budget, bb))
-        root = np.sqrt(disc[rows])
-        t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
-        t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
-        t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
+        if boxed:
+            # From an unbounded t range: a primitive row has a != 0 or b != 0,
+            # so one of the two clips bounds both ends.
+            t_lo, t_hi = _clip_to_box(np.iinfo(np.int64).min, np.iinfo(np.int64).max, c0, a, amax)
+        else:
+            # Solve |(c0 + t a, d0 + t b)|^2 <= r2 - r1sq for integer t.
+            r1sq = r1sq[keep]
+            budget = r2 - r1sq
+            bb = a * c0 + b * d0
+            cc = c0 * c0 + d0 * d0 - budget
+            disc = bb * bb - r1sq * cc
+            rows = disc >= 0
+            a, b, c0, d0, r1sq, budget, bb = (v[rows] for v in (a, b, c0, d0, r1sq, budget, bb))
+            root = np.sqrt(disc[rows])
+            t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
+            t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
+            t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
         t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
         counts = np.maximum(t_hi - t_lo + 1, 0)
         # Each row's line from its point at t = t_lo: rows in order, t ascending.
-        cols = (a, b, c0 + t_lo * a, d0 + t_lo * b, budget)
-        for a, b, cs, ds, budget, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
+        cols = (a, b, c0 + t_lo * a, d0 + t_lo * b)
+        if boxed:
+            lines.append((counts, cols))
+            continue
+        for a, b, cs, ds, budget, dt in expand(counts, *cols, budget, chunk=_BLOCK_ROWS):
             cs += dt * a
             ds += dt * b
             keep = (cs * cs + ds * ds) <= budget
             if N > 1:
                 keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
             chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1).astype(np.int32))
-    out = np.concatenate(chunks, axis=0).reshape(-1, 2, 2)
+    if boxed:
+        out = np.empty((sum(int(counts.sum()) for counts, _ in lines), 4), dtype=np.int32)
+        end = 0
+        for counts, cols in lines:
+            for a, b, cs, ds, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
+                cs += dt * a
+                ds += dt * b
+                if N > 1:
+                    keep = ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
+                    a, b, cs, ds = a[keep], b[keep], cs[keep], ds[keep]
+                start, end = end, end + len(cs)
+                for j, col in enumerate((a, b, cs, ds)):
+                    out[start:end, j] = col
+        # The class filter leaves part of the expanded rows at N > 1.
+        out = out if end == len(out) else out[:end].copy()
+    else:
+        out = np.concatenate(chunks, axis=0)
+    out = out.reshape(-1, 2, 2)
     out.setflags(write=False)
     return out
 
@@ -226,35 +270,61 @@ def _twist(alpha: Sequence[float]) -> np.ndarray:
     return np.fmod(alpha_arr, 1.0)
 
 
+def _entry_weights(weight: WeightFn, X: float, n: int):
+    """w(A / X) for the (k, 4) integer rows A with entries in [-n, n]: the
+    product, in column order, of four lookups in the table
+    factor[v + n] = weight.factor(v / X), v = -n..n.  Each entry goes through
+    the float operations of ``weight(A / X)``, so the weights are the same."""
+    factor = weight.factor(np.arange(-n, n + 1) / X)
+
+    def weigh(rows: np.ndarray) -> np.ndarray:
+        w = factor[rows[:, 0] + n]
+        for j in (1, 2, 3):
+            w *= factor[rows[:, j] + n]
+        return w
+
+    return weigh
+
+
 def weighted_expsum_lhs(
     spec: CosetSpec, weight: WeightFn, X: float, alpha: Sequence[float]
 ) -> complex:
     """The twisted, weighted count over the coset box of side 2 B X.
 
     The box max|a_i| <= B X is enumerated directly, as the ball of radius
-    2 B X (which circumscribes it) cut to the box.  Matrices enter through
-    their flattened rows a = (a1, a2, a3, a4); each contributes
-    e(alpha . a) w(a / X).  At levels N <= 2 only the half box is built and
-    each pair a, -a adds 2 w(a / X) cos(2 pi alpha . a).  The sum is exact,
-    correctly rounded and the enumeration order fixed, so results are
-    bit-reproducible.
+    2 B X (which circumscribes it) cut to the box; it lies inside that ball,
+    so the enumeration runs none of the ball's norm tests.  Matrices enter
+    through their flattened rows a = (a1, a2, a3, a4); each contributes
+    e(alpha . a) w(a / X).  The entries are integers in [-n, n], n = floor(B X),
+    so w(a / X) is the product, in column order, of four lookups in a table of
+    the 2 n + 1 factors bump6((v / X) / B): the floats that ``weight(a / X)``
+    gives.  At levels N <= 2 only the half box is built and each pair a, -a
+    adds 2 w(a / X) cos(2 pi alpha . a).  The sum is exact, correctly rounded
+    and the enumeration order fixed, so results are bit-reproducible.  A box
+    side that overflows to infinity is refused.
     """
     if not X >= 1.0:
         raise DomainError("scale X must be at least 1")
     alpha_arr = _twist(alpha)
     side = weight.B * X
+    if not math.isfinite(2.0 * side):
+        raise DomainError("box side 2 B X must be a finite number")
     paired = spec.N <= 2
     mats = _coset_set(spec, 2.0 * side, side, paired).reshape(-1, 4)
-    # Terms are computed row by row, so blocks give the floats of one pass.
+    weigh = _entry_weights(weight, X, int(math.floor(side)))
+    # Terms are computed row by row, so blocks give the floats of one pass.  The
+    # phase reads a float copy of the rows, kept in one buffer for all blocks.
     acc = ExactSum()
+    buf = np.empty((min(len(mats), _BLOCK_ROWS), 4))
     for i in range(0, len(mats), _BLOCK_ROWS):
-        flat = mats[i : i + _BLOCK_ROWS].astype(float)
+        rows = mats[i : i + _BLOCK_ROWS]
+        flat = buf[: len(rows)]
+        flat[...] = rows
         phase = flat @ alpha_arr
-        flat /= X  # after the phase has read the integer rows
         if paired:
-            acc.add(2.0 * (weight(flat) * np.cos(2.0 * np.pi * phase)))
+            acc.add(2.0 * (weigh(rows) * np.cos(2.0 * np.pi * phase)))
         else:
-            acc.add(weight(flat) * np.exp(2j * np.pi * phase))
+            acc.add(weigh(rows) * np.exp(2j * np.pi * phase))
     return complex(acc.totals()[0])
 
 

@@ -330,6 +330,12 @@ class TestExitCodes:
     def test_non_finite_number_maps_to_two(self, capsys, command, flag, bad):
         assert run([command, flag, bad]) == 2
 
+    @pytest.mark.parametrize("flags", [("--X", "1e308"), ("--B", "1e308"), ("--X", "1e308", "--B", "1.5")])
+    def test_non_finite_box_side_maps_to_two(self, capsys, flags):
+        # Each flag is finite; the box side 2 B X they give is not.
+        assert run(["expsum", *flags]) == 2
+        assert capsys.readouterr().err == "horolab: box side 2 B X must be a finite number\n"
+
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4
 

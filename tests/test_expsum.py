@@ -227,6 +227,28 @@ class TestEnumeration:
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize("stretch", [2.0, 1.9], ids=["inside", "trimmed"])
+    @pytest.mark.parametrize(
+        "spec,side",
+        [(CosetSpec.principal(1), s) for s in (1.0, 7.25, 20.0)]
+        + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)],
+    )
+    def test_both_branches_are_the_filtered_ball(self, spec, side, stretch, half):
+        # At stretch 2 the box lies in the ball, which it touches (4 amax^2 =
+        # rho^2) at sides 1 and 20, and the ball's tests are skipped.  At 1.9
+        # the ball trims the box's corners, and they stay.
+        rho = stretch * side
+        ball = enumerate_coset_ball(spec, rho).reshape(-1, 4)
+        keep = np.max(np.abs(ball), axis=1) <= side
+        if half:
+            keep &= (ball[:, 0] > 0) | ((ball[:, 0] == 0) & (ball[:, 1] > 0))
+        got = _coset_set(spec, rho, side, half)
+        assert got.dtype == np.int32
+        assert np.array_equal(got.reshape(-1, 4), ball[keep])
+        if stretch < 2.0 and side == 20.0 and spec.N == 1:
+            assert len(got) < len(_coset_set(spec, 2.0 * side, side, half))
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
     @pytest.mark.parametrize(
         "spec", [CosetSpec.principal(1), CosetSpec(2, (1, 1, 0, 1)), CosetSpec(3, (1, 2, 0, 1))],
         ids=lambda spec: f"N{spec.N}",
@@ -283,6 +305,59 @@ class TestHalfBox:
             # In box order: the box filtered by the half-plane test.
             upper = (box[:, 0] > 0) | ((box[:, 0] == 0) & (box[:, 1] > 0))
             assert np.array_equal(half, box[upper])
+
+
+class TestEntryWeights:
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize("spec", [CosetSpec.principal(1), CosetSpec(3, (1, 2, 0, 1))],
+                             ids=["N1", "N3"])
+    @pytest.mark.parametrize("B", [1.0, 1.5, 2.25])
+    def test_table_weights_equal_the_weight(self, B, spec, half):
+        # Per matrix, not only in the sum, on every matrix of each box.  The
+        # sets are built uncached: the largest holds 2.0 million matrices.
+        w = WeightFn(B)
+        for X in (1.0, 23.0, 60.5, 200.0):
+            n = math.floor(B * X)
+            mats = expsum._coset_ball(spec, 2.0 * B * X, n, half).reshape(-1, 4)
+            weigh = expsum._entry_weights(w, X, n)
+            for i in range(0, len(mats), 1 << 16):
+                rows = mats[i : i + (1 << 16)]
+                assert np.array_equal(weigh(rows), w(rows / X))
+
+
+class TestGoldenBits:
+    """Bits of the weighted sums and the comparison expression, recorded with
+    the enumeration that ran the ball's norm tests on every box and weighed
+    each matrix by ``WeightFn`` itself."""
+
+    TWIST = np.array([GOLDEN, -0.3, 0.25, 0.07])
+    SCALES = (25.0, 50.0, 100.0, 200.0)
+    #: (X, lhs.real, lhs.imag, rhs) of each row, as ``float.hex``.
+    REPORTS = {
+        "untwisted": [
+            (25.0, "0x1.1ca125ffe1891p+9", "0x0.0p+0", "0x1.4f808708a2426p+11"),
+            (50.0, "0x1.1d577802fde4fp+11", "0x0.0p+0", "0x1.79c50cdb4433fp+13"),
+            (100.0, "0x1.1d6f8fa5f8458p+13", "0x0.0p+0", "0x1.9c5ee06a4bd4ep+15"),
+            (200.0, "0x1.1d72ae5a4fb3ap+15", "0x0.0p+0", "0x1.b7f8ebf2fa343p+17"),
+        ],
+        "twisted": [
+            (25.0, "-0x1.95facaecc98adp+1", "0x0.0p+0", "0x1.4f4632e88b83bp+9"),
+            (50.0, "-0x1.d57164142805bp+4", "0x0.0p+0", "0x1.30a4d495461f4p+11"),
+            (100.0, "-0x1.b098ec248601dp+5", "0x0.0p+0", "0x1.0bae88b28ddb9p+13"),
+            (200.0, "-0x1.bcc7b5818120cp+4", "0x0.0p+0", "0x1.c656b7f04157fp+14"),
+        ],
+    }
+
+    @pytest.mark.parametrize("twist", ["untwisted", "twisted"])
+    def test_level_one_report(self, twist):
+        alpha = self.TWIST if twist == "twisted" else np.zeros(4)
+        rows = cancellation_report(CosetSpec.principal(1), WeightFn(1.0), alpha, self.SCALES)
+        got = [(r.X, r.lhs.real.hex(), r.lhs.imag.hex(), r.rhs.hex()) for r in rows]
+        assert got == self.REPORTS[twist]
+
+    def test_level_three_sum(self):
+        lhs = weighted_expsum_lhs(CosetSpec(3, (1, 2, 0, 1)), WeightFn(1.5), 23.0, self.TWIST)
+        assert (lhs.real.hex(), lhs.imag.hex()) == ("0x1.599fdc7cb1ed6p+2", "0x1.62c84f8286f73p-2")
 
 
 class TestBallCache:
