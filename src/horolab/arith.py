@@ -74,11 +74,13 @@ class ExactSum:
     mantissa half, keyed by (group part, binary exponent) over the block's
     own exponent range and its part range, or the parts present where that
     range would pass ``_EXACT_BINS`` bins, at most ``_EXACT_BINS`` bins at a
-    time; the bins are packed into int64 words and folded into one Python
-    int per group part (real and imaginary parts apart), so states of
-    different blocks add exactly.  :meth:`totals` divides each int by 2^1126
-    once, which is correctly rounded: every part is the float ``math.fsum``
-    returns for the same terms, whatever their order or cut into blocks.
+    time.  A block added without groups goes to group 0 with no group array:
+    its real and imaginary parts each fold alone, keyed by exponent only.  The
+    bins are packed into int64 words and folded into one Python int per group
+    part (real and imaginary parts apart), so states of different blocks add
+    exactly.  :meth:`totals` divides each int by 2^1126 once, which is
+    correctly rounded: every part is the float ``math.fsum`` returns for the
+    same terms, whatever their order or cut into blocks.
     Non-finite terms act as in ``math.fsum``: NaN gives NaN, inf of one sign
     gives that inf, and both signs raise ``ValueError``; otherwise a sum
     beyond the float range raises ``OverflowError``.  (``math.fsum`` also
@@ -92,7 +94,16 @@ class ExactSum:
     def add(self, terms: np.ndarray, groups: np.ndarray | None = None) -> None:
         """Add the 1-d ``terms`` into ``groups`` (same length; default all group 0)."""
         terms = np.asarray(terms)
-        groups = np.zeros(terms.size, dtype=np.int64) if groups is None else np.asarray(groups)
+        if groups is None:
+            # Group 0 alone: each part of the terms folds on its own, keyed by
+            # exponent only, with no group array and no range check.
+            columns = (terms.real, terms.imag) if np.iscomplexobj(terms) else (terms,)
+            for part, values in enumerate(columns):
+                values = values.astype(float, copy=False)
+                for i in range(0, values.size, _EXACT_CHUNK):
+                    self._add_chunk(values[i : i + _EXACT_CHUNK], part)
+            return
+        groups = np.asarray(groups)
         if np.iscomplexobj(terms):
             values = np.ascontiguousarray(terms, dtype=complex).view(float)
             parts = (2 * groups[:, None] + np.arange(2)).ravel()
@@ -103,13 +114,17 @@ class ExactSum:
         for i in range(0, values.size, _EXACT_CHUNK):
             self._add_chunk(values[i : i + _EXACT_CHUNK], parts[i : i + _EXACT_CHUNK])
 
-    def _add_chunk(self, values: np.ndarray, parts: np.ndarray) -> None:
+    def _add_chunk(self, values: np.ndarray, parts: np.ndarray | int) -> None:
+        """Add ``values`` into their ``parts``: one per term, or one int for all."""
+        one = isinstance(parts, int)
         finite = np.isfinite(values)
         if not finite.all():
-            for part, x in zip(parts[~finite].tolist(), values[~finite].tolist()):
+            bad = values[~finite].tolist()
+            for part, x in zip([parts] * len(bad) if one else parts[~finite].tolist(), bad):
                 every, inf = self._special.get(part, (0.0, 0.0))
                 self._special[part] = (every + x, inf + x if math.isinf(x) else inf)
-            values, parts = values[finite], parts[finite]
+            values = values[finite]
+            parts = parts if one else parts[finite]
         if not values.size:
             return
         # A part takes (exponent span + 27) bins.  When the chunk's part range
@@ -119,6 +134,9 @@ class ExactSum:
         frac, exp = np.frexp(values)
         e_lo = int(exp.min())
         span = int(exp.max()) - e_lo + 1
+        if one:
+            self._fold(frac, exp, e_lo, span, None, 0, np.array([parts]))
+            return
         per = max(1, _EXACT_BINS // (span + 27))
         p_lo, p_hi = int(parts.min()), int(parts.max())
         if p_hi - p_lo < per:
@@ -135,17 +153,17 @@ class ExactSum:
             self._fold(frac[piece], exp[piece], e_lo, span, rank[piece], start, owners)
 
     def _fold(
-        self, frac: np.ndarray, exp: np.ndarray, e_lo: int, span: int, rows: np.ndarray,
+        self, frac: np.ndarray, exp: np.ndarray, e_lo: int, span: int, rows: np.ndarray | None,
         r_lo: int, ids: np.ndarray,
     ) -> None:
-        """Add the finite terms frac 2^exp, term i into part ids[rows[i] - r_lo];
-        every exp lies in e_lo .. e_lo + span - 1."""
+        """Add the finite terms frac 2^exp, term i into part ids[rows[i] - r_lo]
+        (into ids[0] without ``rows``); every exp lies in e_lo .. e_lo + span - 1."""
         # The mantissa M = frac 2^53 splits as hi 2^27 + lo, hi = floor(M / 2^27),
         # 0 <= lo < 2^27; every step is exact in float64.
         hi = np.floor(frac * 2.0 ** 26)
         lo = frac * 2.0 ** 53 - hi * 2.0 ** 27
         n_parts = ids.size
-        keys = (rows - r_lo) * span + (exp - e_lo)  # one temporary, reused in place
+        keys = exp - e_lo if rows is None else (rows - r_lo) * span + (exp - e_lo)
         bins = np.zeros((n_parts, span + 27))
         bins[:, :span] = np.bincount(keys, weights=lo, minlength=n_parts * span).reshape(n_parts, span)
         bins[:, 27:] += np.bincount(keys, weights=hi, minlength=n_parts * span).reshape(n_parts, span)

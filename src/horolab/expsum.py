@@ -1,9 +1,11 @@
 """Weighted exponential sums over balls and boxes in determinant-one integer cosets.
 
 Enumeration is array code over blocks of primitive first rows (a, b) in the
-disk, completed by one array extended gcd: the solutions of a d - b c = 1
-form the line (c, d) = (c0, d0) + t (a, b), and the admissible t make up an
-explicit interval.  Congruence classes mod N are filtered along the way, so
+disk.  One extended-gcd table, run once per set over the pairs (m, r) with
+0 <= r < m <= amax, tells which rows are primitive and completes each to one
+solution (c0, d0) of a d - b c = 1, without a gcd or a Euclid run per row.
+The solutions form the line (c, d) = (c0, d0) + t (a, b), and the admissible t
+make up an explicit interval.  Congruence classes mod N are filtered along the way, so
 the ball of matrices A = R mod N with Frobenius norm at most rho comes out
 in one deterministic pass, ordered by a, b, then t.  Every set is built as
 a box cut n of the ball, the matrices with every entry at most n in absolute
@@ -134,10 +136,51 @@ def _clip_to_box(t_lo, t_hi, u0, u, n):
     return t_lo, t_hi
 
 
+def _first_row_completions(amax: int):
+    """Completions of the first rows (a, b) with |a|, |b| <= amax, from one
+    extended-gcd table.
+
+    ``xgcd_array`` runs once over the pairs (m, r), m = 1..amax, 0 <= r < m,
+    laid out m by m: pair (m, r) sits at m (m - 1) / 2 + r, so amax (amax + 1) / 2
+    pairs in all, with gcd g > 0 and s m + t r = g.  The returned
+    ``complete(a, b)`` gives (primitive, c0, d0) for each row.  A row with
+    a != 0 reads the pair m = |a|, r = b mod m and writes b = k m + r: it is
+    primitive iff g = 1, and then a d0 - b c0 = 1 with d0 = sign(a) (s - t k)
+    and c0 = -t.  The rows with a = 0 are primitive iff |b| = 1, and take
+    c0 = -b, d0 = 0.  (c0, d0) are meaningful on primitive rows only.
+
+    Euclid's Bezout coefficients give |t| <= m / 2, so on primitive rows
+    |c0| <= max(1, amax / 2) and |d0| = |1 + b c0| / |a| <= amax / 2 + 1.  So
+    |a c0 + b d0| <= amax^2 + amax, and the integer parts of the ball's
+    discriminant, (a c0 + b d0)^2 and |row 1|^2 (c0^2 + d0^2), stay below
+    2^41 up to ``BALL_RADIUS_CAP``: exact in float64.
+    """
+    # The rows with a = 0 read the pair (1, 0), which the table always holds.
+    ms = np.arange(1, max(amax, 1) + 1)
+    m = np.repeat(ms, ms)
+    g, s, t = xgcd_array(m, np.arange(len(m)) - m * (m - 1) // 2)
+    unit = g == 1
+
+    def complete(a: np.ndarray, b: np.ndarray):
+        m = np.abs(a)
+        k, r = np.divmod(b, np.maximum(m, 1))
+        at = m * (m - 1) // 2 + r
+        tt = t[at]
+        primitive = np.where(m > 0, unit[at], np.abs(b) == 1)
+        c0 = np.where(m > 0, -tt, -b)
+        d0 = np.sign(a) * (s[at] - tt * k)
+        return primitive, c0, d0
+
+    return complete
+
+
 def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarray:
     """The matrices of the ball of radius rho with every entry at most amax <= rho in
     absolute value, in ball order.  With ``half``, only those whose first row has
-    a > 0, or a = 0 and b > 0: one matrix of each pair A, -A.
+    a > 0, or a = 0 and b > 0: one matrix of each pair A, -A.  The first rows
+    are tested and completed by one table (``_first_row_completions``); any
+    completion gives the same line of solutions, and the clips and filters
+    below are exact, so the set and its order do not depend on it.
 
     When 4 amax^2 <= rho^2 the box lies inside the ball and no norm test can
     bind: each row's t range is its two box clips, and the rows expand straight
@@ -155,6 +198,7 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
             return _EMPTY
         N = 2 * amax + 1
         r11, r12, r21, r22 = (r % N for r in signed)
+    complete = _first_row_completions(amax)
     axis = np.arange(-amax, amax + 1, dtype=np.int64)
     a_axis = axis[amax:] if half else axis
     a_step = max(1, _BLOCK_ROWS // len(axis))
@@ -165,7 +209,7 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
         # Candidate first rows of this block, a ascending, then b ascending.
         a = np.repeat(a_axis[a0 : a0 + a_step], len(axis))
         b = np.tile(axis, len(a) // len(axis))
-        keep = np.gcd(a, b) == 1
+        keep, c0, d0 = complete(a, b)
         if half:
             keep &= (a > 0) | (b > 0)  # a >= 0 here
         if not boxed:
@@ -175,9 +219,7 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
             keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
         if N > 1:
             keep &= ((a - r11) % N == 0) & ((b - r12) % N == 0)
-        a, b = a[keep], b[keep]
-        g, x_co, y_co = xgcd_array(a, b)  # g = +-1 on primitive rows
-        d0, c0 = g * x_co, -g * y_co
+        a, b, c0, d0 = a[keep], b[keep], c0[keep], d0[keep]
         if boxed:
             # From an unbounded t range: a primitive row has a != 0 or b != 0,
             # so one of the two clips bounds both ends.
@@ -278,9 +320,11 @@ def _entry_weights(weight: WeightFn, X: float, n: int):
     factor = weight.factor(np.arange(-n, n + 1) / X)
 
     def weigh(rows: np.ndarray) -> np.ndarray:
-        w = factor[rows[:, 0] + n]
+        # Column by column with intp indices: np.take converts int32 indices at
+        # several times the cost, and one (k, 4) lookup doubles the temporaries.
+        w = np.take(factor, np.add(rows[:, 0], n, dtype=np.intp))
         for j in (1, 2, 3):
-            w *= factor[rows[:, j] + n]
+            w *= np.take(factor, np.add(rows[:, j], n, dtype=np.intp))
         return w
 
     return weigh

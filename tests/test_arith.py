@@ -152,6 +152,36 @@ class TestExactSum:
         assert math.isnan(totals[0].real) and totals[0].imag == 1.0
         assert totals[1].real == 6.0 and totals[1].imag == inf
 
+    def test_without_groups_equals_group_zero(self, monkeypatch, rng):
+        # add(terms) skips the group array; its totals keep the bits of the
+        # grouped path, across chunk cuts and non-finite terms.
+        monkeypatch.setattr(arith, "_EXACT_CHUNK", 7)
+        nan, inf = math.nan, math.inf
+        spread = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)
+        specials = spread.copy()
+        specials[[3, 17, 30]] = [nan, inf, 2.5]
+        cases = {
+            "spread": spread, "complex": spread * (1.0 - 2.0j), "negative zero": [-0.0, -0.0],
+            "nan": specials, "inf": [inf, 2.0, inf], "-inf": [-inf, 5.0],
+            # A non-finite term in one part leaves the other part's sum finite.
+            "complex nan": [complex(nan, 1.0), 3.0 + 4.0j], "complex inf": [complex(2.0, -inf), 1j],
+            "both infs": [1.0, -inf, nan, inf], "complex both infs": [complex(0.0, inf), -inf * 1j],
+            "overflow": [1e308, 1e308], "negative overflow": [-1e308, -1e308, 1.0],
+        }
+        errors = {"both infs": ValueError, "complex both infs": ValueError,
+                  "overflow": OverflowError, "negative overflow": OverflowError}
+        for name, terms in cases.items():
+            terms = np.asarray(terms)
+            one, grouped = ExactSum(), ExactSum()
+            one.add(terms)
+            grouped.add(terms, np.zeros(len(terms), dtype=np.int64))
+            if name in errors:
+                for acc in (one, grouped):
+                    with pytest.raises(errors[name]):
+                        acc.totals()
+            else:
+                assert one.totals().tobytes() == grouped.totals().tobytes(), name
+
     def test_group_out_of_range(self):
         with pytest.raises(IndexError):
             ExactSum(2).add(np.ones(3), np.array([0, 1, 2]))

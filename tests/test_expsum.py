@@ -213,6 +213,21 @@ class TestEnumeration:
         assert np.array_equal(got, scalar_ball(spec, rho))
 
     @pytest.mark.parametrize(
+        "spec", [CosetSpec.principal(1), CosetSpec(2, (1, 1, 0, 1)), CosetSpec(3, (1, 2, 0, 1))],
+        ids=lambda spec: f"N{spec.N}",
+    )
+    def test_boxes_are_the_scalar_ball_cut_in_order(self, spec):
+        # The scalar loop completes each first row with the scalar xgcd, so the
+        # boxes are checked against a ball that does not share their table.
+        for side in range(21):
+            ball = scalar_ball(spec, 2.0 * side).reshape(-1, 4)
+            in_box = np.max(np.abs(ball), axis=1) <= side
+            upper = (ball[:, 0] > 0) | ((ball[:, 0] == 0) & (ball[:, 1] > 0))
+            for half, keep in ((False, in_box), (True, in_box & upper)):
+                got = _coset_set(spec, 2.0 * side, side, half).reshape(-1, 4)
+                assert np.array_equal(got, ball[keep]), (side, half)
+
+    @pytest.mark.parametrize(
         "spec,side",
         [(CosetSpec.principal(1), s) for s in (1.0, 1.5, 7.25, 20.0, 100.0)]
         + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)],
@@ -287,6 +302,36 @@ class TestEnumeration:
         for small, big in zip(counts, counts[1:]):
             expo = math.log2(big / small)
             assert 1.9 <= expo <= 2.1
+
+
+class TestFirstRowTable:
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 40])
+    def test_primitive_rows_and_their_completions(self, n):
+        axis = np.arange(-n, n + 1)
+        a, b = (v.ravel() for v in np.meshgrid(axis, axis, indexing="ij"))
+        primitive, c0, d0 = expsum._first_row_completions(n)(a, b)
+        assert primitive.tolist() == [math.gcd(x, y) == 1 for x, y in zip(a.tolist(), b.tolist())]
+        a, b, c0, d0 = a[primitive], b[primitive], c0[primitive], d0[primitive]
+        assert np.all(a * d0 - b * c0 == 1)
+
+    def test_completion_bounds_at_the_radius_cap(self):
+        # The table alone, over every first row of the largest ball, in blocks.
+        amax = int(BALL_RADIUS_CAP)
+        complete = expsum._first_row_completions(amax)
+        axis = np.arange(-amax, amax + 1)
+        for lo in range(0, len(axis), 128):
+            a = np.repeat(axis[lo : lo + 128], len(axis))
+            b = np.tile(axis, len(a) // len(axis))
+            primitive, c0, d0 = complete(a, b)
+            a, b, c0, d0 = a[primitive], b[primitive], c0[primitive], d0[primitive]
+            assert np.all(a * d0 - b * c0 == 1)
+            assert np.abs(c0).max() <= max(1, amax / 2)
+            assert np.abs(d0).max() <= amax / 2 + 1
+            bb = a * c0 + b * d0
+            assert np.abs(bb).max() <= amax * amax + amax
+            # The integer parts of the ball's discriminant stay exact in float64.
+            assert (bb * bb).max() < 2**41
+            assert ((a * a + b * b) * (c0 * c0 + d0 * d0)).max() < 2**41
 
 
 class TestHalfBox:
