@@ -5,9 +5,9 @@ disk.  One extended-gcd table, run once per set over the pairs (m, r) with
 0 <= r < m <= amax, tells which rows are primitive and completes each to one
 solution (c0, d0) of a d - b c = 1, without a gcd or a Euclid run per row.
 The solutions form the line (c, d) = (c0, d0) + t (a, b), and the admissible t
-make up an explicit interval.  Congruence classes mod N are filtered along the way, so
-the ball of matrices A = R mod N with Frobenius norm at most rho comes out
-in one deterministic pass, ordered by a, b, then t.  Every set is built as
+make up an explicit interval.  Congruence classes mod N are filtered along the
+way, so the ball of matrices A = R mod N with Frobenius norm at most rho comes
+out in one deterministic pass, ordered by a, b, then t.  Every set is built as
 a box cut n of the ball, the matrices with every entry at most n in absolute
 value; the ball itself is its box of side floor(rho).  The first rows run
 over |a|, |b| <= n, and each t interval is narrowed to the exact integer

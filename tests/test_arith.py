@@ -164,8 +164,10 @@ class TestExactSum:
             "spread": spread, "complex": spread * (1.0 - 2.0j), "negative zero": [-0.0, -0.0],
             "nan": specials, "inf": [inf, 2.0, inf], "-inf": [-inf, 5.0],
             # A non-finite term in one part leaves the other part's sum finite.
-            "complex nan": [complex(nan, 1.0), 3.0 + 4.0j], "complex inf": [complex(2.0, -inf), 1j],
-            "both infs": [1.0, -inf, nan, inf], "complex both infs": [complex(0.0, inf), -inf * 1j],
+            "complex nan": [complex(nan, 1.0), 3.0 + 4.0j],
+            "complex inf": [complex(2.0, -inf), 1j],
+            "both infs": [1.0, -inf, nan, inf],
+            "complex both infs": [complex(0.0, inf), complex(1.0, -inf)],
             "overflow": [1e308, 1e308], "negative overflow": [-1e308, -1e308, 1.0],
         }
         errors = {"both infs": ValueError, "complex both infs": ValueError,
