@@ -16,9 +16,13 @@ possible for a nonzero q) gives zero.
 
 All projected grids of one element share the basis rows M, so
 :func:`grid_gap_many` reduces it once per (element, T) and scores every
-offset q v as array code; :func:`grid_gap` is its one-row case.  Where the
-minimum is attained twice (always for q = 0, by p and -p) the witness is the
-first minimizer in candidate order: c1, then breakpoint, then c0.
+offset q v as array code; :func:`grid_gap` is its one-row case.  It scores
+up to 128 offsets per array block: a block's time is mostly fixed numpy
+cost, and at 128 rows its candidate arrays still stay below glibc's mmap
+threshold, so the 101 offsets of a default orbit gap bound make one block.
+Where the minimum is attained twice (always for q = 0, by p and -p) the
+witness is the first minimizer in candidate order: c1, then breakpoint,
+then c0.
 
 The gap value is even in the offset: the rows n and -n give the same float
 (not always opposite witnesses, since ties are broken in candidate order),
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .sl2core import Sl2Matrix
 
 #: Inflation factors beyond this are reported as the cap itself.
@@ -58,8 +62,13 @@ MEMBERSHIP_TOL = 1e-9
 
 _MAX_REDUCTION_SWEEPS = 200
 
-#: Offsets scored per array block in grid_gap_many; bounds its temporaries.
-_BLOCK_ROWS = 64
+#: Offsets scored per array block in grid_gap_many.  Most of a block's time
+#: is fixed numpy cost, not per-offset work (one block, 2 cores, numpy 2.4):
+#: 180 us at 32 rows, 238 at 64, 318 at 101, 361 at 128, then 607 at 160 and
+#: 838 at 200.  At 128 rows the (rows, 5, 5, 4) float candidate arrays hold
+#: 100 KiB, below glibc's 128 KiB mmap threshold, and the 101 offsets of an
+#: orbit gap bound at q_max = d_max = 10 make one block.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -199,22 +208,29 @@ class GapResult:
 
 def _gauss_reduce(rows: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     """Euclidean reduction of a 2D lattice basis, tracking the integer change
-    of coordinates u with reduced = u @ rows."""
-    r = rows.astype(float).copy()
+    of coordinates u with reduced = u @ rows.
+
+    The rows are held as four Python floats, so each norm and inner product
+    is a0 * b0 + a1 * b1 in plain float arithmetic, never a BLAS dot, whose
+    use of fused multiply-adds depends on the kernel.  A basis still
+    unreduced after ``_MAX_REDUCTION_SWEEPS`` sweeps raises
+    :class:`ConvergenceError`: the candidate window needs a reduced basis.
+    """
+    (a0, a1), (b0, b1) = rows.tolist()
     u = [[1, 0], [0, 1]]
     for _ in range(_MAX_REDUCTION_SWEEPS):
-        n0 = r[0] @ r[0]
-        n1 = r[1] @ r[1]
+        n0 = a0 * a0 + a1 * a1
+        n1 = b0 * b0 + b1 * b1
         if n0 > n1:
-            r = r[::-1].copy()
+            a0, a1, b0, b1 = b0, b1, a0, a1
             u = [u[1], u[0]]
-            n0, n1 = n1, n0
-        mu = round(float(r[0] @ r[1]) / float(n0))
+            n0 = n1
+        mu = round((a0 * b0 + a1 * b1) / n0)
         if mu == 0:
-            break
-        r[1] = r[1] - mu * r[0]
+            return np.array([[a0, a1], [b0, b1]]), u
+        b0, b1 = b0 - mu * a0, b1 - mu * a1
         u = [u[0], [u[1][0] - mu * u[0][0], u[1][1] - mu * u[0][1]]]
-    return r, u
+    raise ConvergenceError(f"lattice reduction did not converge in {_MAX_REDUCTION_SWEEPS} sweeps")
 
 
 def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: float):
@@ -261,8 +277,11 @@ def _gap_block(basis, reduced, u, offsets, exempt, T):
         n0 = c0 * u[0][0] + c1 * u[1][0]
         n1 = c0 * u[0][1] + c1 * u[1][1]
         vals, x1, x2 = _point_value(n0, n1, basis, offsets[:, None, None, None, :], T)
-    skip = ~np.isfinite(x) | (exempt[:, None, None, None] & (n0 == 0.0) & (n1 == 0.0))
-    vals = np.where(skip, np.inf, np.fmin(vals, np.inf)).reshape(n, -1)
+    vals = np.where(np.isfinite(x), np.fmin(vals, np.inf), np.inf)
+    # The q = 0 rows skip the origin; only those rows are masked.
+    zero = np.flatnonzero(exempt)
+    vals[zero] = np.where((n0[zero] == 0.0) & (n1[zero] == 0.0), np.inf, vals[zero])
+    vals = vals.reshape(n, -1)
     rows = np.arange(n)
     best = np.argmin(vals, axis=1)
     value = vals[rows, best]

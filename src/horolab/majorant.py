@@ -90,10 +90,11 @@ LFD_WORK_CAP = 800_000_000
 
 #: Gap offsets of one ``orbit_gap_bound`` call, counted as n_q d_max for the n_q
 #: vectors of the full q set, so ± pairs count whole although one of each is scored.
-#: The cap was set at 8 us per full-set offset (~20 s).  With the pairing each one
-#: was measured (2 cores) at 2.6-2.7 us of ``grid_gap_many`` and series work (5.2-5.4 s
-#: at q_max = 10, d_max = 10^5, that is 2 10^6 offsets, with 125 MB peak RSS, against
-#: 13.3 s and 218 MB unpaired on the same host), so a call at the cap takes ~7 s.
+#: The cap was set at 8 us per full-set offset (~20 s).  Paired, and scored in
+#: 128-row gap blocks, each one was measured (2 cores) at 1.42-1.46 us of
+#: ``grid_gap_many`` and series work (2.83-2.92 s at q_max = 10, d_max = 10^5, that
+#: is 2 10^6 offsets, with 133 MB peak RSS, against 1.84-1.90 us in 64-row blocks on
+#: the same host), so a call at the cap takes ~3.7 s.
 #: The cap is kept, so the same calls are refused.  CLI defaults, A15 and
 #: ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
 ORBIT_GAP_WORK_CAP = 2_500_000

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolab import affine
 from horolab.affine import (
     GAP_CAP,
     GroupElement,
@@ -15,7 +17,8 @@ from horolab.affine import (
     grid_of,
     log_gauge,
 )
-from horolab.errors import DomainError
+from horolab.arith import xgcd
+from horolab.errors import ConvergenceError, DomainError
 from horolab.sl2core import Sl2Matrix, cuspidal_height
 
 from conftest import random_sl2
@@ -267,6 +270,111 @@ class TestGridGapMany:
             grid_gap_many(g, np.array([[1, 0]]), 1e160)
         values, witnesses = grid_gap_many(g, np.zeros((0, 2), dtype=int), 10.0)
         assert values.shape == (0,) and witnesses.shape == (0, 2)
+
+
+def gauss_reduce_reference(rows):
+    """The numpy form of ``affine._gauss_reduce`` (row dot products, row
+    updates as array expressions), kept as its oracle."""
+    r = rows.astype(float).copy()
+    u = [[1, 0], [0, 1]]
+    for _ in range(200):
+        n0 = r[0] @ r[0]
+        n1 = r[1] @ r[1]
+        if n0 > n1:
+            r = r[::-1].copy()
+            u = [u[1], u[0]]
+            n0, n1 = n1, n0
+        mu = round(float(r[0] @ r[1]) / float(n0))
+        if mu == 0:
+            break
+        r[1] = r[1] - mu * r[0]
+        u = [u[0], [u[1][0] - mu * u[0][0], u[1][1] - mu * u[0][1]]]
+    return r, u
+
+
+def random_integer_basis(rng, bound=10**6):
+    """An integer unimodular matrix with entries up to ``bound``."""
+    while True:
+        a, b = (int(x) for x in rng.integers(-bound, bound + 1, 2))
+        g, s, t = xgcd(a, b)
+        if abs(g) != 1:
+            continue
+        # a s + b t = g = +-1, so the bottom row g (-t, s) completes (a, b);
+        # a multiple of (a, b) spreads it up to the bound.
+        c, d = -g * t, g * s
+        j = int(rng.integers(-bound, bound + 1)) // max(abs(a), abs(b), 1)
+        c, d = c + j * a, d + j * b
+        if max(abs(c), abs(d)) <= bound:
+            return np.array([[a, b], [c, d]], dtype=float)
+
+
+class TestGaussReduce:
+    def test_matches_the_numpy_loop(self, rng):
+        # Integer bases at T = 1 and 2, and the drivers' Gaussian ensemble
+        # out to T = 1e12: 2,000 bases in all.
+        bases = [random_integer_basis(rng) * np.array([T, 1.0]) for _ in range(500) for T in (1.0, 2.0)]
+        for _ in range(200):
+            m = random_sl2(rng).as_array()
+            bases += [m * np.array([T, 1.0]) for T in (1.0, 2.0, 1e3, 1e6, 1e12)]
+        for rows in bases:
+            reduced, u = affine._gauss_reduce(rows)
+            ref, ref_u = gauss_reduce_reference(rows)
+            assert np.array_equal(reduced, ref) and reduced.dtype == ref.dtype
+            assert u == ref_u
+
+    def test_integer_bases_are_reduced_exactly(self, rng):
+        # Entries up to 2 10^6 keep every product and sum exact in floats, so
+        # the float loop is the exact Gauss reduction.
+        for _ in range(500):
+            for T in (1.0, 2.0):
+                rows = random_integer_basis(rng) * np.array([T, 1.0])
+                reduced, u = affine._gauss_reduce(rows)
+                r = [[Fraction(x) for x in row] for row in reduced.tolist()]
+                exact = [[sum(Fraction(u[i][j]) * Fraction(float(rows[j][col])) for j in (0, 1))
+                          for col in (0, 1)] for i in (0, 1)]
+                assert r == exact
+                n0, n1 = (row[0] ** 2 + row[1] ** 2 for row in r)
+                assert n0 <= n1
+                assert 2 * abs(r[0][0] * r[1][0] + r[0][1] * r[1][1]) <= n0
+
+    def test_unreduced_basis_is_refused(self, monkeypatch):
+        # (2, 1; 1, 1) needs three sweeps at these T; a basis left unreduced
+        # would make the candidate window, and so the gap, silently wrong.
+        g = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), [[0.3, 0.7]])
+        monkeypatch.setattr(affine, "_MAX_REDUCTION_SWEEPS", 1)
+        for T in (2.0, 10.0, 1e3):
+            with pytest.raises(ConvergenceError, match="^lattice reduction did not converge in 1 sweeps$"):
+                grid_gap_many(g, np.array([[0], [1]]), T)
+        # The identity at T = 1 is reduced as given: one sweep answers.
+        assert grid_gap(GroupElement.identity(), [0], 1.0).value == 1.0
+
+
+class TestGapBlocks:
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 128, 129, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_values_do_not_depend_on_the_block_size(self, rng, monkeypatch, block_rows, k):
+        # Integer matrices at torus points in (1/4) Z x (1/5) Z put the origin
+        # on some grids; zero rows sit at both ends and inside of blocks.
+        cases = [
+            (Sl2Matrix.identity(), rng.integers(0, 8, (k, 2)) / np.array([4, 5])),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), rng.integers(0, 8, (k, 2)) / np.array([4, 5])),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), rng.random((k, 2))),
+            (random_sl2(rng), rng.random((k, 2))),
+        ]
+        ns = rng.integers(-20, 21, size=(140, k))
+        ns[[0, 6, 63, 64, 127, 128, 129, 139]] = 0
+        in_grid = 0
+        for m, xi in cases:
+            g = GroupElement.from_torus_point(m, xi)
+            for T in (1.0, 2.0, 37.0, 1e3, 1e6):
+                values, witnesses = grid_gap_many(g, ns, T)
+                in_grid += int(np.sum((values == 0.0) & ns.any(axis=1)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(affine, "_BLOCK_ROWS", block_rows)
+                    v, w = grid_gap_many(g, ns, T)
+                assert np.array_equal(v, values) and np.array_equal(w, witnesses)
+                assert np.all(values[~ns.any(axis=1)] > 0.0)
+        assert in_grid > 0
 
 
 class TestLogGauge:

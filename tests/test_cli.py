@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import horolab
 from conftest import INT64_EDGES, flag_cases, listed
-from horolab import orbitlab
+from horolab import affine, orbitlab
 from horolab.cli import _build_parser, run
 
 
@@ -335,6 +335,14 @@ class TestExitCodes:
         # Each flag is finite; the box side 2 B X they give is not.
         assert run(["expsum", *flags]) == 2
         assert capsys.readouterr().err == "horolab: box side 2 B X must be a finite number\n"
+
+    def test_unreduced_gap_basis_maps_to_three(self, capsys, monkeypatch):
+        # (2, 1; 1, 1) needs three reduction sweeps; one is not enough.
+        monkeypatch.setattr(affine, "_MAX_REDUCTION_SWEEPS", 1)
+        assert run(["theorem4", "--matrix", "2,1,1,1", "--xi", "0.3,0.7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "horolab: lattice reduction did not converge in 1 sweeps\n"
 
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from horolab import majorant
+from horolab import affine, majorant
 from horolab.affine import GroupElement, grid_gap, log_gauge
 from horolab.errors import DomainError, ResourceGuardError
 from horolab.majorant import (
@@ -596,6 +596,23 @@ class TestOrbitGapBound:
         p = MajorantParams(k=1, m=3, q_max=2, d_max=3)
         with pytest.raises(DomainError, match="^gauge argument must be a positive finite number$"):
             orbit_gap_bound(GroupElement.identity(), 10.0, p)
+
+    def test_default_bound_scores_one_gap_block(self, rng, monkeypatch):
+        # At q_max = d_max = 10 the 101 offsets fit one affine block, whose
+        # fixed numpy cost dominates an orbit bound.
+        from conftest import random_sl2
+
+        rows = []
+        block = affine._gap_block
+
+        def counted(basis, reduced, u, offsets, exempt, T):
+            rows.append(len(offsets))
+            return block(basis, reduced, u, offsets, exempt, T)
+
+        monkeypatch.setattr(affine, "_gap_block", counted)
+        g = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0.0, 1.0, (1, 2)))
+        orbit_gap_bound(g, 100.0, MajorantParams(1, 3.0, 10, 10))
+        assert rows == [101]
 
     def test_tail_positive(self, rng):
         from conftest import random_sl2
