@@ -230,7 +230,7 @@ def _gauss_reduce(rows: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
             return np.array([[a0, a1], [b0, b1]]), u
         b0, b1 = b0 - mu * a0, b1 - mu * a1
         u = [u[0], [u[1][0] - mu * u[0][0], u[1][1] - mu * u[0][1]]]
-    raise ConvergenceError(f"lattice reduction did not converge in {_MAX_REDUCTION_SWEEPS} sweeps")
+    raise ConvergenceError(f"lattice reduction did not converge within {_MAX_REDUCTION_SWEEPS} sweeps")
 
 
 def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: float):

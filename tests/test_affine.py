@@ -343,7 +343,7 @@ class TestGaussReduce:
         g = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), [[0.3, 0.7]])
         monkeypatch.setattr(affine, "_MAX_REDUCTION_SWEEPS", 1)
         for T in (2.0, 10.0, 1e3):
-            with pytest.raises(ConvergenceError, match="^lattice reduction did not converge in 1 sweeps$"):
+            with pytest.raises(ConvergenceError, match="^lattice reduction did not converge within 1 sweeps$"):
                 grid_gap_many(g, np.array([[0], [1]]), T)
         # The identity at T = 1 is reduced as given: one sweep answers.
         assert grid_gap(GroupElement.identity(), [0], 1.0).value == 1.0

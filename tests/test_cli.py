@@ -342,7 +342,7 @@ class TestExitCodes:
         assert run(["theorem4", "--matrix", "2,1,1,1", "--xi", "0.3,0.7"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "horolab: lattice reduction did not converge in 1 sweeps\n"
+        assert captured.err == "horolab: lattice reduction did not converge within 1 sweeps\n"
 
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4
