@@ -333,8 +333,13 @@ def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:
     lies in the lattice); for nonzero q a grid that contains the origin
     forces the answer 0.  Values are capped at ``GAP_CAP``.
     """
+    # The int64 cast would truncate 1.5 to 1 and refuse nan with a bare ValueError.
+    qs = np.asarray(q)
+    if qs.dtype.kind == "f" and not np.all(np.isfinite(qs) & (qs == np.round(qs))):
+        raise DomainError("projection vectors must be integral")
     try:
-        ns = np.asarray(q, dtype=np.int64)[None, :]
+        # Through Python numbers: an array cast would wrap 1e20 without an error.
+        ns = np.asarray(qs.tolist(), dtype=np.int64)[None, :]
     except OverflowError as exc:
         raise DomainError("projection vector entries must be 64-bit integers") from exc
     values, witnesses = grid_gap_many(element, ns, T)

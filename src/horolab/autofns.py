@@ -23,11 +23,11 @@ from .sl2core import Sl2Matrix, reduce_stack
 from .smoothfns import BUMP6_MASS, bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
-# Ball enumeration is quadratic in the radius, and ``_series_data`` peaks near
-# 106 bytes per ball matrix (traced at radii 300 and 400).  This radius (about
-# 632, 2.4 million matrices) bounds the peak near 250 MiB; expsum's cap of
-# 1024 would allow about 640 MiB.
-BALL_RADIUS_SQ_GUARD = 4.0e5
+# Ball enumeration is quadratic in the radius, and a cold ``_series_data`` peaks
+# near 121 bytes per ball matrix (traced at radii 300, 400, 600 and 632.25).  This
+# radius (600, 2.16 million matrices) bounds the peak near 250 MiB (249.3 MiB
+# traced); expsum's cap of 1024 would allow about 730 MiB.
+BALL_RADIUS_SQ_GUARD = 3.6e5
 _GRID_CHUNK = 4096
 #: (matrix, ball candidate) pairs kernel-evaluated at a time; a block's
 #: (pairs, 2, 2) float product is 512 KiB.

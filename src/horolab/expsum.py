@@ -1,7 +1,7 @@
 """Weighted exponential sums over balls and boxes in determinant-one integer cosets.
 
 Enumeration is array code over blocks of primitive first rows (a, b) in the
-disk.  One extended-gcd table, run once per set over the pairs (m, r) with
+box.  One extended-gcd table, run once per set over the pairs (m, r) with
 0 <= r < m <= amax, tells which rows are primitive and completes each to one
 solution (c0, d0) of a d - b c = 1, without a gcd or a Euclid run per row.
 The solutions form the line (c, d) = (c0, d0) + t (a, b), and the admissible t
@@ -10,16 +10,14 @@ way, so the ball of matrices A = R mod N with Frobenius norm at most rho comes
 out in one deterministic pass, ordered by a, b, then t.  Every set is built as
 a box cut n of the ball, the matrices with every entry at most n in absolute
 value; the ball itself is its box of side floor(rho).  The first rows run
-over |a|, |b| <= n, and each t interval is narrowed to the exact integer
-intervals on which |c| <= n and |d| <= n, so a box comes out in the ball's
-order without building the ball.  A box with 4 n^2 <= rho^2 lies inside its
-ball, as every box of the weighted sums does (rho = 2 n): its matrices skip
-the ball's three norm tests (the first-row disk, the t interval of the
-discriminant and the final |row 2|^2 filter), its t ranges are the two box
-clips alone, and its rows expand straight into one preallocated array.  Only
-balls, and boxes their ball trims, run those tests.  The t intervals expand in
-slices of at most ``_BLOCK_ROWS`` matrices (``arith.expand``).  Radii above
-``BALL_RADIUS_CAP`` are refused; the sets share one LRU cache bounded by bytes.
+over |a|, |b| <= n, and each t interval is the exact integer interval on which
+|c| and |d| stay within the row's side min(n, floor(sqrt(rho^2 - |row 1|^2))),
+so a box comes out in the ball's order without building the ball.  The t
+intervals expand in slices of at most ``_BLOCK_ROWS`` matrices
+(``arith.expand``) into one preallocated array, and only a box that sticks out
+of its ball (4 n^2 > rho^2) tests |A|^2 <= rho^2 there; every box of the
+weighted sums (rho = 2 n) lies inside.  Radii above ``BALL_RADIUS_CAP`` are
+refused; the sets share one LRU cache bounded by bytes.
 
 On top of the enumeration sit the linear-twist sums
 
@@ -52,10 +50,10 @@ BALL_RADIUS_CAP = 1024.0
 #: Bytes of balls and boxes kept; a cancellation report up to X = 200 reuses its four
 #: half boxes, 259,976 int32 matrices (4.0 MB), where the full boxes were 7.9 MB.
 BALL_CACHE_BYTES = 64 << 20
-#: Candidate first rows per enumeration block, rows per t slice and per weight block; at
-#: 1 << 16 the radius-400 ball's block temporaries set the peak RSS, and it swung 14 MB with
-#: heap layout.  Box slices are written into the output, and the weight blocks share one
-#: float buffer, so their other temporaries hold a column each (128 KiB).
+#: Candidate first rows per enumeration block, rows per t slice and per weight block.  The
+#: radius-400 ball's traced peak is then its kept lines and output (31.8 MB); at 1 << 16 the
+#: block temporaries raise it to 37.8 MB.  Slices are written into the output, and the
+#: weight blocks share one float buffer, so their other temporaries hold a column each.
 _BLOCK_ROWS = 1 << 14
 CacheInfo = namedtuple("CacheInfo", "hits misses nbytes")
 _EMPTY = np.zeros((0, 2, 2), dtype=np.int32)
@@ -124,8 +122,9 @@ def _clip_to_box(t_lo, t_hi, u0, u, n):
 
     For u != 0 the bounds are exact floor divisions of the line turned to
     u > 0.  u = 0 only on the primitive rows (0, +-1) and (+-1, 0), whose
-    fixed second-row entry u0 = -+1 or +-1 lies in every box that holds the
-    row, so their interval is kept whole.
+    fixed second-row entry u0 = -+1 or +-1 lies in every box of side n >= 1,
+    so their interval is kept whole.  A row's side falls below 1 only in a
+    ball that trims its box, and the ball's norm test drops that matrix.
     """
     s = np.where(u < 0, -1, 1)
     step, v0 = u * s, u0 * s
@@ -150,10 +149,7 @@ def _first_row_completions(amax: int):
     c0 = -b, d0 = 0.  (c0, d0) are meaningful on primitive rows only.
 
     Euclid's Bezout coefficients give |t| <= m / 2, so on primitive rows
-    |c0| <= max(1, amax / 2) and |d0| = |1 + b c0| / |a| <= amax / 2 + 1.  So
-    |a c0 + b d0| <= amax^2 + amax, and the integer parts of the ball's
-    discriminant, (a c0 + b d0)^2 and |row 1|^2 (c0^2 + d0^2), stay below
-    2^41 up to ``BALL_RADIUS_CAP``: exact in float64.
+    |c0| <= max(1, amax / 2) and |d0| = |1 + b c0| / |a| <= amax / 2 + 1.
     """
     # The rows with a = 0 read the pair (1, 0), which the table always holds.
     ms = np.arange(1, max(amax, 1) + 1)
@@ -182,11 +178,15 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
     completion gives the same line of solutions, and the clips and filters
     below are exact, so the set and its order do not depend on it.
 
-    When 4 amax^2 <= rho^2 the box lies inside the ball and no norm test can
-    bind: each row's t range is its two box clips, and the rows expand straight
-    into the output array."""
+    Each row's t range is its two box clips at the side min(amax, floor(sqrt(budget))),
+    budget = rho^2 - |row 1|^2, or -1 (no t) where the budget is negative.  Every
+    entry c of row 2 has c^2 <= budget, and a correctly rounded sqrt is monotone
+    and exact at perfect squares, so the side drops no matrix of the ball.  When
+    4 amax^2 <= rho^2 the box lies inside the ball: the budget is at least
+    2 amax^2, the side is amax, and no norm test runs.  Otherwise the exact test
+    |A|^2 <= rho^2 removes the rows the sides let through."""
     r2 = rho * rho
-    boxed = 4 * amax * amax <= r2
+    trimmed = 4 * amax * amax > r2
     N = spec.N
     r11, r12, r21, r22 = spec.rep
     if N > 2 * amax + 1:
@@ -202,9 +202,7 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
     axis = np.arange(-amax, amax + 1, dtype=np.int64)
     a_axis = axis[amax:] if half else axis
     a_step = max(1, _BLOCK_ROWS // len(axis))
-    # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
-    chunks = [np.zeros((0, 4), dtype=np.int32)]
-    lines = []  # boxed: each block's counts and rows, expanded once their total is known
+    lines = []  # each block's counts and rows, expanded once their total is known
     for a0 in range(0, len(a_axis), a_step):
         # Candidate first rows of this block, a ascending, then b ascending.
         a = np.repeat(a_axis[a0 : a0 + a_step], len(axis))
@@ -212,62 +210,42 @@ def _coset_ball(spec: CosetSpec, rho: float, amax: int, half: bool) -> np.ndarra
         keep, c0, d0 = complete(a, b)
         if half:
             keep &= (a > 0) | (b > 0)  # a >= 0 here
-        if not boxed:
-            # The second row has norm at least 1/|row1| (unit area), so
-            # overly long first rows cannot be completed inside the ball.
-            r1sq = a * a + b * b
-            keep[keep] = r1sq[keep] + 1.0 / r1sq[keep] <= r2
         if N > 1:
             keep &= ((a - r11) % N == 0) & ((b - r12) % N == 0)
         a, b, c0, d0 = a[keep], b[keep], c0[keep], d0[keep]
-        if boxed:
-            # From an unbounded t range: a primitive row has a != 0 or b != 0,
-            # so one of the two clips bounds both ends.
-            t_lo, t_hi = _clip_to_box(np.iinfo(np.int64).min, np.iinfo(np.int64).max, c0, a, amax)
-        else:
-            # Solve |(c0 + t a, d0 + t b)|^2 <= r2 - r1sq for integer t.
-            r1sq = r1sq[keep]
-            budget = r2 - r1sq
-            bb = a * c0 + b * d0
-            cc = c0 * c0 + d0 * d0 - budget
-            disc = bb * bb - r1sq * cc
-            rows = disc >= 0
-            a, b, c0, d0, r1sq, budget, bb = (v[rows] for v in (a, b, c0, d0, r1sq, budget, bb))
-            root = np.sqrt(disc[rows])
-            t_lo = np.floor((-bb - root) / r1sq).astype(np.int64) - 1
-            t_hi = np.ceil((-bb + root) / r1sq).astype(np.int64) + 1
-            t_lo, t_hi = _clip_to_box(t_lo, t_hi, c0, a, amax)
-        t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, amax)
-        counts = np.maximum(t_hi - t_lo + 1, 0)
-        # Each row's line from its point at t = t_lo: rows in order, t ascending.
-        cols = (a, b, c0 + t_lo * a, d0 + t_lo * b)
-        if boxed:
-            lines.append((counts, cols))
-            continue
-        for a, b, cs, ds, budget, dt in expand(counts, *cols, budget, chunk=_BLOCK_ROWS):
+        # The side of each row's box; no t where the budget is negative.
+        budget = r2 - (a * a + b * b)
+        side = np.minimum(np.sqrt(np.maximum(budget, 0.0)), amax).astype(np.int64)
+        side[budget < 0] = -1
+        # From an unbounded t range: a primitive row has a != 0 or b != 0, so one
+        # of the two clips bounds both ends.
+        t_lo, t_hi = _clip_to_box(np.iinfo(np.int64).min, np.iinfo(np.int64).max, c0, a, side)
+        t_lo, t_hi = _clip_to_box(t_lo, t_hi, d0, b, side)
+        # Rows with no t (in a ball, those outside its disk) are not kept.  Each
+        # kept row's line from its point at t = t_lo: rows in order, t ascending.
+        on = t_lo <= t_hi
+        a, b, c0, d0, t_lo = a[on], b[on], c0[on], d0[on], t_lo[on]
+        lines.append((t_hi[on] - t_lo + 1, (a, b, c0 + t_lo * a, d0 + t_lo * b)))
+    # Stored as int32 (entries are at most BALL_RADIUS_CAP): half the bytes of the ball.
+    out = np.empty((sum(int(counts.sum()) for counts, _ in lines), 4), dtype=np.int32)
+    end = 0
+    for counts, cols in lines:
+        for a, b, cs, ds, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
             cs += dt * a
             ds += dt * b
-            keep = (cs * cs + ds * ds) <= budget
+            keep = True  # every row, unless a mask applies
+            if trimmed:
+                keep = a * a + b * b + cs * cs + ds * ds <= r2
             if N > 1:
-                keep &= ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
-            chunks.append(np.stack([a[keep], b[keep], cs[keep], ds[keep]], axis=1).astype(np.int32))
-    if boxed:
-        out = np.empty((sum(int(counts.sum()) for counts, _ in lines), 4), dtype=np.int32)
-        end = 0
-        for counts, cols in lines:
-            for a, b, cs, ds, dt in expand(counts, *cols, chunk=_BLOCK_ROWS):
-                cs += dt * a
-                ds += dt * b
-                if N > 1:
-                    keep = ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
-                    a, b, cs, ds = a[keep], b[keep], cs[keep], ds[keep]
-                start, end = end, end + len(cs)
-                for j, col in enumerate((a, b, cs, ds)):
-                    out[start:end, j] = col
-        # The class filter leaves part of the expanded rows at N > 1.
-        out = out if end == len(out) else out[:end].copy()
-    else:
-        out = np.concatenate(chunks, axis=0)
+                keep = keep & ((cs - r21) % N == 0) & ((ds - r22) % N == 0)
+            if keep is not True:
+                a, b, cs, ds = a[keep], b[keep], cs[keep], ds[keep]
+            start, end = end, end + len(cs)
+            for j, col in enumerate((a, b, cs, ds)):
+                out[start:end, j] = col
+    # The masks leave part of the expanded rows.  No view of ``out`` is left, so it
+    # shrinks in place, where a copy of the kept rows would add their bytes to the peak.
+    out.resize((end, 4), refcheck=False)
     out = out.reshape(-1, 2, 2)
     out.setflags(write=False)
     return out
@@ -337,9 +315,8 @@ def weighted_expsum_lhs(
 
     The box max|a_i| <= B X is enumerated directly, as the ball of radius
     2 B X (which circumscribes it) cut to the box; it lies inside that ball,
-    so the enumeration runs none of the ball's norm tests.  Matrices enter
-    through their flattened rows a = (a1, a2, a3, a4); each contributes
-    e(alpha . a) w(a / X).  The entries are integers in [-n, n], n = floor(B X),
+    so the enumeration runs no norm test.  Matrices enter through their
+    flattened rows a = (a1, a2, a3, a4); each contributes e(alpha . a) w(a / X).  The entries are integers in [-n, n], n = floor(B X),
     so w(a / X) is the product, in column order, of four lookups in a table of
     the 2 n + 1 factors bump6((v / X) / B): the floats that ``weight(a / X)``
     gives.  At levels N <= 2 only the half box is built and each pair a, -a

@@ -186,6 +186,18 @@ class TestGridGap:
                 ratio = (s ** -2) / y
                 assert 1 / 16 <= ratio <= 16, (T, ratio)
 
+    def test_non_integral_q_is_refused(self, rng):
+        g = GroupElement(random_sl2(rng), np.array([[0.3, 0.7]]))
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="projection vectors must be integral"):
+                grid_gap(g, [bad], 10.0)
+        with pytest.raises(DomainError, match="64-bit integers"):
+            grid_gap(g, np.array([1e20]), 10.0)
+        # An integral float is its integer.
+        res, want = grid_gap(g, [2.0], 10.0), grid_gap(g, [2], 10.0)
+        assert res.value == want.value
+        assert np.array_equal(res.witness, want.witness)
+
 
 class TestGridGapMany:
     def test_matches_big_scan(self, rng):

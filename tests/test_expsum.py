@@ -205,7 +205,14 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "spec,rho",
         [(CosetSpec.principal(1), r) for r in (1.5, 5.0, 37.25, 100.0)]
-        + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)],
+        + [(CosetSpec(2, (1, 1, 0, 1)), 20.0), (CosetSpec(3, (1, 2, 0, 1)), 20.0)]
+        # The quarter-step radii of the Poincare series' balls.
+        + [(CosetSpec.principal(1), r) for r in (4.25, 4.5, 4.75, 9.25)]
+        # Radii on which boundary matrices sit, |A|^2 = k, and one just inside sqrt(2).
+        + [(CosetSpec.principal(1), math.sqrt(k)) for k in (2, 3, 27, 50, 65)]
+        + [(CosetSpec.principal(1), math.nextafter(math.sqrt(2.0), 0.0))]
+        # A level above 2 * 5 + 1, where a class holds only its signed residue.
+        + [(CosetSpec(13, (1, 12, 0, 1)), 5.0)],
     )
     def test_matches_scalar_loop_in_order(self, spec, rho):
         got = enumerate_coset_ball(spec, rho)
@@ -329,7 +336,7 @@ class TestFirstRowTable:
             assert np.abs(d0).max() <= amax / 2 + 1
             bb = a * c0 + b * d0
             assert np.abs(bb).max() <= amax * amax + amax
-            # The integer parts of the ball's discriminant stay exact in float64.
+            # Products of these bounds stay far inside float64's exact integers.
             assert (bb * bb).max() < 2**41
             assert ((a * a + b * b) * (c0 * c0 + d0 * d0)).max() < 2**41
 
