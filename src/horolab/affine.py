@@ -16,13 +16,16 @@ possible for a nonzero q) gives zero.
 
 All projected grids of one element share the basis rows M, so
 :func:`grid_gap_many` reduces it once per (element, T) and scores every
-offset q v as array code; :func:`grid_gap` is its one-row case.  It scores
-up to 128 offsets per array block: a block's time is mostly fixed numpy
-cost, and at 128 rows its candidate arrays still stay below glibc's mmap
-threshold, so the 101 offsets of a default orbit gap bound make one block.
+offset q v, at one time or at several, as array code; :func:`grid_gap` is
+its one-row case.  It scores up to 160 (time, offset) rows per array block:
+a block's time is mostly fixed numpy cost, and at 160 rows its candidate
+arrays still stay below glibc's mmap threshold, so the 43 distinct offsets
+of a default orbit gap bound at its three default times make one block.
 Where the minimum is attained twice (always for q = 0, by p and -p) the
 witness is the first minimizer in candidate order: c1, then breakpoint,
-then c0.
+then c0.  A breakpoint that does not exist (zero denominator) is a nan
+candidate, which never wins, so every row's finite candidates keep that
+order whatever the other rows of its block are.
 
 The gap value is even in the offset: the rows n and -n give the same float
 (not always opposite witnesses, since ties are broken in candidate order),
@@ -32,7 +35,7 @@ candidates are odd; ``_point_value`` and the membership test are even.  Only
 the ``floor``-based c0 window shifts, and only at an integer breakpoint, where
 both windows still hold its floor and ceiling.  So a sum over a ± symmetric
 set of offsets may score one of each pair and count it twice, as
-``majorant.orbit_gap_bound`` does.
+``majorant.orbit_gap_bounds`` does.
 """
 
 from __future__ import annotations
@@ -62,13 +65,15 @@ MEMBERSHIP_TOL = 1e-9
 
 _MAX_REDUCTION_SWEEPS = 200
 
-#: Offsets scored per array block in grid_gap_many.  Most of a block's time
-#: is fixed numpy cost, not per-offset work (one block, 2 cores, numpy 2.4):
-#: 180 us at 32 rows, 238 at 64, 318 at 101, 361 at 128, then 607 at 160 and
-#: 838 at 200.  At 128 rows the (rows, 5, 5, 4) float candidate arrays hold
-#: 100 KiB, below glibc's 128 KiB mmap threshold, and the 101 offsets of an
-#: orbit gap bound at q_max = d_max = 10 make one block.
-_BLOCK_ROWS = 128
+#: (time, offset) rows scored per array block in grid_gap_many.  Most of a
+#: block's time is fixed numpy cost, not per-row work (one block of default
+#: orbit bound rows, 2 cores, numpy 2.4, timeit min): 160-170 us at 32 rows,
+#: 165-180 at 43, 215-220 at 64, 255-280 at 101, 385-470 at 129, 525-610 at
+#: 160 and 715-960 at 200.  At 160 rows the (rows, 5, 5, 4) float candidate
+#: arrays hold 125 KiB, below glibc's 128 KiB mmap threshold, and the 43
+#: distinct offsets of an orbit gap bound at q_max = d_max = 10 at its three
+#: default times make one 129-row block, not three blocks of 43.
+_BLOCK_ROWS = 160
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,7 @@ def _gauss_reduce(rows: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     raise ConvergenceError(f"lattice reduction did not converge within {_MAX_REDUCTION_SWEEPS} sweeps")
 
 
-def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: float):
+def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: np.ndarray):
     # Shared evaluation formula; the brute-force cross-check in the test
     # suite mirrors it term for term so the two routes agree bitwise.
     x1 = n0 * basis[0, 0] + n1 * basis[1, 0] + offset[..., 0]
@@ -241,42 +246,56 @@ def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: float):
     return np.maximum(T * np.abs(x1), np.abs(x2)), x1, x2
 
 
-def _gap_block(basis, reduced, u, offsets, exempt, T):
-    """Gap values and witnesses; candidate arrays are laid out (offset, c1, break, c0)."""
-    n = len(offsets)
-    # Origin membership, one 2 x 2 solve per row as in PlanarGrid.contains.
-    coef = np.linalg.solve(np.broadcast_to(basis.T, (n, 2, 2)), (0.0 - offsets)[:, :, None])
-    in_grid = ~exempt & (np.max(np.abs(coef - np.round(coef)), axis=(1, 2)) <= MEMBERSHIP_TOL)
+def _holds_origin(basis, offsets):
+    """Whether each grid with these offsets contains the origin: one 2 x 2 solve
+    per row, as in PlanarGrid.contains.  It does not depend on T."""
+    coef = np.linalg.solve(np.broadcast_to(basis.T, (len(offsets), 2, 2)), (0.0 - offsets)[:, :, None])
+    return np.max(np.abs(coef - np.round(coef)), axis=(1, 2)) <= MEMBERSHIP_TOL
 
+
+def _breakpoints(num, den):
+    # A zero denominator gives no breakpoint: nan, which never wins below.
+    den = den[:, None]
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0.0)
+
+
+def _gap_block(basis, reduced, u, offsets, exempt, T):
+    """Gap values and witnesses of rows that each carry their own time ``T``
+    (rows,), reduced basis ``reduced`` (rows, 2, 2) and change of coordinates
+    ``u`` (rows, 2, 2); origin membership is left to the caller.  Candidate
+    arrays are laid out (row, c1, break, c0) with five breakpoints per c1.  A
+    breakpoint with a zero denominator is a nan candidate, so the finite
+    candidates keep their order and the first minimizer is the same."""
+    n = len(offsets)
     # Work in coordinates rescaled so the target becomes the sup-norm ball.
     # After Euclidean reduction the coefficient of the longer basis vector
     # at any sup-norm minimizer sits within 2 of the rounded real solution,
     # so it is enumerated directly.  Along the shorter vector the minimizer
     # can drift arbitrarily far, but there the objective is convex piecewise
     # linear in one variable, so its breakpoints pin down the candidates.
-    shifted = offsets * np.array([T, 1.0])
-    target = np.linalg.solve(np.broadcast_to(reduced.T, (n, 2, 2)), -shifted[:, :, None])[:, :, 0]
+    shifted = np.column_stack((offsets[:, 0] * T, offsets[:, 1]))
+    target = np.linalg.solve(reduced.transpose(0, 2, 1), -shifted[:, :, None])[:, :, 0]
     c1 = np.rint(target[:, 1])[:, None] + np.arange(-2.0, 3.0)
-    base = c1[:, :, None] * reduced[1] + shifted[:, None, :]
-    breaks = [np.broadcast_to(target[:, :1], c1.shape)]
+    base = c1[:, :, None] * reduced[:, None, 1] + shifted[:, None, :]
+    first = reduced[:, 0]
     # A subnormal reduced entry sends its breakpoints to inf, and far candidates
-    # at huge T or offsets may overflow to inf or nan.  Infinite breakpoints are
-    # skipped and fmin sends nan to inf, so neither ever wins.
+    # at huge T or offsets may overflow to inf or nan.  The isfinite mask skips
+    # inf and nan breakpoints and fmin sends nan to inf, so neither ever wins.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in (0, 1):
-            if reduced[0, i] != 0.0:
-                breaks.append(-base[:, :, i] / reduced[0, i])
-        for sgn in (1.0, -1.0):
-            denom = reduced[0, 0] - sgn * reduced[0, 1]
-            if denom != 0.0:
-                breaks.append((sgn * base[:, :, 1] - base[:, :, 0]) / denom)
-        x = np.stack(breaks, axis=2)[:, :, :, None]
+        x = np.stack([
+            np.broadcast_to(target[:, :1], c1.shape),
+            _breakpoints(-base[:, :, 0], first[:, 0]),
+            _breakpoints(-base[:, :, 1], first[:, 1]),
+            _breakpoints(base[:, :, 1] - base[:, :, 0], first[:, 0] - first[:, 1]),
+            _breakpoints(-base[:, :, 1] - base[:, :, 0], first[:, 0] + first[:, 1]),
+        ], axis=2)[:, :, :, None]
         c0 = np.floor(x) + np.arange(-1.0, 3.0)
         c1 = c1[:, :, None, None]
+        u = u.reshape(n, 2, 2, 1, 1, 1)
         # Integer-valued floats, equal to the exact lattice indices below 2^53.
-        n0 = c0 * u[0][0] + c1 * u[1][0]
-        n1 = c0 * u[0][1] + c1 * u[1][1]
-        vals, x1, x2 = _point_value(n0, n1, basis, offsets[:, None, None, None, :], T)
+        n0 = c0 * u[:, 0, 0] + c1 * u[:, 1, 0]
+        n1 = c0 * u[:, 0, 1] + c1 * u[:, 1, 1]
+        vals, x1, x2 = _point_value(n0, n1, basis, offsets[:, None, None, None, :], T[:, None, None, None])
     vals = np.where(np.isfinite(x), np.fmin(vals, np.inf), np.inf)
     # The q = 0 rows skip the origin; only those rows are masked.
     zero = np.flatnonzero(exempt)
@@ -286,17 +305,22 @@ def _gap_block(basis, reduced, u, offsets, exempt, T):
     best = np.argmin(vals, axis=1)
     value = vals[rows, best]
     witness = np.stack([x1.reshape(n, -1)[rows, best], x2.reshape(n, -1)[rows, best]], axis=1)
-    witness[np.isinf(value) | in_grid] = 0.0
-    value = np.where(in_grid, 0.0, np.minimum(value, GAP_CAP))
-    return value, witness
+    witness[np.isinf(value)] = 0.0
+    return np.minimum(value, GAP_CAP), witness
 
 
-def grid_gap_many(element: GroupElement, ns: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+def grid_gap_many(element: GroupElement, ns: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
     """Gap values (n,) and witnesses (n, 2) for the rows of the (n, k) integer
     array ``ns``; row i is exactly ``grid_gap(element, ns[i], T)`` in any batch.
-    A matrix with a non-integer entry is refused once eps * T * |M|^2, the
-    relative rounding error of its grid coordinates, passes 1e-3."""
-    T = RectangleRT(float(T)).T
+    ``T`` is one time or a 1-D sequence of times; a sequence gives values
+    (len(T), n) and witnesses (len(T), n, 2), row t being the one-T answer at
+    ``T[t]``.  A matrix with a non-integer entry is refused once
+    eps * T * |M|^2, the relative rounding error of its grid coordinates,
+    passes 1e-3.  Every time is checked and reduced before any block runs.
+
+    The rows (time, offset) go into blocks of ``_BLOCK_ROWS`` time-major; the
+    origin test depends on the offset alone and runs once per offset."""
+    times = [RectangleRT(float(t)).T for t in (T if np.ndim(T) else [T])]
     ns = np.asarray(ns)
     if ns.ndim != 2 or ns.shape[1] != element.k:
         raise DomainError(f"projection vectors must form an (n, {element.k}) array: {ns.shape}")
@@ -306,23 +330,38 @@ def grid_gap_many(element: GroupElement, ns: np.ndarray, T: float) -> tuple[np.n
     # offset does not depend on the batch around it.
     offsets = np.matmul(ns.astype(float)[:, None, :], element.translation)[:, 0, :]
     basis = element.matrix.as_array()
-    if not T * float(np.abs(basis).max()) <= SCALED_CAP:
-        raise DomainError(f"T={T:g}: T * max|M| above 2^511 overflows the lattice reduction")
-    rounding = 2.0**-52 * T * float(np.sum(basis * basis))
-    if rounding > _ROUNDING_CAP and not np.array_equal(basis, np.round(basis)):
-        raise DomainError(
-            f"T={T:g}: eps * T * |M|^2 = {rounding:.2g} exceeds {_ROUNDING_CAP:g}, so the gap of"
-            " this non-integer matrix would be rounding noise"
-        )
-    if not math.isfinite(T * float(np.abs(offsets[:, 0]).max(initial=0.0))):
-        raise DomainError(f"T={T:g} times the grid offset overflows")
-    reduced, u = _gauss_reduce(basis * np.array([T, 1.0]))
+    entry, norm2 = float(np.abs(basis).max()), float(np.sum(basis * basis))
+    reach = float(np.abs(offsets[:, 0]).max(initial=0.0))
+    reduced, us = np.empty((len(times), 2, 2)), np.empty((len(times), 2, 2))
+    for j, t in enumerate(times):
+        if not t * entry <= SCALED_CAP:
+            raise DomainError(f"T={t:g}: T * max|M| above 2^511 overflows the lattice reduction")
+        rounding = 2.0**-52 * t * norm2
+        if rounding > _ROUNDING_CAP and not np.array_equal(basis, np.round(basis)):
+            raise DomainError(
+                f"T={t:g}: eps * T * |M|^2 = {rounding:.2g} exceeds {_ROUNDING_CAP:g}, so the gap of"
+                " this non-integer matrix would be rounding noise"
+            )
+        if not math.isfinite(t * reach):
+            raise DomainError(f"T={t:g} times the grid offset overflows")
+        reduced[j], us[j] = _gauss_reduce(basis * np.array([t, 1.0]))
+    times = np.array(times)
+    n, total = len(ns), len(times) * len(ns)
     exempt = ~ns.any(axis=1)
-    values, witnesses = np.empty(len(ns)), np.empty((len(ns), 2))
-    for lo in range(0, len(ns), _BLOCK_ROWS):
+    origin = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
-        values[blk], witnesses[blk] = _gap_block(basis, reduced, u, offsets[blk], exempt[blk], T)
-    return values, witnesses
+        origin[blk] = _holds_origin(basis, offsets[blk]) & ~exempt[blk]
+    values, witnesses = np.empty(total), np.empty((total, 2))
+    for lo in range(0, total, _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        t, i = np.divmod(np.arange(lo, min(lo + _BLOCK_ROWS, total)), n)
+        values[blk], witnesses[blk] = _gap_block(basis, reduced[t], us[t], offsets[i], exempt[i], times[t])
+    values, witnesses = values.reshape(len(times), n), witnesses.reshape(len(times), n, 2)
+    # Only a nonzero row's grid can contain the origin, which forces the gap 0.
+    values[:, origin] = 0.0
+    witnesses[:, origin] = 0.0
+    return (values, witnesses) if np.ndim(T) else (values[0], witnesses[0])
 
 
 def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:

@@ -49,7 +49,7 @@ from .autofns import PoincareTestFn, evaluate_f
 from .errors import ConvergenceError, DomainError, ResourceGuardError, guard
 from .expsum import WeightFn, cancellation_report, expsum_rhs, weighted_expsum_lhs
 from .majorant import (
-    SERIES_WORK_CAP, MajorantParams, lfd_test, majorant_full, orbit_gap_bound,
+    SERIES_WORK_CAP, MajorantParams, lfd_test, majorant_full, orbit_gap_bounds,
 )
 from .orbitlab import (
     horocycle_main_term, lattice_window_average, long_orbit_average, orbit_split,
@@ -227,12 +227,8 @@ def _plan_horocycle(p):
 def _plan_theorem4(p):
     element = _as_element(p["matrix"], p["xi"])
     params = MajorantParams(element.k, p["m"], p["qmax"], p["dmax"])
-
-    def row(T):
-        bound = orbit_gap_bound(element, T, params)
-        return (T, bound.term0, bound.series, bound.tail_bound)
-
-    return [row(T) for T in p["T"]]
+    bounds = orbit_gap_bounds(element, p["T"], params)
+    return [(T, b.term0, b.series, b.tail_bound) for T, b in zip(p["T"], bounds)]
 
 
 def _log_slope(xs, values, what: str) -> float:
@@ -361,7 +357,7 @@ def _plan_orbit_decay(p):
     rows = []
     for index in range(p["count"]):
         element = GroupElement.from_torus_point(_draw_matrix(rng), rng.uniform(0.0, 1.0, (1, 2)))
-        bounds = [orbit_gap_bound(element, T, params) for T in Ts]
+        bounds = orbit_gap_bounds(element, Ts, params)
         slope = _log_slope(Ts, [b.total for b in bounds], "--times")
         rows.extend((index, T, b.term0, b.series, b.tail_bound, slope) for T, b in zip(Ts, bounds))
     return rows

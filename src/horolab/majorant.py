@@ -88,13 +88,15 @@ Q_GRID_CAP = 1_000_000
 #: and 11 us is the cost of about 450 vectors.  At 25 ns per unit this is ~20 s.
 LFD_WORK_CAP = 800_000_000
 
-#: Gap offsets of one ``orbit_gap_bound`` call, counted as n_q d_max for the n_q
-#: vectors of the full q set, so ± pairs count whole although one of each is scored.
-#: The cap was set at 8 us per full-set offset (~20 s).  Paired, and scored in
-#: 128-row gap blocks, each one was measured (2 cores) at 1.42-1.46 us of
-#: ``grid_gap_many`` and series work (2.83-2.92 s at q_max = 10, d_max = 10^5, that
-#: is 2 10^6 offsets, with 133 MB peak RSS, against 1.84-1.90 us in 64-row blocks on
-#: the same host), so a call at the cap takes ~3.7 s.
+#: Gap offsets of one orbit gap bound, counted per time as n_q d_max for the n_q
+#: vectors of the full q set, so ± pairs and repeated offsets d q count whole
+#: although one of each distinct offset is scored.  The cap was set at 8 us per
+#: full-set offset (~20 s).  Paired, deduplicated and scored in 160-row gap
+#: blocks, each one was measured (2 cores) at 1.14-1.29 us of ``grid_gap_many``
+#: and series work (2.28-2.57 s at q_max = 10, d_max = 10^5 and one time, that is
+#: 2 10^6 offsets of which 496,031 of the half set are distinct, with 121 MB
+#: peak RSS, against 2.87-3.43 s and 133 MB scoring every half-set offset in
+#: 128-row blocks on the same host), so a bound at the cap takes ~3.2 s.
 #: The cap is kept, so the same calls are refused.  CLI defaults, A15 and
 #: ``run_orbit_decay.py`` use 200 (q_max = d_max = 10).
 ORBIT_GAP_WORK_CAP = 2_500_000
@@ -481,8 +483,10 @@ class OrbitGapBound:
         return self.total + self.tail_bound
 
 
-def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> OrbitGapBound:
-    """Evaluate the long-orbit comparison bound at time T >= 2.
+def orbit_gap_bounds(
+    element: GroupElement, Ts: Sequence[float], params: MajorantParams
+) -> list[OrbitGapBound]:
+    """Evaluate the long-orbit comparison bound at each time T >= 2 of ``Ts``.
 
     The leading term applies the cubic gauge to the reciprocal square root
     of the q = 0 gap; each series term applies the linear gauge to
@@ -490,10 +494,21 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
     even in the offset (``affine`` module docstring), so only the half set's
     offsets are scored and each term is counted twice; the sum is the same
     float as over the full set.  Calls with more than ``ORBIT_GAP_WORK_CAP``
-    gap offsets (q, d) of the full set are refused.
+    gap offsets (q, d) of the full set per time are refused; every time is
+    checked before any gap is scored.
+
+    Each distinct offset d q is scored once for all times, in one
+    ``grid_gap_many`` batch per group of times: equal integer rows give equal
+    float offsets through its one-row products, and a row's gap does not
+    depend on its batch, so the gaps are those of the full offset list.  A
+    group holds at most ``ORBIT_GAP_WORK_CAP`` full-set offsets over its times
+    (or one time), which bounds its arrays as for one capped call.  Each
+    bound's terms are summed in the one-T order, so it is the same float as
+    ``orbit_gap_bound`` at that time.
     """
-    if not T >= 2.0:
-        raise DomainError("time parameter must be at least 2")
+    for T in Ts:
+        if not T >= 2.0:
+            raise DomainError("time parameter must be at least 2")
     if params.d_max is None:
         raise DomainError("orbit gap bound needs an explicit d_max")
     if element.k != params.k:
@@ -501,23 +516,40 @@ def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> 
     offsets = len(_q_vectors(params.k, params.q_max)) * params.d_max
     guard(offsets, ORBIT_GAP_WORK_CAP, "gap offsets")
     qs, coef_q, coef_d, tail = _weights(params, params.d_max)
-    # One batch per T: the q = 0 row, then d q for each half-set q and d = 1..d_max.
+    # The q = 0 row, then d q for each half-set q and d = 1..d_max.
     half = _half_set(qs)
     ds = np.arange(1, params.d_max + 1)
-    dq = qs[half][:, None, :] * ds[:, None]
-    ns = np.concatenate([np.zeros((1, params.k), dtype=int), dq.reshape(-1, params.k)])
-    gaps = grid_gap_many(element, ns, T)[0]
-    term0 = log_gauge(float(gaps[0]) ** -0.5, 3)
+    dq = (qs[half][:, None, :] * ds[:, None]).reshape(-1, params.k)
+    ns = np.concatenate([np.zeros((1, params.k), dtype=int), dq])
+    distinct, inverse = np.unique(ns, axis=0, return_inverse=True)
+    # Only the distinct rows stay alive while the gaps and terms are built.
+    del dq, ns
+    weights = coef_q[half][:, None] * coef_d
+    step = max(1, ORBIT_GAP_WORK_CAP // offsets)
+    bounds = []
+    for lo in range(0, len(Ts), step):
+        gaps = grid_gap_many(element, distinct, Ts[lo:lo + step])[0]
+        # log_gauge(x, 1) per term, with math.log as there: np.log may differ by an ulp.
+        x = 1.0 / (1.0 + gaps[:, inverse[1:]].reshape(len(gaps), -1, params.d_max) / ds)
+        if not (x.min() > 0.0 and x.max() < math.inf):
+            raise DomainError("gauge argument must be a positive finite number")
+        terms = np.fromiter(map(math.log, (2.0 + 1.0 / x).ravel().tolist()), float, x.size)
+        # In place, the same floats as 2 (weights (x log)).  Doubling the term,
+        # not the weight, is exact even for a subnormal product.
+        terms = terms.reshape(x.shape)
+        terms *= x
+        terms *= weights
+        terms *= 2.0
+        bounds.extend(
+            OrbitGapBound(log_gauge(float(gap) ** -0.5, 3), math.fsum(row), math.log(3.0) * tail)
+            for gap, row in zip(gaps[:, inverse[0]], terms.reshape(len(gaps), -1).tolist())
+        )
+    return bounds
 
-    # log_gauge(x, 1) per term, with math.log as there: np.log may differ by an ulp.
-    x = 1.0 / (1.0 + gaps[1:].reshape(-1, params.d_max) / ds)
-    if not (x.min() > 0.0 and x.max() < math.inf):
-        raise DomainError("gauge argument must be a positive finite number")
-    logs = np.fromiter(map(math.log, (2.0 + 1.0 / x).ravel().tolist()), float, x.size)
-    terms = (coef_q[half][:, None] * coef_d) * (x * logs.reshape(x.shape))
-    # Doubling the term, not the weight, is exact even for a subnormal product.
-    series = math.fsum((2.0 * terms).ravel().tolist())
-    return OrbitGapBound(term0, series, math.log(3.0) * tail)
+
+def orbit_gap_bound(element: GroupElement, T: float, params: MajorantParams) -> OrbitGapBound:
+    """The bound of :func:`orbit_gap_bounds` at the one time T >= 2."""
+    return orbit_gap_bounds(element, [T], params)[0]
 
 
 @dataclass(frozen=True)

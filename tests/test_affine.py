@@ -389,6 +389,37 @@ class TestGapBlocks:
         assert in_grid > 0
 
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 128, 129, 160, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_times_together_match_one_time_calls(self, rng, monkeypatch, block_rows, k):
+        # Rows go into blocks time-major: with 43 offsets the zero rows 0, 7,
+        # 31 and 42 sit at rows 7, 128, 129 and 160 of the five times, on the
+        # edges of the blocks above, and many blocks straddle two times.
+        cases = [
+            (Sl2Matrix.identity(), rng.integers(0, 8, (k, 2)) / np.array([4, 5])),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), rng.integers(0, 8, (k, 2)) / np.array([4, 5])),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), rng.random((k, 2))),
+            (random_sl2(rng), rng.random((k, 2))),
+        ]
+        ns = rng.integers(-20, 21, size=(43, k))
+        ns[[0, 7, 31, 42]] = 0
+        Ts = (1.0, 2.0, 37.0, 1e3, 1e6)
+        in_grid = 0
+        for m, xi in cases:
+            g = GroupElement.from_torus_point(m, xi)
+            with monkeypatch.context() as patch:
+                patch.setattr(affine, "_BLOCK_ROWS", block_rows)
+                values, witnesses = grid_gap_many(g, ns, Ts)
+            assert values.shape == (5, 43) and witnesses.shape == (5, 43, 2)
+            for t, T in enumerate(Ts):
+                v, w = grid_gap_many(g, ns, T)
+                assert np.array_equal(values[t], v) and np.array_equal(witnesses[t], w)
+            in_grid += int(np.sum((values == 0.0) & ns.any(axis=1)))
+            with pytest.raises(DomainError):
+                grid_gap_many(g, ns, [2.0, 0.5])
+        assert in_grid > 0
+
+
 class TestLogGauge:
     def test_anchor_values(self):
         assert log_gauge(1.0, 1) == pytest.approx(math.log(3.0), rel=1e-15)

@@ -336,6 +336,18 @@ class TestExitCodes:
         assert run(["expsum", *flags]) == 2
         assert capsys.readouterr().err == "horolab: box side 2 B X must be a finite number\n"
 
+    @pytest.mark.parametrize("argv", [("theorem4", "--T", "100,1.5,1000"),
+                                      ("orbit-decay", "--count", "2", "--times", "100,1.5")])
+    def test_short_time_maps_to_two_before_any_gap(self, capsys, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("gap scored before the times were checked")
+
+        monkeypatch.setattr(affine, "_gap_block", unreachable)
+        assert run(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "horolab: time parameter must be at least 2\n"
+
     def test_unreduced_gap_basis_maps_to_three(self, capsys, monkeypatch):
         # (2, 1; 1, 1) needs three reduction sweeps; one is not enough.
         monkeypatch.setattr(affine, "_MAX_REDUCTION_SWEEPS", 1)

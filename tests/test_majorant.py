@@ -28,9 +28,11 @@ from horolab.majorant import (
     majorant_column_many,
     majorant_full,
     orbit_gap_bound,
+    orbit_gap_bounds,
     q_tail_bound,
     shifted_line_sum,
 )
+from horolab.sl2core import Sl2Matrix
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -598,8 +600,9 @@ class TestOrbitGapBound:
             orbit_gap_bound(GroupElement.identity(), 10.0, p)
 
     def test_default_bound_scores_one_gap_block(self, rng, monkeypatch):
-        # At q_max = d_max = 10 the 101 offsets fit one affine block, whose
-        # fixed numpy cost dominates an orbit bound.
+        # At q_max = d_max = 10 the 101 offsets hold 43 distinct ones, and the
+        # three default times fit one affine block, whose fixed numpy cost
+        # dominates an orbit bound.
         from conftest import random_sl2
 
         rows = []
@@ -612,7 +615,62 @@ class TestOrbitGapBound:
         monkeypatch.setattr(affine, "_gap_block", counted)
         g = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0.0, 1.0, (1, 2)))
         orbit_gap_bound(g, 100.0, MajorantParams(1, 3.0, 10, 10))
-        assert rows == [101]
+        assert rows == [43]
+        rows.clear()
+        orbit_gap_bounds(g, [1e2, 1e3, 1e4], MajorantParams(1, 3.0, 10, 10))
+        assert rows == [129]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_times_together_match_one_time_calls(self, rng, k):
+        # The identity's reduced basis has zero entries, so its skipped
+        # breakpoints take the nan-candidate path; integer matrices at points
+        # of (1/4) Z x (1/5) Z put the origin on some grids.
+        from conftest import random_sl2
+
+        p = MajorantParams(k, k + 2.0, {1: 10, 2: 4, 3: 2}[k], {1: 10, 2: 5, 3: 4}[k])
+        Ts = [2.0, 37.0, 1e2, 1e3, 1e4, 1e6]
+        lattice_xi = rng.integers(0, 8, (k, 2)) / np.array([4, 5])
+        cases = [
+            (Sl2Matrix.identity(), lattice_xi),
+            (Sl2Matrix.identity(), rng.random((k, 2))),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), lattice_xi),
+            (Sl2Matrix(2.0, 1.0, 1.0, 1.0), rng.random((k, 2))),
+            (random_sl2(rng), rng.random((k, 2))),
+        ]
+        for m, xi in cases:
+            g = GroupElement.from_torus_point(m, xi)
+            assert orbit_gap_bounds(g, Ts, p) == [orbit_gap_bound(g, T, p) for T in Ts]
+
+    def test_times_are_grouped_under_the_work_cap(self, rng, monkeypatch):
+        # A group holds at most ORBIT_GAP_WORK_CAP full-set offsets over its
+        # times: at 200 offsets per time a cap of 400 scores the times in pairs.
+        from conftest import random_sl2
+
+        p = MajorantParams(1, 3.0, 10, 10)
+        g = GroupElement.from_torus_point(random_sl2(rng), rng.uniform(0.0, 1.0, (1, 2)))
+        Ts = [2.0, 1e2, 1e3, 1e4, 1e6]
+        batches = []
+        real = majorant.grid_gap_many
+
+        def counted(element, ns, T):
+            batches.append(len(T))
+            return real(element, ns, T)
+
+        monkeypatch.setattr(majorant, "grid_gap_many", counted)
+        monkeypatch.setattr(majorant, "ORBIT_GAP_WORK_CAP", 400)
+        grouped = orbit_gap_bounds(g, Ts, p)
+        assert batches == [2, 2, 1]
+        monkeypatch.undo()
+        assert grouped == orbit_gap_bounds(g, Ts, p)
+
+    def test_a_short_time_refuses_the_list_before_any_gap(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("gap scored before the times were checked")
+
+        monkeypatch.setattr(majorant, "grid_gap_many", unreachable)
+        p = MajorantParams(k=1, m=3, q_max=10, d_max=10)
+        with pytest.raises(DomainError, match="^time parameter must be at least 2$"):
+            orbit_gap_bounds(GroupElement.identity(), [1e2, 1.5, 1e3], p)
 
     def test_tail_positive(self, rng):
         from conftest import random_sl2
