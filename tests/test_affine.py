@@ -388,7 +388,6 @@ class TestGapBlocks:
                 assert np.all(values[~ns.any(axis=1)] > 0.0)
         assert in_grid > 0
 
-
     @pytest.mark.parametrize("block_rows", [1, 7, 128, 129, 160, 4096])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_times_together_match_one_time_calls(self, rng, monkeypatch, block_rows, k):
