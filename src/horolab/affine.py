@@ -7,6 +7,8 @@ Elements are pairs (M, v) where v is a k x 2 real block, multiplying by
 The torus variable attached to an element is xi = v M^{-1}; pushing an
 integer vector q through :meth:`GroupElement.project` collapses the block
 to the single row q v, which is what the planar gap statistic consumes.
+Integer vectors are read by :func:`horolab.errors.integers`, 2 x 2 systems
+c B = p solved by ``_coefficients``, lattice membership by ``_on_lattice``.
 
 The gap statistic measures how far a shifted lattice stays from a thin
 rectangle anchored at the origin: the rectangle [-1/T, 1/T] x [-1, 1] is
@@ -30,7 +32,7 @@ order whatever the other rows of its block are.
 The gap value is even in the offset: the rows n and -n give the same float
 (not always opposite witnesses, since ties are broken in candidate order),
 because the lattice is symmetric and every step is odd or even in the
-offset.  The offset, the batched solves, ``rint``, the breakpoints and the
+offset.  The offset, the Cramer coefficients, ``rint``, the breakpoints and the
 candidates are odd; ``_point_value`` and the membership test are even.  Only
 the ``floor``-based c0 window shifts, and only at an integer breakpoint, where
 both windows still hold its floor and ceiling.  So a sum over a ± symmetric
@@ -46,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, integers
 from .sl2core import Sl2Matrix
 
 #: Inflation factors beyond this are reported as the cap itself.
@@ -67,9 +69,9 @@ _MAX_REDUCTION_SWEEPS = 200
 
 #: (time, offset) rows scored per array block in grid_gap_many.  Most of a
 #: block's time is fixed numpy cost, not per-row work (one block of default
-#: orbit bound rows, 2 cores, numpy 2.4, timeit min): 160-170 us at 32 rows,
-#: 165-180 at 43, 215-220 at 64, 255-280 at 101, 385-470 at 129, 525-610 at
-#: 160 and 715-960 at 200.  At 160 rows the (rows, 5, 5, 4) float candidate
+#: orbit bound rows, 2 cores, numpy 2.4, timeit min): 145-160 us at 32 rows,
+#: 165-185 at 43, 195-210 at 64, 255-280 at 101, 500-540 at 129, 610-680 at
+#: 160 and 765-875 at 200.  At 160 rows the (rows, 5, 5, 4) float candidate
 #: arrays hold 125 KiB, below glibc's 128 KiB mmap threshold, and the 43
 #: distinct offsets of an orbit gap bound at q_max = d_max = 10 at its three
 #: default times make one 129-row block, not three blocks of 43.
@@ -131,12 +133,31 @@ class GroupElement:
         The result has k = 1 and translation q v.  This is a group
         homomorphism for each fixed q.
         """
-        qv = np.asarray(q, dtype=float)
+        qv = integers(q, "projection vector")
         if qv.shape != (self.k,):
             raise DomainError(f"q must have length {self.k}, got shape {qv.shape}")
-        if not np.allclose(qv, np.round(qv), atol=1e-12):
-            raise DomainError("projection vector must be integral")
-        return GroupElement(self.matrix, (qv @ self.translation)[None, :])
+        return GroupElement(self.matrix, (qv.astype(float) @ self.translation)[None, :])
+
+
+def _det(basis):
+    """ad - bc of a 2 x 2 matrix, or of each matrix of a (..., 2, 2) stack."""
+    return basis[..., 0, 0] * basis[..., 1, 1] - basis[..., 0, 1] * basis[..., 1, 0]
+
+
+def _coefficients(basis, points):
+    """The c of c @ basis = points, basis rows (..., 2, 2) and points (..., 2),
+    by Cramer's rule, forward stable for 2 x 2 systems (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 1.10.1)."""
+    p0, p1, det = points[..., 0], points[..., 1], _det(basis)
+    return np.stack([(p0 * basis[..., 1, 1] - p1 * basis[..., 1, 0]) / det,
+                     (p1 * basis[..., 0, 0] - p0 * basis[..., 0, 1]) / det], axis=-1)
+
+
+def _on_lattice(basis, points):
+    """Whether each point (..., 2) has both coefficients within MEMBERSHIP_TOL of
+    integers: the membership test of PlanarGrid.contains and the gap kernel."""
+    c = _coefficients(basis, points)
+    return np.max(np.abs(c - np.round(c)), axis=-1) <= MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -156,16 +177,15 @@ class PlanarGrid:
             raise DomainError(f"basis must be 2x2, got {b.shape}")
         if o.shape != (2,):
             raise DomainError(f"offset must be a 2-vector, got {o.shape}")
-        if abs(np.linalg.det(b)) < 1e-14:
+        if abs(_det(b)) < 1e-14:
             raise DomainError("basis rows are numerically dependent")
         b.setflags(write=False)
         o.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "offset", o)
 
-    def contains(self, point: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        c = np.linalg.solve(self.basis.T, np.asarray(point, dtype=float) - self.offset)
-        return bool(np.max(np.abs(c - np.round(c))) <= tol)
+    def contains(self, point: Sequence[float]) -> bool:
+        return bool(_on_lattice(self.basis, np.asarray(point, dtype=float) - self.offset))
 
 
 def grid_of(element: GroupElement, q: Sequence[int]) -> PlanarGrid:
@@ -246,13 +266,6 @@ def _point_value(n0, n1, basis: np.ndarray, offset: np.ndarray, T: np.ndarray):
     return np.maximum(T * np.abs(x1), np.abs(x2)), x1, x2
 
 
-def _holds_origin(basis, offsets):
-    """Whether each grid with these offsets contains the origin: one 2 x 2 solve
-    per row, as in PlanarGrid.contains.  It does not depend on T."""
-    coef = np.linalg.solve(np.broadcast_to(basis.T, (len(offsets), 2, 2)), (0.0 - offsets)[:, :, None])
-    return np.max(np.abs(coef - np.round(coef)), axis=(1, 2)) <= MEMBERSHIP_TOL
-
-
 def _breakpoints(num, den):
     # A zero denominator gives no breakpoint: nan, which never wins below.
     den = den[:, None]
@@ -274,7 +287,7 @@ def _gap_block(basis, reduced, u, offsets, exempt, T):
     # can drift arbitrarily far, but there the objective is convex piecewise
     # linear in one variable, so its breakpoints pin down the candidates.
     shifted = np.column_stack((offsets[:, 0] * T, offsets[:, 1]))
-    target = np.linalg.solve(reduced.transpose(0, 2, 1), -shifted[:, :, None])[:, :, 0]
+    target = _coefficients(reduced, -shifted)
     c1 = np.rint(target[:, 1])[:, None] + np.arange(-2.0, 3.0)
     base = c1[:, :, None] * reduced[:, None, 1] + shifted[:, None, :]
     first = reduced[:, 0]
@@ -321,11 +334,9 @@ def grid_gap_many(element: GroupElement, ns: np.ndarray, T) -> tuple[np.ndarray,
     The rows (time, offset) go into blocks of ``_BLOCK_ROWS`` time-major; the
     origin test depends on the offset alone and runs once per offset."""
     times = [RectangleRT(float(t)).T for t in (T if np.ndim(T) else [T])]
-    ns = np.asarray(ns)
+    ns = integers(ns, "projection vectors")
     if ns.ndim != 2 or ns.shape[1] != element.k:
         raise DomainError(f"projection vectors must form an (n, {element.k}) array: {ns.shape}")
-    if not np.array_equal(ns, np.round(ns)):
-        raise DomainError("projection vectors must be integral")
     # One small product per row, as in GroupElement.project, so a row's
     # offset does not depend on the batch around it.
     offsets = np.matmul(ns.astype(float)[:, None, :], element.translation)[:, 0, :]
@@ -337,7 +348,7 @@ def grid_gap_many(element: GroupElement, ns: np.ndarray, T) -> tuple[np.ndarray,
         if not t * entry <= SCALED_CAP:
             raise DomainError(f"T={t:g}: T * max|M| above 2^511 overflows the lattice reduction")
         rounding = 2.0**-52 * t * norm2
-        if rounding > _ROUNDING_CAP and not np.array_equal(basis, np.round(basis)):
+        if rounding > _ROUNDING_CAP and not element.matrix.is_integral(0.0):
             raise DomainError(
                 f"T={t:g}: eps * T * |M|^2 = {rounding:.2g} exceeds {_ROUNDING_CAP:g}, so the gap of"
                 " this non-integer matrix would be rounding noise"
@@ -348,10 +359,7 @@ def grid_gap_many(element: GroupElement, ns: np.ndarray, T) -> tuple[np.ndarray,
     times = np.array(times)
     n, total = len(ns), len(times) * len(ns)
     exempt = ~ns.any(axis=1)
-    origin = np.zeros(n, dtype=bool)
-    for lo in range(0, n, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
-        origin[blk] = _holds_origin(basis, offsets[blk]) & ~exempt[blk]
+    origin = _on_lattice(basis, -offsets) & ~exempt
     values, witnesses = np.empty(total), np.empty((total, 2))
     for lo in range(0, total, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
@@ -372,16 +380,7 @@ def grid_gap(element: GroupElement, q: Sequence[int], T: float) -> GapResult:
     lies in the lattice); for nonzero q a grid that contains the origin
     forces the answer 0.  Values are capped at ``GAP_CAP``.
     """
-    # The int64 cast would truncate 1.5 to 1 and refuse nan with a bare ValueError.
-    qs = np.asarray(q)
-    if qs.dtype.kind == "f" and not np.all(np.isfinite(qs) & (qs == np.round(qs))):
-        raise DomainError("projection vectors must be integral")
-    try:
-        # Through Python numbers: an array cast would wrap 1e20 without an error.
-        ns = np.asarray(qs.tolist(), dtype=np.int64)[None, :]
-    except OverflowError as exc:
-        raise DomainError("projection vector entries must be 64-bit integers") from exc
-    values, witnesses = grid_gap_many(element, ns, T)
+    values, witnesses = grid_gap_many(element, np.asarray(q)[None], T)
     return GapResult(values[0], witnesses[0])
 
 
@@ -389,8 +388,7 @@ def log_gauge(x: float, j: int) -> float:
     """The gauge x * (log(2 + 1/x))^j, defined for x > 0 and integer j >= 0."""
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError("gauge argument must be a positive finite number")
-    if j < 0 or j != int(j):
+    j = int(integers(j, "gauge order"))
+    if j < 0:
         raise DomainError("gauge order must be a nonnegative integer")
-    if j == 0:
-        return x
-    return x * math.log(2.0 + 1.0 / x) ** int(j)
+    return x * math.log(2.0 + 1.0 / x) ** j

@@ -16,10 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import CosetSpec, factorize
-from .errors import DomainError, guard
+from .errors import DomainError, guard, integers
 from .expsum import enumerate_coset_ball
 from .quadrature import box_grid
-from .sl2core import Sl2Matrix, reduce_stack
+from .sl2core import Sl2Matrix, _unimodular, reduce_stack
 from .smoothfns import BUMP6_MASS, bump6
 
 MIN_SUPPORT_RADIUS = math.sqrt(2.0)
@@ -62,12 +62,7 @@ class PoincareTestFn:
         arr = np.asarray(self.freq)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise DomainError(f"freq must be a k x 2 integer array, got shape {arr.shape}")
-        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
-            raise DomainError("freq entries must be integers")
-        freq = tuple(tuple(int(x) for x in row) for row in arr)
-        if not all(-(2**63) <= x < 2**63 for row in freq for x in row):
-            raise DomainError("freq entries must be 64-bit integers")
-        object.__setattr__(self, "freq", freq)
+        object.__setattr__(self, "freq", tuple(map(tuple, integers(arr, "freq entries").tolist())))
         if not (MIN_SUPPORT_RADIUS < self.support_radius < math.inf):
             raise DomainError(
                 "support_radius must be finite and exceed sqrt(2), the smallest "
@@ -207,9 +202,7 @@ def evaluate_f(
     mats = np.asarray(matrix, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
         raise DomainError(f"expected a matrix or an (n, 2, 2) stack, got shape {mats.shape}")
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    if not np.all(np.abs(det - 1.0) <= 1e-6):
-        raise DomainError("stacked matrices must have determinant one")
+    _unimodular(mats.reshape(-1, 4).T)  # refuses what Sl2Matrix refuses; rows stay as they stand
     values = np.zeros(mats.shape[0], dtype=complex)
     for lo in range(0, mats.shape[0], _BLOCK_POINTS):
         for i, series in enumerate(_series_stack(fn, mats[lo : lo + _BLOCK_POINTS]), lo):
@@ -230,9 +223,7 @@ def _check_freq_like(fn: PoincareTestFn, m: np.ndarray) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(m))
     if arr.shape != (fn.k, 2):
         raise DomainError(f"frequency must have shape ({fn.k}, 2), got {arr.shape}")
-    if not np.all(arr == np.round(arr)):
-        raise DomainError("frequency entries must be integers")
-    return arr.astype(np.int64)
+    return integers(arr, "frequency entries")
 
 
 def fourier_coefficient_exact(fn: PoincareTestFn, matrix: Sl2Matrix, m: np.ndarray) -> float:

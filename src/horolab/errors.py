@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and its one resource guard.
+"""Exception types, the package's one resource guard and its one integer check.
 
 The command line maps these onto distinct exit codes, so library code
-should raise the most specific one that applies rather than a bare
-ValueError.  Size limits are enforced by :func:`guard` alone.
+should raise the most specific one that applies rather than a bare ValueError.
+Size limits are checked by :func:`guard` alone, integers by :func:`integers`.
 """
 
 import numbers
+
+import numpy as np
 
 
 class HorolabError(Exception):
@@ -48,3 +50,18 @@ def _count(x) -> str:
         return str(x)
     x = float(x)
     return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else f"{x:g}"
+
+
+def integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of its shape, each entry a finite, exactly
+    integral number in [-2^63, 2^63); no cast wraps 1e20 or truncates 1.5."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # through Python numbers: ints past 64 bits stay objects
+        flat = np.array(arr.ravel().tolist())
+        arr = flat.reshape(arr.shape) if flat.shape == (arr.size,) else arr
+    kind = arr.dtype.kind
+    if kind not in "iufO" or kind == "f" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise DomainError(f"{what} must be integral")
+    if kind == "O" or kind != "i" and not np.all((arr >= -(2**63)) & (arr < 2**63)):
+        raise DomainError(f"{what} must be 64-bit integers")
+    return arr.astype(np.int64)

@@ -35,8 +35,9 @@ class Sl2Matrix:
 
     Construction renormalizes mild determinant drift (|det - 1| up to
     1e-6) by dividing through sqrt(det); anything worse, or a
-    non-positive determinant, is rejected.  Instances are immutable and
-    hashable, so they can be used freely as dictionary keys in caches.
+    non-positive determinant, is rejected, by :func:`_unimodular` for any
+    determinant not within ``DET_RENORM_TOL`` of one.  Instances are
+    immutable and hashable, so they can be used freely as dictionary keys.
     """
 
     a: float
@@ -45,17 +46,10 @@ class Sl2Matrix:
     d: float
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if not math.isfinite(det) or det <= 0.0:
-            raise DomainError(f"matrix determinant {det} is not a positive real")
-        if abs(det - 1.0) > DET_RENORM_TOL:
-            if abs(det - 1.0) > 1e-6:
-                raise DomainError(f"determinant {det} too far from 1 to renormalize")
-            s = 1.0 / math.sqrt(det)
-            object.__setattr__(self, "a", self.a * s)
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "c", self.c * s)
-            object.__setattr__(self, "d", self.d * s)
+        if not abs(self.det - 1.0) <= DET_RENORM_TOL:
+            entries = _unimodular(np.array([[self.a], [self.b], [self.c], [self.d]], dtype=float))
+            for name, x in zip("abcd", entries[:, 0].tolist()):
+                object.__setattr__(self, name, x)
 
     # -- constructors -------------------------------------------------
 
@@ -209,8 +203,8 @@ _MAX_REDUCTION_STEPS = 4000
 
 
 def _unimodular(m: np.ndarray) -> np.ndarray:
-    """:class:`Sl2Matrix`'s construction rule on a (4, n) array of entries
-    a, b, c, d, with the same float operations: a determinant drift past
+    """The determinant rule of :class:`Sl2Matrix`, whose construction calls
+    it, on a (4, n) array of entries a, b, c, d: a determinant drift past
     ``DET_RENORM_TOL`` is divided out by sqrt(det), and a determinant more
     than 1e-6 from one, non-positive or not finite is refused."""
     a, b, c, d = m
@@ -315,13 +309,12 @@ def reduce_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rows.size:
         raise RuntimeError("fundamental-domain reduction did not terminate")
     # gamma = w^{-1} as floats.  Integer floats give an integer determinant,
-    # so an Sl2Matrix of them either has determinant exactly one or, once
-    # products pass 2^53, is refused; the rule then raises its own error.
+    # so the determinant rule either keeps them (determinant exactly one) or,
+    # once products pass 2^53, refuses them with its own error.
     gamma = words[[3, 1, 2, 0]]
     gamma[1:3] = -gamma[1:3]
     gamma = gamma.astype(float)
-    if not np.all(gamma[0] * gamma[3] - gamma[1] * gamma[2] == 1.0):
-        _unimodular(gamma)
+    _unimodular(gamma)
     return gamma.T.reshape(n, 2, 2), np.ascontiguousarray(reduced.T).reshape(n, 2, 2)
 
 

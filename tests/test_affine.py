@@ -127,6 +127,54 @@ class TestPlanarGrid:
             assert grid.contains(point)
 
 
+class TestCoefficients:
+    """``affine._coefficients`` solves c B = p by Cramer's rule.  np.linalg.solve
+    is its oracle here: the two must agree within a few ulps of the forward
+    error bound eps (|c| |B|) |B^-1| that any backward-stable 2 x 2 solve
+    meets, which for the well-conditioned reduced bases is a few ulps of
+    |c| itself."""
+
+    @staticmethod
+    def assert_agrees_with_lapack(basis, points):
+        got = affine._coefficients(basis, points)
+        want = np.linalg.solve(basis.T, points.T).T
+        scale = (np.abs(want) @ np.abs(basis)) @ np.abs(np.linalg.inv(basis))
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+        return scale / np.maximum(np.abs(want), np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("T", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_matches_lapack_on_reduced_bases(self, rng, T):
+        for _ in range(40):
+            reduced, _ = affine._gauss_reduce(random_sl2(rng).as_array() * np.array([T, 1.0]))
+            points = rng.uniform(-1.0, 1.0, (16, 2)) * np.array([T, 1.0]) * 10.0
+            amplification = self.assert_agrees_with_lapack(reduced, points)
+            assert np.median(amplification) < 4.0
+
+    def test_matches_lapack_on_near_singular_grid_bases(self, rng):
+        for gap in 10.0 ** -np.arange(6, 14):
+            for _ in range(10):
+                # Rows (1, 1) and (1, 1 + gap), rotated and scaled: det ~ gap.
+                theta, size = rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 2.0)
+                rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+                basis = np.array([[1.0, 1.0], [1.0, 1.0 + gap]]) @ rot * size
+                grid = PlanarGrid(basis, rng.uniform(-1, 1, 2))
+                self.assert_agrees_with_lapack(grid.basis, rng.uniform(-3.0, 3.0, (16, 2)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_grid_membership_is_the_kernel_origin_test(self, rng, k):
+        # Torus points in (1/4) Z x (1/5) Z put the origin on some grids.
+        hits = 0
+        for m in (Sl2Matrix.identity(), Sl2Matrix(2.0, 1.0, 1.0, 1.0), random_sl2(rng)):
+            g = GroupElement.from_torus_point(m, rng.integers(0, 8, (k, 2)) / np.array([4, 5]))
+            ns = rng.integers(-20, 21, size=(200, k))
+            ns = ns[ns.any(axis=1)]
+            values, _ = grid_gap_many(g, ns, 37.0)
+            contains = [grid_of(g, list(n)).contains([0.0, 0.0]) for n in ns]
+            assert np.array_equal(values == 0.0, contains)
+            hits += sum(contains)
+        assert hits > 0
+
+
 class TestRectangle:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,16 +1,21 @@
-"""The one resource guard: every cap of the package is checked by ``errors.guard``."""
+"""The one resource guard and the one integer check: every cap of the package
+is checked by ``errors.guard``, and every integer vector a caller passes in is
+read by ``errors.integers``."""
 
 import math
+import pathlib
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import horolab
 from horolab import arith, autofns, expsum, majorant, orbitlab
-from horolab.affine import GroupElement
+from horolab.affine import GroupElement, grid_gap, grid_gap_many, grid_of
 from horolab.arith import CosetSpec
-from horolab.autofns import PoincareTestFn, evaluate_f
-from horolab.errors import ResourceGuardError, guard
+from horolab.autofns import PoincareTestFn, evaluate_f, fourier_coefficient, fourier_coefficient_exact
+from horolab.errors import DomainError, ResourceGuardError, guard
 from horolab.majorant import MajorantParams
 from horolab.sl2core import Sl2Matrix
 from horolab.smoothfns import bump6
@@ -103,3 +108,56 @@ def test_stack_form_trips_the_ball_radius_guard(monkeypatch):
     message = "18.0625 squared ball-radius units exceed the cap 17.0625"
     with pytest.raises(ResourceGuardError, match=f"^{re.escape(message)}$"):
         evaluate_f(FN, stack, XI)
+
+
+# Each entry point that takes an integer vector, called with the vector v: a
+# projection vector q for the k = 1 element, or one frequency row for FN.
+INTEGER_ENTRY_POINTS = {
+    "grid_gap": lambda v: astuple(grid_gap(ELEMENT, v[:1], 10.0)),
+    "grid_gap_many": lambda v: grid_gap_many(ELEMENT, np.asarray(v[:1])[None], 10.0),
+    "project": lambda v: ELEMENT.project(v[:1]).translation,
+    "grid_of": lambda v: grid_of(ELEMENT, v[:1]).offset,
+    "PoincareTestFn": lambda v: PoincareTestFn(level=1, freq=(tuple(v),)).freq,
+    "fourier_coefficient": lambda v: fourier_coefficient(FN, Sl2Matrix.identity(), np.asarray(v)[None]),
+    "fourier_coefficient_exact":
+        lambda v: fourier_coefficient_exact(FN, Sl2Matrix.identity(), np.asarray(v)[None]),
+}
+# 2**63 is one past the int64 range; the object array holds a Python int past 64 bits.
+NOT_INT64 = [1000000.5, math.nan, math.inf, 1e20, 2**63, "object"]
+
+
+@pytest.mark.parametrize("bad", NOT_INT64, ids=str)
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_every_integer_entry_point_refuses_what_is_not_int64(entry, bad):
+    v = np.array([2**64 + 1, 0], dtype=object) if bad == "object" else [bad, 0]
+    with pytest.raises(DomainError):
+        INTEGER_ENTRY_POINTS[entry](v)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_an_integral_float_is_its_integer(entry):
+    got, want = INTEGER_ENTRY_POINTS[entry]([2.0, 0.0]), INTEGER_ENTRY_POINTS[entry]([2, 0])
+    parts = (lambda x: x if isinstance(x, tuple) else (x,))
+    assert all(np.array_equal(g, w) for g, w in zip(parts(got), parts(want), strict=True))
+    if entry == "PoincareTestFn":
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_empty_offset_arrays_keep_their_shape():
+    two = GroupElement.from_torus_point(Sl2Matrix.identity(), np.array([[0.3, 0.7], [0.1, 0.2]]))
+    for empty in (np.zeros((0, 2)), np.zeros((0, 2), dtype=int), np.empty((0, 2), dtype=object)):
+        values, witnesses = grid_gap_many(two, empty, 10.0)
+        assert values.shape == (0,) and witnesses.shape == (0, 2)
+        values, witnesses = grid_gap_many(two, empty, [10.0, 100.0])
+        assert values.shape == (2, 0) and witnesses.shape == (2, 0, 2)
+
+
+def test_each_rule_is_written_once():
+    """``affine`` solves its 2 x 2 systems by its one Cramer formula, not by
+    LAPACK, and no module but ``errors`` tests integrality by hand."""
+    package = pathlib.Path(horolab.__file__).resolve().parent
+    assert "linalg" not in (package / "affine.py").read_text()
+    by_hand = re.compile(r"allclose\([^)]*round|array_equal\([^)]*round|==\s*np\.round\(")
+    found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1) if by_hand.search(line)]
+    assert found == []

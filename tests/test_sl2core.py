@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolab import sl2core
 from horolab.errors import DomainError
 from horolab.sl2core import (
     IwasawaCoords,
@@ -287,3 +289,25 @@ class TestStackProduct:
             stack_product(np.diag([2.0, 1.0]), np.eye(2))
         with pytest.raises(DomainError, match="not a positive real"):
             stack_product(np.diag([-1.0, 1.0]), np.eye(2))
+        # Within DET_RENORM_TOL the entries are kept as given, type and all.
+        for det in (1.0 + 5e-13, 1.0 - 5e-13, np.float64(1.0 + 5e-13)):
+            m = Sl2Matrix(det, 0.0, 0.0, 1.0)
+            assert type(m.a) is type(det) and (m.a, m.b, m.c, m.d) == (det, 0.0, 0.0, 1.0)
+        # Past it the constructor's entries are _unimodular's, as stack_product's.
+        for det in (1.0 + 5e-9, 1.0 - 5e-9):
+            entries = np.array([[det], [0.25], [0.0], [1.0]])
+            m = Sl2Matrix(*entries[:, 0].tolist())
+            assert [m.a, m.b, m.c, m.d] == sl2core._unimodular(entries)[:, 0].tolist() != entries[:, 0].tolist()
+            assert stack_product(m.as_array(), np.eye(2)).tobytes() == m.as_array().tobytes()
+        refusals = [
+            (1.0 + 2e-6, f"determinant {1.0 + 2e-6} too far from 1 to renormalize"),
+            (1.0 - 2e-6, f"determinant {1.0 - 2e-6} too far from 1 to renormalize"),
+            (0.0, "matrix determinant 0.0 is not a positive real"),
+            (-1.0, "matrix determinant -1.0 is not a positive real"),
+            (math.nan, "matrix determinant nan is not a positive real"),
+        ]
+        for det, message in refusals:
+            for make in (lambda: Sl2Matrix(det, 0.0, 0.0, 1.0),
+                         lambda: stack_product(np.diag([det, 1.0]), np.eye(2))):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    make()
