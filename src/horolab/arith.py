@@ -225,9 +225,13 @@ def divisor_counts(n: int) -> np.ndarray:
 
 def divisor_count(n: int) -> int:
     """Number of positive divisors of n, by :func:`factorize`."""
-    if n < 1 or n != int(n):
+    try:
+        whole = int(n)
+    except (ValueError, OverflowError):  # nan, inf
+        whole = None
+    if whole is None or whole < 1 or n != whole:
         raise DomainError("divisor count requires a positive integer")
-    return math.prod(e + 1 for _, e in factorize(int(n)))
+    return math.prod(e + 1 for _, e in factorize(whole))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -29,9 +30,12 @@ MIN_SUPPORT_RADIUS = math.sqrt(2.0)
 # traced); expsum's cap of 1024 would allow about 730 MiB.
 BALL_RADIUS_SQ_GUARD = 3.6e5
 _GRID_CHUNK = 4096
-#: (matrix, ball candidate) pairs kernel-evaluated at a time; a block's
-#: (pairs, 2, 2) float product is 512 KiB.
+#: (matrix, ball candidate) pairs kernel-evaluated at a time; each of a block's
+#: float temporaries over the pairs is 128 KiB.
 _BLOCK_CANDIDATES = 1 << 14
+#: (matrix, translate) slots of one zero-padded sum at a time, unless one
+#: block of ``_BLOCK_CANDIDATES`` pairs alone needs more.
+_BLOCK_TERMS = 1 << 12
 #: Matrices of a stack reduced and evaluated at a time.
 _BLOCK_POINTS = 1 << 10
 _INT64_LIMIT = 2.0**63
@@ -83,42 +87,83 @@ def kernel_value(fn: PoincareTestFn, mats: np.ndarray) -> np.ndarray:
     arr = np.asarray(mats, dtype=float)
     if arr.shape[-2:] != (2, 2):
         raise DomainError("expected trailing 2 x 2 matrix axes")
+    return _kernel(fn, np.sum(arr * arr, axis=(-2, -1)))
+
+
+def _kernel(fn: PoincareTestFn, norm_sq: np.ndarray) -> np.ndarray:
+    """The kernel as a function of the squared Frobenius norm."""
     rho_sq = fn.support_radius * fn.support_radius
-    return bump6((np.sum(arr * arr, axis=(-2, -1)) - 2.0) / (rho_sq - 2.0))
+    return bump6((norm_sq - 2.0) / (rho_sq - 2.0))
 
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    """(d, -b; -c, a) of each matrix of an (n, 2, 2) integer stack: its inverse
-    where the determinant is one."""
-    return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1).reshape(-1, 2, 2)
+def _product_norm_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|X Y|_F^2 for every pair of the matrices X whose entries x00, x01, x10,
+    x11 are the rows of a (4, m) array and the matrices Y of a (4, n, 1)
+    array, as an (n, m) array.  Each entry of X Y is :func:`stack_product`'s
+    x_i0 y_0j + x_i1 y_1j with both products rounded, and the four squares
+    are added in row-major order, as :func:`kernel_value` adds them."""
+    total = None
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        e = x[i] * y[j]
+        e += x[i + 1] * y[j + 2]
+        e *= e
+        total = e if total is None else np.add(total, e, out=total)
+    return total
 
 
-def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Weights and flattened frequency rows of the translates through each
-    matrix of an (n, 2, 2) stack.
+def _moved_freqs(freq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(m, k, 2) integer rows (adj X) m_k^T of the identity frequencies m
+    (k x 2) at the candidates X whose entries are the rows of a (4, m)
+    integer array: the frequencies the translate X carries before its
+    pull-back."""
+    f0, f1 = freq[:, 0], freq[:, 1]
+    u0 = x[3][:, None] * f0 - x[1][:, None] * f1
+    u1 = x[0][:, None] * f1 - x[2][:, None] * f0
+    return np.stack((u0, u1), -1)
+
+
+def _freq_rows(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Flattened frequency rows, (n, 2k) floats, of the translates X gamma^{-1}
+    for the :func:`_moved_freqs` rows u (n, k, 2) of the candidates X and the
+    reducing matrices gamma, the rows (a, b, c, d) of an (n, 4) integer array
+    g.  The frequencies m (X gamma^{-1})^{-T} have rows gamma (adj X) m_k^T;
+    the entry formulas are exact in integers."""
+    rows = np.empty(u.shape, dtype=np.int64)
+    rows[:, :, 0] = g[:, 0, None] * u[:, :, 0] + g[:, 1, None] * u[:, :, 1]
+    rows[:, :, 1] = g[:, 2, None] * u[:, :, 0] + g[:, 3, None] * u[:, :, 1]
+    return rows.reshape(u.shape[0], -1).astype(float)
+
+
+def _series_stack(
+    fn: PoincareTestFn, mats: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks of the translates through the matrices of an (n, 2, 2) stack:
+    kernel weights and flattened frequency rows, then the stack indices of
+    the matrices with a translate and how many each has.
 
     Enumeration runs at the domain-reduced matrix so the candidate ball
     stays small no matter how far a matrix sits from the maximal compact;
     translates are then pulled back through the reducing word.  Matrices
     that share a coset and a quantized ball radius share one enumeration,
-    and their kernel values come from one product over at most
-    ``_BLOCK_CANDIDATES`` (matrix, candidate) pairs at a time.  Each
-    matrix keeps its candidates in enumeration order, so its series is the
-    one it has alone.
+    and their kernel weights are formed over at most ``_BLOCK_CANDIDATES``
+    (matrix, candidate) pairs at a time.  Each kernel argument is
+    :func:`_product_norm_sq` of the candidate and the reduced matrix, and
+    each pull-back an integer entry formula: no BLAS kernel is called.  A
+    matrix's kept translates all come out in one block, in enumeration
+    order, so its series is the one it has alone; a block takes as many
+    matrices as keep its zero-padded sum within ``_BLOCK_TERMS`` slots.
     """
     rho = fn.support_radius
     rho_sq = rho * rho
     gammas, reduced = reduce_stack(mats)
     n = reduced.shape[0]
-    empty = (np.zeros(0), np.zeros((0, 2 * fn.k)))
-    out = [empty] * n
     a, b, c, d = reduced.reshape(n, 4).T
     # Every integer translate of a matrix whose reduced height exceeds
     # rho^2 has Frobenius norm above rho, so the sum is empty.
     with np.errstate(divide="ignore"):  # a bottom row that squares to 0 has infinite height
         live = np.flatnonzero(~(1.0 / (c * c + d * d) > rho_sq))
     if not live.size:
-        return out
+        return
     radius = rho * np.sqrt(a * a + b * b + c * c + d * d) * (1.0 + 1e-12)
     # Quantizing the ball radius upward makes repeated evaluations share
     # cached enumerations; the extra candidates all carry weight zero.
@@ -127,44 +172,64 @@ def _series_stack(fn: PoincareTestFn, mats: np.ndarray) -> list[tuple[np.ndarray
     over = ~(radius_sq <= BALL_RADIUS_SQ_GUARD)
     if over.any():
         guard(radius_sq[over][0], BALL_RADIUS_SQ_GUARD, "squared ball-radius units")
-    gamma = gammas[live]
+    gamma = gammas[live].reshape(-1, 4)
     if not np.all(np.abs(gamma) < _INT64_LIMIT):
         raise DomainError("the reducing matrix has entries beyond 64-bit integers")
     gamma = gamma.astype(np.int64)
-    # Translates are pulled back through gamma^{-1}.
-    ginv = _adjugate(gamma)
-    # Group by (coset of gamma mod the level, quantized radius).
-    cosets = (gamma.reshape(-1, 4) % fn.level).tolist()
-    groups: dict[tuple, list[int]] = {}
-    for i, (coset, r) in enumerate(zip(cosets, radius_q.tolist())):
-        groups.setdefault((tuple(coset), r), []).append(i)
+    red = reduced[live].reshape(-1, 4).T
+    # Group by (coset of gamma mod the level, quantized radius); the sort is
+    # stable, so each group keeps its matrices in stack order.
+    keys = np.vstack(((gamma % fn.level).T, (radius_q * 4.0).astype(np.int64)))
+    order = np.lexsort(keys)
+    sorted_keys = keys[:, order]
+    starts = np.flatnonzero(np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)) + 1
+    bounds = [0, *starts.tolist(), order.size]
     freq = fn.freq_array
-    for (coset, r), members in groups.items():
-        cands = enumerate_coset_ball(CosetSpec(fn.level, coset), r)
+
+    def batch(parts):
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    # _values pads a batch to (matrices, most translates of one matrix); a
+    # part that would take that past _BLOCK_TERMS starts a new batch.
+    parts, held, widest = [], 0, 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        *coset, r4 = sorted_keys[:, lo].tolist()
+        cands = enumerate_coset_ball(CosetSpec(fn.level, tuple(coset)), r4 / 4.0)
         if cands.shape[0] == 0:
             continue
-        members = np.array(members)
-        cand_f = cands.astype(float)[None]
+        x = cands.reshape(-1, 4).T.astype(np.int64)
+        x_f = x.astype(float)
+        moved = _moved_freqs(freq, x)
         step = max(1, _BLOCK_CANDIDATES // cands.shape[0])
-        for lo in range(0, members.size, step):
-            pts = members[lo : lo + step]
-            weights = kernel_value(fn, cand_f @ reduced[live[pts]][:, None])
-            keep = weights != 0.0
-            row, col = np.nonzero(keep)
-            inv_t = _adjugate(cands[col] @ ginv[pts[row]])
-            freq_rows = np.einsum("kj,nij->nki", freq, inv_t)
-            phase_rows = freq_rows.reshape(len(col), 2 * fn.k).astype(float)
-            kept, end = weights[keep], 0
-            for i, count in zip(live[pts].tolist(), keep.sum(axis=1).tolist()):
-                out[i] = kept[end : end + count], phase_rows[end : end + count]
-                end += count
-    return out
+        for first in range(lo, hi, step):
+            pts = order[first : min(first + step, hi)]
+            kernel = _kernel(fn, _product_norm_sq(x_f, red[:, pts, None]))
+            # np.take gathers here several times faster than fancy indexing.
+            kept = np.flatnonzero(kernel)
+            if not kept.size:
+                continue
+            row, col = np.divmod(kept, kernel.shape[1])
+            counts = np.bincount(row, minlength=pts.size)
+            has = counts != 0
+            counts = counts[has]
+            most = int(counts.max())
+            if parts and (held + counts.size) * max(widest, most) > _BLOCK_TERMS:
+                yield batch(parts)
+                parts, held, widest = [], 0, 0
+            g = gamma.take(pts, axis=0).take(row, axis=0)
+            freq_rows = _freq_rows(moved.take(col, axis=0), g)
+            parts.append((kernel.take(kept), freq_rows, live.take(pts[has]), counts))
+            held, widest = held + counts.size, max(widest, most)
+    if parts:
+        yield batch(parts)
 
 
 @lru_cache(maxsize=256)
 def _series_data(fn: PoincareTestFn, matrix: Sl2Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_series_stack` of one matrix, cached and read-only."""
-    weights, phase_rows = _series_stack(fn, matrix.as_array()[None])[0]
+    """Weights and frequency rows of :func:`_series_stack` for one matrix,
+    cached and read-only."""
+    blocks = list(_series_stack(fn, matrix.as_array()[None]))  # at most one
+    weights, phase_rows = blocks[0][:2] if blocks else (np.zeros(0), np.zeros((0, 2 * fn.k)))
     weights.setflags(write=False)
     phase_rows.setflags(write=False)
     return weights, phase_rows
@@ -177,10 +242,29 @@ def _torus_block(fn: PoincareTestFn, torus_point: np.ndarray) -> np.ndarray:
     return xi - np.floor(xi)
 
 
-def _series_value(weights: np.ndarray, phase_rows: np.ndarray, xi: np.ndarray) -> complex:
-    if weights.size == 0:
-        return 0.0 + 0.0j
-    return complex(np.dot(weights, np.exp(2j * np.pi * (phase_rows @ xi.ravel()))))
+def _values(
+    weights: np.ndarray, phase_rows: np.ndarray, counts: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """Values of the series that list their translates one after another,
+    ``counts`` translates each.
+
+    Each phase sums the 2k products of a frequency row and the flattened
+    torus block from left to right, one ``np.exp`` turns the phases into
+    characters, and each series adds its weighted characters left to right
+    in enumeration order, as one cumulative sum along each row of a
+    zero-padded (series, most translates) array.
+    """
+    flat = xi.ravel()
+    phase = phase_rows[:, 0] * flat[0]
+    for j in range(1, flat.size):
+        phase += phase_rows[:, j] * flat[j]
+    width = counts.max()
+    padded = np.zeros((counts.size, width), dtype=complex)
+    # Translate j of series i goes to slot i * width + j - (translates before i).
+    shift = np.arange(0, counts.size * width, width) - (np.cumsum(counts) - counts)
+    slots = np.arange(weights.size) + np.repeat(shift, counts)
+    padded.ravel()[slots] = weights * np.exp(2j * np.pi * phase)
+    return np.cumsum(padded, axis=1)[:, -1]
 
 
 def evaluate_f(
@@ -194,19 +278,26 @@ def evaluate_f(
     rows are taken as they stand, like ``Sl2Matrix`` entries, and are
     handled ``_BLOCK_POINTS`` at a time.  The torus block is reduced into
     [0, 1) entrywise before any phase is formed, so shifting it by exact
-    integers returns bit-identical values.
+    integers returns bit-identical values.  Each value is the sum of its
+    translates' weighted characters, added left to right in enumeration
+    order; each phase adds its 2k frequency-times-torus products left to
+    right.  No BLAS kernel is called, so the bits do not depend on the
+    host's BLAS build.
     """
     xi = _torus_block(fn, torus_point)
     if isinstance(matrix, Sl2Matrix):
-        return _series_value(*_series_data(fn, matrix), xi)
+        weights, phase_rows = _series_data(fn, matrix)
+        if weights.size == 0:
+            return 0.0 + 0.0j
+        return complex(_values(weights, phase_rows, np.array([weights.size]), xi)[0])
     mats = np.asarray(matrix, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
         raise DomainError(f"expected a matrix or an (n, 2, 2) stack, got shape {mats.shape}")
     _unimodular(mats.reshape(-1, 4).T)  # refuses what Sl2Matrix refuses; rows stay as they stand
     values = np.zeros(mats.shape[0], dtype=complex)
     for lo in range(0, mats.shape[0], _BLOCK_POINTS):
-        for i, series in enumerate(_series_stack(fn, mats[lo : lo + _BLOCK_POINTS]), lo):
-            values[i] = _series_value(*series, xi)
+        for weights, phase_rows, points, counts in _series_stack(fn, mats[lo : lo + _BLOCK_POINTS]):
+            values[lo + points] = _values(weights, phase_rows, counts, xi)
     return values
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .affine import GroupElement, grid_gap_many, log_gauge
 from .arith import divisor_counts
-from .errors import DomainError, guard
+from .errors import DomainError, guard, integers
 
 #: zeta(3/2); the divisor-weighted series sum_d tau(d) d^{-3/2} equals its square.
 ZETA_THREE_HALVES = 2.612375348685488
@@ -122,6 +122,9 @@ class MajorantParams:
     d_max: int | None = None
 
     def __post_init__(self) -> None:
+        # The cuts index arrays and size tables, so they must be whole numbers.
+        for name in ("k", "q_max") if self.d_max is None else ("k", "q_max", "d_max"):
+            object.__setattr__(self, name, int(integers(getattr(self, name), name)))
         if self.k < 1:
             raise DomainError("block height k must be at least 1")
         if not self.m > self.k:

@@ -66,9 +66,10 @@ from .smoothfns import bump6, bump6_normalized
 #: At 0.4 us per candidate the ~20 s budget allows 5e7, so A09's window answers
 #: down to about y = 1.14e-6 and ``horocycle``'s default one down to 1.02e-6.
 CANDIDATE_CAP = 50_000_000
-#: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.85-1.12 ms
-#: on 2 cores (T = 100 to 3000, three base points), so 18,000 panels (T = 3000)
-#: stay near 20 s at the slowest rate: 18,000 x 1.12 ms = 20.2 s.
+#: Panels of the pointwise orbit route.  Batched, a 24-node panel took 0.16-0.49 ms
+#: on 2 cores (levels 1 and 2, T = 100 to 3000, three base points), so 18,000
+#: panels (T = 3000) take about 9 s at the slowest rate; the cap is kept so that
+#: the same calls are refused.
 POINTWISE_PANEL_CAP = 18_000
 #: Bottom-row candidates (and columns) enumerated at a time across a batch of windows.
 _BLOCK_CANDIDATES = 1 << 14
@@ -206,8 +207,9 @@ def translate_integral(
         weights = np.asarray(h(flat), dtype=float)
         live = weights != 0.0
         mats = stack_product(stack_product(base, _unipotents(flat[live])), scale)
-        values = iter(evaluate_f(fn, mats, xi).tolist())
-        return np.array([0.0 if w == 0.0 else next(values) * w for w in weights])
+        values = np.zeros(flat.shape, dtype=complex)
+        values[live] = evaluate_f(fn, mats, xi) * weights[live]
+        return values
 
     return complex(adaptive_quad(integrand, -1.0, 1.0, rel_tol=1e-7, max_depth=24))
 
@@ -505,8 +507,10 @@ def long_orbit_average(
     Gauss-Legendre nodes and exists as a slow independent check, refused
     above ``POINTWISE_PANEL_CAP`` panels (T = 3000).  It builds the node
     matrices g u_{T x} as arrays, ``_BLOCK_PANELS`` panels at a time, and
-    evaluates each block with the stack form of :func:`evaluate_f`; the
-    terms are still added one by one in node order.
+    evaluates each block with the stack form of :func:`evaluate_f`.  The
+    weighted values are added left to right in node order: each block's
+    cumulative sum starts from the running total, so the bits are those of
+    a scalar loop over the nodes.
     """
     if not (T >= 1.0 and math.isfinite(T)):
         raise DomainError("orbit time must be at least one")
@@ -527,16 +531,15 @@ def long_orbit_average(
     guard(panels, POINTWISE_PANEL_CAP, "pointwise panels")
     base = element.matrix.as_array()
     edges = np.linspace(-1.0, 1.0, panels + 1)
-    acc = 0.0 + 0.0j
+    acc = np.zeros(1, dtype=complex)
     for lo in range(0, panels, _BLOCK_PANELS):
         xs, wts = _panels(edges[lo : lo + _BLOCK_PANELS + 1], 24)
         hx = np.asarray(h(xs), dtype=float)
         factor = wts * hx
         live = hx != 0.0
         values = evaluate_f(fn, stack_product(base, _unipotents(T * xs[live])), xi)
-        for f, v in zip(factor[live], values.tolist()):
-            acc += f * v
-    return complex(acc)
+        acc = np.cumsum(np.concatenate((acc, factor[live] * values)))[-1:]
+    return complex(acc[0])
 
 
 def split_orbit_average(

@@ -210,6 +210,12 @@ class TestDivisorCount:
         with pytest.raises(DomainError):
             divisor_count(-4)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_rejects_non_integers(self, bad):
+        # nan and inf used to escape as a bare ValueError and OverflowError.
+        with pytest.raises(DomainError):
+            divisor_count(bad)
+
     def test_against_sympy(self, rng):
         for n in rng.integers(1, 10 ** 6, size=100):
             assert divisor_count(int(n)) == sympy.divisor_count(int(n))

@@ -1,6 +1,10 @@
 """Periodized bump functions: values, spectra, orbits, averages."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -218,17 +222,29 @@ class TestEvaluate:
             assert peak < 1 << 20
 
 
-def reference_value(fn, matrix, xi):
-    """The translate series one matrix at a time, as it was built before the
-    stack form: reduce step by step, enumerate the ball, kernel-weight it
-    with one matrix product, pull the kept translates back through gamma."""
+def reference_value(fn, matrix, xi, blas=False):
+    """The translate series one matrix at a time, with the float formulas of
+    the stack form: reduce step by step, enumerate the ball, kernel-weight it
+    with products formed entry by entry (x_i0 y_0j + x_i1 y_1j), pull the kept
+    translates back through gamma, add each phase's products left to right
+    and the weighted characters left to right in enumeration order.
+
+    With ``blas`` the kernel arguments, the phases and the sum are instead
+    one matrix product, one matrix-vector product and one dot, as the
+    series was formed before it was written as entry formulas; their bits
+    depend on the BLAS kernel."""
     gamma, reduced = reduce_fundamental_reference(matrix)
     if iwasawa_decompose(reduced).v > fn.support_radius**2:
         return 0.0 + 0.0j
     radius = math.ceil(fn.support_radius * reduced.frobenius_norm() * (1.0 + 1e-12) * 4.0) / 4.0
     g = [int(round(x)) for x in (gamma.a, gamma.b, gamma.c, gamma.d)]
     cands = enumerate_coset_ball(CosetSpec(fn.level, tuple(g)), radius)
-    weights = kernel_value(fn, cands.astype(float) @ reduced.as_array())
+    x, y = cands.astype(float), reduced.as_array()
+    if blas:
+        prods = x @ y
+    else:
+        prods = np.stack([x[:, i, 0] * y[0, j] + x[:, i, 1] * y[1, j] for i in (0, 1) for j in (0, 1)], -1)
+    weights = kernel_value(fn, prods.reshape(-1, 2, 2))
     keep = weights != 0.0
     if not keep.any():
         return 0.0 + 0.0j
@@ -236,8 +252,17 @@ def reference_value(fn, matrix, xi):
     inv_t = np.stack([translates[:, 1, 1], -translates[:, 0, 1], -translates[:, 1, 0], translates[:, 0, 0]], -1)
     rows = np.einsum("kj,nij->nki", fn.freq_array, inv_t.reshape(-1, 2, 2)).reshape(-1, 2 * fn.k)
     xi = np.asarray(xi, dtype=float)
-    phases = rows.astype(float) @ (xi - np.floor(xi)).ravel()
-    return complex(np.dot(np.ascontiguousarray(weights[keep]), np.exp(2j * np.pi * phases)))
+    flat = (xi - np.floor(xi)).ravel()
+    if blas:
+        phases = rows.astype(float) @ flat
+        return complex(np.dot(np.ascontiguousarray(weights[keep]), np.exp(2j * np.pi * phases)))
+    phases = rows[:, 0].astype(float) * flat[0]
+    for j in range(1, flat.size):
+        phases = phases + rows[:, j].astype(float) * flat[j]
+    total = 0.0 + 0.0j
+    for term in (weights[keep] * np.exp(2j * np.pi * phases)).tolist():
+        total += term
+    return total
 
 
 class TestStackEvaluate:
@@ -293,7 +318,24 @@ class TestStackEvaluate:
         whole = evaluate_f(fn, mats, xi)
         monkeypatch.setattr(autofns, "_BLOCK_POINTS", 3)
         monkeypatch.setattr(autofns, "_BLOCK_CANDIDATES", 7)
+        monkeypatch.setattr(autofns, "_BLOCK_TERMS", 5)
         assert evaluate_f(fn, mats, xi).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("fn", FNS, ids=["l1k1", "l2k1", "l3k1", "l1k2", "l2k2"])
+    def test_values_stay_within_rounding_of_the_blas_formulation(self, rng, fn):
+        xi = rng.uniform(-1.0, 1.0, size=(fn.k, 2))
+        flat = (xi - np.floor(xi)).ravel()
+        haar, corpus = haar_sample_level_one(rng, 40), reduction_corpus(rng, count=8)
+        got = evaluate_f(fn, np.array([m.as_array() for m in haar + corpus]), xi)
+        for m, value in zip(haar, got):
+            assert abs(value - reference_value(fn, m, xi, blas=True)) <= 1e-12 * abs(value)
+        # Reduced far out, a translate's phase reaches 10^7, and any order of
+        # its sum rounds it by up to its size times eps: each term moves by
+        # about 2 pi eps times its phase, so the bound scales with them.
+        for m, value in zip(corpus, got[len(haar):]):
+            weights, rows = autofns._series_data(fn, m)
+            scale = np.sum(weights * (1.0 + np.sum(np.abs(rows * flat), axis=1)))
+            assert abs(value - reference_value(fn, m, xi, blas=True)) <= 1e-12 * scale
 
     def test_empty_and_malformed_stacks(self):
         fn = self.FNS[0]
@@ -302,6 +344,50 @@ class TestStackEvaluate:
             evaluate_f(fn, np.eye(2), np.zeros((1, 2)))
         with pytest.raises(DomainError):
             evaluate_f(fn, np.diag([2.0, 1.0])[None], np.zeros((1, 2)))
+
+
+class TestHostIndependence:
+    """Values come from entry formulas and fixed-order sums, not from BLAS
+    kernels, so the BLAS build a process picks does not move their bits."""
+
+    SCRIPT = (
+        "import hashlib, numpy as np\n"
+        "from horolab.autofns import PoincareTestFn, evaluate_f\n"
+        "from horolab.sl2core import Sl2Matrix\n"
+        "rng = np.random.default_rng(np.random.Philox(4242))\n"
+        "a = rng.normal(size=(400, 2, 2))\n"
+        "det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]\n"
+        "a[det < 0] = a[det < 0][:, :, ::-1]\n"
+        "mats = a / np.sqrt(np.abs(det))[:, None, None]\n"
+        "xi = np.array([[0.3141592653589793, 0.2718281828459045], [0.7071067811865476, 0.5772156649015329]])\n"
+        "out = hashlib.sha256()\n"
+        "for level, radius in ((1, 3.0), (2, 3.5), (3, 4.0)):\n"
+        "    fn = PoincareTestFn(level=level, freq=((1, 2), (3, -1)), support_radius=radius)\n"
+        "    out.update(evaluate_f(fn, mats, xi).tobytes())\n"
+        "one = complex(evaluate_f(fn, Sl2Matrix(*mats[7].ravel().tolist()), xi))\n"
+        "out.update(np.array([one]).tobytes())\n"
+        "print(out.hexdigest())\n"
+    )
+
+    @staticmethod
+    def _digest(**env):
+        import horolab
+
+        src = str(pathlib.Path(horolab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", TestHostIndependence.SCRIPT], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=path, **env),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_blas_kernel_choice_leaves_the_bits(self):
+        # Sandybridge is an OpenBLAS kernel without fused multiply-adds; the
+        # variable is set in the child process only.
+        default = self._digest()
+        assert len(default) == 64
+        assert self._digest(OPENBLAS_CORETYPE="Sandybridge") == default
 
 
 class TestFourier:

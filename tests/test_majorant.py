@@ -111,6 +111,19 @@ class TestParams:
         with pytest.raises(DomainError):
             MajorantParams(k=1, m=3, d_max=0)
 
+    @pytest.mark.parametrize("field", ["k", "q_max", "d_max"])
+    @pytest.mark.parametrize("bad", [3.5, math.nan, math.inf])
+    def test_cuts_must_be_integers(self, field, bad):
+        # 3.5 used to answer tail_bound = inf (q_max) or a bare TypeError (d_max).
+        with pytest.raises(DomainError):
+            MajorantParams(**{"k": 1, "m": 5.0, field: bad})
+
+    def test_integral_cuts_become_python_ints(self):
+        p = MajorantParams(k=np.int64(1), m=3, q_max=4.0, d_max=np.int32(6))
+        assert (p.k, p.q_max, p.d_max) == (1, 4, 6)
+        assert all(type(v) is int for v in (p.k, p.q_max, p.d_max))
+        assert MajorantParams(k=1, m=3).d_max is None
+
     def test_default_depth_follows_scale(self):
         p = MajorantParams(k=1, m=3)
         assert p.effective_d_max(1e-4) == 100
