@@ -45,10 +45,17 @@ def guard(work, cap, what: str) -> None:
 
 
 def _count(x) -> str:
-    """Integers (and integral floats below 2^53) as digits, other numbers in %g form."""
-    if isinstance(x, numbers.Integral):
-        return str(x)
-    x = float(x)
+    """Integral numbers below 2^53 as digits, other numbers in %g form, ints past
+    the float range too."""
+    if isinstance(x, numbers.Integral) and abs(int(x)) < 2**53:
+        return str(int(x))
+    try:
+        x = float(x)
+    except OverflowError:  # an int past the float range: %g's exponent form
+        from decimal import Decimal  # imported here, on this rare path only
+
+        mantissa, exponent = f"{Decimal(int(x)):.5e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
     return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else f"{x:g}"
 
 

@@ -336,7 +336,9 @@ def _series(params: MajorantParams, xis: np.ndarray, y: float) -> tuple[np.ndarr
                 blocks[r0 : r0 + len(terms), j] = terms.reshape(len(terms), -1).sum(axis=1)
 
     _split_rows(fill, n_rows, row_step)
-    return np.array([math.fsum(row) for row in blocks]), weights.tail
+    if len(tiles) == 1:  # fsum of one float is that float
+        return blocks[:, 0], weights.tail
+    return np.array([math.fsum(row) for row in blocks.tolist()]), weights.tail
 
 
 def majorant_full(params: MajorantParams, xi: np.ndarray, y: float) -> MajorantValue:

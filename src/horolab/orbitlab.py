@@ -10,15 +10,16 @@ Mutual agreement of the routes is the main correctness check.
 
 Every lattice average goes through one kernel over a stack of windows.  It
 runs one block of at most ``_BLOCK_CANDIDATES`` bottom-row candidates at a
-time through enumeration, filters and completion, and the block's
-translates through integration in chunks of at most as many rows, all cut
-by ``arith.expand``, so its arrays stay bounded by the block, not by the
-window or its depth: A09's window peaks at about 7 MB traced at y = 1e-4,
-1e-5 and 1.14e-6 alike.  A window's value is the exact, correctly rounded
-sum of its own translate terms (``arith.ExactSum``), so it is the same
-float alone, in any batch and at any block size.  Window callables take
-arrays of nodes; the kernel's take a node-major (nodes, rows) block and the
-owning window of each row.
+time through enumeration, filters and completion, releases the block's
+filter and completion temporaries, and runs its translates through
+integration in chunks of at most 8 * ``_BLOCK_ROWS`` rows, all cut by
+``arith.expand``, so its arrays stay bounded by the block and the chunk, not
+by the window or its depth: A09's window peaks at 2.7 to 3.5 MiB traced from
+y = 1e-4 to 1.14e-6.  A window's value is the exact, correctly rounded sum of
+its own translate terms (``arith.ExactSum``), so it is the same float alone,
+in any batch and at any block size.  Window callables take arrays of nodes;
+the kernel's take a node-major (nodes, rows) block and the owning window of
+each row.
 
 At levels 1 and 2 the group contains -I, so every translate A comes with
 -A, whose bottom row is the mirror of A's.  The kernel argument and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Iterator
 
 import numpy as np
@@ -71,11 +73,17 @@ CANDIDATE_CAP = 50_000_000
 #: panels (T = 3000) take about 9 s at the slowest rate; the cap is kept so that
 #: the same calls are refused.
 POINTWISE_PANEL_CAP = 18_000
-#: Bottom-row candidates (and columns) enumerated at a time across a batch of windows.
+#: Bottom-row columns and candidates enumerated at a time across a batch of
+#: windows: it bounds the candidate stage's arrays, and the block's kept rows
+#: with their filter and completion arrays, which live until its translates are done.
 _BLOCK_CANDIDATES = 1 << 14
-#: Translate rows integrated at a time.  A node-major (24, 512) float temporary is
-#: 96 KiB, below glibc's mmap threshold, so the integration reuses heap memory; at
-#: 8,192 rows every temporary was mmapped and faulted in afresh.
+#: Translate rows integrated at a time: it bounds the node-major (24, rows) blocks.
+#: A (24, 512) float temporary is 96 KiB, below glibc's mmap threshold, so the
+#: integration reuses heap memory; at 8,192 rows every temporary was mmapped and
+#: faulted in afresh.  A block's translates expand in chunks of 8 * ``_BLOCK_ROWS``
+#: rows, which bounds the chunk's columns, panels and phase factors to 32 KiB a
+#: float column: A09's y = 1e-4 window traced 2.7 MiB, against 7.4 MiB with
+#: chunks as large as a candidate block.
 _BLOCK_ROWS = 512
 #: Pointwise orbit panels evaluated at a time: 1,008 node matrices, within one
 #: block of ``autofns._BLOCK_POINTS``.
@@ -275,6 +283,13 @@ def _candidate_blocks(
     n2 = 0 whole, so it trips on the same windows as an unpaired walk."""
     paired = _paired(level)
     columns = bound2 + 1.0 if paired else 2.0 * bound2 + 1.0
+
+    def first_coordinates(w, k, n, n1):
+        # n1 = level (k + offset) in the offsets' buffer: k is integral, so exact.
+        np.add(n1, k, out=n1, casting="unsafe")
+        n1 *= level
+        return w, n1, n
+
     for win, n2 in expand(columns, np.arange(bound2.size), chunk=_BLOCK_CANDIDATES):
         if not paired:
             n2 -= bound2.astype(np.int64)[win]
@@ -290,8 +305,12 @@ def _candidate_blocks(
         if paired:  # the column n2 = 0 keeps n1 > 0
             k_lo[n2 == 0] = np.maximum(k_lo[n2 == 0], 1.0)
             counts = np.maximum(0.0, k_hi - k_lo + 1.0)
-        for w, k, n, offset in expand(counts, win, k_lo, n2, chunk=_BLOCK_CANDIDATES):
-            yield w, level * (k.astype(np.int64) + offset), n
+        # Across a yield only what the expansion reads stays alive: the columns
+        # with candidates, and no filter array or yielded chunk.
+        live = counts > 0.0
+        counts, win, k_lo, n2 = counts[live], win[live], k_lo[live], n2[live]
+        del keep, edges, n1_lo, n1_hi, k_hi, live
+        yield from starmap(first_coordinates, expand(counts, win, k_lo, n2, chunk=_BLOCK_CANDIDATES))
 
 
 def _translate_panels(y, lo, hi, rho_sq, p, r, q, s):
@@ -342,10 +361,11 @@ def _lattice_batch(
 
     One block of bottom-row candidates at a time goes through the slab and
     gcd filters and completion; ``arith.expand`` then slices its translates
-    into chunks of at most ``_BLOCK_CANDIDATES`` rows for support intervals
+    into chunks of at most 8 * ``_BLOCK_ROWS`` rows for support intervals
     and integration, whose per-row coefficients and phase factors are
-    computed once per chunk.  Each chunk's terms go into one exact sum keyed
-    by window, so no term outlives its chunk.
+    computed once per chunk, the factors into one buffer for the batch.
+    Each chunk's terms go into one exact sum keyed by window, so no term
+    outlives its chunk.
 
     When :func:`_paired`, the mirror of a kept row would complete to exactly
     -A: ``xgcd_array`` of the negated row returns the negated gcd with the
@@ -382,13 +402,16 @@ def _lattice_batch(
     c = np.swapaxes(xis - np.floor(xis), 1, 2) @ fn.freq_array.astype(float)
     nodes, wts = _rule(24)
     acc = ExactSum(n_win)
+    chunk = 8 * _BLOCK_ROWS
+    factors = np.empty(chunk, dtype=complex)
 
     def integrate(win, phase, p, r, q, s):
         """The terms of translate rows (p, r; q, s) that meet their window,
         with the windows they go to."""
         ok, mid, half, t_a, t_b, t_c = _translate_panels(ys[win], los[win], his[win], rho_sq, p, r, q, s)
         win = win[ok]
-        terms = np.exp(2j * np.pi * phase[ok])  # the phase factors, scaled in place below
+        terms = np.multiply(2j * np.pi, phase[ok], out=factors[: win.size])
+        np.exp(terms, out=terms)  # the phase factors, scaled in place below
         for start in range(0, win.size, _BLOCK_ROWS):
             sl = slice(start, start + _BLOCK_ROWS)
             xs = np.einsum("j,i->ji", nodes, half[sl])
@@ -437,9 +460,12 @@ def _lattice_batch(
         counts = np.maximum(0.0, np.floor((t_hi - t_start) / level) + 1.0)
         counts[t_hi < t_lo] = 0.0
         _guard(tally[2], win, mirrors * counts, "translate candidates")
+        # Through the translate chunks only the expansion's columns stay alive.
+        del left_val, right_val, min_abs, keep, g, x_co, y_co, t_anchor, eps, s_pad, p_pad
+        del t_q, t_s, t_lo, t_hi
 
         translates = expand(counts, t_start, n1, n2, q, s, win, alpha0, beta0, p0, r0,
-                            chunk=_BLOCK_CANDIDATES)  # a chunk may cut a t range in two
+                            chunk=chunk)  # a chunk may cut a t range in two
         for t, n1, n2, q, s, win, alpha, beta, p, r, offset in translates:
             t = t.astype(np.int64) + level * offset
             alpha += t * n1

@@ -358,6 +358,10 @@ class TestExitCodes:
 
     def test_resource_guard_maps_to_four(self, capsys):
         assert run(["horocycle", "--y", "1e-9"]) == 4
+        capsys.readouterr()
+        # A work count of 152 digits prints in %g form.
+        assert run(["delta", "--y", "1e-300"]) == 4
+        assert capsys.readouterr().err == "horolab: 4e+151 series work units exceed the cap 2000000000\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -92,8 +92,13 @@ def test_integral_values_print_as_integers():
     guard(10, 10, "units")
     with pytest.raises(ResourceGuardError, match="^17 units exceed the cap 16$"):
         guard(np.float64(17.0), 16.0, "units")
-    with pytest.raises(ResourceGuardError, match=f"^{10**30} units exceed the cap 10$"):
+    with pytest.raises(ResourceGuardError, match=f"^{2**53 - 1} units exceed the cap 10$"):
+        guard(2**53 - 1, 10, "units")
+    # From 2^53 on, ints print in %g form as floats do, also past the float range.
+    with pytest.raises(ResourceGuardError, match=r"^1e\+30 units exceed the cap 10$"):
         guard(10**30, 10, "units")
+    with pytest.raises(ResourceGuardError, match=r"^1\.23457e\+400 units exceed the cap 10$"):
+        guard(123456789 * 10**392, 10, "units")
     with pytest.raises(ResourceGuardError, match=r"^1\.5e\+300 units exceed the cap 2\.5$"):
         guard(1.5e300, 2.5, "units")
 

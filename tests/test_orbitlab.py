@@ -330,9 +330,9 @@ class TestLatticeKernel:
         assert values() == whole
 
     def test_translate_chunks_hold_at_most_a_block(self, monkeypatch):
-        # With blocks of 5 bottom rows a block completes to more than 5
-        # translates, which go in chunks of at most 5 (cutting some row's t
-        # range); each window keeps its value.
+        # With _BLOCK_ROWS = 1 a block completes to more than 8 translates,
+        # which go in chunks of at most 8 * _BLOCK_ROWS = 8 (cutting some
+        # row's t range); each window keeps its value.
         fn = PoincareTestFn(level=1, freq=((1, 0),))
         el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
         values = lambda: [lattice_window_average(fn, el, y, window, (-1.0, 1.0))
@@ -352,9 +352,9 @@ class TestLatticeKernel:
 
         monkeypatch.setattr(orbitlab, "ExactSum", Recording)
         monkeypatch.setattr(orbitlab, "_guard", recording)
-        monkeypatch.setattr(orbitlab, "_BLOCK_CANDIDATES", 5)
+        monkeypatch.setattr(orbitlab, "_BLOCK_ROWS", 1)
         assert values() == whole
-        assert max(translates) > 5 and 0 < max(added) <= 5
+        assert max(translates) > 8 and 0 < max(added) <= 8
 
     def test_window_groups_do_not_change_values(self, monkeypatch):
         # 69 to 93 candidates per window: with blocks of 64 every window
@@ -538,6 +538,29 @@ class TestLatticeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_batch_memory_holds_to_a_translate_chunk(self):
+        # Translates in chunks of 8 * _BLOCK_ROWS rows, with the bottom-row
+        # stage's arrays released first: the benchmark's main term (A09's
+        # element at y = 1e-1 to 1e-4) and A12's first split traced 7.4-8.0 and
+        # 8.6 MiB with 16,384-row chunks, 2.7-3.4 and 4.3 MiB with 4,096.
+        fn = PoincareTestFn(level=1, freq=((0, 0),))
+        el = GroupElement.from_torus_point(Sl2Matrix(2.0, 1.0, 1.0, 1.0), XI_GOLD)
+        split_el = GroupElement.from_torus_point(cusp_base(150.0, 20.0, 0.2), XI_GOLD)
+        twisted = PoincareTestFn(level=1, freq=((1, 0),))
+        lattice_window_average(fn, el, 0.1, window, (-1.0, 1.0))  # warm caches and imports
+        calls = [
+            (lambda: horocycle_main_term(OrbitExperiment(fn, el, (1e-1, 1e-2, 1e-3, 1e-4), window)), 5.0),
+            (lambda: split_orbit_average(twisted, split_el, 20.0, window), 6.0),
+        ]
+        for call, bound_mib in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * (1 << 20)
 
     def test_one_window_memory_does_not_grow_with_depth(self):
         # Translates go in chunks as large as a candidate block, so A09's
